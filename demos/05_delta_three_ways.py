@@ -14,6 +14,11 @@ exp((kappa - theta) T):
 The integration-by-parts estimate must also be invariant, within noise, to
 the admissible weight function used inside it.
 
+All estimates below come from one DeltaSession, which runs the three Picard
+solves they need (at x and at x +/- h) once and shares them; the one-shot
+functions bel_delta, pathwise_delta and finite_difference_delta give the
+same numbers at the cost of fresh solves per call.
+
 Run:
   python demos/05_delta_three_ways.py
 """
@@ -22,9 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from mfsde import (SeedSpec, bel_delta, call_payoff, finite_difference_delta,
-                   front_loaded_weight, identity_payoff, make_grid,
-                   mean_field_ou, pathwise_delta, uniform_weight)
+from mfsde import (DeltaSession, SeedSpec, call_payoff, front_loaded_weight,
+                   identity_payoff, make_grid, mean_field_ou, uniform_weight)
 
 THETA, KAPPA = 1.0, 0.5
 START, HORIZON = 1.0, 1.0
@@ -42,9 +46,10 @@ def main() -> None:
           f"e^(kappa-theta)T = {exact:.5f}")
     print()
 
-    bel = bel_delta(spec, START, grid, n, seed, payoff)
-    pw = pathwise_delta(spec, START, grid, n, seed, payoff)
-    fd = finite_difference_delta(spec, START, grid, n, seed, payoff)
+    session = DeltaSession(spec, START, grid, n, seed)
+    bel = session.bel(payoff)
+    pw = session.pathwise(payoff)
+    fd = session.finite_difference(payoff)
     for r in (bel, pw, fd):
         gap = abs(r.estimate - exact)
         print(f"{r.label:22s} {r.estimate:.5f} +- {r.stderr:.5f}"
@@ -54,10 +59,8 @@ def main() -> None:
 
     print()
     print("== weight-function invariance of the IBP estimator ==")
-    flat = bel_delta(spec, START, grid, n, seed, payoff,
-                     weight=uniform_weight(HORIZON))
-    front = bel_delta(spec, START, grid, n, seed, payoff,
-                      weight=front_loaded_weight(HORIZON))
+    flat = session.bel(payoff, uniform_weight(HORIZON))
+    front = session.bel(payoff, front_loaded_weight(HORIZON))
     gap = abs(flat.estimate - front.estimate)
     tol = 3.0 * (flat.stderr + front.stderr)
     print(f"{flat.label:22s} {flat.estimate:.5f} +- {flat.stderr:.5f}")
@@ -67,8 +70,8 @@ def main() -> None:
     print()
     print("== a kinked payoff the pathwise route cannot see cleanly ==")
     kinked = call_payoff(strike=START * np.exp((KAPPA - THETA) * HORIZON))
-    bel_k = bel_delta(spec, START, grid, n, seed, kinked)
-    fd_k = finite_difference_delta(spec, START, grid, n, seed, kinked)
+    bel_k = session.bel(kinked)
+    fd_k = session.finite_difference(kinked)
     print(f"{bel_k.label:22s} {bel_k.estimate:.5f} +- {bel_k.stderr:.5f}")
     print(f"{fd_k.label:22s} {fd_k.estimate:.5f} +- {fd_k.stderr:.5f}")
     print(f"gap {abs(bel_k.estimate - fd_k.estimate):.5f}")

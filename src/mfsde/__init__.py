@@ -5,8 +5,8 @@ local-time-space integrals."""
 
 from .drift import (DriftSpec, RegularityReport, check_regularity,
                     constant_drift, convolution_drift, eval_drift,
-                    expectation_drift, mean_field_ou, mollify, sign_drift,
-                    zero_drift)
+                    expectation_drift, expectation_square_drift,
+                    mean_field_ou, mollify, sign_drift, zero_drift)
 from .girsanov import (EstimatorResult, WeightVector, doleans_weights,
                        drift_along_paths, epsilon_moment_probe,
                        reweighted_expectation)
@@ -20,13 +20,13 @@ from .measures import (EmpiricalMeasure, MeasureFlow, dirac,
                        empirical_from_column, flow_distance, kantorovich,
                        kantorovich_weighted, mean_and_moment)
 from .numerics import ExponentOverflowError, guarded_exp, mean_and_se
-from .sensitivity import (LawDerivativeEvaluator, MollifyStudy, Payoff,
-                          WeightFunctionA, analytic_law_derivative, bel_delta,
-                          call_payoff, constant_payoff, default_bump,
-                          finite_difference_delta, front_loaded_weight,
-                          identity_payoff, law_derivative,
-                          mollified_convergence_study, pathwise_delta,
-                          square_payoff, uniform_weight)
+from .sensitivity import (DeltaSession, LawDerivativeEvaluator, MollifyStudy,
+                          Payoff, WeightFunctionA, analytic_law_derivative,
+                          bel_delta, call_payoff, constant_payoff,
+                          default_bump, finite_difference_delta,
+                          front_loaded_weight, identity_payoff,
+                          law_derivative, mollified_convergence_study,
+                          pathwise_delta, square_payoff, uniform_weight)
 from .solver import (BlowUpError, MomentReport, PicardConfig,
                      PicardConvergenceError, SolveResult,
                      direct_particle_solve, euler_under_flow,
@@ -35,7 +35,8 @@ from .solver import (BlowUpError, MomentReport, PicardConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BLOCK_SIZE", "BlowUpError", "ChainIdentityReport", "DriftSpec",
+    "BLOCK_SIZE", "BlowUpError", "ChainIdentityReport", "DeltaSession",
+    "DriftSpec",
     "EmpiricalMeasure", "EstimatorResult", "ExponentOverflowError",
     "LawDerivativeEvaluator", "LocalTimeIntegralResult", "MeasureFlow",
     "MollifyStudy", "MomentReport", "PathEnsemble", "Payoff", "PicardConfig",
@@ -46,7 +47,8 @@ __all__ = [
     "dirac", "direct_particle_solve", "doleans_weights", "drift_along_paths",
     "drift_cumulants",
     "empirical_from_column", "epsilon_moment_probe", "eval_drift",
-    "euler_under_flow", "expectation_drift", "finite_difference_delta",
+    "euler_under_flow", "expectation_drift", "expectation_square_drift",
+    "finite_difference_delta",
     "first_variation", "flow_distance", "front_loaded_weight", "guarded_exp",
     "identity_payoff", "kantorovich", "kantorovich_weighted",
     "law_derivative", "local_time_integral", "make_grid",

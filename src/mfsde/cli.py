@@ -26,16 +26,17 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .drift import (DriftSpec, constant_drift, convolution_drift,
-                    expectation_drift, mean_field_ou, sign_drift, zero_drift)
+                    expectation_square_drift, mean_field_ou, sign_drift,
+                    zero_drift)
 from .girsanov import EstimatorResult, doleans_weights
 from .grid import SeedSpec, TimeGrid, make_grid, sample_brownian
 from .localtime import drift_cumulants, local_time_integral, malliavin_derivative
 from .numerics import ExponentOverflowError, mean_and_se
-from .sensitivity import (Payoff, WeightFunctionA, bel_delta, call_payoff,
-                          constant_payoff, finite_difference_delta,
+from .sensitivity import (DeltaSession, Payoff, WeightFunctionA, bel_delta,
+                          call_payoff, constant_payoff, default_bump,
                           front_loaded_weight, identity_payoff,
-                          mollified_convergence_study, pathwise_delta,
-                          square_payoff, uniform_weight)
+                          mollified_convergence_study, square_payoff,
+                          uniform_weight)
 from .solver import (BlowUpError, PicardConfig, PicardConvergenceError,
                      direct_particle_solve, moment_diagnostics, picard_solve)
 
@@ -168,16 +169,8 @@ class RunConfig:
             return sign_drift(p.get("alpha", 0.5), p.get("theta", 1.0),
                               p.get("kappa", 0.5))
         if self.model_name == "expectation_square":
-            theta = p.get("theta", 1.0)
-            kappa = p.get("kappa", 0.25)
-            return expectation_drift(
-                bbar=lambda t, y, v: -theta * y + kappa * v,
-                functional=lambda z: z * z,
-                growth_const=max(theta, 20.0 * kappa),
-                law_lipschitz_const=20.0 * kappa,
-                name="expectation_square",
-                dbbar_dy=lambda t, y, v: np.full_like(y, -theta),
-            )
+            return expectation_square_drift(p.get("theta", 1.0),
+                                            p.get("kappa", 0.25))
         raise ConfigError(f"unknown model '{self.model_name}'")
 
     def build_payoff(self) -> Payoff:
@@ -472,23 +465,19 @@ def cmd_delta(cfg: RunConfig, workers: int = 1) -> int:
     seed = cfg.seed_spec()
     payoff = cfg.build_payoff()
     weight = cfg.build_weight()
+    session = DeltaSession(spec, cfg.start, grid, cfg.particles, seed,
+                           cfg.picard, workers=workers,
+                           law_bump=cfg.law_bump)
     results: dict[str, EstimatorResult] = {}
     for method in cfg.methods:
         if method == "bel":
-            results[method] = bel_delta(
-                spec, cfg.start, grid, cfg.particles, seed, payoff,
-                weight=weight, law_bump=cfg.law_bump, config=cfg.picard,
-                workers=workers)
+            results[method] = session.bel(payoff, weight)
         elif method == "pathwise":
             if payoff.derivative is None:
                 continue
-            results[method] = pathwise_delta(
-                spec, cfg.start, grid, cfg.particles, seed, payoff,
-                law_bump=cfg.law_bump, config=cfg.picard, workers=workers)
+            results[method] = session.pathwise(payoff)
         else:
-            results[method] = finite_difference_delta(
-                spec, cfg.start, grid, cfg.particles, seed, payoff,
-                h=cfg.fd_bump, config=cfg.picard, workers=workers)
+            results[method] = session.finite_difference(payoff, cfg.fd_bump)
 
     out = _outdir(cfg)
     table = ResultTable(seed=cfg.seed, config_hash=cfg.config_hash())
@@ -496,7 +485,6 @@ def cmd_delta(cfg: RunConfig, workers: int = 1) -> int:
         table.add(f"delta_{name}", r.estimate, r.stderr, cfg.particles,
                   cfg.steps)
     table.write(out / "delta_results.csv")
-    from .sensitivity import default_bump
     fd_h = cfg.fd_bump if cfg.fd_bump is not None else default_bump(cfg.start)
     write_csv(out / "delta_agreement.csv",
               ["pair", "abs_diff", "tolerance", "agree"],

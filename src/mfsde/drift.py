@@ -203,6 +203,20 @@ def expectation_drift(bbar: Callable[[float, np.ndarray, float], np.ndarray],
     )
 
 
+def expectation_square_drift(theta: float = 1.0,
+                             kappa: float = 0.25) -> DriftSpec:
+    """b = -theta y + kappa E[Z^2], Z ~ mu: a drift that reads the second
+    moment of the law rather than its mean."""
+    return expectation_drift(
+        bbar=lambda t, y, v: -theta * y + kappa * v,
+        functional=lambda z: z * z,
+        growth_const=max(theta, 20.0 * kappa),
+        law_lipschitz_const=20.0 * kappa,
+        name="expectation_square",
+        dbbar_dy=lambda t, y, v: np.full_like(y, -theta),
+    )
+
+
 # ---------------------------------------------------------------------------
 # mollification
 # ---------------------------------------------------------------------------

@@ -76,6 +76,17 @@ def drift_along_paths(spec: DriftSpec, flow: MeasureFlow,
     return out
 
 
+def log_weights(drift_vals: np.ndarray, db: np.ndarray,
+                dt: float) -> np.ndarray:
+    """Left-point exponent sum_k b_k dB_k - 1/2 sum_k b_k^2 dt per path.
+
+    drift_vals is the (N, M+1) table of drift_along_paths (its last node
+    has no increment to the right and is unused); db the (N, M) increments.
+    """
+    b = drift_vals[:, :-1]
+    return np.einsum("ij,ij->i", b, db) - 0.5 * dt * np.einsum("ij,ij->i", b, b)
+
+
 def doleans_weights(spec: DriftSpec, flow: MeasureFlow,
                     paths: PathEnsemble) -> WeightVector:
     """Stochastic exponential of the drift along a Brownian ensemble.
@@ -86,10 +97,8 @@ def doleans_weights(spec: DriftSpec, flow: MeasureFlow,
     """
     if paths.kind != "brownian":
         raise ValueError("weights are defined along Brownian ensembles")
-    dt = paths.grid.dt
-    b = drift_along_paths(spec, flow, paths)[:, :-1]
-    db = paths.increments()
-    log_w = np.einsum("ij,ij->i", b, db) - 0.5 * dt * np.einsum("ij,ij->i", b, b)
+    log_w = log_weights(drift_along_paths(spec, flow, paths),
+                        paths.increments(), paths.grid.dt)
     return WeightVector(weights=guarded_exp(log_w), drift_name=spec.name,
                         steps=paths.grid.steps)
 

@@ -167,6 +167,43 @@ def malliavin_derivative(result: SolveResult, s: int, t: int,
     return guarded_exp(-(c[:, t] - c[:, s]))
 
 
+def law_derivative_table(dxb: Optional[SpaceTimeFn],
+                         paths: PathEnsemble) -> np.ndarray:
+    """dxb(t_j, path value at j) at the left points j < M, shape (N, M).
+
+    All zeros when dxb is None (no law feedback).
+    """
+    grid = paths.grid
+    v = paths.values
+    if dxb is None:
+        return np.zeros((v.shape[0], grid.steps))
+    table = np.empty((v.shape[0], grid.steps))
+    for j in range(grid.steps):
+        table[:, j] = dxb(float(grid.nodes[j]), v[:, j])
+    return table
+
+
+def _law_response(c: np.ndarray, table: np.ndarray, dt: float) -> np.ndarray:
+    """Per-step terms exp(C_j) dxb_j dt of the variation-of-constants sum."""
+    return guarded_exp(c[:, :-1]) * table * dt
+
+
+def _running_variation(exp_neg: np.ndarray, response: np.ndarray
+                       ) -> np.ndarray:
+    """exp(-C_k) (1 + sum_{j < k} response_j) at every node k."""
+    inner = np.zeros_like(exp_neg)
+    np.cumsum(response, axis=1, out=inner[:, 1:])
+    return exp_neg * (1.0 + inner)
+
+
+def _first_variation(c: np.ndarray, table: Optional[np.ndarray],
+                     dt: float) -> np.ndarray:
+    exp_neg = guarded_exp(-c)
+    if table is None:
+        return exp_neg
+    return _running_variation(exp_neg, _law_response(c, table, dt))
+
+
 def first_variation(result: SolveResult,
                     dxb: Optional[SpaceTimeFn] = None,
                     cumulants: Optional[np.ndarray] = None) -> np.ndarray:
@@ -182,19 +219,9 @@ def first_variation(result: SolveResult,
     law-derivative evaluator (None means no law feedback, in which case the
     first variation equals D_0 X_t exactly).
     """
-    grid = result.brownian.grid
     c = drift_cumulants(result) if cumulants is None else cumulants
-    exp_neg = guarded_exp(-c)
-    if dxb is None:
-        return exp_neg
-    exp_pos = guarded_exp(c[:, :-1])
-    v = result.brownian.values
-    dxb_vals = np.empty((v.shape[0], grid.steps))
-    for j in range(grid.steps):
-        dxb_vals[:, j] = dxb(float(grid.nodes[j]), v[:, j])
-    inner = np.zeros_like(c)
-    np.cumsum(exp_pos * dxb_vals * grid.dt, axis=1, out=inner[:, 1:])
-    return exp_neg * (1.0 + inner)
+    table = None if dxb is None else law_derivative_table(dxb, result.brownian)
+    return _first_variation(c, table, result.brownian.grid.dt)
 
 
 @dataclass(frozen=True)
@@ -226,7 +253,8 @@ def check_chain_identity(result: SolveResult, s: int, u: int, t: int,
         raise ValueError(f"need 0 <= s <= u <= t, got ({s}, {u}, {t})")
     grid = result.brownian.grid
     c = drift_cumulants(result)
-    fv = first_variation(result, dxb, cumulants=c)
+    table = None if dxb is None else law_derivative_table(dxb, result.brownian)
+    fv = _first_variation(c, table, grid.dt)
 
     d_st = guarded_exp(-(c[:, t] - c[:, s]))
     d_ut = guarded_exp(-(c[:, t] - c[:, u]))
@@ -234,12 +262,11 @@ def check_chain_identity(result: SolveResult, s: int, u: int, t: int,
     cocycle_res = d_st - d_ut * d_su
 
     integral = np.zeros(c.shape[0])
-    if dxb is not None and t > s:
-        v = result.brownian.values
+    if table is not None and t > s:
         acc = np.zeros(c.shape[0])
         for j in range(s, t):
             d_jt = guarded_exp(-(c[:, t] - c[:, j]))
-            acc = acc + d_jt * dxb(float(grid.nodes[j]), v[:, j]) * grid.dt
+            acc = acc + d_jt * table[:, j] * grid.dt
         integral = acc
     chain_res = fv[:, t] - (d_st * fv[:, s] + integral)
 

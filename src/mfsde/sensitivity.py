@@ -19,6 +19,11 @@ Three estimators of the same delta:
 * finite_difference_delta: central difference of two full solves at x +/- h
   under common random numbers; the blunt baseline the other two must match.
 
+The estimators are reductions over a DeltaSession, which runs each Picard
+solve they read once and computes the weights, cumulants and first variation
+once; bel_delta, pathwise_delta and finite_difference_delta are one-shot
+sessions.
+
 The delta is x-almost-everywhere well defined; at an exceptional null set of
 initial points (e.g. a payoff kink sitting exactly on an atom of the law)
 the reported value is the version picked by the discretization.
@@ -33,10 +38,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .drift import DriftSpec, mollify
-from .girsanov import EstimatorResult, drift_along_paths
-from .grid import SeedSpec, TimeGrid
-from .localtime import _cumulative_pieces
-from .measures import kantorovich
+from .girsanov import EstimatorResult, drift_along_paths, log_weights
+from .grid import PathEnsemble, SeedSpec, TimeGrid, sample_brownian
+from .localtime import (_cumulative_pieces, _law_response, _running_variation,
+                        law_derivative_table)
+from .measures import MeasureFlow, kantorovich
 from .numerics import guarded_exp, mean_and_se
 from .solver import PicardConfig, SolveResult, picard_solve
 
@@ -177,6 +183,234 @@ def default_bump(start: float) -> float:
     return 1e-2 * (1.0 + abs(start))
 
 
+# ---------------------------------------------------------------------------
+# delta session: the solves and per-path arrays the estimators share
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _BumpedPair:
+    """What is kept of the two solves at x +/- h: flows and terminal values."""
+
+    h: float
+    flow_plus: MeasureFlow
+    flow_minus: MeasureFlow
+    terminal_plus: np.ndarray
+    terminal_minus: np.ndarray
+
+
+@dataclass(frozen=True)
+class _PathTerms:
+    """Per-path arrays of the solve at x read by the BEL and pathwise
+    reductions, all on the driving Brownian representation."""
+
+    weights: np.ndarray  # Girsanov weights, (N,)
+    terminal: np.ndarray  # Brownian values at T, (N,)
+    variation: np.ndarray  # dX/dx at every node, running sums, (N, M+1)
+    law_table: np.ndarray  # dxb at the left points, (N, M)
+    drive: np.ndarray  # driving increments dB - b dt, (N, M)
+    terminal_variation: np.ndarray  # dX_T/dx, one pairwise sum, (N,)
+    dxb_provenance: str
+
+
+class DeltaSession:
+    """One delta computation at (spec, x, grid, N, seed, config).
+
+    Owns the Picard solves every estimator reads and runs each at most
+    once, on first use: the solve at x (for the Girsanov weights and the
+    first variation) and, per bump h, the pair at x +/- h (for the law
+    derivative and the finite difference). With the default bumps that is
+    3 solves for BEL, pathwise and finite difference together; 5 when the
+    finite-difference and law bumps differ; 1 for BEL or pathwise alone
+    when the law derivative is supplied or the drift ignores the law.
+
+    All solves ride one Philox draw started at 0: sample_brownian adds the
+    start to the cumulative sums, so shifting that draw gives the ensemble
+    of any start bit for bit. The weights, cumulants, first variation and
+    law-derivative table are computed once, when BEL or pathwise first asks.
+
+    `dxb` is the law-derivative evaluator BEL and pathwise use; left None it
+    is bump estimated at `law_bump` unless the drift ignores the law.
+    """
+
+    def __init__(self, spec: DriftSpec, start: float, grid: TimeGrid,
+                 n_paths: int, seed: SeedSpec,
+                 config: PicardConfig = PicardConfig(), workers: int = 1,
+                 dxb: Optional[LawDerivativeEvaluator] = None,
+                 law_bump: Optional[float] = None):
+        self.spec = spec
+        self.start = start
+        self.grid = grid
+        self.n_paths = n_paths
+        self.seed = seed
+        self.config = config
+        self.workers = workers
+        self._dxb = dxb
+        self._law_bump = law_bump
+        self._draw: Optional[PathEnsemble] = None
+        self._pairs: dict[float, _BumpedPair] = {}
+        self._terms: Optional[_PathTerms] = None
+
+    # -- solves ------------------------------------------------------------
+
+    def _solve(self, start: float) -> SolveResult:
+        if self._draw is None:
+            self._draw = sample_brownian(self.grid, self.n_paths, 0.0,
+                                         self.seed, workers=self.workers)
+        brownian = PathEnsemble(grid=self.grid,
+                                values=self._draw.values + start,
+                                kind="brownian", start=start, seed=self.seed)
+        return picard_solve(self.spec, start, self.grid, self.n_paths,
+                            self.seed, self.config, workers=self.workers,
+                            brownian=brownian)
+
+    def _flow_and_terminal(self, start: float
+                           ) -> tuple[MeasureFlow, np.ndarray]:
+        # terminal() is a view that would pin the whole path array
+        result = self._solve(start)
+        return result.flow, result.ensemble.terminal().copy()
+
+    def _pair(self, h: Optional[float]) -> _BumpedPair:
+        h = default_bump(self.start) if h is None else float(h)
+        if h <= 0:
+            raise ValueError(f"bump must be positive, got {h}")
+        if h not in self._pairs:
+            flow_p, term_p = self._flow_and_terminal(self.start + h)
+            flow_m, term_m = self._flow_and_terminal(self.start - h)
+            self._pairs[h] = _BumpedPair(h, flow_p, flow_m, term_p, term_m)
+        return self._pairs[h]
+
+    def law_derivative(self, h: Optional[float] = None
+                       ) -> LawDerivativeEvaluator:
+        """Bump-estimated dxb from the flows at x +/- h (see law_derivative)."""
+        pair = self._pair(h)
+        # the evaluator holds the two flows only, not the session's arrays
+        spec, grid, h = self.spec, self.grid, pair.h
+        flow_p, flow_m = pair.flow_plus, pair.flow_minus
+
+        def call(s: float, y: np.ndarray) -> np.ndarray:
+            k = grid.index_of(float(s))
+            t_k = float(grid.nodes[k])
+            y = np.asarray(y, dtype=float)
+            return (spec.fn(t_k, y, flow_p[k])
+                    - spec.fn(t_k, y, flow_m[k])) / (2 * h)
+
+        return LawDerivativeEvaluator(provenance="bump", _call=call, h=h,
+                                      grid=grid)
+
+    def _law_feedback(self) -> Optional[LawDerivativeEvaluator]:
+        if self._dxb is None and self.spec.law_lipschitz_const != 0.0:
+            self._dxb = self.law_derivative(self._law_bump)
+        return self._dxb
+
+    def _path_terms(self) -> _PathTerms:
+        if self._terms is not None:
+            return self._terms
+        dxb = self._law_feedback()
+        solved = self._solve(self.start)
+        brownian = solved.brownian
+        fb = drift_along_paths(self.spec, solved.flow, brownian)
+        del solved  # the solution paths and flows are not read again
+        dt = self.grid.dt
+        db = brownian.increments()
+        w = guarded_exp(log_weights(fb, db, dt))
+
+        cf, cb, cc = _cumulative_pieces(fb, brownian)
+        c = cf + cb + cc
+        del cf, cb, cc
+
+        # driving increments of the solution in this representation
+        drive = db - fb[:, :-1] * dt
+        del fb, db
+
+        table = law_derivative_table(dxb, brownian)
+        exp_neg = guarded_exp(-c)
+        response = _law_response(c, table, dt)
+        del c
+        self._terms = _PathTerms(
+            weights=w, terminal=brownian.values[:, -1].copy(),
+            variation=_running_variation(exp_neg, response),
+            law_table=table, drive=drive,
+            # pairwise sum, not the last running sum: the bits differ
+            terminal_variation=exp_neg[:, -1]
+            * (1.0 + np.sum(response, axis=1)),
+            dxb_provenance=dxb.provenance if dxb is not None else "none",
+        )
+        return self._terms
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Girsanov weights of the solve at x along the driving paths."""
+        return self._path_terms().weights
+
+    @property
+    def first_variation(self) -> np.ndarray:
+        """dX_{t_k}/dx along the driving paths, shape (N, M+1)."""
+        return self._path_terms().variation
+
+    # -- estimators --------------------------------------------------------
+
+    def bel(self, payoff: Payoff, weight: Optional[WeightFunctionA] = None,
+            se_ceiling: Optional[float] = None) -> EstimatorResult:
+        """Integration-by-parts delta; see bel_delta."""
+        weight = uniform_weight(self.grid.horizon) if weight is None \
+            else weight
+        weight.validate(self.grid)
+        terms = self._path_terms()
+        nodes = self.grid.nodes[:-1]
+        a_vals = np.asarray(weight.fn(nodes), dtype=float)
+        big_a = np.asarray(weight.integral(nodes), dtype=float)
+        integrand = (a_vals[None, :] * terms.variation[:, :-1]
+                     + terms.law_table * big_a[None, :])
+        ito = np.einsum("ij,ij->i", integrand, terms.drive)
+        samples = (terms.weights
+                   * np.asarray(payoff.fn(terms.terminal), dtype=float) * ito)
+        est, se = mean_and_se(samples)
+        meta = {"weight_mean": float(terms.weights.mean()),
+                "weight_name": weight.name, "payoff": payoff.name,
+                "dxb_provenance": terms.dxb_provenance}
+        if se_ceiling is not None and se > se_ceiling:
+            meta["heavy_tail_flag"] = True
+            warnings.warn(
+                f"bel_delta standard error {se:.3e} exceeds ceiling "
+                f"{se_ceiling:.3e}; weights may be heavy tailed",
+                RuntimeWarning)
+        return EstimatorResult(label=f"bel[{weight.name}]", estimate=est,
+                               stderr=se, n_paths=self.n_paths,
+                               seed=self.seed, extra=meta)
+
+    def pathwise(self, payoff: Payoff) -> EstimatorResult:
+        """E[payoff'(X_T) dX_T/dx]; see pathwise_delta."""
+        if payoff.derivative is None:
+            raise ValueError(f"payoff '{payoff.name}' has no derivative")
+        terms = self._path_terms()
+        dphi = np.asarray(payoff.derivative(terms.terminal), dtype=float)
+        est, se = mean_and_se(terms.weights * dphi * terms.terminal_variation)
+        return EstimatorResult(
+            label="pathwise", estimate=est, stderr=se, n_paths=self.n_paths,
+            seed=self.seed,
+            extra={"payoff": payoff.name,
+                   "dxb_provenance": terms.dxb_provenance},
+        )
+
+    def finite_difference(self, payoff: Payoff, h: Optional[float] = None
+                          ) -> EstimatorResult:
+        """Central difference of the solves at x +/- h; see
+        finite_difference_delta."""
+        pair = self._pair(h)
+        diff = (np.asarray(payoff.fn(pair.terminal_plus), dtype=float)
+                - np.asarray(payoff.fn(pair.terminal_minus), dtype=float))
+        est, se = mean_and_se(diff / (2.0 * pair.h))
+        return EstimatorResult(
+            label="finite_difference", estimate=est, stderr=se,
+            n_paths=self.n_paths, seed=self.seed,
+            extra={"payoff": payoff.name, "h": pair.h},
+        )
+
+
+# ---------------------------------------------------------------------------
+# one-shot estimators
+# ---------------------------------------------------------------------------
+
 def law_derivative(spec: DriftSpec, start: float, grid: TimeGrid,
                    n_paths: int, seed: SeedSpec, h: Optional[float] = None,
                    config: PicardConfig = PicardConfig(),
@@ -191,75 +425,8 @@ def law_derivative(spec: DriftSpec, start: float, grid: TimeGrid,
 
     Drifts with no law dependence give exactly zero by cancellation.
     """
-    h = default_bump(start) if h is None else float(h)
-    if h <= 0:
-        raise ValueError(f"bump must be positive, got {h}")
-    plus = picard_solve(spec, start + h, grid, n_paths, seed, config,
-                        workers=workers)
-    minus = picard_solve(spec, start - h, grid, n_paths, seed, config,
-                         workers=workers)
-    flow_p, flow_m = plus.flow, minus.flow
-
-    def call(s: float, y: np.ndarray) -> np.ndarray:
-        k = grid.index_of(float(s))
-        t_k = float(grid.nodes[k])
-        y = np.asarray(y, dtype=float)
-        return (spec.fn(t_k, y, flow_p[k]) - spec.fn(t_k, y, flow_m[k])) / (2 * h)
-
-    return LawDerivativeEvaluator(provenance="bump", _call=call, h=h,
-                                  grid=grid)
-
-
-# ---------------------------------------------------------------------------
-# delta estimators
-# ---------------------------------------------------------------------------
-
-def _bel_core(result: SolveResult, dxb: Optional[LawDerivativeEvaluator],
-              payoff: Payoff, weight: WeightFunctionA
-              ) -> tuple[np.ndarray, dict]:
-    """Per-particle BEL samples on the Brownian representation."""
-    spec = result.spec
-    grid = result.brownian.grid
-    dt = grid.dt
-    v = result.brownian.values
-    db = result.brownian.increments()
-
-    fb = drift_along_paths(spec, result.flow, result.brownian)
-    log_w = (np.einsum("ij,ij->i", fb[:, :-1], db)
-             - 0.5 * dt * np.einsum("ij,ij->i", fb[:, :-1], fb[:, :-1]))
-    w = guarded_exp(log_w)
-
-    cf, cb, cc = _cumulative_pieces(fb, result.brownian)
-    c = cf + cb + cc
-    del cf, cb, cc
-
-    # driving increments of the solution in this representation
-    db_drive = db - fb[:, :-1] * dt
-    del fb, db
-
-    if dxb is None:
-        dxb_vals = np.zeros((v.shape[0], grid.steps))
-    else:
-        dxb_vals = np.empty((v.shape[0], grid.steps))
-        for j in range(grid.steps):
-            dxb_vals[:, j] = dxb(float(grid.nodes[j]), v[:, j])
-
-    exp_neg = guarded_exp(-c)
-    exp_pos = guarded_exp(c[:, :-1])
-    del c
-    inner = np.zeros_like(exp_neg)
-    np.cumsum(exp_pos * dxb_vals * dt, axis=1, out=inner[:, 1:])
-    fv = exp_neg * (1.0 + inner)
-    del exp_neg, exp_pos, inner
-
-    a_vals = np.asarray(weight.fn(grid.nodes[:-1]), dtype=float)
-    big_a = np.asarray(weight.integral(grid.nodes[:-1]), dtype=float)
-    integrand = a_vals[None, :] * fv[:, :-1] + dxb_vals * big_a[None, :]
-    ito = np.einsum("ij,ij->i", integrand, db_drive)
-
-    samples = w * np.asarray(payoff.fn(v[:, -1]), dtype=float) * ito
-    meta = {"weight_mean": float(w.mean()), "weight_name": weight.name}
-    return samples, meta
+    return DeltaSession(spec, start, grid, n_paths, seed, config,
+                        workers).law_derivative(h)
 
 
 def bel_delta(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
@@ -277,24 +444,9 @@ def bel_delta(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
     one is supplied. `weight` defaults to the uniform a = 1/T; estimates
     must agree across admissible weights within statistical error.
     """
-    weight = uniform_weight(grid.horizon) if weight is None else weight
-    weight.validate(grid)
-    result = picard_solve(spec, start, grid, n_paths, seed, config,
-                          workers=workers)
-    if dxb is None and spec.law_lipschitz_const != 0.0:
-        dxb = law_derivative(spec, start, grid, n_paths, seed, h=law_bump,
-                             config=config, workers=workers)
-    samples, meta = _bel_core(result, dxb, payoff, weight)
-    est, se = mean_and_se(samples)
-    meta["payoff"] = payoff.name
-    meta["dxb_provenance"] = dxb.provenance if dxb is not None else "none"
-    if se_ceiling is not None and se > se_ceiling:
-        meta["heavy_tail_flag"] = True
-        warnings.warn(
-            f"bel_delta standard error {se:.3e} exceeds ceiling "
-            f"{se_ceiling:.3e}; weights may be heavy tailed", RuntimeWarning)
-    return EstimatorResult(label=f"bel[{weight.name}]", estimate=est,
-                           stderr=se, n_paths=n_paths, seed=seed, extra=meta)
+    return DeltaSession(spec, start, grid, n_paths, seed, config, workers,
+                        dxb=dxb, law_bump=law_bump).bel(payoff, weight,
+                                                        se_ceiling)
 
 
 def pathwise_delta(spec: DriftSpec, start: float, grid: TimeGrid,
@@ -308,44 +460,8 @@ def pathwise_delta(spec: DriftSpec, start: float, grid: TimeGrid,
     Uses the first-variation path on the Brownian representation and the
     Girsanov weights of the same run.
     """
-    if payoff.derivative is None:
-        raise ValueError(f"payoff '{payoff.name}' has no derivative")
-    result = picard_solve(spec, start, grid, n_paths, seed, config,
-                          workers=workers)
-    if dxb is None and spec.law_lipschitz_const != 0.0:
-        dxb = law_derivative(spec, start, grid, n_paths, seed, h=law_bump,
-                             config=config, workers=workers)
-
-    fb = drift_along_paths(spec, result.flow, result.brownian)
-    db = result.brownian.increments()
-    dt = grid.dt
-    log_w = (np.einsum("ij,ij->i", fb[:, :-1], db)
-             - 0.5 * dt * np.einsum("ij,ij->i", fb[:, :-1], fb[:, :-1]))
-    w = guarded_exp(log_w)
-    cfs = _cumulative_pieces(fb, result.brownian)
-    c = cfs[0] + cfs[1] + cfs[2]
-    del cfs, fb
-
-    v = result.brownian.values
-    exp_neg = guarded_exp(-c)
-    if dxb is None:
-        fv_t = exp_neg[:, -1]
-    else:
-        exp_pos = guarded_exp(c[:, :-1])
-        dxb_vals = np.empty((v.shape[0], grid.steps))
-        for j in range(grid.steps):
-            dxb_vals[:, j] = dxb(float(grid.nodes[j]), v[:, j])
-        inner = np.sum(exp_pos * dxb_vals * dt, axis=1)
-        fv_t = exp_neg[:, -1] * (1.0 + inner)
-
-    dphi = np.asarray(payoff.derivative(v[:, -1]), dtype=float)
-    est, se = mean_and_se(w * dphi * fv_t)
-    return EstimatorResult(
-        label="pathwise", estimate=est, stderr=se, n_paths=n_paths,
-        seed=seed,
-        extra={"payoff": payoff.name,
-               "dxb_provenance": dxb.provenance if dxb is not None else "none"},
-    )
+    return DeltaSession(spec, start, grid, n_paths, seed, config, workers,
+                        dxb=dxb, law_bump=law_bump).pathwise(payoff)
 
 
 def finite_difference_delta(spec: DriftSpec, start: float, grid: TimeGrid,
@@ -354,20 +470,8 @@ def finite_difference_delta(spec: DriftSpec, start: float, grid: TimeGrid,
                             config: PicardConfig = PicardConfig(),
                             workers: int = 1) -> EstimatorResult:
     """Central difference of two solves at x +/- h, common random numbers."""
-    h = default_bump(start) if h is None else float(h)
-    if h <= 0:
-        raise ValueError(f"bump must be positive, got {h}")
-    plus = picard_solve(spec, start + h, grid, n_paths, seed, config,
-                        workers=workers)
-    minus = picard_solve(spec, start - h, grid, n_paths, seed, config,
-                         workers=workers)
-    diff = (np.asarray(payoff.fn(plus.ensemble.terminal()), dtype=float)
-            - np.asarray(payoff.fn(minus.ensemble.terminal()), dtype=float))
-    est, se = mean_and_se(diff / (2.0 * h))
-    return EstimatorResult(
-        label="finite_difference", estimate=est, stderr=se, n_paths=n_paths,
-        seed=seed, extra={"payoff": payoff.name, "h": h},
-    )
+    return DeltaSession(spec, start, grid, n_paths, seed, config,
+                        workers).finite_difference(payoff, h)
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,8 @@ def _initial_flow(cfg: PicardConfig, grid: TimeGrid, start: float,
 def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
                  seed: SeedSpec, config: PicardConfig = PicardConfig(),
                  initial: Optional[MeasureFlow] = None,
-                 workers: int = 1) -> SolveResult:
+                 workers: int = 1,
+                 brownian: Optional[PathEnsemble] = None) -> SolveResult:
     """Construct the solution law by fixed-point iteration on measure flows.
 
     Each iteration runs Euler under the previous flow (same Brownian
@@ -162,10 +163,20 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
     output. Stops when the uniform Kantorovich distance between successive
     flows drops below config.tolerance.
 
+    The driving ensemble is sampled from the seed unless passed in to share
+    work; a passed ensemble must be the one sample_brownian gives for
+    (grid, n_paths, start, seed).
+
     Raises PicardConvergenceError (with the residual history attached) if
     the tolerance is not reached within config.max_iterations.
     """
-    brownian = sample_brownian(grid, n_paths, start, seed, workers=workers)
+    if brownian is None:
+        brownian = sample_brownian(grid, n_paths, start, seed,
+                                   workers=workers)
+    elif (brownian.grid != grid or brownian.n_paths != n_paths
+          or brownian.start != start or brownian.seed != seed):
+        raise ValueError("driving ensemble does not match the requested "
+                         "grid, particle count, start and seed")
     flow = _initial_flow(config, grid, start, brownian, initial)
 
     residuals: list[float] = []

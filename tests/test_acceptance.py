@@ -14,15 +14,15 @@ import time
 import numpy as np
 import pytest
 
-from mfsde import (SeedSpec, bel_delta, call_payoff, check_chain_identity,
-                   constant_drift, convolution_drift, direct_particle_solve,
-                   drift_cumulants, expectation_drift, finite_difference_delta,
-                   flow_distance, front_loaded_weight, identity_payoff,
-                   local_time_integral, make_grid, malliavin_derivative,
-                   mean_and_se, mean_field_ou, mollified_convergence_study,
-                   pathwise_delta, picard_solve, PicardConfig,
-                   reweighted_expectation, sample_brownian, sign_drift,
-                   uniform_weight, zero_drift)
+from mfsde import (DeltaSession, SeedSpec, call_payoff, check_chain_identity,
+                   constant_drift, convolution_drift, default_bump,
+                   direct_particle_solve, drift_cumulants,
+                   expectation_square_drift, first_variation, flow_distance,
+                   front_loaded_weight, identity_payoff, local_time_integral,
+                   make_grid, malliavin_derivative, mean_and_se,
+                   mean_field_ou, mollified_convergence_study, picard_solve,
+                   PicardConfig, reweighted_expectation, sample_brownian,
+                   sign_drift, uniform_weight, zero_drift)
 from mfsde.cli import main as cli_main
 from oracles import ou_mean_ode
 
@@ -48,16 +48,6 @@ def report(request):
             sys.__stdout__.write(line + "\n")
 
     return write
-
-
-def expectation_square_drift(theta=1.0, kappa=0.25):
-    return expectation_drift(
-        bbar=lambda t, y, v: -theta * y + kappa * v,
-        functional=lambda z: z * z,
-        growth_const=max(theta, 20.0 * kappa),
-        law_lipschitz_const=20.0 * kappa,
-        name="expectation_square",
-        dbbar_dy=lambda t, y, v: np.full_like(y, -theta))
 
 
 ALL_MODELS = [zero_drift, lambda: constant_drift(1.0), mean_field_ou,
@@ -92,11 +82,13 @@ def test_criterion_01_linear_model_oracle(ou_run, report):
 def test_criterion_02_delta_reproduction(report):
     grid = make_grid(1.0, 200)
     n = 100_000
-    b = bel_delta(mean_field_ou(), 1.0, grid, n, PIN, identity_payoff())
-    p = pathwise_delta(mean_field_ou(), 1.0, grid, n, PIN, identity_payoff())
+    # one session: x and x +/- default_bump(1) for bel and pathwise, and
+    # x +/- h for the finite difference, since h differs from that bump
+    session = DeltaSession(mean_field_ou(), 1.0, grid, n, PIN)
+    b = session.bel(identity_payoff())
+    p = session.pathwise(identity_payoff())
     h = 1e-2
-    f = finite_difference_delta(mean_field_ou(), 1.0, grid, n, PIN,
-                                identity_payoff(), h=h)
+    f = session.finite_difference(identity_payoff(), h=h)
     gap_b = abs(b.estimate - TARGET)
     tol_b = 3 * b.stderr
     gap_p = abs(p.estimate - b.estimate)
@@ -120,10 +112,9 @@ def test_criterion_03_weight_function_invariance(report):
     ok = True
     for spec, payoff, tag in ((mean_field_ou(), identity_payoff(), "linear"),
                               (sign_drift(), call_payoff(0.0), "irregular")):
-        ru = bel_delta(spec, 1.0, grid, n, PIN, payoff,
-                       weight=uniform_weight(1.0))
-        rf = bel_delta(spec, 1.0, grid, n, PIN, payoff,
-                       weight=front_loaded_weight(1.0))
+        session = DeltaSession(spec, 1.0, grid, n, PIN)
+        ru = session.bel(payoff, uniform_weight(1.0))
+        rf = session.bel(payoff, front_loaded_weight(1.0))
         gap = abs(ru.estimate - rf.estimate)
         tol = 3 * (ru.stderr + rf.stderr)
         ok = ok and gap <= tol
@@ -175,6 +166,40 @@ def test_criterion_06_chain_identity_residual(report):
     report(f"criterion 06 {'PASS' if ok else 'FAIL'}  "
            f"chain residual RMS {rep.chain_rms:.2e} <= {tol:.3f}")
     assert ok
+
+
+def test_first_variation_against_crn_difference(report):
+    # criterion 06 shares its cumulants with the first variation, so its
+    # residual is zero by construction; this check compares E[w dX_t/dx]
+    # with an independent route, the common-random-number difference
+    # quotient of the solutions at x +/- h, and must fail without the law
+    # feedback (e^{-1} against e^{-0.5} at T)
+    grid = make_grid(1.0, 200)
+    n = 20_000
+    spec = mean_field_ou(1.0, 0.5)
+    h = default_bump(1.0)
+    session = DeltaSession(spec, 1.0, grid, n, PIN)
+    plus = picard_solve(spec, 1.0 + h, grid, n, PIN)
+    minus = picard_solve(spec, 1.0 - h, grid, n, PIN)
+    lines, ok = [], True
+    for k in (50, 100, 150, 200):
+        crn, crn_se = mean_and_se((plus.ensemble.values[:, k]
+                                   - minus.ensemble.values[:, k]) / (2 * h))
+        got, se = mean_and_se(session.weights * session.first_variation[:, k])
+        gap, tol = abs(got - crn), 3 * (se + crn_se) + h * h
+        ok = ok and gap <= tol
+        lines.append(f"t={grid.nodes[k]:g} gap {gap:.4f} <= {tol:.4f}")
+    bare_run = picard_solve(spec, 1.0, grid, n, PIN)
+    bare, bare_se = mean_and_se(session.weights
+                                * first_variation(bare_run, dxb=None)[:, 200])
+    bare_gap, bare_tol = abs(bare - crn), 3 * (bare_se + crn_se) + h * h
+    rejects = bare_gap > bare_tol
+    report(f"criterion 06b {'PASS' if ok and rejects else 'FAIL'}  "
+           f"E[w dX/dx] vs CRN difference: " + "; ".join(lines)
+           + f"; without law feedback gap {bare_gap:.4f} > {bare_tol:.4f}: "
+           f"{rejects}")
+    assert ok
+    assert rejects
 
 
 def test_criterion_07_change_of_measure_triangle(report):

@@ -182,16 +182,22 @@ def test_csv_floats_round_trip_exactly(tmp_path, capsys):
 
 def test_outputs_are_deterministic_across_runs_and_workers(tmp_path, capsys):
     payload = deep(BASE, run__particles=6000, run__steps=60)
-    names = ("simulate_nodes.csv", "simulate_summary.csv",
-             "simulate_residuals.csv")
-    blobs = {}
-    for tag, workers in (("a", "1"), ("b", "1"), ("c", "3")):
-        payload["output"] = {"directory": str(tmp_path / tag)}
-        path = write_config(tmp_path, payload, f"cfg_{tag}.json")
-        assert main(["simulate", "--config", path, "--workers", workers]) == 0
-        blobs[tag] = [(tmp_path / tag / n).read_bytes() for n in names]
-    assert blobs["a"] == blobs["b"]
-    assert blobs["a"] == blobs["c"]
+    outputs = {
+        "simulate": ("simulate_nodes.csv", "simulate_summary.csv",
+                     "simulate_residuals.csv"),
+        "delta": ("delta_results.csv", "delta_agreement.csv"),
+    }
+    for command, names in outputs.items():
+        blobs = {}
+        for tag, workers in (("a", "1"), ("b", "1"), ("c", "3")):
+            out = tmp_path / command / tag
+            payload["output"] = {"directory": str(out)}
+            path = write_config(tmp_path, payload, f"cfg_{command}_{tag}.json")
+            assert main([command, "--config", path,
+                         "--workers", workers]) == 0
+            blobs[tag] = [(out / n).read_bytes() for n in names]
+        assert blobs["a"] == blobs["b"], command
+        assert blobs["a"] == blobs["c"], command
 
 
 def test_delta_command_agreement_flags(tmp_path, capsys):

@@ -3,7 +3,9 @@ import pytest
 
 from mfsde import (EmpiricalMeasure, check_regularity, constant_drift,
                    convolution_drift, dirac, eval_drift, expectation_drift,
-                   mean_field_ou, mollify, sign_drift, zero_drift)
+                   expectation_square_drift, mean_field_ou, mollify,
+                   sign_drift, zero_drift)
+from mfsde.cli import parse_config
 
 ALL_BUILDERS = [zero_drift, lambda: constant_drift(1.0), mean_field_ou,
                 convolution_drift, sign_drift]
@@ -154,3 +156,21 @@ def test_mollify_rejects_bad_level_and_undeclared_split():
         growth_const=1.0, law_lipschitz_const=1.0, name="plain")
     with pytest.raises(ValueError):
         mollify(plain, 4)  # no declared bounded/Lipschitz split to smooth
+
+
+def test_expectation_square_model_is_built_once():
+    # the library builder, the CLI model and the formula agree bit for bit
+    theta, kappa = 0.8, 0.3
+    spec = expectation_square_drift(theta, kappa)
+    cli_spec = parse_config({"model": {"name": "expectation_square",
+                                       "theta": theta, "kappa": kappa}}
+                            ).build_drift()
+    mu = cloud(seed=4)
+    y = np.linspace(-3, 3, 13)
+    want = -theta * y + kappa * float(np.mean(mu.atoms * mu.atoms))
+    assert np.array_equal(spec(0.2, y, mu), want)
+    assert np.array_equal(cli_spec(0.2, y, mu), want)
+    assert np.array_equal(spec.space_derivative(0.2, y, mu),
+                          np.full_like(y, -theta))
+    assert (spec.name, spec.growth_const, spec.law_lipschitz_const) == (
+        cli_spec.name, cli_spec.growth_const, cli_spec.law_lipschitz_const)

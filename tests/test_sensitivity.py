@@ -1,29 +1,24 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from mfsde import (Payoff, PicardConfig, SeedSpec, analytic_law_derivative,
-                   bel_delta, call_payoff, constant_drift, constant_payoff,
-                   default_bump, expectation_drift, finite_difference_delta,
+import mfsde.sensitivity as sensitivity
+from mfsde import (DeltaSession, Payoff, PicardConfig, SeedSpec,
+                   analytic_law_derivative, bel_delta, call_payoff,
+                   constant_drift, constant_payoff, default_bump,
+                   expectation_square_drift, finite_difference_delta,
                    front_loaded_weight, identity_payoff, law_derivative,
-                   make_grid, mean_field_ou, mollified_convergence_study,
-                   pathwise_delta, sign_drift, square_payoff, uniform_weight,
+                   make_grid, mean_and_se, mean_field_ou,
+                   mollified_convergence_study, pathwise_delta, picard_solve,
+                   sample_brownian, sign_drift, square_payoff, uniform_weight,
                    zero_drift)
+from mfsde.cli import main as cli_main
 from oracles import (discrete_ou_mean, expectation_square_law_derivative,
                      ou_mean_ode)
 
 SEED = SeedSpec(9_462_371)
-
-
-def expectation_square_drift(theta=1.0, kappa=0.25):
-    return expectation_drift(
-        bbar=lambda t, y, v: -theta * y + kappa * v,
-        functional=lambda z: z * z,
-        growth_const=max(theta, 20.0 * kappa),
-        law_lipschitz_const=20.0 * kappa,
-        name="expectation_square",
-        dbbar_dy=lambda t, y, v: np.full_like(y, -theta))
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +216,115 @@ def test_bel_accepts_supplied_law_derivative():
     rb = bel_delta(mean_field_ou(), 1.0, grid, 10_000, SEED,
                    identity_payoff())
     assert abs(ra.estimate - rb.estimate) <= 3 * (ra.stderr + rb.stderr)
+
+
+# ---------------------------------------------------------------------------
+# delta session: solve counts and bit identity with the one-shot wrappers
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count the solves and Brownian draws the sensitivity layer makes."""
+    counts = {"solves": 0, "draws": 0}
+    solve, draw = sensitivity.picard_solve, sensitivity.sample_brownian
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solve(*args, **kwargs)
+
+    def counted_draw(*args, **kwargs):
+        counts["draws"] += 1
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "picard_solve", counted_solve)
+    monkeypatch.setattr(sensitivity, "sample_brownian", counted_draw)
+    return counts
+
+
+def run_delta_command(tmp_path, **delta):
+    payload = {
+        "model": {"name": "sign", "alpha": 0.5, "theta": 1.0, "kappa": 0.5},
+        "run": {"start": 1.0, "horizon": 1.0, "steps": 40,
+                "particles": 2000, "seed": 31},
+        "delta": {"payoff": "call", "strike": 1.0, **delta},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli_main(["delta", "--config", str(path)]) == 0
+
+
+def test_delta_command_solves_three_times_from_one_draw(tmp_path, counted,
+                                                        capsys):
+    # x for the weights and the first variation, x +/- h for the law
+    # derivative; the finite difference reuses the same pair
+    run_delta_command(tmp_path)
+    assert counted == {"solves": 3, "draws": 1}
+
+
+def test_distinct_bumps_add_one_pair_of_solves(tmp_path, counted, capsys):
+    run_delta_command(tmp_path, fd_bump=0.015, law_bump=0.03)
+    assert counted == {"solves": 5, "draws": 1}
+
+
+def test_supplied_law_derivative_needs_one_solve(counted):
+    exact = analytic_law_derivative(
+        lambda s, y: np.full_like(y, 0.5 * math.exp(-0.5 * s)))
+    bel_delta(mean_field_ou(), 1.0, make_grid(1.0, 20), 500, SEED,
+              identity_payoff(), dxb=exact)
+    assert counted == {"solves": 1, "draws": 1}
+
+
+def test_shifted_draw_is_the_draw_of_the_start():
+    # the session builds every start's ensemble from one draw at 0
+    grid = make_grid(1.0, 30)
+    base = sample_brownian(grid, 5000, 0.0, SEED)
+    for x in (1.0, -0.37, 1.02, 1e-9):
+        direct = sample_brownian(grid, 5000, x, SEED)
+        assert np.array_equal(direct.values, base.values + x), x
+
+
+@pytest.mark.parametrize("spec, payoff", [
+    (mean_field_ou(), square_payoff()),
+    (sign_drift(), call_payoff(1.0)),
+], ids=["ou", "sign"])
+def test_session_estimators_match_one_shot_wrappers(spec, payoff):
+    grid = make_grid(1.0, 40)
+    n, x = 3000, 1.0
+    front = front_loaded_weight(1.0)
+    session = DeltaSession(spec, x, grid, n, SEED)
+    pairs = [
+        (session.bel(payoff), bel_delta(spec, x, grid, n, SEED, payoff)),
+        (session.bel(payoff, front),
+         bel_delta(spec, x, grid, n, SEED, payoff, weight=front)),
+        (session.pathwise(payoff),
+         pathwise_delta(spec, x, grid, n, SEED, payoff)),
+        (session.finite_difference(payoff),
+         finite_difference_delta(spec, x, grid, n, SEED, payoff)),
+        (session.finite_difference(payoff, h=5e-3),
+         finite_difference_delta(spec, x, grid, n, SEED, payoff, h=5e-3)),
+    ]
+    for got, want in pairs:
+        assert got.label == want.label
+        assert (got.estimate, got.stderr) == (want.estimate, want.stderr)
+
+    # and the bump difference equals the one from two independent solves
+    h = default_bump(x)
+    plus = picard_solve(spec, x + h, grid, n, SEED)
+    minus = picard_solve(spec, x - h, grid, n, SEED)
+    diff = (payoff.fn(plus.ensemble.terminal())
+            - payoff.fn(minus.ensemble.terminal()))
+    assert mean_and_se(diff / (2.0 * h)) == (pairs[3][0].estimate,
+                                             pairs[3][0].stderr)
+
+
+def test_session_rejects_a_nonpositive_bump():
+    session = DeltaSession(mean_field_ou(), 1.0, make_grid(1.0, 10), 100,
+                           SEED)
+    with pytest.raises(ValueError, match="bump"):
+        session.finite_difference(identity_payoff(), h=0.0)
+    with pytest.raises(ValueError, match="bump"):
+        session.law_derivative(-1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,23 @@ def test_euler_reuses_supplied_brownian():
     assert np.allclose(out.values, paths.values + grid.nodes[None, :])
 
 
+def test_picard_reuses_supplied_brownian_and_rejects_a_mismatch():
+    grid = make_grid(1.0, 30)
+    paths = sample_brownian(grid, 500, 1.0, SEED)
+    fresh = picard_solve(mean_field_ou(), 1.0, grid, 500, SEED)
+    shared = picard_solve(mean_field_ou(), 1.0, grid, 500, SEED,
+                          brownian=paths)
+    assert shared.brownian is paths
+    assert np.array_equal(shared.ensemble.values, fresh.ensemble.values)
+    for bad in (sample_brownian(grid, 500, 0.0, SEED),
+                sample_brownian(grid, 400, 1.0, SEED),
+                sample_brownian(make_grid(1.0, 20), 500, 1.0, SEED),
+                sample_brownian(grid, 500, 1.0, SEED.child(1))):
+        with pytest.raises(ValueError, match="driving ensemble"):
+            picard_solve(mean_field_ou(), 1.0, grid, 500, SEED,
+                         brownian=bad)
+
+
 def test_residual_history_shrinks_and_converges():
     grid = make_grid(1.0, 60)
     result = picard_solve(mean_field_ou(), 1.0, grid, 5000, SEED,
