@@ -17,8 +17,7 @@ from .localtime import (ChainIdentityReport, LocalTimeIntegralResult,
                         first_variation, local_time_integral,
                         malliavin_derivative)
 from .measures import (EmpiricalMeasure, MeasureFlow, dirac,
-                       empirical_from_column, flow_distance, kantorovich,
-                       kantorovich_weighted, mean_and_moment)
+                       empirical_from_column, flow_distance, kantorovich)
 from .numerics import ExponentOverflowError, guarded_exp, mean_and_se
 from .sensitivity import (DeltaSession, LawDerivativeEvaluator, MollifyStudy,
                           Payoff, WeightFunctionA, analytic_law_derivative,
@@ -50,9 +49,9 @@ __all__ = [
     "euler_under_flow", "expectation_drift", "expectation_square_drift",
     "finite_difference_delta",
     "first_variation", "flow_distance", "front_loaded_weight", "guarded_exp",
-    "identity_payoff", "kantorovich", "kantorovich_weighted",
+    "identity_payoff", "kantorovich",
     "law_derivative", "local_time_integral", "make_grid",
-    "malliavin_derivative", "mean_and_moment", "mean_and_se",
+    "malliavin_derivative", "mean_and_se",
     "mean_field_ou", "moment_diagnostics", "mollified_convergence_study",
     "mollify", "pathwise_delta", "picard_solve", "reweighted_expectation",
     "sample_brownian", "sign_drift", "square_payoff", "uniform_weight",

@@ -7,8 +7,9 @@ fixed column sets, full-precision floats, UTF-8 and LF line endings. For a
 fixed config and seed the CSV bytes are identical across runs and worker
 counts; volatile run facts (wall time, package version) go to meta.json.
 
-Exit codes: 0 success, 2 malformed config or usage error, 3 numerical
-failure (non-convergence, blow-up, overflow guard), 4 self-check failure.
+Exit codes: 0 success, 2 malformed config, usage error or a run estimated
+to need more than physical memory, 3 numerical failure (non-convergence,
+blow-up, overflow guard), 4 self-check failure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -47,6 +49,16 @@ EXIT_SELFCHECK = 4
 
 MAX_PARTICLES = 10_000_000
 MAX_STEPS = 100_000
+MAX_SEED = 2**64 - 1
+
+# Peak resident memory of a command, counted in its largest N x (M+1)
+# float64 path array: peak ru_maxrss over that array's bytes on the
+# benchmark configs (sign model, --workers 2), rounded up. simulate
+# 50 000 x 200: 444 MB / 80.4 MB = 5.5; delta 10 000 x 200: 244 MB /
+# 16.1 MB = 15.1; convergence, whose largest array is the 4000 x 1600
+# local-time ensemble: 534 MB / 51.2 MB = 10.4. The interpreter's own
+# 34 MB is included, so the counts overstate large runs a little.
+PEAK_ARRAYS = {"simulate": 6, "delta": 16, "convergence": 11}
 
 
 class ConfigError(ValueError):
@@ -215,7 +227,7 @@ def parse_config(payload: dict, seed_override: Optional[int] = None,
                        hi=MAX_STEPS, integer=True)
     particles = _as_number("run", run, "particles", default=10_000, lo=2,
                            hi=MAX_PARTICLES, integer=True)
-    seed = _as_number("run", run, "seed", default=0, lo=0, hi=2**64 - 1,
+    seed = _as_number("run", run, "seed", default=0, lo=0, hi=MAX_SEED,
                       integer=True)
     method = run.get("method", "picard")
     _require(method in ("picard", "direct"),
@@ -274,8 +286,14 @@ def parse_config(payload: dict, seed_override: Optional[int] = None,
     _require(isinstance(out_dir, str) and out_dir, "'output.directory' must be a path")
 
     if seed_override is not None:
+        _require(isinstance(seed_override, int)
+                 and not isinstance(seed_override, bool)
+                 and 0 <= seed_override <= MAX_SEED,
+                 f"--seed must be an integer in [0, {MAX_SEED}]")
         seed = seed_override
     if out_override is not None:
+        _require(isinstance(out_override, str) and out_override,
+                 "--out must be a path")
         out_dir = out_override
 
     raw = {
@@ -318,6 +336,35 @@ def load_config(path: str, seed_override: Optional[int] = None,
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config '{path}' is not valid JSON: {exc}") from exc
     return parse_config(payload, seed_override, out_override)
+
+
+def _largest_array(command: str, cfg: RunConfig) -> tuple[int, str]:
+    """Element count of the largest path array the command allocates, and
+    the config keys that size it."""
+    run = (cfg.particles * (cfg.steps + 1), "'run.particles' x 'run.steps'")
+    if command != "convergence":
+        return run
+    sizes = []
+    if "se_vs_n" in cfg.studies:
+        sizes.append((max(cfg.particle_counts) * (cfg.steps + 1),
+                      "'convergence.particle_counts' x 'run.steps'"))
+    if "localtime_rate" in cfg.studies:
+        sizes.append((cfg.rate_paths * (max(cfg.step_counts) + 1),
+                      "'convergence.rate_paths' x 'convergence.step_counts'"))
+    if "mollify" in cfg.studies:
+        sizes.append(run)
+    return max(sizes)
+
+
+def check_memory(command: str, cfg: RunConfig) -> None:
+    """Refuse a run whose estimated peak memory exceeds physical memory."""
+    elements, keys = _largest_array(command, cfg)
+    need = 8 * elements * PEAK_ARRAYS[command]
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    _require(need <= have,
+             f"{keys} needs an estimated {need / 2**30:.1f} GiB for "
+             f"'{command}', more than the {have / 2**30:.1f} GiB of physical "
+             f"memory")
 
 
 def serialize_config(raw: dict) -> str:
@@ -668,6 +715,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                               out_override=args.out)
         if args.workers is not None and args.workers < 1:
             raise ConfigError("--workers must be >= 1")
+        if cfg is not None and args.command in PEAK_ARRAYS:
+            check_memory(args.command, cfg)
         if args.command == "simulate":
             return cmd_simulate(cfg, workers=args.workers)
         if args.command == "delta":

@@ -3,15 +3,14 @@
 Laws are represented by their atoms; the Kantorovich distance between two
 empirical measures is the L1 distance between quantile functions. For equal
 atom counts that is the mean absolute difference of the sorted samples, in
-general it is the area between the two empirical CDFs. A measure flow is one
-empirical measure per grid node, compared in the uniform (sup over nodes)
-Kantorovich distance.
+general it is the area between the two empirical CDFs. A measure flow is the
+empirical law at every grid node, stored as one row-sorted array and compared
+in the uniform (sup over nodes) Kantorovich distance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -92,86 +91,64 @@ def kantorovich(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     return _w1_sorted(mu.atoms, nu.atoms)
 
 
-def kantorovich_weighted(xs: np.ndarray, wx: np.ndarray,
-                         ys: np.ndarray, wy: np.ndarray) -> float:
-    """W1 between weighted samples (weights need not be normalized)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    wx = np.asarray(wx, dtype=float)
-    wy = np.asarray(wy, dtype=float)
-    if np.any(wx < 0) or np.any(wy < 0):
-        raise ValueError("weights must be nonnegative")
-    ox = np.argsort(xs, kind="mergesort")
-    oy = np.argsort(ys, kind="mergesort")
-    xs, wx = xs[ox], wx[ox]
-    ys, wy = ys[oy], wy[oy]
-    merged = np.concatenate([xs, ys])
-    merged.sort(kind="mergesort")
-    cum_x = np.concatenate([[0.0], np.cumsum(wx)])
-    cum_y = np.concatenate([[0.0], np.cumsum(wy)])
-    cdf_x = cum_x[np.searchsorted(xs, merged[:-1], side="right")] / cum_x[-1]
-    cdf_y = cum_y[np.searchsorted(ys, merged[:-1], side="right")] / cum_y[-1]
-    return float(np.sum(np.abs(cdf_x - cdf_y) * np.diff(merged)))
-
-
 @dataclass(frozen=True)
 class MeasureFlow:
-    """One empirical measure per grid node (a discrete measure flow)."""
+    """A discrete measure flow: the empirical law at every grid node.
+
+    `atoms` is one read-only (steps + 1, n_atoms) array whose row k holds
+    the atoms of the law at node k, sorted ascending. Build it with
+    from_ensemble or constant, which guarantee the ordering; node access
+    returns a zero-copy EmpiricalMeasure view of one row.
+    """
 
     grid: TimeGrid
-    slices: tuple
+    atoms: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.slices) != self.grid.steps + 1:
+        atoms = np.asarray(self.atoms, dtype=float)
+        if atoms.ndim != 2 or atoms.shape[0] != self.grid.steps + 1 \
+                or atoms.shape[1] == 0:
             raise ValueError(
-                f"flow needs {self.grid.steps + 1} slices, got {len(self.slices)}"
+                f"flow needs a ({self.grid.steps + 1}, n_atoms) array with "
+                f"n_atoms >= 1, got shape {atoms.shape}"
             )
+        atoms.setflags(write=False)
+        object.__setattr__(self, "atoms", atoms)
 
     def __getitem__(self, node: int) -> EmpiricalMeasure:
-        return self.slices[node]
+        return EmpiricalMeasure(self.atoms[node], presorted=True)
 
     def __len__(self) -> int:
-        return len(self.slices)
+        return self.atoms.shape[0]
 
     @staticmethod
     def from_ensemble(ensemble: PathEnsemble) -> "MeasureFlow":
-        """Empirical law of the ensemble at every node, sorted columnwise."""
-        cols = np.sort(ensemble.values, axis=0)
-        slices = tuple(
-            EmpiricalMeasure(np.ascontiguousarray(cols[:, k]), presorted=True)
-            for k in range(ensemble.grid.steps + 1)
-        )
-        return MeasureFlow(grid=ensemble.grid, slices=slices)
+        """Empirical law of the ensemble at every node.
+
+        One time-major copy of the paths, sorted in place along rows; row k
+        equals np.sort(ensemble.values[:, k]).
+        """
+        atoms = ensemble.values.T.copy()
+        atoms.sort(axis=1)
+        return MeasureFlow(grid=ensemble.grid, atoms=atoms)
 
     @staticmethod
     def constant(grid: TimeGrid, mu: EmpiricalMeasure) -> "MeasureFlow":
-        """Flow equal to mu at every node."""
-        return MeasureFlow(grid=grid, slices=tuple([mu] * (grid.steps + 1)))
-
-    @staticmethod
-    def from_atom_lists(grid: TimeGrid,
-                        atom_lists: Sequence[np.ndarray]) -> "MeasureFlow":
-        """Flow from one atom array per node (e.g. a closed-form mean curve)."""
-        slices = tuple(EmpiricalMeasure(np.asarray(a, dtype=float))
-                       for a in atom_lists)
-        return MeasureFlow(grid=grid, slices=slices)
+        """Flow equal to mu at every node (a broadcast view, no copy)."""
+        atoms = np.broadcast_to(mu.atoms, (grid.steps + 1, mu.size))
+        return MeasureFlow(grid=grid, atoms=atoms)
 
     def means(self) -> np.ndarray:
-        return np.array([mu.mean() for mu in self.slices])
+        return self.atoms.mean(axis=1)
 
 
 def flow_distance(a: MeasureFlow, b: MeasureFlow) -> float:
-    """Uniform Kantorovich distance: sup over nodes of W1 between slices."""
+    """Uniform Kantorovich distance: sup over nodes of W1 between the laws."""
     if a.grid != b.grid:
         raise ValueError("flows live on different grids")
     worst = 0.0
-    for mu, nu in zip(a.slices, b.slices):
-        d = _w1_sorted(mu.atoms, nu.atoms)
+    for xs, ys in zip(a.atoms, b.atoms):
+        d = _w1_sorted(xs, ys)
         if d > worst:
             worst = d
     return worst
-
-
-def mean_and_moment(mu: EmpiricalMeasure, p: float = 2.0) -> tuple[float, float]:
-    """Sample mean and p-th absolute moment of the atoms."""
-    return mu.mean(), mu.abs_moment(p)

@@ -100,32 +100,11 @@ def front_loaded_weight(horizon: float) -> WeightFunctionA:
 
 @dataclass(frozen=True)
 class Payoff:
-    """Terminal functional with optional derivative and a growth tag.
-
-    growth_power p declares membership in the weighted space of functions
-    with |payoff|^(2p) integrable against exp(-|y|^2 / (4T)); verify_growth
-    spot-checks the tag by quadrature on a wide interval.
-    """
+    """Terminal functional with its (a.e.) derivative when one exists."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    growth_power: float = 1.0
-
-    def verify_growth(self, horizon: float, half_width: float = 60.0,
-                      points: int = 20001) -> bool:
-        """True when |payoff|^(2p) exp(-y^2/4T) decays by the boundary."""
-        y = np.linspace(-half_width, half_width, points)
-        # overflow is one of the failure modes being probed, not an error
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.abs(np.asarray(self.fn(y), dtype=float)) \
-                ** (2 * self.growth_power)
-            weighted = vals * np.exp(-y * y / (4.0 * horizon))
-        if not np.isfinite(weighted).all():
-            return False
-        peak = float(weighted.max())
-        edge = max(float(weighted[0]), float(weighted[-1]))
-        return peak == 0.0 or edge <= 1e-8 * max(peak, 1.0)
 
 
 def identity_payoff() -> Payoff:
@@ -148,7 +127,7 @@ def call_payoff(strike: float = 0.0) -> Payoff:
 def constant_payoff(value: float = 1.0) -> Payoff:
     return Payoff(f"constant({value:g})",
                   fn=lambda y: np.full_like(np.asarray(y, dtype=float), value),
-                  derivative=lambda y: np.zeros_like(y), growth_power=1.0)
+                  derivative=lambda y: np.zeros_like(y))
 
 
 # ---------------------------------------------------------------------------

@@ -58,14 +58,14 @@ class PicardConfig:
 
     tolerance: float = 1e-3
     max_iterations: int = 50
-    initial_flow: str = "brownian"  # "brownian" | "dirac" | "custom"
+    initial_flow: str = "brownian"  # "brownian" | "dirac"
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.initial_flow not in ("brownian", "dirac", "custom"):
+        if self.initial_flow not in ("brownian", "dirac"):
             raise ValueError(f"unknown initial flow '{self.initial_flow}'")
 
 
@@ -140,12 +140,7 @@ def euler_under_flow(spec: DriftSpec, flow: MeasureFlow, start: float,
 
 
 def _initial_flow(cfg: PicardConfig, grid: TimeGrid, start: float,
-                  brownian: PathEnsemble,
-                  custom: Optional[MeasureFlow]) -> MeasureFlow:
-    if cfg.initial_flow == "custom":
-        if custom is None:
-            raise ValueError("initial_flow='custom' needs an explicit flow")
-        return custom
+                  brownian: PathEnsemble) -> MeasureFlow:
     if cfg.initial_flow == "dirac":
         return MeasureFlow.constant(grid, dirac(start))
     return MeasureFlow.from_ensemble(brownian)
@@ -153,7 +148,6 @@ def _initial_flow(cfg: PicardConfig, grid: TimeGrid, start: float,
 
 def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
                  seed: SeedSpec, config: PicardConfig = PicardConfig(),
-                 initial: Optional[MeasureFlow] = None,
                  workers: int = 1,
                  brownian: Optional[PathEnsemble] = None) -> SolveResult:
     """Construct the solution law by fixed-point iteration on measure flows.
@@ -177,7 +171,7 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
           or brownian.start != start or brownian.seed != seed):
         raise ValueError("driving ensemble does not match the requested "
                          "grid, particle count, start and seed")
-    flow = _initial_flow(config, grid, start, brownian, initial)
+    flow = _initial_flow(config, grid, start, brownian)
 
     residuals: list[float] = []
     for _ in range(config.max_iterations):
@@ -230,6 +224,11 @@ class MomentReport:
     flagged: bool
 
 
+def _sup_abs(v: np.ndarray) -> np.ndarray:
+    """max_k |v[:, k]| per row without an |v| temporary (exactly equal)."""
+    return np.maximum(v.max(axis=1), -v.min(axis=1))
+
+
 def moment_diagnostics(result: SolveResult, orders: tuple[float, ...] = (2.0,),
                        envelope_slack: float = 1.5) -> MomentReport:
     """Audit moments and the pathwise linear-growth envelope.
@@ -243,13 +242,21 @@ def moment_diagnostics(result: SolveResult, orders: tuple[float, ...] = (2.0,),
     for p in orders:
         if p <= 0:
             raise ValueError(f"moment orders must be positive, got {p}")
-    absvals = np.abs(result.ensemble.values)
-    node_moments = np.stack([(absvals ** p).mean(axis=0) for p in orders])
+    values = result.ensemble.values
+    # each order is raised in place in one scratch array, so the audit
+    # adds one path array to the peak, not three
+    buf = np.empty_like(values)
+    node_moments = np.empty((len(orders), values.shape[1]))
+    for i, p in enumerate(orders):
+        np.abs(values, out=buf)
+        np.power(buf, p, out=buf)
+        node_moments[i] = buf.mean(axis=0)
+    del buf
     max_moments = tuple(float(m.max()) for m in node_moments)
 
-    sup_driver = np.max(np.abs(result.brownian.values), axis=1)
+    sup_driver = _sup_abs(result.brownian.values)
     denom = 1.0 + abs(result.ensemble.start) + sup_driver
-    ratio = float(np.max(absvals.max(axis=1) / denom))
+    ratio = float(np.max(_sup_abs(values) / denom))
 
     c = result.spec.growth_const
     horizon = result.ensemble.grid.horizon

@@ -251,6 +251,15 @@ def test_exit_codes(tmp_path, capsys):
     # 2: unreadable path
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()
+    # 2: overrides obey the rules of the keys they replace
+    small = deep(BASE, run__particles=500, run__steps=20)
+    small["output"] = {"directory": str(tmp_path / "o2")}
+    small_path = write_config(tmp_path, small, "small.json")
+    for flag, value in (("--seed", "-1"), ("--seed", str(2 ** 64)),
+                        ("--out", "")):
+        assert main(["simulate", "--config", small_path, flag, value]) == 2
+        assert flag in capsys.readouterr().err
+    assert not (tmp_path / "o2").exists()
     # 3: numerical failure (no convergence in one iteration)
     stuck = deep(BASE, picard__max_iterations=1, run__particles=500)
     stuck["output"] = {"directory": str(tmp_path / "o3")}
@@ -261,3 +270,30 @@ def test_exit_codes(tmp_path, capsys):
     ok = deep(BASE, run__particles=500, run__steps=20)
     ok["output"] = {"directory": str(tmp_path / "o0")}
     assert main(["simulate", "--config", write_config(tmp_path, ok)]) == 0
+
+
+def test_oversized_run_is_refused_before_allocating(tmp_path, capsys,
+                                                    monkeypatch):
+    # about 8 TB for each path array: must exit 2 before any command runs
+    import mfsde.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("command ran despite the memory check")
+
+    for command in ("simulate", "delta", "convergence"):
+        monkeypatch.setattr(cli, f"cmd_{command}", refuse)
+    huge = deep(BASE, run__particles=10_000_000, run__steps=100_000,
+                convergence__studies=["se_vs_n", "mollify"])
+    huge["output"] = {"directory": str(tmp_path / "huge")}
+    path = write_config(tmp_path, huge)
+    for command in ("simulate", "delta", "convergence"):
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "run.particles" in err and "physical memory" in err
+    assert not (tmp_path / "huge").exists()
+    # convergence names the keys of its largest study array
+    wide = deep(BASE, convergence__rate_paths=10_000_000,
+                convergence__step_counts=[50_000, 100_000])
+    assert main(["convergence", "--config",
+                 write_config(tmp_path, wide, "wide.json")]) == 2
+    assert "convergence.rate_paths" in capsys.readouterr().err

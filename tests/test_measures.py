@@ -4,8 +4,7 @@ from scipy import stats
 
 from mfsde import (EmpiricalMeasure, MeasureFlow, SeedSpec, dirac,
                    empirical_from_column, flow_distance, kantorovich,
-                   kantorovich_weighted, make_grid, mean_and_moment,
-                   sample_brownian)
+                   make_grid, sample_brownian)
 from oracles import dual_w1
 
 
@@ -87,45 +86,64 @@ def test_kantorovich_metric_properties():
             <= kantorovich(mu, nu) + kantorovich(nu, rho) + 1e-12)
 
 
-def test_kantorovich_weighted_matches_scipy():
-    rng = np.random.default_rng(31)
-    xs, ys = rng.normal(size=40), rng.normal(1.0, 0.5, 25)
-    wx = rng.uniform(0.1, 1.0, 40)
-    wy = rng.uniform(0.1, 1.0, 25)
-    got = kantorovich_weighted(xs, wx, ys, wy)
-    want = stats.wasserstein_distance(xs, ys, u_weights=wx, v_weights=wy)
-    assert got == pytest.approx(want, abs=1e-12)
-    # uniform weights reduce to the unweighted distance
-    got_uniform = kantorovich_weighted(xs, np.ones(40), ys, np.ones(25))
-    assert got_uniform == pytest.approx(
-        kantorovich(EmpiricalMeasure(xs), EmpiricalMeasure(ys)), abs=1e-12)
-
-
 def test_measure_flow_from_ensemble():
     grid = make_grid(1.0, 6)
     paths = sample_brownian(grid, 512, 0.25, SeedSpec(8))
     flow = MeasureFlow.from_ensemble(paths)
-    assert len(flow.slices) == 7
+    assert flow.atoms.shape == (7, 512)
+    assert len(flow) == 7
     assert flow[0].size == 512
     assert flow[0].mean() == pytest.approx(0.25)
-    # each slice is the sorted column of the ensemble
-    for k in (0, 3, 6):
-        assert np.array_equal(flow[k].atoms, np.sort(paths.values[:, k]))
+    # every row is the sorted column of the ensemble, bit for bit
+    for k in range(7):
+        assert (flow.atoms[k].view(np.int64)
+                == np.sort(paths.values[:, k]).view(np.int64)).all()
     assert np.array_equal(flow.means(),
                           [flow[k].mean() for k in range(7)])
     mu3 = empirical_from_column(paths, 3)
     assert kantorovich(mu3, flow[3]) == 0.0
+    # node access is a read-only view into the one array
+    assert not flow.atoms.flags.writeable
+    for k in (0, 3, 6):
+        assert np.shares_memory(flow[k].atoms, flow.atoms)
+        assert not flow[k].atoms.flags.writeable
+
+
+def test_measure_flow_rejects_a_misshapen_array():
+    grid = make_grid(1.0, 4)
+    with pytest.raises(ValueError, match="flow needs"):
+        MeasureFlow(grid, atoms=np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="flow needs"):
+        MeasureFlow(grid, atoms=np.zeros(5))
+    with pytest.raises(ValueError, match="flow needs"):
+        MeasureFlow(grid, atoms=np.zeros((5, 0)))
 
 
 def test_constant_flow_and_flow_distance():
     grid = make_grid(1.0, 4)
+    mu = EmpiricalMeasure(np.array([-1.0, 0.5, 2.0]))
+    flow = MeasureFlow.constant(grid, mu)
+    # a constant flow is a view of the one measure, not a copy
+    assert flow.atoms.shape == (5, 3)
+    assert np.shares_memory(flow.atoms, mu.atoms)
+    assert all(np.array_equal(flow[k].atoms, mu.atoms) for k in range(5))
     base = MeasureFlow.constant(grid, dirac(0.0))
-    shifted_slices = [dirac(0.0)] * 3 + [dirac(0.4)] + [dirac(0.1)]
-    other = MeasureFlow.from_atom_lists(
-        grid, [m.atoms for m in shifted_slices])
-    # sup over nodes picks the worst slice
+    other = MeasureFlow(grid, atoms=np.array([[0.0], [0.0], [0.0], [0.4],
+                                              [0.1]]))
+    # sup over nodes picks the worst node
     assert flow_distance(base, other) == pytest.approx(0.4)
     assert flow_distance(base, base) == 0.0
+
+
+def test_flow_distance_is_the_worst_node_kantorovich():
+    grid = make_grid(1.0, 8)
+    a = MeasureFlow.from_ensemble(sample_brownian(grid, 300, 0.0, SeedSpec(3)))
+    b = MeasureFlow.from_ensemble(sample_brownian(grid, 300, 0.2, SeedSpec(4)))
+    # equal atom counts, and an ensemble against a one-atom Dirac flow
+    for other in (b, MeasureFlow.constant(grid, dirac(0.3))):
+        want = max(kantorovich(a[k], other[k]) for k in range(9))
+        assert flow_distance(a, other) == want
+        assert flow_distance(other, a) == want
 
 
 def test_flow_distance_requires_same_grid():
@@ -143,10 +161,3 @@ def test_flow_time_continuity_of_brownian_law():
     gaps = [kantorovich(flow[k], flow[k + 1]) for k in range(25)]
     bound = 3.0 * np.sqrt(grid.dt)
     assert max(gaps) <= bound
-
-
-def test_mean_and_moment():
-    mu = EmpiricalMeasure(np.array([1.0, -2.0, 3.0]))
-    m, second = mean_and_moment(mu, 2.0)
-    assert m == pytest.approx(2.0 / 3.0)
-    assert second == pytest.approx(14.0 / 3.0)

@@ -22,7 +22,7 @@ SEED = SeedSpec(9_462_371)
 
 
 # ---------------------------------------------------------------------------
-# weight functions and payoffs
+# weight functions
 # ---------------------------------------------------------------------------
 
 def test_weight_functions_validate():
@@ -43,15 +43,6 @@ def test_weight_function_must_integrate_to_one():
                           integral=lambda t: 0.5 * t)
     with pytest.raises(ValueError):
         bad.validate(make_grid(1.0, 20))
-
-
-def test_payoff_growth_verification():
-    for p in (identity_payoff(), square_payoff(), call_payoff(1.0),
-              constant_payoff(2.0)):
-        assert p.verify_growth(horizon=1.0)
-    too_fast = Payoff("explosive", fn=lambda y: np.exp(y * y),
-                      derivative=None, growth_power=1.0)
-    assert not too_fast.verify_growth(horizon=1.0)
 
 
 # ---------------------------------------------------------------------------
