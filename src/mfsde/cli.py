@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -66,26 +67,18 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config schema and strict parsing
+# config keys and strict parsing
 # ---------------------------------------------------------------------------
 
-_MODEL_KEYS = {
-    "zero": set(),
-    "constant": {"value"},
-    "ou": {"theta", "kappa"},
-    "convolution": set(),
-    "sign": {"alpha", "theta", "kappa"},
-    "expectation_square": {"theta", "kappa"},
-}
-
-_SCHEMA: dict[str, set[str]] = {
-    "model": {"name", "value", "theta", "kappa", "alpha"},
-    "run": {"start", "horizon", "steps", "particles", "seed", "method"},
-    "picard": {"tolerance", "max_iterations", "initial_flow"},
-    "delta": {"payoff", "strike", "weight", "methods", "fd_bump", "law_bump"},
-    "convergence": {"studies", "particle_counts", "step_counts",
-                    "mollify_levels", "rate_paths"},
-    "output": {"directory"},
+# model.name picks a builder; its keyword parameters are the other allowed
+# model keys and hold their defaults
+_MODELS: dict[str, Callable[..., DriftSpec]] = {
+    "zero": zero_drift,
+    "constant": constant_drift,
+    "ou": mean_field_ou,
+    "convolution": convolution_drift,
+    "sign": sign_drift,
+    "expectation_square": expectation_square_drift,
 }
 
 _PAYOFFS: dict[str, Callable[..., Payoff]] = {
@@ -100,66 +93,149 @@ _WEIGHTS: dict[str, Callable[[float], WeightFunctionA]] = {
     "front_loaded": front_loaded_weight,
 }
 
+_METHODS = ("bel", "pathwise", "finite_difference")
+_STUDIES = ("se_vs_n", "localtime_rate", "mollify")
+
+# key of a field that takes its whole section
+_SECTION = "*"
+
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
 
 
-def _check_keys(section: str, entries: dict) -> None:
-    _require(isinstance(entries, dict), f"section '{section}' must be an object")
-    unknown = set(entries) - _SCHEMA[section]
-    _require(not unknown,
-             f"unknown key(s) in '{section}': {', '.join(sorted(unknown))}")
+# A rule validates one given value, named in its messages, and returns the
+# value the RunConfig field holds.
+
+def _number(lo=None, hi=None, integer=False) -> Callable[[Any, str], Any]:
+    kind = "an integer" if integer else "a number"
+
+    def rule(v, name):
+        _require(isinstance(v, int if integer else (int, float))
+                 and not isinstance(v, bool), f"{name} must be {kind}")
+        # compared before float(), which overflows on a huge integer
+        _require(integer or abs(v) <= sys.float_info.max,
+                 f"{name} must be finite")
+        v = int(v) if integer else float(v)
+        _require(lo is None or v >= lo, f"{name} must be >= {lo}")
+        _require(hi is None or v <= hi, f"{name} must be <= {hi}")
+        return v
+    return rule
 
 
-def _as_number(section: str, entries: dict, key: str, default=None,
-               lo=None, hi=None, integer=False):
-    if key not in entries:
-        _require(default is not None, f"'{section}.{key}' is required")
-        return default
-    v = entries[key]
-    ok = isinstance(v, int) and not isinstance(v, bool) if integer \
-        else isinstance(v, (int, float)) and not isinstance(v, bool)
-    _require(ok, f"'{section}.{key}' must be {'an integer' if integer else 'a number'}")
-    v = int(v) if integer else float(v)
-    _require(lo is None or v >= lo, f"'{section}.{key}' must be >= {lo}")
-    _require(hi is None or v <= hi, f"'{section}.{key}' must be <= {hi}")
-    _require(not isinstance(v, float) or math.isfinite(v),
-             f"'{section}.{key}' must be finite")
+def _one_of(choices) -> Callable[[Any, str], str]:
+    def rule(v, name):
+        _require(isinstance(v, str) and v in choices,
+                 f"{name} must be one of {', '.join(choices)}")
+        return v
+    return rule
+
+
+def _list_of(choices) -> Callable[[Any, str], tuple]:
+    def rule(v, name):
+        _require(isinstance(v, list) and v
+                 and all(isinstance(c, str) and c in choices for c in v),
+                 f"{name} must list {', '.join(choices)}")
+        return tuple(v)
+    return rule
+
+
+def _fit_counts(lo, hi) -> Callable[[Any, str], tuple]:
+    """Abscissae of a log-log fit: >= 2 distinct integers in [lo, hi]."""
+    def rule(v, name):
+        _require(isinstance(v, list) and len(v) >= 2
+                 and all(isinstance(x, int) and not isinstance(x, bool)
+                         and lo <= x <= hi for x in v)
+                 and len(set(v)) == len(v),
+                 f"{name} must be a list of >= 2 distinct integers in "
+                 f"[{lo}, {hi}]")
+        return tuple(v)
+    return rule
+
+
+def _bump(v, name):
+    _require(v is None or (isinstance(v, (int, float)) and 0 < v < 1),
+             f"{name} must be in (0, 1) when given")
     return v
+
+
+def _path(v, name):
+    _require(isinstance(v, str) and v, f"{name} must be a path")
+    return v
+
+
+def _model(entries: dict, section: str) -> dict:
+    """The model section; parameters are kept as given."""
+    name = _one_of(_MODELS)(entries.get("name", "zero"), f"'{section}.name'")
+    params = {k: v for k, v in entries.items() if k != "name"}
+    extra = set(params) - set(inspect.signature(_MODELS[name]).parameters)
+    _require(not extra,
+             f"model '{name}' does not take: {', '.join(sorted(extra))}")
+    for key, v in params.items():
+        _number()(v, f"'{section}.{key}'")
+    return {"name": name, **params}
+
+
+def _key(section: str, default: Any = None,
+         rule: Optional[Callable[[Any, str], Any]] = None,
+         key: Optional[str] = None, flag: Optional[str] = None):
+    """Declare a config key on the RunConfig field that holds it: its
+    section, its name (the field name unless given), its default, its rule
+    and the command-line flag that overrides it."""
+    return field(metadata={"section": section, "key": key,
+                           "default": default, "rule": rule, "flag": flag})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated, effective configuration of one CLI run.
 
-    Carries everything needed to reproduce the run; `raw` is the canonical
+    Each field declares its config key (see `_key`); `raw` is the canonical
     nested dict the hash and the re-serialization are computed from.
     """
 
-    model_name: str
-    model_params: dict
-    start: float
-    horizon: float
-    steps: int
-    particles: int
-    seed: int
-    method: str
-    picard: PicardConfig
-    payoff_name: str
-    strike: float
-    weight_name: str
-    methods: tuple[str, ...]
-    fd_bump: Optional[float]
-    law_bump: Optional[float]
-    studies: tuple[str, ...]
-    particle_counts: tuple[int, ...]
-    step_counts: tuple[int, ...]
-    mollify_levels: tuple[int, ...]
-    rate_paths: int
-    out_dir: str
+    model: dict = _key("model", rule=_model, key=_SECTION)
+    start: float = _key("run", 0.0, _number())
+    horizon: float = _key("run", 1.0, _number(lo=1e-9))
+    steps: int = _key("run", 100, _number(1, MAX_STEPS, integer=True))
+    particles: int = _key("run", 10_000,
+                          _number(2, MAX_PARTICLES, integer=True))
+    seed: int = _key("run", 0, _number(0, MAX_SEED, integer=True),
+                     flag="--seed")
+    method: str = _key("run", "picard", _one_of(("picard", "direct")))
+    tolerance: float = _key("picard", 1e-3, _number(lo=1e-12))
+    max_iterations: int = _key("picard", 50,
+                               _number(1, 10_000, integer=True))
+    initial_flow: str = _key("picard", "brownian",
+                             _one_of(("brownian", "dirac")))
+    payoff_name: str = _key("delta", "identity", _one_of(_PAYOFFS),
+                            key="payoff")
+    strike: float = _key("delta", 0.0, _number())
+    weight_name: str = _key("delta", "uniform", _one_of(_WEIGHTS),
+                            key="weight")
+    methods: tuple[str, ...] = _key("delta", _METHODS, _list_of(_METHODS))
+    fd_bump: Optional[float] = _key("delta", None, _bump)
+    law_bump: Optional[float] = _key("delta", None, _bump)
+    studies: tuple[str, ...] = _key("convergence", _STUDIES,
+                                    _list_of(_STUDIES))
+    particle_counts: tuple[int, ...] = _key(
+        "convergence", (1000, 2000, 4000, 8000, 16000),
+        _fit_counts(2, MAX_PARTICLES))
+    step_counts: tuple[int, ...] = _key(
+        "convergence", (100, 200, 400, 800), _fit_counts(1, MAX_STEPS))
+    mollify_levels: tuple[int, ...] = _key(
+        "convergence", (4, 16, 64, 256), _fit_counts(1, 100_000))
+    rate_paths: int = _key("convergence", 1000,
+                           _number(2, MAX_PARTICLES, integer=True))
+    out_dir: str = _key("output", "out", _path, key="directory",
+                        flag="--out")
     raw: dict = field(compare=False)
+
+    @property
+    def picard(self) -> PicardConfig:
+        return PicardConfig(self.tolerance, self.max_iterations,
+                            self.initial_flow)
 
     def grid(self) -> TimeGrid:
         return make_grid(self.horizon, self.steps)
@@ -168,22 +244,8 @@ class RunConfig:
         return SeedSpec(self.seed)
 
     def build_drift(self) -> DriftSpec:
-        p = self.model_params
-        if self.model_name == "zero":
-            return zero_drift()
-        if self.model_name == "constant":
-            return constant_drift(p.get("value", 1.0))
-        if self.model_name == "ou":
-            return mean_field_ou(p.get("theta", 1.0), p.get("kappa", 0.5))
-        if self.model_name == "convolution":
-            return convolution_drift()
-        if self.model_name == "sign":
-            return sign_drift(p.get("alpha", 0.5), p.get("theta", 1.0),
-                              p.get("kappa", 0.5))
-        if self.model_name == "expectation_square":
-            return expectation_square_drift(p.get("theta", 1.0),
-                                            p.get("kappa", 0.25))
-        raise ConfigError(f"unknown model '{self.model_name}'")
+        params = {k: v for k, v in self.model.items() if k != "name"}
+        return _MODELS[self.model["name"]](**params)
 
     def build_payoff(self) -> Payoff:
         return _PAYOFFS[self.payoff_name](self.strike)
@@ -201,128 +263,46 @@ class RunConfig:
 
 def parse_config(payload: dict, seed_override: Optional[int] = None,
                  out_override: Optional[str] = None) -> RunConfig:
-    """Validate the nested config dict strictly and apply CLI overrides."""
+    """Validate the nested config dict strictly and apply CLI overrides.
+
+    A flag's value obeys the rule of the key it overrides.
+    """
     _require(isinstance(payload, dict), "top-level config must be an object")
-    unknown = set(payload) - set(_SCHEMA)
+    sections: dict[str, dict] = {}
+    for f in fields(RunConfig):
+        if f.metadata:
+            sections.setdefault(f.metadata["section"], {})[
+                f.metadata["key"] or f.name] = f
+    unknown = set(payload) - set(sections)
     _require(not unknown,
              f"unknown section(s): {', '.join(sorted(unknown))}")
-    for section, entries in payload.items():
-        _check_keys(section, entries)
+    overrides = {"--seed": seed_override, "--out": out_override}
 
-    model = payload.get("model", {})
-    name = model.get("name", "zero")
-    _require(isinstance(name, str) and name in _MODEL_KEYS,
-             f"'model.name' must be one of {sorted(_MODEL_KEYS)}")
-    params = {k: v for k, v in model.items() if k != "name"}
-    extra = set(params) - _MODEL_KEYS[name]
-    _require(not extra,
-             f"model '{name}' does not take: {', '.join(sorted(extra))}")
-    for k in params:
-        _as_number("model", params, k)
-
-    run = payload.get("run", {})
-    start = _as_number("run", run, "start", default=0.0)
-    horizon = _as_number("run", run, "horizon", default=1.0, lo=1e-9)
-    steps = _as_number("run", run, "steps", default=100, lo=1,
-                       hi=MAX_STEPS, integer=True)
-    particles = _as_number("run", run, "particles", default=10_000, lo=2,
-                           hi=MAX_PARTICLES, integer=True)
-    seed = _as_number("run", run, "seed", default=0, lo=0, hi=MAX_SEED,
-                      integer=True)
-    method = run.get("method", "picard")
-    _require(method in ("picard", "direct"),
-             "'run.method' must be 'picard' or 'direct'")
-
-    pc = payload.get("picard", {})
-    tol = _as_number("picard", pc, "tolerance", default=1e-3, lo=1e-12)
-    max_it = _as_number("picard", pc, "max_iterations", default=50, lo=1,
-                        hi=10_000, integer=True)
-    init = pc.get("initial_flow", "brownian")
-    _require(init in ("brownian", "dirac"),
-             "'picard.initial_flow' must be 'brownian' or 'dirac'")
-
-    dl = payload.get("delta", {})
-    payoff_name = dl.get("payoff", "identity")
-    _require(payoff_name in _PAYOFFS,
-             f"'delta.payoff' must be one of {sorted(_PAYOFFS)}")
-    strike = _as_number("delta", dl, "strike", default=0.0)
-    weight_name = dl.get("weight", "uniform")
-    _require(weight_name in _WEIGHTS,
-             f"'delta.weight' must be one of {sorted(_WEIGHTS)}")
-    methods = dl.get("methods", ["bel", "pathwise", "finite_difference"])
-    _require(isinstance(methods, list) and methods
-             and all(m in ("bel", "pathwise", "finite_difference")
-                     for m in methods),
-             "'delta.methods' must list bel, pathwise, finite_difference")
-    fd_bump = dl.get("fd_bump")
-    law_bump = dl.get("law_bump")
-    for label, v in (("fd_bump", fd_bump), ("law_bump", law_bump)):
-        _require(v is None or (isinstance(v, (int, float)) and 0 < v < 1),
-                 f"'delta.{label}' must be in (0, 1) when given")
-
-    cv = payload.get("convergence", {})
-    studies = cv.get("studies", ["se_vs_n", "localtime_rate", "mollify"])
-    _require(isinstance(studies, list) and studies
-             and all(s in ("se_vs_n", "localtime_rate", "mollify")
-                     for s in studies),
-             "'convergence.studies' must list se_vs_n, localtime_rate, mollify")
-    def _int_list(key, default, lo=1, hi=MAX_PARTICLES):
-        vals = cv.get(key, default)
-        _require(isinstance(vals, list) and len(vals) >= 2
-                 and all(isinstance(v, int) and not isinstance(v, bool)
-                         and lo <= v <= hi for v in vals),
-                 f"'convergence.{key}' must be a list of >= 2 integers in "
-                 f"[{lo}, {hi}]")
-        return tuple(vals)
-    particle_counts = _int_list("particle_counts",
-                                [1000, 2000, 4000, 8000, 16000])
-    step_counts = _int_list("step_counts", [100, 200, 400, 800], hi=MAX_STEPS)
-    mollify_levels = _int_list("mollify_levels", [4, 16, 64, 256], hi=100_000)
-    rate_paths = _as_number("convergence", cv, "rate_paths", default=1000,
-                            lo=2, hi=MAX_PARTICLES, integer=True)
-
-    out = payload.get("output", {})
-    out_dir = out.get("directory", "out")
-    _require(isinstance(out_dir, str) and out_dir, "'output.directory' must be a path")
-
-    if seed_override is not None:
-        _require(isinstance(seed_override, int)
-                 and not isinstance(seed_override, bool)
-                 and 0 <= seed_override <= MAX_SEED,
-                 f"--seed must be an integer in [0, {MAX_SEED}]")
-        seed = seed_override
-    if out_override is not None:
-        _require(isinstance(out_override, str) and out_override,
-                 "--out must be a path")
-        out_dir = out_override
-
-    raw = {
-        "model": {"name": name, **params},
-        "run": {"start": start, "horizon": horizon, "steps": steps,
-                "particles": particles, "seed": seed, "method": method},
-        "picard": {"tolerance": tol, "max_iterations": max_it,
-                   "initial_flow": init},
-        "delta": {"payoff": payoff_name, "strike": strike,
-                  "weight": weight_name, "methods": list(methods),
-                  "fd_bump": fd_bump, "law_bump": law_bump},
-        "convergence": {"studies": list(studies),
-                        "particle_counts": list(particle_counts),
-                        "step_counts": list(step_counts),
-                        "mollify_levels": list(mollify_levels),
-                        "rate_paths": rate_paths},
-        "output": {"directory": out_dir},
-    }
-    return RunConfig(
-        model_name=name, model_params=params, start=start, horizon=horizon,
-        steps=steps, particles=particles, seed=seed, method=method,
-        picard=PicardConfig(tolerance=tol, max_iterations=max_it,
-                            initial_flow=init),
-        payoff_name=payoff_name, strike=strike, weight_name=weight_name,
-        methods=tuple(methods), fd_bump=fd_bump, law_bump=law_bump,
-        studies=tuple(studies), particle_counts=particle_counts,
-        step_counts=step_counts, mollify_levels=mollify_levels,
-        rate_paths=rate_paths, out_dir=out_dir, raw=raw,
-    )
+    values: dict[str, Any] = {}
+    raw: dict[str, Any] = {}
+    for section, keys in sections.items():
+        entries = payload.get(section, {})
+        _require(isinstance(entries, dict),
+                 f"section '{section}' must be an object")
+        if _SECTION in keys:
+            f = keys[_SECTION]
+            values[f.name] = f.metadata["rule"](entries, section)
+            raw[section] = dict(values[f.name])
+            continue
+        unknown = set(entries) - set(keys)
+        _require(not unknown, f"unknown key(s) in '{section}': "
+                              f"{', '.join(sorted(unknown))}")
+        raw[section] = {}
+        for key, f in keys.items():
+            rule, flag = f.metadata["rule"], f.metadata["flag"]
+            value = (rule(entries[key], f"'{section}.{key}'")
+                     if key in entries else f.metadata["default"])
+            if overrides.get(flag) is not None:
+                value = rule(overrides[flag], flag)
+            values[f.name] = value
+            raw[section][key] = list(value) if isinstance(value, tuple) \
+                else value
+    return RunConfig(**values, raw=raw)
 
 
 def load_config(path: str, seed_override: Optional[int] = None,
@@ -449,7 +429,10 @@ def cmd_simulate(cfg: RunConfig, workers: int = 1) -> int:
         result = direct_particle_solve(spec, cfg.start, grid, cfg.particles,
                                        seed, workers=workers)
     values = result.ensemble.values
-    qs = np.quantile(values, [0.05, 0.25, 0.5, 0.75, 0.95], axis=0)
+    # the flow holds each node's values sorted, so the quantiles select
+    # from presorted rows
+    qs = np.quantile(result.flow.atoms, [0.05, 0.25, 0.5, 0.75, 0.95],
+                     axis=1)
     out = _outdir(cfg)
 
     node_rows = []
@@ -587,6 +570,10 @@ def localtime_rate_study(cfg: RunConfig, workers: int = 1
 def cmd_convergence(cfg: RunConfig, workers: int = 1) -> int:
     """Run the configured convergence studies; write tables and fits."""
     t0 = time.perf_counter()
+    _require("mollify" not in cfg.studies or cfg.build_drift().decomposed,
+             f"'convergence.studies' includes mollify, which smooths the "
+             f"bounded part of a bounded/Lipschitz split that model "
+             f"'{cfg.model['name']}' does not declare")
     out = _outdir(cfg)
     fit_rows = []
     if "se_vs_n" in cfg.studies:

@@ -40,9 +40,6 @@ class DriftSpec:
     growth_const : C with |b(t, y, mu)| <= C (1 + |y| + W1(mu, dirac(0)))
     bounded_sup : declared sup norm of the bounded part, None if undeclared
     law_lipschitz_const : C with |b(t,y,mu) - b(t,y,nu)| <= C W1(mu, nu)
-    space_derivative : db/dy evaluator when available (smooth models only)
-    law_modulus : continuity modulus theta with
-        |b(t,y,mu) - b(t,y,nu)|^2 <= theta(W1(mu,nu)^2), None if undeclared
     mollify_level : bandwidth parameter n when this spec is a mollified
         version of another drift, else None
     """
@@ -54,8 +51,6 @@ class DriftSpec:
     bounded_part: Optional[Evaluator] = None
     lipschitz_part: Optional[Evaluator] = None
     bounded_sup: Optional[float] = None
-    space_derivative: Optional[Evaluator] = None
-    law_modulus: Optional[Callable[[float], float]] = None
     mollify_level: Optional[int] = None
 
     def __call__(self, t: float, y: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
@@ -92,21 +87,19 @@ def zero_drift() -> DriftSpec:
     return DriftSpec(
         name="zero", fn=fn, growth_const=0.0, law_lipschitz_const=0.0,
         bounded_part=fn, lipschitz_part=fn, bounded_sup=0.0,
-        space_derivative=fn, law_modulus=lambda r2: 0.0,
     )
 
 
-def constant_drift(c: float) -> DriftSpec:
-    """b = c; useful for exact Girsanov and local time checks."""
+def constant_drift(value: float = 1.0) -> DriftSpec:
+    """b = value; useful for exact Girsanov and local time checks."""
     def fn(t, y, mu):
-        return np.full_like(y, c)
+        return np.full_like(y, value)
     def zero(t, y, mu):
         return np.zeros_like(y)
     return DriftSpec(
-        name=f"constant({c})", fn=fn, growth_const=abs(c),
+        name=f"constant({value})", fn=fn, growth_const=abs(value),
         law_lipschitz_const=0.0, bounded_part=fn, lipschitz_part=zero,
-        bounded_sup=abs(c), space_derivative=zero,
-        law_modulus=lambda r2: 0.0,
+        bounded_sup=abs(value),
     )
 
 
@@ -120,14 +113,11 @@ def mean_field_ou(theta: float = 1.0, kappa: float = 0.5) -> DriftSpec:
         return -theta * y + kappa * mu.mean()
     def bounded(t, y, mu):
         return np.zeros_like(y)
-    def dy(t, y, mu):
-        return np.full_like(y, -theta)
     c = max(abs(theta), abs(kappa))
     return DriftSpec(
         name="mean_field_ou", fn=fn, growth_const=c,
         law_lipschitz_const=abs(kappa), bounded_part=bounded,
-        lipschitz_part=fn, bounded_sup=0.0, space_derivative=dy,
-        law_modulus=lambda r2: kappa * kappa * r2,
+        lipschitz_part=fn, bounded_sup=0.0,
     )
 
 
@@ -143,15 +133,11 @@ def convolution_drift() -> DriftSpec:
         return np.sin(y) * cos_m - np.cos(y) * sin_m
     def zero(t, y, mu):
         return np.zeros_like(y)
-    def dy(t, y, mu):
-        cos_m = float(np.cos(mu.atoms).mean())
-        sin_m = float(np.sin(mu.atoms).mean())
-        return np.cos(y) * cos_m + np.sin(y) * sin_m
     return DriftSpec(
         name="convolution_sin", fn=fn, growth_const=1.0,
         # z -> sin(y - z) is 1-Lipschitz, so the law dependence is too
         law_lipschitz_const=1.0, bounded_part=zero, lipschitz_part=fn,
-        bounded_sup=0.0, space_derivative=dy, law_modulus=lambda r2: r2,
+        bounded_sup=0.0,
     )
 
 
@@ -174,7 +160,6 @@ def sign_drift(alpha: float = 0.5, theta: float = 1.0,
         growth_const=max(abs(alpha), abs(theta), abs(kappa)),
         law_lipschitz_const=abs(kappa), bounded_part=bounded,
         lipschitz_part=lipschitz, bounded_sup=abs(alpha),
-        law_modulus=lambda r2: kappa * kappa * r2,
     )
 
 
@@ -182,8 +167,7 @@ def expectation_drift(bbar: Callable[[float, np.ndarray, float], np.ndarray],
                       functional: Callable[[np.ndarray], np.ndarray],
                       growth_const: float,
                       law_lipschitz_const: float,
-                      name: str = "expectation_functional",
-                      dbbar_dy: Optional[Callable] = None) -> DriftSpec:
+                      name: str = "expectation_functional") -> DriftSpec:
     """Drift of the form b(t, y, mu) = bbar(t, y, E[functional(Z)]), Z ~ mu.
 
     The declared law Lipschitz constant must account for the composition
@@ -192,14 +176,9 @@ def expectation_drift(bbar: Callable[[float, np.ndarray, float], np.ndarray],
     def fn(t, y, mu):
         v = mu.expect(functional)
         return bbar(t, y, v)
-    dy = None
-    if dbbar_dy is not None:
-        def dy(t, y, mu):
-            v = mu.expect(functional)
-            return dbbar_dy(t, y, v)
     return DriftSpec(
         name=name, fn=fn, growth_const=growth_const,
-        law_lipschitz_const=law_lipschitz_const, space_derivative=dy,
+        law_lipschitz_const=law_lipschitz_const,
     )
 
 
@@ -213,7 +192,6 @@ def expectation_square_drift(theta: float = 1.0,
         growth_const=max(theta, 20.0 * kappa),
         law_lipschitz_const=20.0 * kappa,
         name="expectation_square",
-        dbbar_dy=lambda t, y, v: np.full_like(y, -theta),
     )
 
 
@@ -267,7 +245,7 @@ def mollify(spec: DriftSpec, n: int) -> DriftSpec:
 
     return replace(
         spec, name=f"{spec.name}_mollified{n}", fn=fn, bounded_part=smoothed,
-        mollify_level=n, space_derivative=None,
+        mollify_level=n,
     )
 
 
@@ -285,22 +263,27 @@ class RegularityReport:
     law_lipschitz_ok: bool
     decomposition_gap: float
     decomposition_ok: bool
+    bounded_sup_observed: float
+    bounded_sup_ok: bool
     samples: int
 
     @property
     def all_ok(self) -> bool:
-        return self.growth_ok and self.law_lipschitz_ok and self.decomposition_ok
+        return (self.growth_ok and self.law_lipschitz_ok
+                and self.decomposition_ok and self.bounded_sup_ok)
 
 
 def check_regularity(spec: DriftSpec, samples: int = 200,
                      seed: SeedSpec | int = 0, t_max: float = 1.0,
                      y_scale: float = 5.0) -> RegularityReport:
-    """Sample-based audit of the declared growth and Lipschitz constants.
+    """Sample-based audit of the declared growth and Lipschitz constants
+    and, when declared, of the sup bound of the bounded part.
 
     Draws random times, states and pairs of empirical measures (random
     Gaussian clouds plus exact translates, which approach equality in the
-    law-Lipschitz bound) and reports the worst observed ratio of each bound.
-    A ratio above 1 plus slack means the declared constant is violated.
+    law-Lipschitz bound) and reports the worst observed ratio of each bound
+    and the largest observed |bounded part|. A value above the declared
+    constant plus slack means the constant is violated.
     """
     rng = seed.scalar_rng() if isinstance(seed, SeedSpec) else \
         np.random.Generator(np.random.Philox(key=int(seed)))
@@ -310,6 +293,7 @@ def check_regularity(spec: DriftSpec, samples: int = 200,
     growth_worst = 0.0
     law_worst = 0.0
     decomp_worst = 0.0
+    bounded_worst = 0.0
     for _ in range(samples):
         t = float(rng.uniform(0.0, t_max))
         y = rng.uniform(-y_scale, y_scale, size=8)
@@ -335,15 +319,20 @@ def check_regularity(spec: DriftSpec, samples: int = 200,
             law_worst = max(law_worst, gap / d)
 
         if spec.decomposed:
-            parts = spec.bounded_part(t, y, mu) + spec.lipschitz_part(t, y, mu)
+            bounded = spec.bounded_part(t, y, mu)
+            parts = bounded + spec.lipschitz_part(t, y, mu)
             decomp_worst = max(decomp_worst, float(np.max(np.abs(b_mu - parts))))
+            bounded_worst = max(bounded_worst, float(np.max(np.abs(bounded))))
 
     growth_ok = growth_worst <= spec.growth_const + slack
     law_ok = law_worst <= spec.law_lipschitz_const + slack
     decomp_ok = (not spec.decomposed) or decomp_worst <= 1e-12
+    bounded_ok = (spec.bounded_sup is None
+                  or bounded_worst <= spec.bounded_sup + slack)
     return RegularityReport(
         growth_ratio=growth_worst, growth_ok=growth_ok,
         law_lipschitz_ratio=law_worst, law_lipschitz_ok=law_ok,
         decomposition_gap=decomp_worst, decomposition_ok=decomp_ok,
+        bounded_sup_observed=bounded_worst, bounded_sup_ok=bounded_ok,
         samples=samples,
     )

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +44,7 @@ def deep(payload, **patches):
 
 def test_minimal_config_gets_defaults():
     cfg = parse_config({})
-    assert cfg.model_name == "zero"
+    assert cfg.model == {"name": "zero"}
     assert cfg.particles == 10_000
     assert cfg.method == "picard"
     assert cfg.out_dir == "out"
@@ -77,6 +80,21 @@ def test_type_and_range_validation():
         parse_config({"delta": {"methods": ["likelihood"]}})
     with pytest.raises(ConfigError, match="particle_counts"):
         parse_config({"convergence": {"particle_counts": [100]}})
+    # not a finite float: JSON infinities and integers beyond float range
+    with pytest.raises(ConfigError, match="run.start"):
+        parse_config({"run": {"start": float("inf")}})
+    with pytest.raises(ConfigError, match="run.start"):
+        parse_config({"run": {"start": 10 ** 400}})
+    with pytest.raises(ConfigError, match="model.theta"):
+        parse_config({"model": {"name": "ou", "theta": 10 ** 400}})
+    # a fit needs >= 2 particles per run and distinct abscissae
+    with pytest.raises(ConfigError, match="convergence.particle_counts"):
+        parse_config({"convergence": {"particle_counts": [1, 2, 4]}})
+    for key, repeated in (("particle_counts", [100, 100]),
+                          ("step_counts", [50, 100, 50]),
+                          ("mollify_levels", [4, 4])):
+        with pytest.raises(ConfigError, match=f"convergence.{key}"):
+            parse_config({"convergence": {key: repeated}})
 
 
 def test_boolean_is_not_a_number():
@@ -90,6 +108,65 @@ def test_config_round_trip():
     second = parse_config(json.loads(text))
     assert first.raw == second.raw
     assert first.config_hash() == second.config_hash()
+
+
+README_EXAMPLE = {
+    "model": {"name": "ou", "theta": 1.0, "kappa": 0.5},
+    "run": {"start": 1.0, "horizon": 1.0, "steps": 200,
+            "particles": 100000, "seed": 7, "method": "picard"},
+    "picard": {"tolerance": 1e-3, "max_iterations": 50,
+               "initial_flow": "brownian"},
+    "delta": {"payoff": "identity", "strike": 0.0, "weight": "uniform",
+              "methods": ["bel", "pathwise", "finite_difference"],
+              "fd_bump": None, "law_bump": None},
+    "convergence": {"studies": ["se_vs_n", "localtime_rate", "mollify"],
+                    "particle_counts": [1000, 2000, 4000, 8000, 16000],
+                    "step_counts": [100, 200, 400, 800],
+                    "mollify_levels": [4, 16, 64, 256],
+                    "rate_paths": 1000},
+    "output": {"directory": "out"},
+}
+
+
+@pytest.mark.parametrize("payload, seed, out, text_sha, config_hash", [
+    ({}, None, None,
+     "941bc47110fef883fca4d931a0239fadfc21ea6269feb4d05fcbbc1c921fcac7",
+     "6220d79fb8031fd3"),
+    (README_EXAMPLE, None, None,
+     "73bc2067ecc1007b4b2d1bbd238dbac7f42ee2c30eb8a3bc1e2e021343a2e222",
+     "c78c1e9675c527a7"),
+    # model parameters are kept as given: theta stays the integer 1
+    ({"model": {"name": "ou", "theta": 1}}, None, None,
+     "8960826399f280ffaf7279ea6b4d5209985913462fc31516d2834ca2c2416aee",
+     "85beca4638693941"),
+    ({"delta": {"payoff": "call", "strike": 1, "fd_bump": 0.02,
+                "law_bump": 0.05}}, None, None,
+     "74fd7394b840808d03818af479c1c12832209bb30c38d353e861ff813f6036bb",
+     "928024bc014962cd"),
+    ({"convergence": {"studies": ["mollify", "se_vs_n"],
+                      "particle_counts": [300, 100, 200],
+                      "step_counts": [10, 40], "mollify_levels": [8, 2],
+                      "rate_paths": 50}}, None, None,
+     "2f5f94440b11b7fc75f0bf3ba08e8cf2c77185c67a845af06eb64797b8215d6a",
+     "342de36e95324d2d"),
+    (README_EXAMPLE, 7, None,
+     "73bc2067ecc1007b4b2d1bbd238dbac7f42ee2c30eb8a3bc1e2e021343a2e222",
+     "c78c1e9675c527a7"),
+    (README_EXAMPLE, None, "elsewhere",
+     "8c5d1cfa9716d73faad9dd06a3879bdb9dc6f316cb4e93fc4de4adbfab922cc7",
+     "c78c1e9675c527a7"),
+    ({"run": {"seed": 3}}, 7, "elsewhere",
+     "b42f1121cbc8b1566ac539b5e5ca079df17c57ad4bd5311759af1f7f7221f356",
+     "dfd054330c9f3e59"),
+])
+def test_config_serialization_and_hash_are_pinned(payload, seed, out,
+                                                  text_sha, config_hash):
+    # the hash is written into every CSV row, so the canonical config text
+    # must not change under a refactor of the parser
+    cfg = parse_config(payload, seed, out)
+    text = serialize_config(cfg.raw)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == text_sha
+    assert cfg.config_hash() == config_hash
 
 
 def test_overrides_apply_and_hash_sees_only_science(tmp_path):
@@ -266,6 +343,16 @@ def test_exit_codes(tmp_path, capsys):
     code = main(["simulate", "--config", write_config(tmp_path, stuck)])
     assert code == 3
     assert "did not reach" in capsys.readouterr().err
+    # 2: the mollify study needs a bounded/Lipschitz split; simulate and
+    # delta of the same model are valid
+    split = deep(BASE, run__particles=500, run__steps=20,
+                 convergence__studies=["se_vs_n", "mollify"])
+    split["model"] = {"name": "expectation_square"}
+    split["output"] = {"directory": str(tmp_path / "o4")}
+    assert main(["convergence", "--config",
+                 write_config(tmp_path, split, "split.json")]) == 2
+    assert "convergence.studies" in capsys.readouterr().err
+    assert not (tmp_path / "o4").exists()
     # 0: healthy run
     ok = deep(BASE, run__particles=500, run__steps=20)
     ok["output"] = {"directory": str(tmp_path / "o0")}
@@ -297,3 +384,23 @@ def test_oversized_run_is_refused_before_allocating(tmp_path, capsys,
     assert main(["convergence", "--config",
                  write_config(tmp_path, wide, "wide.json")]) == 2
     assert "convergence.rate_paths" in capsys.readouterr().err
+
+
+def test_readme_outputs_table_matches_csv_headers(tmp_path, capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    documented = dict(re.findall(r"^\| `(\w+\.csv)` \| `([^`]+)` \|",
+                                 readme.read_text(encoding="utf-8"),
+                                 flags=re.MULTILINE))
+    payload = {
+        "model": {"name": "sign"},
+        "run": {"start": 1.0, "steps": 10, "particles": 300, "seed": 5},
+        "convergence": {"particle_counts": [100, 200], "step_counts": [10, 20],
+                        "mollify_levels": [2, 4], "rate_paths": 50},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = write_config(tmp_path, payload)
+    for command in ("simulate", "delta", "convergence", "selfcheck"):
+        assert main([command, "--config", path]) == 0
+    written = {p.name: p.read_text(encoding="utf-8").splitlines()[0]
+               for p in (tmp_path / "out").glob("*.csv")}
+    assert written == documented

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,16 @@ def test_check_regularity_catches_lying_constants():
     assert not report.all_ok
 
 
+def test_check_regularity_catches_a_lying_bounded_sup():
+    honest = sign_drift(alpha=0.5)
+    assert check_regularity(honest, samples=100, seed=1).bounded_sup_ok
+    liar = replace(honest, bounded_sup=0.1)  # |0.5 sign(y)| reaches 0.5
+    report = check_regularity(liar, samples=100, seed=1)
+    assert report.growth_ok and report.law_lipschitz_ok
+    assert not report.bounded_sup_ok
+    assert not report.all_ok
+
+
 def test_law_lipschitz_translation_bound():
     # |b(mu) - b(nu)| <= C * W1 checked on exact translates
     spec = mean_field_ou(theta=1.0, kappa=0.5)
@@ -170,7 +182,5 @@ def test_expectation_square_model_is_built_once():
     want = -theta * y + kappa * float(np.mean(mu.atoms * mu.atoms))
     assert np.array_equal(spec(0.2, y, mu), want)
     assert np.array_equal(cli_spec(0.2, y, mu), want)
-    assert np.array_equal(spec.space_derivative(0.2, y, mu),
-                          np.full_like(y, -theta))
     assert (spec.name, spec.growth_const, spec.law_lipschitz_const) == (
         cli_spec.name, cli_spec.growth_const, cli_spec.law_lipschitz_const)
