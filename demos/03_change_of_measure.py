@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from mfsde import (PicardConfig, SeedSpec, doleans_weights,
-                   epsilon_moment_probe, make_grid, picard_solve,
+                   epsilon_moment_probe, make_grid, mean_and_se, picard_solve,
                    reweighted_expectation, sample_brownian, sign_drift)
 
 START, HORIZON = 0.3, 1.0
@@ -43,10 +43,10 @@ def main() -> None:
     paths = sample_brownian(grid, n_paths=50_000, start=START,
                             seed=seed.child(7))
     w = doleans_weights(spec, res.flow, paths)
-    w_mean, w_se = w.mean_and_se()
+    w_mean, w_se = mean_and_se(w)
     print(f"weight mean = {w_mean:.5f} +- {w_se:.5f}   (martingale target 1)")
-    print(f"weight range [{w.weights.min():.4f}, {w.weights.max():.4f}], "
-          f"all positive: {bool(np.all(w.weights > 0))}")
+    print(f"weight range [{w.min():.4f}, {w.max():.4f}], "
+          f"all positive: {bool(np.all(w > 0))}")
 
     probe = epsilon_moment_probe(w, eps=0.5)
     print(f"E[w^1.5] = {probe.estimate:.4f} +- {probe.stderr:.4f}   "

@@ -7,9 +7,8 @@ from .drift import (DriftSpec, RegularityReport, check_regularity,
                     constant_drift, convolution_drift, eval_drift,
                     expectation_drift, expectation_square_drift,
                     mean_field_ou, mollify, sign_drift, zero_drift)
-from .girsanov import (EstimatorResult, WeightVector, doleans_weights,
-                       drift_along_paths, epsilon_moment_probe,
-                       reweighted_expectation)
+from .girsanov import (EstimatorResult, doleans_weights, drift_along_paths,
+                       epsilon_moment_probe, reweighted_expectation)
 from .grid import (BLOCK_SIZE, PathEnsemble, SeedSpec, TimeGrid, make_grid,
                    sample_brownian)
 from .localtime import (ChainIdentityReport, LocalTimeIntegralResult,
@@ -19,8 +18,7 @@ from .localtime import (ChainIdentityReport, LocalTimeIntegralResult,
 from .measures import (EmpiricalMeasure, MeasureFlow, dirac,
                        empirical_from_column, flow_distance, kantorovich)
 from .numerics import ExponentOverflowError, guarded_exp, mean_and_se
-from .sensitivity import (DeltaSession, LawDerivativeEvaluator, MollifyStudy,
-                          Payoff, WeightFunctionA, analytic_law_derivative,
+from .sensitivity import (DeltaSession, MollifyStudy, Payoff, WeightFunctionA,
                           bel_delta, call_payoff, constant_payoff,
                           default_bump, finite_difference_delta,
                           front_loaded_weight, identity_payoff,
@@ -37,10 +35,10 @@ __all__ = [
     "BLOCK_SIZE", "BlowUpError", "ChainIdentityReport", "DeltaSession",
     "DriftSpec",
     "EmpiricalMeasure", "EstimatorResult", "ExponentOverflowError",
-    "LawDerivativeEvaluator", "LocalTimeIntegralResult", "MeasureFlow",
+    "LocalTimeIntegralResult", "MeasureFlow",
     "MollifyStudy", "MomentReport", "PathEnsemble", "Payoff", "PicardConfig",
     "PicardConvergenceError", "RegularityReport", "SeedSpec", "SolveResult",
-    "TimeGrid", "WeightFunctionA", "WeightVector", "analytic_law_derivative",
+    "TimeGrid", "WeightFunctionA",
     "bel_delta", "call_payoff", "check_chain_identity", "check_regularity",
     "constant_drift", "constant_payoff", "convolution_drift", "default_bump",
     "dirac", "direct_particle_solve", "doleans_weights", "drift_along_paths",

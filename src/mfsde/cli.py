@@ -32,16 +32,17 @@ from .drift import (DriftSpec, constant_drift, convolution_drift,
                     expectation_square_drift, mean_field_ou, sign_drift,
                     zero_drift)
 from .girsanov import EstimatorResult, doleans_weights
-from .grid import SeedSpec, TimeGrid, make_grid, sample_brownian
-from .localtime import drift_cumulants, local_time_integral, malliavin_derivative
+from .grid import BLOCK_SIZE, SeedSpec, TimeGrid, make_grid, sample_brownian
+from .localtime import (drift_cumulants, localtime_rate_study,
+                        malliavin_derivative)
 from .numerics import ExponentOverflowError, mean_and_se
 from .sensitivity import (DeltaSession, Payoff, WeightFunctionA, bel_delta,
-                          call_payoff, constant_payoff, default_bump,
-                          front_loaded_weight, identity_payoff,
-                          mollified_convergence_study, square_payoff,
-                          uniform_weight)
+                          call_payoff, constant_payoff, front_loaded_weight,
+                          identity_payoff, mollified_convergence_study,
+                          square_payoff, uniform_weight)
 from .solver import (BlowUpError, PicardConfig, PicardConvergenceError,
-                     direct_particle_solve, moment_diagnostics, picard_solve)
+                     direct_particle_solve, moment_diagnostics, picard_solve,
+                     se_rate_study)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,6 +60,8 @@ MAX_SEED = 2**64 - 1
 # 16.1 MB = 15.1; convergence, whose largest array is the 4000 x 1600
 # local-time ensemble: 534 MB / 51.2 MB = 10.4. The interpreter's own
 # 34 MB is included, so the counts overstate large runs a little.
+# check_memory adds the Brownian blocks drawn at once, which these counts
+# miss when N is far below BLOCK_SIZE.
 PEAK_ARRAYS = {"simulate": 6, "delta": 16, "convergence": 11}
 
 
@@ -318,28 +321,34 @@ def load_config(path: str, seed_override: Optional[int] = None,
     return parse_config(payload, seed_override, out_override)
 
 
-def _largest_array(command: str, cfg: RunConfig) -> tuple[int, str]:
-    """Element count of the largest path array the command allocates, and
-    the config keys that size it."""
-    run = (cfg.particles * (cfg.steps + 1), "'run.particles' x 'run.steps'")
+def _ensembles(command: str, cfg: RunConfig) -> list[tuple[int, int, str]]:
+    """Paths and steps of the largest ensembles the command draws, with the
+    config keys that size them."""
+    run = (cfg.particles, cfg.steps, "'run.particles' x 'run.steps'")
     if command != "convergence":
-        return run
+        return [run]
     sizes = []
     if "se_vs_n" in cfg.studies:
-        sizes.append((max(cfg.particle_counts) * (cfg.steps + 1),
+        sizes.append((max(cfg.particle_counts), cfg.steps,
                       "'convergence.particle_counts' x 'run.steps'"))
     if "localtime_rate" in cfg.studies:
-        sizes.append((cfg.rate_paths * (max(cfg.step_counts) + 1),
+        sizes.append((cfg.rate_paths, max(cfg.step_counts),
                       "'convergence.rate_paths' x 'convergence.step_counts'"))
     if "mollify" in cfg.studies:
         sizes.append(run)
-    return max(sizes)
+    return sizes
 
 
-def check_memory(command: str, cfg: RunConfig) -> None:
-    """Refuse a run whose estimated peak memory exceeds physical memory."""
-    elements, keys = _largest_array(command, cfg)
-    need = 8 * elements * PEAK_ARRAYS[command]
+def check_memory(command: str, cfg: RunConfig, workers: int) -> None:
+    """Refuse a run whose estimated peak memory exceeds physical memory.
+
+    The estimate is PEAK_ARRAYS path arrays plus the full BLOCK_SIZE x steps
+    normal blocks that up to `workers` threads draw at once.
+    """
+    need, keys = max(
+        (8 * (n * (m + 1) * PEAK_ARRAYS[command]
+              + min(workers, math.ceil(n / BLOCK_SIZE)) * BLOCK_SIZE * m), k)
+        for n, m, k in _ensembles(command, cfg))
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     _require(need <= have,
              f"{keys} needs an estimated {need / 2**30:.1f} GiB for "
@@ -471,8 +480,7 @@ def cmd_simulate(cfg: RunConfig, workers: int = 1) -> int:
     return EXIT_OK
 
 
-def _agreement_rows(results: dict[str, EstimatorResult],
-                    fd_h: float) -> list[list]:
+def _agreement_rows(results: dict[str, EstimatorResult]) -> list[list]:
     rows = []
     names = list(results)
     for i in range(len(names)):
@@ -480,7 +488,8 @@ def _agreement_rows(results: dict[str, EstimatorResult],
             a, b = results[names[i]], results[names[j]]
             tol = 3.0 * (a.stderr + b.stderr)
             if "finite_difference" in (names[i], names[j]):
-                tol += fd_h * fd_h
+                h = results["finite_difference"].extra["h"]
+                tol += h * h
             diff = abs(a.estimate - b.estimate)
             rows.append([f"{names[i]}|{names[j]}", float(diff), float(tol),
                          int(diff <= tol)])
@@ -515,56 +524,14 @@ def cmd_delta(cfg: RunConfig, workers: int = 1) -> int:
         table.add(f"delta_{name}", r.estimate, r.stderr, cfg.particles,
                   cfg.steps)
     table.write(out / "delta_results.csv")
-    fd_h = cfg.fd_bump if cfg.fd_bump is not None else default_bump(cfg.start)
     write_csv(out / "delta_agreement.csv",
               ["pair", "abs_diff", "tolerance", "agree"],
-              _agreement_rows(results, fd_h))
+              _agreement_rows(results))
     _write_meta(out, "delta", cfg, time.perf_counter() - t0)
     for name, r in results.items():
         print(f"delta[{name}]: {r.estimate:.6f} (se {r.stderr:.2e})")
     print(f"wrote {out}/")
     return EXIT_OK
-
-
-def se_rate_study(cfg: RunConfig, workers: int = 1
-                  ) -> tuple[list[list], float]:
-    """Standard error of the terminal mean vs particle count (log-log)."""
-    spec = cfg.build_drift()
-    grid = cfg.grid()
-    seed = cfg.seed_spec()
-    rows = []
-    for n in cfg.particle_counts:
-        result = picard_solve(spec, cfg.start, grid, n, seed, cfg.picard,
-                              workers=workers)
-        _, se = mean_and_se(result.ensemble.terminal())
-        rows.append([n, float(se)])
-    ns = np.array([r[0] for r in rows], dtype=float)
-    ses = np.array([r[1] for r in rows], dtype=float)
-    slope = float(np.polyfit(np.log(ns), np.log(ses), 1)[0])
-    return rows, slope
-
-
-def localtime_rate_study(cfg: RunConfig, workers: int = 1
-                         ) -> tuple[list[list], float]:
-    """RMS error of the local-time integral of sin against its smooth
-    oracle (minus the time integral of cos along the path) vs step count."""
-    seed = cfg.seed_spec()
-    rows = []
-    for steps in cfg.step_counts:
-        grid = make_grid(cfg.horizon, steps)
-        paths = sample_brownian(grid, cfg.rate_paths, cfg.start, seed,
-                                workers=workers)
-        got = local_time_integral(lambda t, y: np.sin(y), paths, 0,
-                                  steps).value
-        # trapezoid in time of cos along each path
-        cosv = np.cos(paths.values)
-        oracle = -np.trapezoid(cosv, dx=grid.dt, axis=1)
-        rms = float(np.sqrt(np.mean((got - oracle) ** 2)))
-        rows.append([steps, grid.dt, rms])
-    dts = np.array([r[1] for r in rows])
-    errs = np.array([r[2] for r in rows])
-    slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
-    return rows, slope
 
 
 def cmd_convergence(cfg: RunConfig, workers: int = 1) -> int:
@@ -577,15 +544,20 @@ def cmd_convergence(cfg: RunConfig, workers: int = 1) -> int:
     out = _outdir(cfg)
     fit_rows = []
     if "se_vs_n" in cfg.studies:
-        rows, slope = se_rate_study(cfg, workers)
+        ses, slope = se_rate_study(cfg.build_drift(), cfg.start, cfg.grid(),
+                                   cfg.particle_counts, cfg.seed_spec(),
+                                   cfg.picard, workers=workers)
         write_csv(out / "convergence_se_vs_n.csv", ["n_paths", "stderr"],
-                  rows)
+                  list(zip(cfg.particle_counts, ses)))
         fit_rows.append(["se_vs_n", float(slope)])
         print(f"se_vs_n slope: {slope:.3f} (expect about -0.5)")
     if "localtime_rate" in cfg.studies:
-        rows, slope = localtime_rate_study(cfg, workers)
+        dts, errors, slope = localtime_rate_study(
+            cfg.horizon, cfg.step_counts, cfg.rate_paths, cfg.start,
+            cfg.seed_spec(), workers=workers)
         write_csv(out / "convergence_localtime.csv",
-                  ["steps", "dt", "rms_error"], rows)
+                  ["steps", "dt", "rms_error"],
+                  list(zip(cfg.step_counts, dts, errors)))
         fit_rows.append(["localtime_rate", float(slope)])
         print(f"localtime_rate slope: {slope:.3f} (expect about 0.5)")
     if "mollify" in cfg.studies:
@@ -631,7 +603,7 @@ def cmd_selfcheck(cfg: Optional[RunConfig], workers: int = 1) -> int:
 
     # Girsanov weights average to one
     w = doleans_weights(mean_field_ou(), res.flow, res.brownian)
-    wm, wse = w.mean_and_se()
+    wm, wse = mean_and_se(w)
     record("weight_mean_one", abs(wm - 1.0), 4 * wse, abs(wm - 1.0) <= 4 * wse)
 
     # Malliavin cocycle at float precision
@@ -703,7 +675,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.workers is not None and args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         if cfg is not None and args.command in PEAK_ARRAYS:
-            check_memory(args.command, cfg)
+            check_memory(args.command, cfg, args.workers)
         if args.command == "simulate":
             return cmd_simulate(cfg, workers=args.workers)
         if args.command == "delta":

@@ -26,29 +26,6 @@ from .numerics import guarded_exp, mean_and_se
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Per-path Doleans-Dade weights plus provenance."""
-
-    weights: np.ndarray
-    drift_name: str
-    steps: int
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if not np.isfinite(w).all() or np.any(w <= 0.0):
-            raise ValueError("weights must be finite and strictly positive")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n_paths(self) -> int:
-        return self.weights.size
-
-    def mean_and_se(self) -> tuple[float, float]:
-        return mean_and_se(self.weights)
-
-
-@dataclass(frozen=True)
 class EstimatorResult:
     """Point estimate with standard error and run provenance."""
 
@@ -66,10 +43,7 @@ class EstimatorResult:
 def drift_along_paths(spec: DriftSpec, flow: MeasureFlow,
                       paths: PathEnsemble) -> np.ndarray:
     """b(t_k, path value, flow_k) for every path and node, shape (N, M+1)."""
-    grid = paths.grid
-    out = np.empty_like(paths.values)
-    for k in range(grid.steps + 1):
-        out[:, k] = spec.fn(float(grid.nodes[k]), paths.values[:, k], flow[k])
+    out = paths.at_nodes(lambda k, t, y: spec.fn(t, y, flow[k]))
     if not np.isfinite(out).all():
         raise FloatingPointError(
             f"drift '{spec.name}' non-finite along paths")
@@ -88,19 +62,17 @@ def log_weights(drift_vals: np.ndarray, db: np.ndarray,
 
 
 def doleans_weights(spec: DriftSpec, flow: MeasureFlow,
-                    paths: PathEnsemble) -> WeightVector:
-    """Stochastic exponential of the drift along a Brownian ensemble.
+                    paths: PathEnsemble) -> np.ndarray:
+    """Stochastic exponential of the drift along a Brownian ensemble, (N,).
 
     Left-point discretization of exp( int b dB - 1/2 int b^2 dt ) over the
-    whole horizon. Exponents are guarded, so the returned weights are finite
-    and strictly positive.
+    whole horizon. Exponents are guarded (|exponent| <= 700), so the
+    weights are finite and strictly positive.
     """
     if paths.kind != "brownian":
         raise ValueError("weights are defined along Brownian ensembles")
-    log_w = log_weights(drift_along_paths(spec, flow, paths),
-                        paths.increments(), paths.grid.dt)
-    return WeightVector(weights=guarded_exp(log_w), drift_name=spec.name,
-                        steps=paths.grid.steps)
+    return guarded_exp(log_weights(drift_along_paths(spec, flow, paths),
+                                   paths.increments(), paths.grid.dt))
 
 
 def reweighted_expectation(spec: DriftSpec, flow: MeasureFlow,
@@ -116,9 +88,9 @@ def reweighted_expectation(spec: DriftSpec, flow: MeasureFlow,
     """
     w = doleans_weights(spec, flow, paths)
     g = np.asarray(payoff(paths.terminal()), dtype=float)
-    est, se = mean_and_se(w.weights * g)
-    w_mean, w_se = w.mean_and_se()
-    self_norm = float((w.weights * g).mean() / w_mean)
+    est, se = mean_and_se(w * g)
+    w_mean, w_se = mean_and_se(w)
+    self_norm = float((w * g).mean() / w_mean)
     return EstimatorResult(
         label=label, estimate=est, stderr=se, n_paths=paths.n_paths,
         seed=paths.seed if paths.seed is not None else SeedSpec(0),
@@ -127,7 +99,7 @@ def reweighted_expectation(spec: DriftSpec, flow: MeasureFlow,
     )
 
 
-def epsilon_moment_probe(weights: WeightVector, eps: float = 0.5,
+def epsilon_moment_probe(weights: np.ndarray, eps: float = 0.5,
                          seed: SeedSpec | None = None) -> EstimatorResult:
     """Sample (1 + eps)-moment of the weights, a heavy-tail diagnostic.
 
@@ -137,9 +109,9 @@ def epsilon_moment_probe(weights: WeightVector, eps: float = 0.5,
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    est, se = mean_and_se(weights.weights ** (1.0 + eps))
+    est, se = mean_and_se(weights ** (1.0 + eps))
     return EstimatorResult(
         label=f"weight_moment_{1 + eps:g}", estimate=est, stderr=se,
-        n_paths=weights.n_paths, seed=seed if seed is not None else SeedSpec(0),
+        n_paths=weights.size, seed=seed if seed is not None else SeedSpec(0),
         extra={"eps": eps},
     )

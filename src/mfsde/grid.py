@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -135,6 +136,16 @@ class PathEnsemble:
 
     def terminal(self) -> np.ndarray:
         return self.values[:, -1]
+
+    def at_nodes(self, fn: Callable[[int, float, np.ndarray], np.ndarray],
+                 count: Optional[int] = None) -> np.ndarray:
+        """fn(k, t_k, values[:, k]) at the first `count` nodes (all by
+        default), shape (N, count); the one loop over nodes along paths."""
+        count = self.grid.steps + 1 if count is None else count
+        out = np.empty((self.n_paths, count))
+        for k in range(count):
+            out[:, k] = fn(k, float(self.grid.nodes[k]), self.values[:, k])
+        return out
 
 
 def _normal_increments(grid: TimeGrid, n_paths: int, seed: SeedSpec,

@@ -23,25 +23,34 @@ intervals, which makes the Malliavin derivative
 
     D_s X_t = exp( - int_s^t int b(u, y, law_u) L(du, dy) )
 
-an exact cocycle under the discretization. Quantities for the solution
-process are evaluated along the driving Brownian ensemble and transported by
-the Girsanov weights; the identification holds in law, which is what the
-expectation-level estimators need.
+an exact cocycle under the discretization. The first variation is built
+from the same cumulants by variation of constants,
+
+    dX_{t_k}/dx = exp(-C_k) (1 + sum_{j < k} exp(C_j) dxb(t_j, Y_j) dt),
+
+where C is the cumulative local-time integral of the drift and dxb, the
+derivative of the drift in the initial point through the law, is any
+(s, y) -> array callable. This module is the one place that composes it:
+first_variation, check_chain_identity and the delta session all call
+variation_path. Quantities for the solution process are evaluated along the
+driving Brownian ensemble and transported by the Girsanov weights; the
+identification holds in law, which is what the expectation-level estimators
+need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .girsanov import drift_along_paths
-from .grid import PathEnsemble
-from .numerics import guarded_exp
+from .grid import PathEnsemble, SeedSpec, make_grid, sample_brownian
+from .numerics import guarded_exp, loglog_slope
 from .solver import SolveResult
 
-# f and law-derivative evaluators along paths: (time, states) -> values
+# integrands and law derivatives along paths: (time, states) -> values
 SpaceTimeFn = Callable[[float, np.ndarray], np.ndarray]
 
 
@@ -61,17 +70,6 @@ class LocalTimeIntegralResult:
     t_node: int
 
 
-def _node_values(f: SpaceTimeFn, paths: PathEnsemble) -> np.ndarray:
-    """f(t_k, path value at k) for all nodes, shape (N, M+1)."""
-    grid = paths.grid
-    out = np.empty_like(paths.values)
-    for k in range(grid.steps + 1):
-        out[:, k] = f(float(grid.nodes[k]), paths.values[:, k])
-    if not np.isfinite(out).all():
-        raise FloatingPointError("integrand non-finite along paths")
-    return out
-
-
 def _cumulative_pieces(fvals: np.ndarray,
                        paths: PathEnsemble) -> tuple[np.ndarray, np.ndarray,
                                                      np.ndarray]:
@@ -87,7 +85,6 @@ def _cumulative_pieces(fvals: np.ndarray,
     dt = grid.dt
     v = paths.values
     x = paths.start
-    n = v.shape[0]
 
     db = np.diff(v, axis=1)
     cf = np.zeros_like(v)
@@ -104,6 +101,14 @@ def _cumulative_pieces(fvals: np.ndarray,
     cc = np.zeros_like(v)
     np.cumsum(g_corr, axis=1, out=cc[:, 1:])
     return cf, cb, cc
+
+
+def cumulative_integral(fvals: np.ndarray, paths: PathEnsemble) -> np.ndarray:
+    """C[:, k], the local-time integral over [0, t_k] of the integrand whose
+    (N, M+1) node table is fvals; the integral over [t_s, t_t] is
+    C[:, t] - C[:, s]."""
+    cf, cb, cc = _cumulative_pieces(fvals, paths)
+    return cf + cb + cc
 
 
 def _check_nodes(paths: PathEnsemble, s: int, t: int) -> None:
@@ -129,7 +134,9 @@ def local_time_integral(f: SpaceTimeFn, paths: PathEnsemble, s: int,
     if paths.kind != "brownian":
         raise ValueError("local-time integrals need a Brownian ensemble")
     _check_nodes(paths, s, t)
-    fvals = _node_values(f, paths)
+    fvals = paths.at_nodes(lambda k, u, y: f(u, y))
+    if not np.isfinite(fvals).all():
+        raise FloatingPointError("integrand non-finite along paths")
     cf, cb, cc = _cumulative_pieces(fvals, paths)
     forward = cf[:, t] - cf[:, s]
     backward = cb[:, t] - cb[:, s]
@@ -140,6 +147,29 @@ def local_time_integral(f: SpaceTimeFn, paths: PathEnsemble, s: int,
     )
 
 
+def localtime_rate_study(horizon: float, step_counts: Sequence[int],
+                         n_paths: int, start: float, seed: SeedSpec,
+                         workers: int = 1
+                         ) -> tuple[list[float], list[float], float]:
+    """RMS error of the local-time integral of sin against its smooth
+    oracle (minus the time integral of cos along the path) per step count.
+
+    Returns the step sizes, the errors and the fitted log-log slope of
+    error against step size (about 0.5).
+    """
+    dts, errors = [], []
+    for steps in step_counts:
+        grid = make_grid(horizon, steps)
+        paths = sample_brownian(grid, n_paths, start, seed, workers=workers)
+        got = local_time_integral(lambda t, y: np.sin(y), paths, 0,
+                                  steps).value
+        # trapezoid in time of cos along each path
+        oracle = -np.trapezoid(np.cos(paths.values), dx=grid.dt, axis=1)
+        dts.append(grid.dt)
+        errors.append(float(np.sqrt(np.mean((got - oracle) ** 2))))
+    return dts, errors, loglog_slope(dts, errors)
+
+
 def drift_cumulants(result: SolveResult) -> np.ndarray:
     """Cumulative local-time integral of the drift along the driving paths.
 
@@ -148,9 +178,14 @@ def drift_cumulants(result: SolveResult) -> np.ndarray:
     subinterval, so the derived exponentials are exactly multiplicative.
     Heavy runs compute this once and pass it to the derivative routines.
     """
-    fvals = drift_along_paths(result.spec, result.flow, result.brownian)
-    cf, cb, cc = _cumulative_pieces(fvals, result.brownian)
-    return cf + cb + cc
+    return cumulative_integral(
+        drift_along_paths(result.spec, result.flow, result.brownian),
+        result.brownian)
+
+
+def _factor(c: np.ndarray, s: int, t: int) -> np.ndarray:
+    """exp(-(C_t - C_s)), the Malliavin factor D_s X_t."""
+    return guarded_exp(-(c[:, t] - c[:, s]))
 
 
 def malliavin_derivative(result: SolveResult, s: int, t: int,
@@ -164,7 +199,7 @@ def malliavin_derivative(result: SolveResult, s: int, t: int,
     """
     _check_nodes(result.brownian, s, t)
     c = drift_cumulants(result) if cumulants is None else cumulants
-    return guarded_exp(-(c[:, t] - c[:, s]))
+    return _factor(c, s, t)
 
 
 def law_derivative_table(dxb: Optional[SpaceTimeFn],
@@ -173,35 +208,30 @@ def law_derivative_table(dxb: Optional[SpaceTimeFn],
 
     All zeros when dxb is None (no law feedback).
     """
-    grid = paths.grid
-    v = paths.values
     if dxb is None:
-        return np.zeros((v.shape[0], grid.steps))
-    table = np.empty((v.shape[0], grid.steps))
-    for j in range(grid.steps):
-        table[:, j] = dxb(float(grid.nodes[j]), v[:, j])
-    return table
+        return np.zeros((paths.n_paths, paths.grid.steps))
+    return paths.at_nodes(lambda k, t, y: dxb(t, y), count=paths.grid.steps)
 
 
-def _law_response(c: np.ndarray, table: np.ndarray, dt: float) -> np.ndarray:
-    """Per-step terms exp(C_j) dxb_j dt of the variation-of-constants sum."""
-    return guarded_exp(c[:, :-1]) * table * dt
+def variation_path(c: np.ndarray, table: np.ndarray,
+                   dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """dX/dx at every node, (N, M+1), and at T, (N,), by variation of
+    constants from the cumulants C and the law-derivative table.
 
-
-def _running_variation(exp_neg: np.ndarray, response: np.ndarray
-                       ) -> np.ndarray:
-    """exp(-C_k) (1 + sum_{j < k} response_j) at every node k."""
-    inner = np.zeros_like(exp_neg)
-    np.cumsum(response, axis=1, out=inner[:, 1:])
-    return exp_neg * (1.0 + inner)
-
-
-def _first_variation(c: np.ndarray, table: Optional[np.ndarray],
-                     dt: float) -> np.ndarray:
+    The value at T sums the response pairwise (np.sum), not as the last
+    running sum: the bits differ, and the pathwise delta reads this one.
+    """
     exp_neg = guarded_exp(-c)
-    if table is None:
-        return exp_neg
-    return _running_variation(exp_neg, _law_response(c, table, dt))
+    response = guarded_exp(c[:, :-1]) * table * dt
+    at_t = exp_neg[:, -1] * (1.0 + np.sum(response, axis=1))
+    running = np.zeros_like(exp_neg)
+    np.cumsum(response, axis=1, out=running[:, 1:])
+    del response
+    # exp(-C_k) (1 + sum_{j < k} response_j) in place, sparing a path-sized
+    # temporary; + and * commute, so the bits are those of the expression
+    running += 1.0
+    running *= exp_neg
+    return running, at_t
 
 
 def first_variation(result: SolveResult,
@@ -216,12 +246,12 @@ def first_variation(result: SolveResult,
         dX_t/dx = D_0 X_t + sum_{j < k} D_{t_j} X_{t_k} dxb(t_j, Y_j) dt,
 
     computed in O(M) per particle from shared cumulants. dxb is the
-    law-derivative evaluator (None means no law feedback, in which case the
-    first variation equals D_0 X_t exactly).
+    law derivative (None means no law feedback, in which case the first
+    variation equals D_0 X_t exactly).
     """
     c = drift_cumulants(result) if cumulants is None else cumulants
-    table = None if dxb is None else law_derivative_table(dxb, result.brownian)
-    return _first_variation(c, table, result.brownian.grid.dt)
+    table = law_derivative_table(dxb, result.brownian)
+    return variation_path(c, table, result.brownian.grid.dt)[0]
 
 
 @dataclass(frozen=True)
@@ -251,23 +281,17 @@ def check_chain_identity(result: SolveResult, s: int, u: int, t: int,
     """
     if not (0 <= s <= u <= t <= result.brownian.grid.steps):
         raise ValueError(f"need 0 <= s <= u <= t, got ({s}, {u}, {t})")
-    grid = result.brownian.grid
+    dt = result.brownian.grid.dt
     c = drift_cumulants(result)
-    table = None if dxb is None else law_derivative_table(dxb, result.brownian)
-    fv = _first_variation(c, table, grid.dt)
+    table = law_derivative_table(dxb, result.brownian)
+    fv = variation_path(c, table, dt)[0]
 
-    d_st = guarded_exp(-(c[:, t] - c[:, s]))
-    d_ut = guarded_exp(-(c[:, t] - c[:, u]))
-    d_su = guarded_exp(-(c[:, u] - c[:, s]))
-    cocycle_res = d_st - d_ut * d_su
+    d_st = _factor(c, s, t)
+    cocycle_res = d_st - _factor(c, u, t) * _factor(c, s, u)
 
     integral = np.zeros(c.shape[0])
-    if table is not None and t > s:
-        acc = np.zeros(c.shape[0])
-        for j in range(s, t):
-            d_jt = guarded_exp(-(c[:, t] - c[:, j]))
-            acc = acc + d_jt * table[:, j] * grid.dt
-        integral = acc
+    for j in range(s, t):
+        integral = integral + _factor(c, j, t) * table[:, j] * dt
     chain_res = fv[:, t] - (d_st * fv[:, s] + integral)
 
     return ChainIdentityReport(

@@ -47,3 +47,9 @@ def mean_and_se(samples: np.ndarray) -> tuple[float, float]:
         return m, float("inf")
     var = float(samples.var(ddof=1))
     return m, (var / n) ** 0.5
+
+
+def loglog_slope(x, y) -> float:
+    """Least-squares slope of log y against log x."""
+    return float(np.polyfit(np.log(np.asarray(x, dtype=float)),
+                            np.log(np.asarray(y, dtype=float)), 1)[0])

@@ -32,7 +32,7 @@ the reported value is the version picked by the discretization.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,10 +40,10 @@ import numpy as np
 from .drift import DriftSpec, mollify
 from .girsanov import EstimatorResult, drift_along_paths, log_weights
 from .grid import PathEnsemble, SeedSpec, TimeGrid, sample_brownian
-from .localtime import (_cumulative_pieces, _law_response, _running_variation,
-                        law_derivative_table)
+from .localtime import (SpaceTimeFn, cumulative_integral,
+                        law_derivative_table, variation_path)
 from .measures import MeasureFlow, kantorovich
-from .numerics import guarded_exp, mean_and_se
+from .numerics import guarded_exp, loglog_slope, mean_and_se
 from .solver import PicardConfig, SolveResult, picard_solve
 
 
@@ -131,31 +131,8 @@ def constant_payoff(value: float = 1.0) -> Payoff:
 
 
 # ---------------------------------------------------------------------------
-# derivative of the drift through the law argument
+# bump size of the law derivative and the finite difference
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LawDerivativeEvaluator:
-    """Evaluator of d/dx b(s, y, law of X_s^x); callable as (s, y).
-
-    Bump-estimated instances hold the two common-random-number law flows at
-    x +/- h and re-evaluate the drift at the queried y, snapping s to the
-    nearest grid node. Analytic instances wrap a closed form.
-    """
-
-    provenance: str  # "bump" | "analytic"
-    _call: Callable[[float, np.ndarray], np.ndarray] = field(compare=False)
-    h: Optional[float] = None
-    grid: Optional[TimeGrid] = None
-
-    def __call__(self, s: float, y: np.ndarray) -> np.ndarray:
-        return self._call(s, y)
-
-
-def analytic_law_derivative(fn: Callable[[float, np.ndarray], np.ndarray]
-                            ) -> LawDerivativeEvaluator:
-    return LawDerivativeEvaluator(provenance="analytic", _call=fn)
-
 
 def default_bump(start: float) -> float:
     """Bump size 1e-2 (1 + |x|); balances bias and flow-noise cancellation."""
@@ -188,7 +165,6 @@ class _PathTerms:
     law_table: np.ndarray  # dxb at the left points, (N, M)
     drive: np.ndarray  # driving increments dB - b dt, (N, M)
     terminal_variation: np.ndarray  # dX_T/dx, one pairwise sum, (N,)
-    dxb_provenance: str
 
 
 class DeltaSession:
@@ -207,14 +183,15 @@ class DeltaSession:
     of any start bit for bit. The weights, cumulants, first variation and
     law-derivative table are computed once, when BEL or pathwise first asks.
 
-    `dxb` is the law-derivative evaluator BEL and pathwise use; left None it
-    is bump estimated at `law_bump` unless the drift ignores the law.
+    `dxb` is the law derivative BEL and pathwise use, any (s, y) -> array
+    callable; left None it is bump estimated at `law_bump` unless the drift
+    ignores the law.
     """
 
     def __init__(self, spec: DriftSpec, start: float, grid: TimeGrid,
                  n_paths: int, seed: SeedSpec,
                  config: PicardConfig = PicardConfig(), workers: int = 1,
-                 dxb: Optional[LawDerivativeEvaluator] = None,
+                 dxb: Optional[SpaceTimeFn] = None,
                  law_bump: Optional[float] = None):
         self.spec = spec
         self.start = start
@@ -258,11 +235,11 @@ class DeltaSession:
             self._pairs[h] = _BumpedPair(h, flow_p, flow_m, term_p, term_m)
         return self._pairs[h]
 
-    def law_derivative(self, h: Optional[float] = None
-                       ) -> LawDerivativeEvaluator:
-        """Bump-estimated dxb from the flows at x +/- h (see law_derivative)."""
+    def law_derivative(self, h: Optional[float] = None) -> SpaceTimeFn:
+        """Bump-estimated dxb from the flows at x +/- h (see law_derivative),
+        as an (s, y) -> array closure that snaps s to the nearest node."""
         pair = self._pair(h)
-        # the evaluator holds the two flows only, not the session's arrays
+        # the closure holds the two flows only, not the session's arrays
         spec, grid, h = self.spec, self.grid, pair.h
         flow_p, flow_m = pair.flow_plus, pair.flow_minus
 
@@ -273,10 +250,9 @@ class DeltaSession:
             return (spec.fn(t_k, y, flow_p[k])
                     - spec.fn(t_k, y, flow_m[k])) / (2 * h)
 
-        return LawDerivativeEvaluator(provenance="bump", _call=call, h=h,
-                                      grid=grid)
+        return call
 
-    def _law_feedback(self) -> Optional[LawDerivativeEvaluator]:
+    def _law_feedback(self) -> Optional[SpaceTimeFn]:
         if self._dxb is None and self.spec.law_lipschitz_const != 0.0:
             self._dxb = self.law_derivative(self._law_bump)
         return self._dxb
@@ -292,28 +268,17 @@ class DeltaSession:
         dt = self.grid.dt
         db = brownian.increments()
         w = guarded_exp(log_weights(fb, db, dt))
-
-        cf, cb, cc = _cumulative_pieces(fb, brownian)
-        c = cf + cb + cc
-        del cf, cb, cc
-
+        c = cumulative_integral(fb, brownian)
         # driving increments of the solution in this representation
         drive = db - fb[:, :-1] * dt
         del fb, db
 
         table = law_derivative_table(dxb, brownian)
-        exp_neg = guarded_exp(-c)
-        response = _law_response(c, table, dt)
-        del c
+        variation, at_t = variation_path(c, table, dt)
         self._terms = _PathTerms(
             weights=w, terminal=brownian.values[:, -1].copy(),
-            variation=_running_variation(exp_neg, response),
-            law_table=table, drive=drive,
-            # pairwise sum, not the last running sum: the bits differ
-            terminal_variation=exp_neg[:, -1]
-            * (1.0 + np.sum(response, axis=1)),
-            dxb_provenance=dxb.provenance if dxb is not None else "none",
-        )
+            variation=variation, law_table=table, drive=drive,
+            terminal_variation=at_t)
         return self._terms
 
     @property
@@ -345,8 +310,7 @@ class DeltaSession:
                    * np.asarray(payoff.fn(terms.terminal), dtype=float) * ito)
         est, se = mean_and_se(samples)
         meta = {"weight_mean": float(terms.weights.mean()),
-                "weight_name": weight.name, "payoff": payoff.name,
-                "dxb_provenance": terms.dxb_provenance}
+                "weight_name": weight.name, "payoff": payoff.name}
         if se_ceiling is not None and se > se_ceiling:
             meta["heavy_tail_flag"] = True
             warnings.warn(
@@ -367,8 +331,7 @@ class DeltaSession:
         return EstimatorResult(
             label="pathwise", estimate=est, stderr=se, n_paths=self.n_paths,
             seed=self.seed,
-            extra={"payoff": payoff.name,
-                   "dxb_provenance": terms.dxb_provenance},
+            extra={"payoff": payoff.name},
         )
 
     def finite_difference(self, payoff: Payoff, h: Optional[float] = None
@@ -393,7 +356,7 @@ class DeltaSession:
 def law_derivative(spec: DriftSpec, start: float, grid: TimeGrid,
                    n_paths: int, seed: SeedSpec, h: Optional[float] = None,
                    config: PicardConfig = PicardConfig(),
-                   workers: int = 1) -> LawDerivativeEvaluator:
+                   workers: int = 1) -> SpaceTimeFn:
     """Central difference of the drift through the law in the initial point.
 
     Runs picard_solve at x + h and x - h with the same seed, so both flows
@@ -411,17 +374,17 @@ def law_derivative(spec: DriftSpec, start: float, grid: TimeGrid,
 def bel_delta(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
               seed: SeedSpec, payoff: Payoff,
               weight: Optional[WeightFunctionA] = None,
-              dxb: Optional[LawDerivativeEvaluator] = None,
+              dxb: Optional[SpaceTimeFn] = None,
               law_bump: Optional[float] = None,
               config: PicardConfig = PicardConfig(),
               se_ceiling: Optional[float] = None,
               workers: int = 1) -> EstimatorResult:
     """Delta d/dx E[payoff(X_T^x)] via the integration-by-parts weight.
 
-    Needs no payoff derivative. The law-derivative evaluator is bump
-    estimated from two extra common-random-number solves unless an analytic
-    one is supplied. `weight` defaults to the uniform a = 1/T; estimates
-    must agree across admissible weights within statistical error.
+    Needs no payoff derivative. The law derivative is bump estimated from
+    two extra common-random-number solves unless one is supplied. `weight`
+    defaults to the uniform a = 1/T; estimates must agree across admissible
+    weights within statistical error.
     """
     return DeltaSession(spec, start, grid, n_paths, seed, config, workers,
                         dxb=dxb, law_bump=law_bump).bel(payoff, weight,
@@ -430,7 +393,7 @@ def bel_delta(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
 
 def pathwise_delta(spec: DriftSpec, start: float, grid: TimeGrid,
                    n_paths: int, seed: SeedSpec, payoff: Payoff,
-                   dxb: Optional[LawDerivativeEvaluator] = None,
+                   dxb: Optional[SpaceTimeFn] = None,
                    law_bump: Optional[float] = None,
                    config: PicardConfig = PicardConfig(),
                    workers: int = 1) -> EstimatorResult:
@@ -489,7 +452,7 @@ def mollified_convergence_study(spec: DriftSpec, start: float, grid: TimeGrid,
     msd, ses, w1s = [], [], []
     for n in levels:
         res = picard_solve(mollify(spec, int(n)), start, grid, n_paths, seed,
-                           config, workers=workers)
+                           config, workers=workers, brownian=base.brownian)
         gap = (res.ensemble.terminal() - x_t) ** 2
         m, se = mean_and_se(gap)
         msd.append(m)
@@ -500,8 +463,7 @@ def mollified_convergence_study(spec: DriftSpec, start: float, grid: TimeGrid,
         for j in range(len(levels) - 1)
     )
     dist = np.sqrt(np.maximum(msd, 1e-300))
-    slope = float(np.polyfit(np.log(1.0 / np.asarray(levels, dtype=float)),
-                             np.log(dist), 1)[0])
+    slope = loglog_slope(1.0 / np.asarray(levels, dtype=float), dist)
     return MollifyStudy(
         levels=tuple(int(n) for n in levels),
         mean_square_gap=tuple(msd), gap_stderr=tuple(ses),

@@ -15,13 +15,14 @@ column) is provided as an independent route to the same limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .drift import DriftSpec
 from .grid import PathEnsemble, SeedSpec, TimeGrid, sample_brownian
 from .measures import (EmpiricalMeasure, MeasureFlow, dirac, flow_distance)
+from .numerics import loglog_slope, mean_and_se
 
 # Hard abort threshold for the Euler state, relative to 1 + |x|.
 BLOWUP_FACTOR = 1e6
@@ -210,6 +211,21 @@ def direct_particle_solve(spec: DriftSpec, start: float, grid: TimeGrid,
         frozen_flow=flow, iterations=1, residual=0.0,
         residual_history=(0.0,), seed=seed, method="direct",
     )
+
+
+def se_rate_study(spec: DriftSpec, start: float, grid: TimeGrid,
+                  particle_counts: Sequence[int], seed: SeedSpec,
+                  config: PicardConfig = PicardConfig(),
+                  workers: int = 1) -> tuple[list[float], float]:
+    """Standard error of the terminal mean of one solve per particle count,
+    and the fitted log-log slope of standard error against count (about
+    -0.5)."""
+    ses = []
+    for n in particle_counts:
+        result = picard_solve(spec, start, grid, n, seed, config,
+                              workers=workers)
+        ses.append(mean_and_se(result.ensemble.terminal())[1])
+    return ses, loglog_slope(particle_counts, ses)
 
 
 @dataclass(frozen=True)

@@ -386,6 +386,29 @@ def test_oversized_run_is_refused_before_allocating(tmp_path, capsys,
     assert "convergence.rate_paths" in capsys.readouterr().err
 
 
+def test_memory_check_counts_the_brownian_block(tmp_path, capsys,
+                                                monkeypatch):
+    # two paths still draw a full BLOCK_SIZE x steps normal block: 3.3 GB
+    # at 100 000 steps, against 1 GiB of physical memory
+    import mfsde.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("command ran despite the memory check")
+
+    for command in ("simulate", "delta", "convergence"):
+        monkeypatch.setattr(cli, f"cmd_{command}", refuse)
+    pages = {"SC_PHYS_PAGES": 2**18, "SC_PAGE_SIZE": 2**12}
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    tall = deep(BASE, run__particles=2, run__steps=100_000,
+                convergence__studies=["mollify"])
+    tall["model"] = {"name": "sign"}
+    path = write_config(tmp_path, tall)
+    for command in ("simulate", "delta", "convergence"):
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "run.steps" in err and "physical memory" in err
+
+
 def test_readme_outputs_table_matches_csv_headers(tmp_path, capsys):
     readme = Path(__file__).resolve().parent.parent / "README.md"
     documented = dict(re.findall(r"^\| `(\w+\.csv)` \| `([^`]+)` \|",

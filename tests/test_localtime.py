@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mfsde import (SeedSpec, analytic_law_derivative, check_chain_identity,
-                   drift_cumulants, first_variation, local_time_integral,
-                   make_grid, malliavin_derivative, mean_field_ou,
-                   picard_solve, sample_brownian, sign_drift)
+from mfsde import (SeedSpec, check_chain_identity, drift_cumulants,
+                   first_variation, local_time_integral, make_grid,
+                   malliavin_derivative, mean_field_ou, picard_solve,
+                   sample_brownian, sign_drift)
 
 SEED = SeedSpec(1_618_033)
 
@@ -151,8 +151,7 @@ def test_first_variation_with_law_term_hits_closed_form():
     theta, kappa = 1.0, 0.5
     grid = make_grid(1.0, 400)
     result = picard_solve(mean_field_ou(theta, kappa), 1.0, grid, 1000, SEED)
-    dxb = analytic_law_derivative(
-        lambda s, y: np.full_like(y, kappa * math.exp((kappa - theta) * s)))
+    dxb = lambda s, y: np.full_like(y, kappa * math.exp((kappa - theta) * s))
     fv = first_variation(result, dxb=dxb)
     want = np.exp((kappa - theta) * grid.nodes)
     rms = float(np.sqrt(np.mean((fv - want[None, :]) ** 2)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mfsde import ExponentOverflowError, guarded_exp, mean_and_se
+from mfsde.numerics import loglog_slope
 
 
 def test_guarded_exp_matches_exp_in_range():
@@ -44,3 +45,9 @@ def test_mean_and_se_degenerate_inputs():
     m, se = mean_and_se(np.full(100, 1.25))
     assert m == 1.25
     assert se == 0.0
+
+
+def test_loglog_slope_recovers_a_power_law():
+    x = np.array([100.0, 200.0, 400.0, 800.0])
+    assert loglog_slope(x, 3.0 * x ** -0.5) == pytest.approx(-0.5, abs=1e-12)
+    assert loglog_slope([1, 2, 4], [2, 4, 8]) == pytest.approx(1.0, abs=1e-12)

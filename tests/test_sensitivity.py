@@ -6,9 +6,9 @@ import pytest
 
 import mfsde.sensitivity as sensitivity
 from mfsde import (DeltaSession, Payoff, PicardConfig, SeedSpec,
-                   analytic_law_derivative, bel_delta, call_payoff,
-                   constant_drift, constant_payoff, default_bump,
-                   expectation_square_drift, finite_difference_delta,
+                   bel_delta, call_payoff, constant_drift, constant_payoff,
+                   default_bump, doleans_weights, expectation_square_drift,
+                   finite_difference_delta, first_variation,
                    front_loaded_weight, identity_payoff, law_derivative,
                    make_grid, mean_and_se, mean_field_ou,
                    mollified_convergence_study, pathwise_delta, picard_solve,
@@ -158,7 +158,6 @@ def test_bel_heavy_tail_flag_warns():
 def test_law_derivative_vanishes_without_law_dependence():
     grid = make_grid(1.0, 50)
     ev = law_derivative(constant_drift(0.7), 0.0, grid, 2000, SEED)
-    assert ev.provenance == "bump"
     vals = ev(0.5, np.linspace(-2, 2, 9))
     assert np.max(np.abs(vals)) == 0.0
 
@@ -190,18 +189,11 @@ def test_law_derivative_matches_moment_ode_oracle():
         assert abs(got - want) <= 5e-3, s
 
 
-def test_analytic_law_derivative_wrapper():
-    ev = analytic_law_derivative(lambda s, y: 2.0 * np.ones_like(y))
-    assert ev.provenance == "analytic"
-    assert np.all(ev(0.3, np.zeros(4)) == 2.0)
-
-
 def test_bel_accepts_supplied_law_derivative():
     # supplying the exact law derivative must agree with the bump route
     theta, kappa = 1.0, 0.5
     grid = make_grid(1.0, 100)
-    exact = analytic_law_derivative(
-        lambda s, y: np.full_like(y, kappa * math.exp((kappa - theta) * s)))
+    exact = lambda s, y: np.full_like(y, kappa * math.exp((kappa - theta) * s))
     ra = bel_delta(mean_field_ou(), 1.0, grid, 10_000, SEED,
                    identity_payoff(), dxb=exact)
     rb = bel_delta(mean_field_ou(), 1.0, grid, 10_000, SEED,
@@ -259,8 +251,7 @@ def test_distinct_bumps_add_one_pair_of_solves(tmp_path, counted, capsys):
 
 
 def test_supplied_law_derivative_needs_one_solve(counted):
-    exact = analytic_law_derivative(
-        lambda s, y: np.full_like(y, 0.5 * math.exp(-0.5 * s)))
+    exact = lambda s, y: np.full_like(y, 0.5 * math.exp(-0.5 * s))
     bel_delta(mean_field_ou(), 1.0, make_grid(1.0, 20), 500, SEED,
               identity_payoff(), dxb=exact)
     assert counted == {"solves": 1, "draws": 1}
@@ -309,6 +300,21 @@ def test_session_estimators_match_one_shot_wrappers(spec, payoff):
                                              pairs[3][0].stderr)
 
 
+@pytest.mark.parametrize("spec", [mean_field_ou(), sign_drift()],
+                         ids=["ou", "sign"])
+def test_session_path_terms_are_the_localtime_and_girsanov_bits(spec):
+    # the session computes the weights and the first variation with the
+    # same functions the public one-shot routines call
+    grid = make_grid(1.0, 40)
+    n, x = 3000, 1.0
+    session = DeltaSession(spec, x, grid, n, SEED)
+    solve = picard_solve(spec, x, grid, n, SEED)
+    assert np.array_equal(session.weights,
+                          doleans_weights(spec, solve.flow, solve.brownian))
+    assert np.array_equal(session.first_variation,
+                          first_variation(solve, session.law_derivative()))
+
+
 def test_session_rejects_a_nonpositive_bump():
     session = DeltaSession(mean_field_ou(), 1.0, make_grid(1.0, 10), 100,
                            SEED)
@@ -332,6 +338,22 @@ def test_mollified_study_trend_on_irregular_model():
     # smoother drift, smaller gap at the coarsest vs finest level
     assert study.mean_square_gap[-1] <= study.mean_square_gap[0]
     assert all(w >= 0 for w in study.terminal_w1)
+
+
+def test_mollified_study_draws_the_brownian_paths_once(monkeypatch):
+    import mfsde.solver as solver
+    draws = []
+    draw = solver.sample_brownian
+
+    def counted_draw(*args, **kwargs):
+        draws.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "sample_brownian", counted_draw)
+    study = mollified_convergence_study(sign_drift(), 0.1, make_grid(1.0, 20),
+                                        500, SEED, levels=(4, 16, 64))
+    assert len(study.mean_square_gap) == 3
+    assert len(draws) == 1
 
 
 def test_mollified_study_requires_two_levels():
