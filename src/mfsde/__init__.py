@@ -3,9 +3,9 @@ drift: simulation by Picard iteration on law flows, change of measure by
 Doleans-Dade exponentials, and derivative-free sensitivities through
 local-time-space integrals."""
 
-from .drift import (DriftSpec, RegularityReport, check_regularity,
-                    constant_drift, convolution_drift, eval_drift,
-                    expectation_drift, expectation_square_drift,
+from .drift import (DriftSpec, RegularityReport, StepFunction,
+                    check_regularity, constant_drift, convolution_drift,
+                    eval_drift, expectation_drift, expectation_square_drift,
                     mean_field_ou, mollify, sign_drift, zero_drift)
 from .girsanov import (EstimatorResult, doleans_weights, drift_along_paths,
                        epsilon_moment_probe, reweighted_expectation)
@@ -38,7 +38,7 @@ __all__ = [
     "LocalTimeIntegralResult", "MeasureFlow",
     "MollifyStudy", "MomentReport", "PathEnsemble", "Payoff", "PicardConfig",
     "PicardConvergenceError", "RegularityReport", "SeedSpec", "SolveResult",
-    "TimeGrid", "WeightFunctionA",
+    "StepFunction", "TimeGrid", "WeightFunctionA",
     "bel_delta", "call_payoff", "check_chain_identity", "check_regularity",
     "constant_drift", "constant_payoff", "convolution_drift", "default_bump",
     "dirac", "direct_particle_solve", "doleans_weights", "drift_along_paths",

@@ -7,15 +7,21 @@ growth. Each spec carries declared regularity metadata (growth constant,
 sup bound of the bounded part, Lipschitz constant in the measure argument)
 which check_regularity audits by sampling; the engine trusts but verifies.
 
-Mollification smooths only the irregular bounded part by convolution with a
-compactly supported bump kernel of bandwidth 1/n, leaving the Lipschitz part
-and all declared constants untouched.
+Mollification replaces only the irregular bounded part by a discrete
+convolution with a bump kernel of bandwidth 1/n: the weighted average of its
+64 translates by the kernel nodes on (-1/n, 1/n). The Lipschitz part and all
+declared constants are untouched. A jump is thereby spread into a 64-step
+staircase on (-1/n, 1/n), not a continuous ramp. The built-in models declare
+their bounded part as a StepFunction, whose average of translates is again a
+step function (breakpoint a_i + o_j carrying jump c_i w_j), so it is
+mollified in closed form; any other bounded part is evaluated at the 64
+translates at every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +42,8 @@ class DriftSpec:
     ------
     fn : the full drift evaluator
     bounded_part, lipschitz_part : the declared decomposition b = b_hat +
-        b_tilde; both None when the drift is not decomposed
+        b_tilde; both None when the drift is not decomposed. A bounded part
+        that is a StepFunction is mollified in closed form
     growth_const : C with |b(t, y, mu)| <= C (1 + |y| + W1(mu, dirac(0)))
     bounded_sup : declared sup norm of the bounded part, None if undeclared
     law_lipschitz_const : C with |b(t,y,mu) - b(t,y,nu)| <= C W1(mu, nu)
@@ -59,6 +66,50 @@ class DriftSpec:
     @property
     def decomposed(self) -> bool:
         return self.bounded_part is not None and self.lipschitz_part is not None
+
+
+@dataclass(frozen=True)
+class StepFunction:
+    """State-only step function left + sum_i jumps[i] H(y - breakpoints[i]).
+
+    H is the Heaviside step with H(0) = 1/2, so a breakpoint takes the mean
+    of the values on either side, as sign(0) = 0 does. Called like any
+    bounded part, (t, y, mu) -> array shaped like y; t and mu are ignored.
+    The value is left + (C[lo] + C[hi]) / 2, where C is the running sum of
+    the jumps in breakpoint order (C[0] = 0) and lo / hi count the
+    breakpoints below / at or below y.
+    """
+
+    left: float
+    breakpoints: Sequence[float] = ()
+    jumps: Sequence[float] = ()
+    _sorted: np.ndarray = field(init=False, repr=False, compare=False)
+    _cumulative: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        a = np.asarray(self.breakpoints, dtype=float).ravel()
+        c = np.asarray(self.jumps, dtype=float).ravel()
+        if a.shape != c.shape:
+            raise ValueError(f"{a.size} breakpoints but {c.size} jumps")
+        left = float(self.left)
+        if not (np.isfinite(left) and np.isfinite(a).all()
+                and np.isfinite(c).all()):
+            raise ValueError("step function values must be finite")
+        order = np.argsort(a, kind="stable")
+        cumulative = np.zeros(a.size + 1)
+        np.cumsum(c[order], out=cumulative[1:])
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "breakpoints", tuple(a.tolist()))
+        object.__setattr__(self, "jumps", tuple(c.tolist()))
+        object.__setattr__(self, "_sorted", a[order])
+        object.__setattr__(self, "_cumulative", cumulative)
+
+    def __call__(self, t: float, y: np.ndarray,
+                 mu: EmpiricalMeasure) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        lo = np.searchsorted(self._sorted, y, side="left")
+        hi = np.searchsorted(self._sorted, y, side="right")
+        return self.left + 0.5 * (self._cumulative[lo] + self._cumulative[hi])
 
 
 def eval_drift(spec: DriftSpec, t: float, y: np.ndarray,
@@ -86,7 +137,7 @@ def zero_drift() -> DriftSpec:
         return np.zeros_like(y)
     return DriftSpec(
         name="zero", fn=fn, growth_const=0.0, law_lipschitz_const=0.0,
-        bounded_part=fn, lipschitz_part=fn, bounded_sup=0.0,
+        bounded_part=StepFunction(0.0), lipschitz_part=fn, bounded_sup=0.0,
     )
 
 
@@ -98,8 +149,8 @@ def constant_drift(value: float = 1.0) -> DriftSpec:
         return np.zeros_like(y)
     return DriftSpec(
         name=f"constant({value})", fn=fn, growth_const=abs(value),
-        law_lipschitz_const=0.0, bounded_part=fn, lipschitz_part=zero,
-        bounded_sup=abs(value),
+        law_lipschitz_const=0.0, bounded_part=StepFunction(value),
+        lipschitz_part=zero, bounded_sup=abs(value),
     )
 
 
@@ -111,12 +162,10 @@ def mean_field_ou(theta: float = 1.0, kappa: float = 0.5) -> DriftSpec:
     """
     def fn(t, y, mu):
         return -theta * y + kappa * mu.mean()
-    def bounded(t, y, mu):
-        return np.zeros_like(y)
     c = max(abs(theta), abs(kappa))
     return DriftSpec(
         name="mean_field_ou", fn=fn, growth_const=c,
-        law_lipschitz_const=abs(kappa), bounded_part=bounded,
+        law_lipschitz_const=abs(kappa), bounded_part=StepFunction(0.0),
         lipschitz_part=fn, bounded_sup=0.0,
     )
 
@@ -131,13 +180,11 @@ def convolution_drift() -> DriftSpec:
         cos_m = float(np.cos(mu.atoms).mean())
         sin_m = float(np.sin(mu.atoms).mean())
         return np.sin(y) * cos_m - np.cos(y) * sin_m
-    def zero(t, y, mu):
-        return np.zeros_like(y)
     return DriftSpec(
         name="convolution_sin", fn=fn, growth_const=1.0,
         # z -> sin(y - z) is 1-Lipschitz, so the law dependence is too
-        law_lipschitz_const=1.0, bounded_part=zero, lipschitz_part=fn,
-        bounded_sup=0.0,
+        law_lipschitz_const=1.0, bounded_part=StepFunction(0.0),
+        lipschitz_part=fn, bounded_sup=0.0,
     )
 
 
@@ -149,8 +196,6 @@ def sign_drift(alpha: float = 0.5, theta: float = 1.0,
     part is Lipschitz. This is the reference model with a genuine
     discontinuity in the state variable.
     """
-    def bounded(t, y, mu):
-        return alpha * np.sign(y)
     def lipschitz(t, y, mu):
         return -theta * y + kappa * mu.mean()
     def fn(t, y, mu):
@@ -158,7 +203,9 @@ def sign_drift(alpha: float = 0.5, theta: float = 1.0,
     return DriftSpec(
         name="sign_linear", fn=fn,
         growth_const=max(abs(alpha), abs(theta), abs(kappa)),
-        law_lipschitz_const=abs(kappa), bounded_part=bounded,
+        law_lipschitz_const=abs(kappa),
+        # alpha sign(y) as a step function, bit for bit
+        bounded_part=StepFunction(-alpha, (0.0,), (2.0 * alpha,)),
         lipschitz_part=lipschitz, bounded_sup=abs(alpha),
     )
 
@@ -220,10 +267,15 @@ def _bump_nodes(k: int = _MOLLIFY_NODES) -> tuple[np.ndarray, np.ndarray]:
 def mollify(spec: DriftSpec, n: int) -> DriftSpec:
     """Smooth the bounded part in y at bandwidth 1/n; keep the rest.
 
-    Returns a new spec with b_hat replaced by its convolution with the bump
-    kernel scaled to (-1/n, 1/n). Constants are unchanged: the smoothed part
-    is a convex combination of translates, so its sup norm cannot grow, and
-    the measure argument is untouched.
+    Returns a new spec with b_hat replaced by sum_j w_j b_hat(y - o_j), the
+    64-node bump kernel average with offsets o_j = nodes_j / n in
+    (-1/n, 1/n). A jump of b_hat becomes a 64-step staircase across that
+    interval. A StepFunction bounded part is averaged in closed form into
+    another StepFunction (breakpoints a_i + o_j, jumps c_i w_j; one sorted
+    lookup per call, and mollifying again composes); any other bounded part
+    is evaluated at all 64 translates per call. Constants are unchanged: the
+    smoothed part is a convex combination of translates, so its sup norm
+    cannot grow, and the measure argument is untouched.
     """
     if n < 1:
         raise ValueError(f"bandwidth parameter n must be >= 1, got {n}")
@@ -234,11 +286,19 @@ def mollify(spec: DriftSpec, n: int) -> DriftSpec:
     base_bounded = spec.bounded_part
     base_lipschitz = spec.lipschitz_part
 
-    def smoothed(t, y, mu):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        shifted = y[None, ...] - offsets.reshape((-1,) + (1,) * y.ndim)
-        vals = base_bounded(t, shifted, mu)
-        return np.tensordot(weights, vals, axes=(0, 0))
+    if isinstance(base_bounded, StepFunction):
+        # the weights sum to one, so `left` stays; breakpoint a_i + o_j
+        # carries jump c_i w_j
+        smoothed = StepFunction(
+            base_bounded.left,
+            np.add.outer(base_bounded.breakpoints, offsets).ravel(),
+            np.multiply.outer(base_bounded.jumps, weights).ravel())
+    else:
+        def smoothed(t, y, mu):
+            y = np.atleast_1d(np.asarray(y, dtype=float))
+            shifted = y[None, ...] - offsets.reshape((-1,) + (1,) * y.ndim)
+            vals = base_bounded(t, shifted, mu)
+            return np.tensordot(weights, vals, axes=(0, 0))
 
     def fn(t, y, mu):
         return smoothed(t, y, mu) + base_lipschitz(t, y, mu)

@@ -46,12 +46,6 @@ class EmpiricalMeasure:
     def mean(self) -> float:
         return float(self.atoms.mean())
 
-    def abs_moment(self, p: float) -> float:
-        """E |Z|^p under the empirical law."""
-        if p <= 0:
-            raise ValueError(f"moment order must be positive, got {p}")
-        return float((np.abs(self.atoms) ** p).mean())
-
     def expect(self, fn) -> float:
         """Integral of fn against the measure (fn vectorized over atoms)."""
         return float(np.mean(fn(self.atoms)))

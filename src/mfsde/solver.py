@@ -219,11 +219,19 @@ def se_rate_study(spec: DriftSpec, start: float, grid: TimeGrid,
                   workers: int = 1) -> tuple[list[float], float]:
     """Standard error of the terminal mean of one solve per particle count,
     and the fitted log-log slope of standard error against count (about
-    -0.5)."""
+    -0.5).
+
+    The paths are drawn once at the largest count; each solve runs on the
+    first n of them, which are the paths sample_brownian gives for n (the
+    particle blocks make every draw a prefix of a longer one)."""
+    draw = sample_brownian(grid, max(particle_counts), start, seed,
+                           workers=workers)
     ses = []
     for n in particle_counts:
+        prefix = PathEnsemble(grid=grid, values=draw.values[:n],
+                              kind="brownian", start=start, seed=seed)
         result = picard_solve(spec, start, grid, n, seed, config,
-                              workers=workers)
+                              workers=workers, brownian=prefix)
         ses.append(mean_and_se(result.ensemble.terminal())[1])
     return ses, loglog_slope(particle_counts, ses)
 

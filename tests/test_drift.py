@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mfsde import (EmpiricalMeasure, check_regularity, constant_drift,
-                   convolution_drift, dirac, eval_drift, expectation_drift,
-                   expectation_square_drift, mean_field_ou, mollify,
-                   sign_drift, zero_drift)
+from mfsde import (EmpiricalMeasure, StepFunction, check_regularity,
+                   constant_drift, convolution_drift, dirac, eval_drift,
+                   expectation_drift, expectation_square_drift,
+                   mean_field_ou, mollify, sign_drift, zero_drift)
 from mfsde.cli import parse_config
+from mfsde.drift import _bump_nodes
 
 ALL_BUILDERS = [zero_drift, lambda: constant_drift(1.0), mean_field_ou,
                 convolution_drift, sign_drift]
@@ -158,6 +159,117 @@ def test_mollify_leaves_lipschitz_part_alone():
     y = np.linspace(-2, 2, 9)
     lip, lip_smooth = spec.lipschitz_part, smooth.lipschitz_part
     assert np.allclose(lip(0.1, y, mu), lip_smooth(0.1, y, mu))
+
+
+def _heaviside_sum(left, breakpoints, jumps):
+    """Plain-lambda reference for a step function, H(0) = 1/2."""
+    return lambda t, y, mu: left + sum(
+        c * np.heaviside(y - a, 0.5) for a, c in zip(breakpoints, jumps))
+
+
+def _right_continuous(step):
+    """The step function with H(0) = 1: a breakpoint takes the right value."""
+    order = np.argsort(step.breakpoints, kind="stable")
+    a = np.asarray(step.breakpoints)[order]
+    cumulative = np.concatenate(
+        [[0.0], np.cumsum(np.asarray(step.jumps)[order])])
+    return lambda t, y, mu: (
+        step.left + cumulative[np.searchsorted(a, y, side="right")])
+
+
+TWO_STEPS = (0.2, (-0.37, 1.1), (0.8, -1.3))
+
+# (spec whose bounded part is a StepFunction, plain-lambda reference for it,
+#  |left| + sum |jumps|)
+STEP_CASES = [
+    *[(sign_drift(alpha), lambda t, y, mu, a=alpha: a * np.sign(y),
+       3.0 * alpha) for alpha in (0.3, 0.5, 1.7)],
+    (constant_drift(1.3), lambda t, y, mu: np.full_like(y, 1.3), 1.3),
+    (zero_drift(), lambda t, y, mu: np.zeros_like(y), 0.0),
+    (replace(sign_drift(), bounded_part=StepFunction(*TWO_STEPS)),
+     _heaviside_sum(*TWO_STEPS), 2.3),
+]
+
+
+def _probe_points(n, seed):
+    offsets = _bump_nodes()[0] / n
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.uniform(-3.0, 3.0, 500),
+                           rng.uniform(-2.0 / n, 2.0 / n, 500),
+                           [0.0, 1.0 / n, -1.0 / n], offsets, -offsets])
+
+
+@pytest.mark.parametrize("case", range(len(STEP_CASES)))
+def test_closed_form_mollify_matches_the_translate_sum(case):
+    spec, reference, scale = STEP_CASES[case]
+    plain = replace(spec, bounded_part=reference)
+    mu = dirac(0.0)
+    tol = 1e-14 * scale
+    for n in (1, 4, 16, 64, 256):
+        closed = mollify(spec, n).bounded_part
+        translates = mollify(plain, n).bounded_part
+        assert isinstance(closed, StepFunction)
+        assert not isinstance(translates, StepFunction)
+        y = _probe_points(n, seed=n)
+        assert np.max(np.abs(closed(0.0, y, mu) - translates(0.0, y, mu))) \
+            <= tol, (spec.name, n)
+
+
+def test_a_breakpoint_taking_the_right_value_fails_the_reference():
+    # H(0) = 1 instead of 1/2: agrees off the kernel offsets, not on them
+    alpha, n = 0.5, 16
+    plain = replace(sign_drift(alpha),
+                    bounded_part=lambda t, y, mu: alpha * np.sign(y))
+    closed = mollify(sign_drift(alpha), n).bounded_part
+    broken = _right_continuous(closed)
+    translates = mollify(plain, n).bounded_part
+    mu = dirac(0.0)
+    tol = 1e-14 * 3.0 * alpha
+    y = np.random.default_rng(0).uniform(-1.0, 1.0, 1000)
+    assert np.max(np.abs(broken(0.0, y, mu) - translates(0.0, y, mu))) <= tol
+    nodes, weights = _bump_nodes()
+    offsets = nodes / n
+    gap = np.abs(broken(0.0, offsets, mu) - translates(0.0, offsets, mu))
+    # the gap is alpha w_j; the two outermost weights are below rounding
+    visible = weights > 1e-12
+    assert visible.sum() == 62
+    assert np.all(gap[visible] > tol)
+
+
+def test_mollifying_a_step_function_twice_composes():
+    spec = replace(sign_drift(), bounded_part=StepFunction(*TWO_STEPS))
+    plain = replace(spec, bounded_part=_heaviside_sum(*TWO_STEPS))
+    closed = mollify(mollify(spec, 4), 16).bounded_part
+    assert isinstance(closed, StepFunction)
+    assert len(closed.breakpoints) == 2 * 64 * 64
+    translates = mollify(mollify(plain, 4), 16).bounded_part
+    # the reference evaluates 64 x 64 translates per point: few points
+    y = np.concatenate([np.random.default_rng(3).uniform(-2.0, 2.0, 200),
+                        _bump_nodes()[0] / 16])
+    mu = dirac(0.0)
+    assert np.max(np.abs(closed(0.0, y, mu) - translates(0.0, y, mu))) \
+        <= 1e-14 * 2.3
+
+
+def test_sign_bounded_part_is_alpha_sign_bit_for_bit():
+    y = np.concatenate([np.random.default_rng(5).normal(size=1000),
+                        [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]])
+    for alpha in (0.3, 0.5, 1.7, -0.9):
+        got = sign_drift(alpha).bounded_part(0.4, y, dirac(1.0))
+        assert np.array_equal(got, alpha * np.sign(y))
+    assert np.array_equal(constant_drift(2.5).bounded_part(0.0, y, None),
+                          np.full_like(y, 2.5))
+    assert np.array_equal(zero_drift().bounded_part(0.0, y, None),
+                          np.zeros_like(y))
+
+
+def test_step_function_rejects_bad_input():
+    with pytest.raises(ValueError):
+        StepFunction(0.0, (0.0, 1.0), (1.0,))
+    for bad in ((np.nan, (), ()), (0.0, (np.inf,), (1.0,)),
+                (0.0, (0.0,), (np.nan,)), (np.inf, (0.0,), (1.0,))):
+        with pytest.raises(ValueError):
+            StepFunction(*bad)
 
 
 def test_mollify_rejects_bad_level_and_undeclared_split():

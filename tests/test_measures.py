@@ -13,7 +13,6 @@ def test_empirical_measure_basics():
     assert np.array_equal(mu.atoms, [-1.0, 2.0, 3.0])
     assert mu.size == 3
     assert mu.mean() == pytest.approx(4.0 / 3.0)
-    assert mu.abs_moment(1.0) == pytest.approx(2.0)
     assert mu.expect(lambda z: z ** 2) == pytest.approx(14.0 / 3.0)
 
 

@@ -179,3 +179,26 @@ def test_direct_solve_result_shape():
     assert result.iterations == 1
     assert result.ensemble.values.shape == (300, 21)
     assert np.all(result.ensemble.values[:, 0] == 0.1)
+
+
+def test_se_rate_study_draws_once_and_matches_separate_solves(monkeypatch):
+    import mfsde.solver as solver
+    spec, grid, counts = sign_drift(), make_grid(1.0, 20), (100, 1000, 5000)
+    separate = [
+        mean_and_se(picard_solve(spec, 0.3, grid, n, SEED)
+                    .ensemble.terminal())[1]
+        for n in counts
+    ]
+    draws = []
+    draw = solver.sample_brownian
+
+    def counted_draw(*args, **kwargs):
+        draws.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "sample_brownian", counted_draw)
+    ses, slope = solver.se_rate_study(spec, 0.3, grid, counts, SEED)
+    assert len(draws) == 1
+    # 5000 paths span two particle blocks; each prefix is the n-path draw
+    assert ses == separate
+    assert slope == solver.loglog_slope(counts, separate)
