@@ -30,7 +30,7 @@ def main() -> None:
 
     c = sample_brownian(grid, n_paths=7000, start=0.0, seed=seed)
     print(f"growing N keeps the prefix: "
-          f"{np.array_equal(a.values, c.values[:5000])}")
+          f"{np.array_equal(a.values, c.values[:, :5000])}")
 
     d = sample_brownian(grid, n_paths=5000, start=0.0, seed=seed.child(1))
     print(f"child stream differs from parent: "
@@ -41,7 +41,7 @@ def main() -> None:
     term = a.terminal()
     print(f"E[B_T]   = {term.mean():+.4f}   (target 0, SE {1 / np.sqrt(5000):.4f})")
     print(f"E[B_T^2] = {np.mean(term ** 2):.4f}   (target {grid.horizon:.1f})")
-    qv = np.sum(a.increments() ** 2, axis=1)
+    qv = np.sum(a.increments() ** 2, axis=0)
     print(f"quadratic variation mean = {qv.mean():.4f}   (target {grid.horizon:.1f})")
 
     print()

@@ -34,7 +34,7 @@ def main() -> None:
 
     print("== closed-form checks on the Brownian ensemble ==")
     res = local_time_integral(lambda t, y: y, paths, 0, grid.steps)
-    qv = np.sum(paths.increments() ** 2, axis=1)
+    qv = np.sum(paths.increments() ** 2, axis=0)
     print(f"f(t,y)=y:   max |integral + QV| = "
           f"{np.max(np.abs(res.value + qv)):.2e}   (identity, exact)")
 
@@ -43,7 +43,7 @@ def main() -> None:
           f"   (constants integrate to zero)")
 
     smooth = local_time_integral(lambda t, y: np.sin(y), paths, 0, grid.steps)
-    oracle = -np.trapezoid(np.cos(paths.values), dx=grid.dt, axis=1)
+    oracle = -np.trapezoid(np.cos(paths.values), dx=grid.dt, axis=0)
     rms = np.sqrt(np.mean((smooth.value - oracle) ** 2))
     print(f"f(t,y)=sin: RMS against -int cos(B_u) du = {rms:.4f}"
           f"   (O(sqrt(dt)) = {np.sqrt(grid.dt):.4f})")
@@ -72,7 +72,7 @@ def main() -> None:
     dxb = lambda s, y: KAPPA * np.exp((KAPPA - THETA) * s) * np.ones_like(y)
     fv = first_variation(solved, dxb, cumulants=cum)
     exact_fv = np.exp((KAPPA - THETA) * grid.nodes[t])
-    print(f"dX_T/dx sample mean {fv[:, t].mean():.5f}, "
+    print(f"dX_T/dx sample mean {fv[t].mean():.5f}, "
           f"ODE value {exact_fv:.5f}")
 
     report = check_chain_identity(solved, s, u, t, dxb=dxb)

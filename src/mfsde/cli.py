@@ -53,16 +53,16 @@ MAX_PARTICLES = 10_000_000
 MAX_STEPS = 100_000
 MAX_SEED = 2**64 - 1
 
-# Peak resident memory of a command, counted in its largest N x (M+1)
-# float64 path array: peak ru_maxrss over that array's bytes on the
-# benchmark configs (sign model, --workers 2), rounded up. simulate
-# 50 000 x 200: 444 MB / 80.4 MB = 5.5; delta 10 000 x 200: 244 MB /
-# 16.1 MB = 15.1; convergence, whose largest array is the 4000 x 1600
-# local-time ensemble: 534 MB / 51.2 MB = 10.4. The interpreter's own
-# 34 MB is included, so the counts overstate large runs a little.
-# check_memory adds the Brownian blocks drawn at once, which these counts
-# miss when N is far below BLOCK_SIZE.
-PEAK_ARRAYS = {"simulate": 6, "delta": 16, "convergence": 11}
+# Peak resident memory of a command, counted in its largest (M+1) x N
+# float64 path array: peak ru_maxrss bytes over that array's bytes on the
+# benchmark configs (sign model, --workers 2, median of 3 runs), rounded
+# up. simulate 50 000 x 200: 466.2 MB / 80.4 MB = 5.80; delta
+# 10 000 x 200: 223.8 MB / 16.08 MB = 13.92; convergence, whose largest
+# array is the 4000 x 1600 local-time ensemble: 409.6 MB / 51.23 MB = 7.99.
+# The interpreter's own 36 MB is included, so the counts overstate large
+# runs a little. check_memory adds the Brownian blocks drawn at once,
+# which these counts miss when N is far below BLOCK_SIZE.
+PEAK_ARRAYS = {"simulate": 6, "delta": 14, "convergence": 8}
 
 
 class ConfigError(ValueError):
@@ -447,8 +447,8 @@ def cmd_simulate(cfg: RunConfig, workers: int = 1) -> int:
     node_rows = []
     for k in range(grid.steps + 1):
         node_rows.append([k, float(grid.nodes[k]),
-                          float(values[:, k].mean()),
-                          float(values[:, k].var(ddof=1)),
+                          float(values[k].mean()),
+                          float(values[k].var(ddof=1)),
                           float(qs[0, k]), float(qs[1, k]), float(qs[2, k]),
                           float(qs[3, k]), float(qs[4, k])])
     write_csv(out / "simulate_nodes.csv",

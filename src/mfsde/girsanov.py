@@ -42,7 +42,7 @@ class EstimatorResult:
 
 def drift_along_paths(spec: DriftSpec, flow: MeasureFlow,
                       paths: PathEnsemble) -> np.ndarray:
-    """b(t_k, path value, flow_k) for every path and node, shape (N, M+1)."""
+    """b(t_k, path value, flow_k) for every node and path, shape (M+1, N)."""
     out = paths.at_nodes(lambda k, t, y: spec.fn(t, y, flow[k]))
     if not np.isfinite(out).all():
         raise FloatingPointError(
@@ -54,11 +54,11 @@ def log_weights(drift_vals: np.ndarray, db: np.ndarray,
                 dt: float) -> np.ndarray:
     """Left-point exponent sum_k b_k dB_k - 1/2 sum_k b_k^2 dt per path.
 
-    drift_vals is the (N, M+1) table of drift_along_paths (its last node
-    has no increment to the right and is unused); db the (N, M) increments.
+    drift_vals is the (M+1, N) table of drift_along_paths (its last node
+    has no increment to the right and is unused); db the (M, N) increments.
     """
-    b = drift_vals[:, :-1]
-    return np.einsum("ij,ij->i", b, db) - 0.5 * dt * np.einsum("ij,ij->i", b, b)
+    b = drift_vals[:-1]
+    return np.einsum("kj,kj->j", b, db) - 0.5 * dt * np.einsum("kj,kj->j", b, b)
 
 
 def doleans_weights(spec: DriftSpec, flow: MeasureFlow,

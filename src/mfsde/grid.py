@@ -17,6 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .numerics import running_sum
+
 # Particles are generated in fixed blocks of this size; the partition is part
 # of the reproducibility contract (changing it changes the draws).
 BLOCK_SIZE = 4096
@@ -100,7 +102,8 @@ class SeedSpec:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """N discrete paths on a common grid, values shaped (N, steps + 1).
+    """N discrete paths on a common grid, values shaped (steps + 1, N):
+    row k holds every path at node k.
 
     `kind` records what the paths represent ("brownian" for x + B_t, or
     "solution" for an Euler scheme output); `start` is the common initial
@@ -115,9 +118,9 @@ class PathEnsemble:
     seed: "SeedSpec | None" = None
 
     def __post_init__(self) -> None:
-        if self.values.ndim != 2 or self.values.shape[1] != self.grid.steps + 1:
+        if self.values.ndim != 2 or self.values.shape[0] != self.grid.steps + 1:
             raise ValueError(
-                f"values must have shape (N, {self.grid.steps + 1}), "
+                f"values must have shape ({self.grid.steps + 1}, N), "
                 f"got {self.values.shape}"
             )
         if self.kind not in ("brownian", "solution"):
@@ -128,31 +131,32 @@ class PathEnsemble:
 
     @property
     def n_paths(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[1]
 
     def increments(self) -> np.ndarray:
-        """Per-step increments, shape (N, steps)."""
-        return np.diff(self.values, axis=1)
+        """Per-step increments, shape (steps, N)."""
+        return np.diff(self.values, axis=0)
 
     def terminal(self) -> np.ndarray:
-        return self.values[:, -1]
+        return self.values[-1]
 
     def at_nodes(self, fn: Callable[[int, float, np.ndarray], np.ndarray],
                  count: Optional[int] = None) -> np.ndarray:
-        """fn(k, t_k, values[:, k]) at the first `count` nodes (all by
-        default), shape (N, count); the one loop over nodes along paths."""
+        """fn(k, t_k, values[k]) at the first `count` nodes (all by
+        default), shape (count, N); the one loop over nodes along paths."""
         count = self.grid.steps + 1 if count is None else count
-        out = np.empty((self.n_paths, count))
+        out = np.empty((count, self.n_paths))
         for k in range(count):
-            out[:, k] = fn(k, float(self.grid.nodes[k]), self.values[:, k])
+            out[k] = fn(k, float(self.grid.nodes[k]), self.values[k])
         return out
 
 
-def _normal_increments(grid: TimeGrid, n_paths: int, seed: SeedSpec,
-                       workers: int = 1) -> np.ndarray:
-    """Standard normal draws, shape (n_paths, steps), from fixed blocks."""
-    steps = grid.steps
-    out = np.empty((n_paths, steps))
+def _normal_increments(out: np.ndarray, seed: SeedSpec,
+                       workers: int = 1) -> None:
+    """Fill out, shape (steps, n_paths), with standard normal draws from
+    fixed particle blocks; each block is drawn particle-major and written
+    transposed into its columns."""
+    steps, n_paths = out.shape
     n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     def fill(j: int) -> None:
@@ -161,7 +165,7 @@ def _normal_increments(grid: TimeGrid, n_paths: int, seed: SeedSpec,
         # always draw the full block shape so partial tail blocks do not
         # change the draws of a longer run sharing the same seed
         block = seed.block_generator(j).standard_normal((BLOCK_SIZE, steps))
-        out[lo:hi] = block[: hi - lo]
+        out[:, lo:hi] = block[: hi - lo].T
 
     if workers > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -169,7 +173,6 @@ def _normal_increments(grid: TimeGrid, n_paths: int, seed: SeedSpec,
     else:
         for j in range(n_blocks):
             fill(j)
-    return out
 
 
 def sample_brownian(grid: TimeGrid, n_paths: int, start: float, seed: SeedSpec,
@@ -186,15 +189,18 @@ def sample_brownian(grid: TimeGrid, n_paths: int, start: float, seed: SeedSpec,
 
     Returns
     -------
-    PathEnsemble of kind "brownian" with values[i, k] = x + B_{t_k}.
+    PathEnsemble of kind "brownian" with values[k, i] = x + B_{t_k} of
+    path i.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    dw = _normal_increments(grid, n_paths, seed, workers=workers)
+    values = np.empty((grid.steps + 1, n_paths))
+    values[0] = start
+    # the increments are drawn, scaled and summed in place in rows 1..M
+    dw = values[1:]
+    _normal_increments(dw, seed, workers=workers)
     dw *= math.sqrt(grid.dt)
-    values = np.empty((n_paths, grid.steps + 1))
-    values[:, 0] = start
-    np.cumsum(dw, axis=1, out=values[:, 1:])
-    values[:, 1:] += start
+    running_sum(dw, out=dw)
+    dw += start
     return PathEnsemble(grid=grid, values=values, kind="brownian",
                         start=start, seed=seed)

@@ -47,7 +47,7 @@ import numpy as np
 
 from .girsanov import drift_along_paths
 from .grid import PathEnsemble, SeedSpec, make_grid, sample_brownian
-from .numerics import guarded_exp, loglog_slope
+from .numerics import guarded_exp, loglog_slope, running_sum
 from .solver import SolveResult
 
 # integrands and law derivatives along paths: (time, states) -> values
@@ -75,40 +75,58 @@ def _cumulative_pieces(fvals: np.ndarray,
                                                      np.ndarray]:
     """Cumulative forward / backward / correction sums from node 0 to k.
 
-    Returns three (N, M+1) arrays cf, cb, cc with the convention that the
-    piece over [node i, node j] is c[:, j] - c[:, i]. Forward contributions
+    Returns three (M+1, N) arrays cf, cb, cc with the convention that the
+    piece over [node i, node j] is c[j] - c[i]. Forward contributions
     sit at left points k in [i, j); backward and correction contributions
     map to original nodes k' in (i, j] (left points of the reversed
     interval), where t_{k'} >= dt keeps the reversal drift finite.
+
+    Each piece's terms are formed in place in rows 1..M of its output and
+    summed there, with the bits of the plain expressions; the call holds
+    four path-sized arrays besides its inputs at any time.
     """
     grid = paths.grid
     dt = grid.dt
     v = paths.values
     x = paths.start
 
-    db = np.diff(v, axis=1)
+    db = np.diff(v, axis=0)
     cf = np.zeros_like(v)
-    np.cumsum(fvals[:, :-1] * db, axis=1, out=cf[:, 1:])
+    np.multiply(fvals[:-1], db, out=cf[1:])
+    running_sum(cf[1:], out=cf[1:])
 
     # reversal drift ratio Bh / (T - u) at original nodes 1..M
-    ratio = (v[:, 1:] - x) / grid.nodes[1:]
-    g_corr = -fvals[:, 1:] * ratio * dt
-    # reversed-path increment at node k' is v[k'-1] - v[k'] = -db[k'-1]
-    g_back = fvals[:, 1:] * (-db + ratio * dt)
-
-    cb = np.zeros_like(v)
-    np.cumsum(g_back, axis=1, out=cb[:, 1:])
+    ratio = np.subtract(v[1:], x)
+    ratio /= grid.nodes[1:, None]
+    # correction terms -f ratio dt
     cc = np.zeros_like(v)
-    np.cumsum(g_corr, axis=1, out=cc[:, 1:])
+    g_corr = np.negative(fvals[1:], out=cc[1:])
+    g_corr *= ratio
+    g_corr *= dt
+    running_sum(g_corr, out=g_corr)
+    # backward terms f dW, with dW = dBh + ratio dt the reversed-time
+    # Brownian increment; the reversed-path increment at node k' is
+    # dBh = v[k'-1] - v[k'] = -db[k'-1]
+    ratio *= dt
+    dw = np.negative(db, out=db)
+    dw += ratio
+    del ratio
+    cb = np.zeros_like(v)
+    g_back = np.multiply(fvals[1:], dw, out=cb[1:])
+    running_sum(g_back, out=g_back)
     return cf, cb, cc
 
 
 def cumulative_integral(fvals: np.ndarray, paths: PathEnsemble) -> np.ndarray:
-    """C[:, k], the local-time integral over [0, t_k] of the integrand whose
-    (N, M+1) node table is fvals; the integral over [t_s, t_t] is
-    C[:, t] - C[:, s]."""
+    """C[k], the local-time integral over [0, t_k] of the integrand whose
+    (M+1, N) node table is fvals; the integral over [t_s, t_t] is
+    C[t] - C[s]."""
     cf, cb, cc = _cumulative_pieces(fvals, paths)
-    return cf + cb + cc
+    # (cf + cb) + cc, summed in place
+    cf += cb
+    del cb
+    cf += cc
+    return cf
 
 
 def _check_nodes(paths: PathEnsemble, s: int, t: int) -> None:
@@ -138,9 +156,9 @@ def local_time_integral(f: SpaceTimeFn, paths: PathEnsemble, s: int,
     if not np.isfinite(fvals).all():
         raise FloatingPointError("integrand non-finite along paths")
     cf, cb, cc = _cumulative_pieces(fvals, paths)
-    forward = cf[:, t] - cf[:, s]
-    backward = cb[:, t] - cb[:, s]
-    correction = cc[:, t] - cc[:, s]
+    forward = cf[t] - cf[s]
+    backward = cb[t] - cb[s]
+    correction = cc[t] - cc[s]
     return LocalTimeIntegralResult(
         value=forward + backward + correction, forward=forward,
         backward=backward, correction=correction, s_node=s, t_node=t,
@@ -164,7 +182,7 @@ def localtime_rate_study(horizon: float, step_counts: Sequence[int],
         got = local_time_integral(lambda t, y: np.sin(y), paths, 0,
                                   steps).value
         # trapezoid in time of cos along each path
-        oracle = -np.trapezoid(np.cos(paths.values), dx=grid.dt, axis=1)
+        oracle = -np.trapezoid(np.cos(paths.values), dx=grid.dt, axis=0)
         dts.append(grid.dt)
         errors.append(float(np.sqrt(np.mean((got - oracle) ** 2))))
     return dts, errors, loglog_slope(dts, errors)
@@ -173,7 +191,7 @@ def localtime_rate_study(horizon: float, step_counts: Sequence[int],
 def drift_cumulants(result: SolveResult) -> np.ndarray:
     """Cumulative local-time integral of the drift along the driving paths.
 
-    C[:, k] is the integral over [0, t_k] of b(u, y, flow_u) against the
+    C[k] is the integral over [0, t_k] of b(u, y, flow_u) against the
     local time of the Brownian representation; differences of C give every
     subinterval, so the derived exponentials are exactly multiplicative.
     Heavy runs compute this once and pass it to the derivative routines.
@@ -185,7 +203,7 @@ def drift_cumulants(result: SolveResult) -> np.ndarray:
 
 def _factor(c: np.ndarray, s: int, t: int) -> np.ndarray:
     """exp(-(C_t - C_s)), the Malliavin factor D_s X_t."""
-    return guarded_exp(-(c[:, t] - c[:, s]))
+    return guarded_exp(-(c[t] - c[s]))
 
 
 def malliavin_derivative(result: SolveResult, s: int, t: int,
@@ -204,40 +222,35 @@ def malliavin_derivative(result: SolveResult, s: int, t: int,
 
 def law_derivative_table(dxb: Optional[SpaceTimeFn],
                          paths: PathEnsemble) -> np.ndarray:
-    """dxb(t_j, path value at j) at the left points j < M, shape (N, M).
+    """dxb(t_j, path value at j) at the left points j < M, shape (M, N).
 
     All zeros when dxb is None (no law feedback).
     """
     if dxb is None:
-        return np.zeros((paths.n_paths, paths.grid.steps))
+        return np.zeros((paths.grid.steps, paths.n_paths))
     return paths.at_nodes(lambda k, t, y: dxb(t, y), count=paths.grid.steps)
 
 
 def variation_path(c: np.ndarray, table: np.ndarray,
-                   dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """dX/dx at every node, (N, M+1), and at T, (N,), by variation of
-    constants from the cumulants C and the law-derivative table.
-
-    The value at T sums the response pairwise (np.sum), not as the last
-    running sum: the bits differ, and the pathwise delta reads this one.
-    """
+                   dt: float) -> np.ndarray:
+    """dX/dx at every node, (M+1, N), by variation of constants from the
+    cumulants C and the law-derivative table; row M is dX_T/dx."""
     exp_neg = guarded_exp(-c)
-    response = guarded_exp(c[:, :-1]) * table * dt
-    at_t = exp_neg[:, -1] * (1.0 + np.sum(response, axis=1))
+    response = guarded_exp(c[:-1]) * table * dt
     running = np.zeros_like(exp_neg)
-    np.cumsum(response, axis=1, out=running[:, 1:])
+    running_sum(response, out=running[1:])
     del response
     # exp(-C_k) (1 + sum_{j < k} response_j) in place, sparing a path-sized
     # temporary; + and * commute, so the bits are those of the expression
     running += 1.0
     running *= exp_neg
-    return running, at_t
+    return running
 
 
 def first_variation(result: SolveResult,
                     dxb: Optional[SpaceTimeFn] = None,
                     cumulants: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-particle first-variation path d/dx X_{t_k}, shape (N, M+1).
+    """Per-particle first-variation path d/dx X_{t_k}, shape (M+1, N).
 
     Variation-of-constants form: the derivative of the flow map is the
     Malliavin factor from 0 plus the accumulated response to the derivative
@@ -251,7 +264,7 @@ def first_variation(result: SolveResult,
     """
     c = drift_cumulants(result) if cumulants is None else cumulants
     table = law_derivative_table(dxb, result.brownian)
-    return variation_path(c, table, result.brownian.grid.dt)[0]
+    return variation_path(c, table, result.brownian.grid.dt)
 
 
 @dataclass(frozen=True)
@@ -284,15 +297,15 @@ def check_chain_identity(result: SolveResult, s: int, u: int, t: int,
     dt = result.brownian.grid.dt
     c = drift_cumulants(result)
     table = law_derivative_table(dxb, result.brownian)
-    fv = variation_path(c, table, dt)[0]
+    fv = variation_path(c, table, dt)
 
     d_st = _factor(c, s, t)
     cocycle_res = d_st - _factor(c, u, t) * _factor(c, s, u)
 
-    integral = np.zeros(c.shape[0])
+    integral = np.zeros(c.shape[1])
     for j in range(s, t):
-        integral = integral + _factor(c, j, t) * table[:, j] * dt
-    chain_res = fv[:, t] - (d_st * fv[:, s] + integral)
+        integral = integral + _factor(c, j, t) * table[j] * dt
+    chain_res = fv[t] - (d_st * fv[s] + integral)
 
     return ChainIdentityReport(
         s_node=s, u_node=u, t_node=t,
@@ -300,5 +313,5 @@ def check_chain_identity(result: SolveResult, s: int, u: int, t: int,
         chain_max=float(np.max(np.abs(chain_res))),
         cocycle_rms=float(np.sqrt(np.mean(cocycle_res ** 2))),
         cocycle_max=float(np.max(np.abs(cocycle_res))),
-        n_paths=c.shape[0],
+        n_paths=c.shape[1],
     )

@@ -60,7 +60,7 @@ def empirical_from_column(ensemble: PathEnsemble, node: int) -> EmpiricalMeasure
     """Empirical law of the ensemble at grid node k."""
     if not (0 <= node <= ensemble.grid.steps):
         raise ValueError(f"node {node} outside 0..{ensemble.grid.steps}")
-    return EmpiricalMeasure(ensemble.values[:, node].copy())
+    return EmpiricalMeasure(ensemble.values[node].copy())
 
 
 def _w1_sorted(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -119,10 +119,10 @@ class MeasureFlow:
     def from_ensemble(ensemble: PathEnsemble) -> "MeasureFlow":
         """Empirical law of the ensemble at every node.
 
-        One time-major copy of the paths, sorted in place along rows; row k
-        equals np.sort(ensemble.values[:, k]).
+        One copy of the paths, sorted in place along rows; row k equals
+        np.sort(ensemble.values[k]).
         """
-        atoms = ensemble.values.T.copy()
+        atoms = ensemble.values.copy()
         atoms.sort(axis=1)
         return MeasureFlow(grid=ensemble.grid, atoms=atoms)
 

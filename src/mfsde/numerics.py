@@ -34,6 +34,20 @@ def guarded_exp(exponents: np.ndarray) -> np.ndarray:
     return np.exp(exponents)
 
 
+def running_sum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Running sums over the rows of a time-major table into out (same
+    shape; may be x itself): out[k] = x[0] + ... + x[k], added in order.
+
+    Every column gets the bits np.cumsum gives along it. np.cumsum(axis=0)
+    would too, but it runs a strided inner loop that is several times
+    slower on path-sized tables than adding whole rows.
+    """
+    out[0] = x[0]
+    for k in range(1, x.shape[0]):
+        np.add(out[k - 1], x[k], out=out[k])
+    return out
+
+
 def mean_and_se(samples: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error.
 

@@ -161,10 +161,9 @@ class _PathTerms:
 
     weights: np.ndarray  # Girsanov weights, (N,)
     terminal: np.ndarray  # Brownian values at T, (N,)
-    variation: np.ndarray  # dX/dx at every node, running sums, (N, M+1)
-    law_table: np.ndarray  # dxb at the left points, (N, M)
-    drive: np.ndarray  # driving increments dB - b dt, (N, M)
-    terminal_variation: np.ndarray  # dX_T/dx, one pairwise sum, (N,)
+    variation: np.ndarray  # dX/dx at every node, (M+1, N); row M at T
+    law_table: np.ndarray  # dxb at the left points, (M, N)
+    drive: np.ndarray  # driving increments dB - b dt, (M, N)
 
 
 class DeltaSession:
@@ -270,15 +269,14 @@ class DeltaSession:
         w = guarded_exp(log_weights(fb, db, dt))
         c = cumulative_integral(fb, brownian)
         # driving increments of the solution in this representation
-        drive = db - fb[:, :-1] * dt
+        drive = db - fb[:-1] * dt
         del fb, db
 
         table = law_derivative_table(dxb, brownian)
-        variation, at_t = variation_path(c, table, dt)
         self._terms = _PathTerms(
-            weights=w, terminal=brownian.values[:, -1].copy(),
-            variation=variation, law_table=table, drive=drive,
-            terminal_variation=at_t)
+            weights=w, terminal=brownian.terminal().copy(),
+            variation=variation_path(c, table, dt), law_table=table,
+            drive=drive)
         return self._terms
 
     @property
@@ -288,7 +286,7 @@ class DeltaSession:
 
     @property
     def first_variation(self) -> np.ndarray:
-        """dX_{t_k}/dx along the driving paths, shape (N, M+1)."""
+        """dX_{t_k}/dx along the driving paths, shape (M+1, N)."""
         return self._path_terms().variation
 
     # -- estimators --------------------------------------------------------
@@ -303,9 +301,9 @@ class DeltaSession:
         nodes = self.grid.nodes[:-1]
         a_vals = np.asarray(weight.fn(nodes), dtype=float)
         big_a = np.asarray(weight.integral(nodes), dtype=float)
-        integrand = (a_vals[None, :] * terms.variation[:, :-1]
-                     + terms.law_table * big_a[None, :])
-        ito = np.einsum("ij,ij->i", integrand, terms.drive)
+        integrand = (a_vals[:, None] * terms.variation[:-1]
+                     + terms.law_table * big_a[:, None])
+        ito = np.einsum("kj,kj->j", integrand, terms.drive)
         samples = (terms.weights
                    * np.asarray(payoff.fn(terms.terminal), dtype=float) * ito)
         est, se = mean_and_se(samples)
@@ -327,7 +325,7 @@ class DeltaSession:
             raise ValueError(f"payoff '{payoff.name}' has no derivative")
         terms = self._path_terms()
         dphi = np.asarray(payoff.derivative(terms.terminal), dtype=float)
-        est, se = mean_and_se(terms.weights * dphi * terms.terminal_variation)
+        est, se = mean_and_se(terms.weights * dphi * terms.variation[-1])
         return EstimatorResult(
             label="pathwise", estimate=est, stderr=se, n_paths=self.n_paths,
             seed=self.seed,

@@ -8,12 +8,13 @@ so successive flows differ by the scheme's deterministic response to the
 flow update rather than by fresh sampling noise, and the iteration can reach
 tolerances well below the single-run statistical error.
 
-A direct interacting-particle scheme (each step reads the live empirical
-column) is provided as an independent route to the same limit.
+A direct interacting-particle scheme (each step reads the empirical law of
+the live states) is provided as an independent route to the same limit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -94,27 +95,34 @@ class SolveResult:
 
 def _euler_values(spec: DriftSpec, flow: Optional[MeasureFlow],
                   brownian: PathEnsemble, live_law: bool) -> np.ndarray:
-    """Shared Euler loop; flow is ignored when live_law is set."""
+    """Shared Euler loop writing row k + 1 from row k; flow is ignored when
+    live_law is set."""
     grid = brownian.grid
     dt = grid.dt
-    n = brownian.n_paths
     x = brownian.start
     limit = BLOWUP_FACTOR * (1.0 + abs(x))
-    db = brownian.increments()
-    values = np.empty_like(brownian.values)
-    values[:, 0] = x
-    state = values[:, 0].copy()
+    bv = brownian.values
+    values = np.empty_like(bv)
+    values[0] = x
+    state = values[0]
     for k in range(grid.steps):
         if live_law:
             mu = EmpiricalMeasure(state.copy())
         else:
             mu = flow[k]
         b = spec.fn(float(grid.nodes[k]), state, mu)
-        state = state + b * dt + db[:, k]
-        worst = float(np.max(np.abs(state))) if np.isfinite(state).all() else np.inf
+        # dB_k = bv[k + 1] - bv[k] has the bits of np.diff, and since
+        # addition commutes, dB_k + (state + b dt) has those of
+        # state + b dt + dB_k
+        row = np.subtract(bv[k + 1], bv[k], out=values[k + 1])
+        row += state + b * dt
+        state = row
+        # NaN or inf when a state is non-finite, and both fail the test
+        worst = float(np.abs(state).max())
         if not worst < limit:
-            raise BlowUpError(step=k + 1, worst=worst, limit=limit)
-        values[:, k + 1] = state
+            raise BlowUpError(step=k + 1,
+                              worst=math.inf if math.isnan(worst) else worst,
+                              limit=limit)
     return values
 
 
@@ -195,7 +203,7 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
 def direct_particle_solve(spec: DriftSpec, start: float, grid: TimeGrid,
                           n_paths: int, seed: SeedSpec,
                           workers: int = 1) -> SolveResult:
-    """Interacting-particle scheme: the law is the live empirical column.
+    """Interacting-particle scheme: the law is that of the live states.
 
     Single Euler pass where step k reads the empirical measure of the
     current states. Same driving noise as picard_solve for equal seeds, so
@@ -228,7 +236,7 @@ def se_rate_study(spec: DriftSpec, start: float, grid: TimeGrid,
                            workers=workers)
     ses = []
     for n in particle_counts:
-        prefix = PathEnsemble(grid=grid, values=draw.values[:n],
+        prefix = PathEnsemble(grid=grid, values=draw.values[:, :n],
                               kind="brownian", start=start, seed=seed)
         result = picard_solve(spec, start, grid, n, seed, config,
                               workers=workers, brownian=prefix)
@@ -249,8 +257,8 @@ class MomentReport:
 
 
 def _sup_abs(v: np.ndarray) -> np.ndarray:
-    """max_k |v[:, k]| per row without an |v| temporary (exactly equal)."""
-    return np.maximum(v.max(axis=1), -v.min(axis=1))
+    """max_k |v[k]| per path without an |v| temporary (exactly equal)."""
+    return np.maximum(v.max(axis=0), -v.min(axis=0))
 
 
 def moment_diagnostics(result: SolveResult, orders: tuple[float, ...] = (2.0,),
@@ -270,11 +278,11 @@ def moment_diagnostics(result: SolveResult, orders: tuple[float, ...] = (2.0,),
     # each order is raised in place in one scratch array, so the audit
     # adds one path array to the peak, not three
     buf = np.empty_like(values)
-    node_moments = np.empty((len(orders), values.shape[1]))
+    node_moments = np.empty((len(orders), values.shape[0]))
     for i, p in enumerate(orders):
         np.abs(values, out=buf)
         np.power(buf, p, out=buf)
-        node_moments[i] = buf.mean(axis=0)
+        node_moments[i] = buf.mean(axis=1)
     del buf
     max_moments = tuple(float(m.max()) for m in node_moments)
 

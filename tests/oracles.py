@@ -3,7 +3,9 @@
 Everything here is computed by a route that shares no code with the
 package: brute-force ODE integration, closed-form Gaussian moment
 identities, and the dual (Lipschitz-witness) characterization of the
-Kantorovich distance. Tests compare package output against these.
+Kantorovich distance. Tests compare package output against these. The
+particle-major layout reference at the end is the exception: it shares the
+Philox blocks and the drift evaluators with the package.
 """
 
 from __future__ import annotations
@@ -120,3 +122,88 @@ def mollified_sign_l1_gap(smoothed, alpha: float, n: int,
     dz = z[1] - z[0]
     diff = np.abs(smoothed(mid) - alpha * np.sign(mid))
     return float(np.sum(diff) * dz)
+
+
+# ---------------------------------------------------------------------------
+# particle-major path layout: paths shaped (N, M+1), one row per path
+# ---------------------------------------------------------------------------
+#
+# The package stores paths time-major, (M+1, N). These are the routines of
+# the earlier particle-major layout, kept as a test-only reference: the
+# time-major arrays must be their transposes bit for bit.
+
+def particle_major_brownian(grid, n_paths: int, start: float, seed,
+                            block_size: int) -> np.ndarray:
+    """x + B_{t_k} at [i, k]: each Philox block drawn particle-major into
+    its rows, scaled, and summed along the paths with np.cumsum."""
+    steps = grid.steps
+    dw = np.empty((n_paths, steps))
+    n_blocks = (n_paths + block_size - 1) // block_size
+    for j in range(n_blocks):
+        lo = j * block_size
+        hi = min(lo + block_size, n_paths)
+        block = seed.block_generator(j).standard_normal((block_size, steps))
+        dw[lo:hi] = block[: hi - lo]
+    dw *= math.sqrt(grid.dt)
+    values = np.empty((n_paths, grid.steps + 1))
+    values[:, 0] = start
+    np.cumsum(dw, axis=1, out=values[:, 1:])
+    values[:, 1:] += start
+    return values
+
+
+def particle_major_euler(spec, flow, brownian_values: np.ndarray, grid,
+                         start: float) -> np.ndarray:
+    """Euler under the frozen flow, one strided column per step:
+    X_{k+1} = X_k + b(t_k, X_k, flow_k) dt + dB_k."""
+    dt = grid.dt
+    x = start
+    db = np.diff(brownian_values, axis=1)
+    values = np.empty_like(brownian_values)
+    values[:, 0] = x
+    state = values[:, 0].copy()
+    for k in range(grid.steps):
+        mu = flow[k]
+        b = spec.fn(float(grid.nodes[k]), state, mu)
+        state = state + b * dt + db[:, k]
+        values[:, k + 1] = state
+    return values
+
+
+def particle_major_cumulative_pieces(fvals: np.ndarray, v: np.ndarray,
+                                     start: float, grid
+                                     ) -> tuple[np.ndarray, np.ndarray,
+                                                np.ndarray]:
+    """Forward, backward and correction local-time sums from node 0 to k
+    along Brownian paths v, each (N, M+1), by np.cumsum along the paths."""
+    dt = grid.dt
+    x = start
+
+    db = np.diff(v, axis=1)
+    cf = np.zeros_like(v)
+    np.cumsum(fvals[:, :-1] * db, axis=1, out=cf[:, 1:])
+
+    # reversal drift ratio Bh / (T - u) at original nodes 1..M
+    ratio = (v[:, 1:] - x) / grid.nodes[1:]
+    g_corr = -fvals[:, 1:] * ratio * dt
+    # reversed-path increment at node k' is v[k'-1] - v[k'] = -db[k'-1]
+    g_back = fvals[:, 1:] * (-db + ratio * dt)
+
+    cb = np.zeros_like(v)
+    np.cumsum(g_back, axis=1, out=cb[:, 1:])
+    cc = np.zeros_like(v)
+    np.cumsum(g_corr, axis=1, out=cc[:, 1:])
+    return cf, cb, cc
+
+
+def particle_major_variation(c: np.ndarray, table: np.ndarray,
+                             dt: float) -> np.ndarray:
+    """dX/dx at every node, (N, M+1), from the cumulants C and the (N, M)
+    law-derivative table by variation of constants."""
+    exp_neg = np.exp(-c)
+    response = np.exp(c[:, :-1]) * table * dt
+    running = np.zeros_like(exp_neg)
+    np.cumsum(response, axis=1, out=running[:, 1:])
+    running += 1.0
+    running *= exp_neg
+    return running

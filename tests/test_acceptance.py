@@ -129,7 +129,7 @@ def test_criterion_04_local_time_rate(report):
         grid = make_grid(1.0, steps)
         paths = sample_brownian(grid, 1000, 0.0, PIN)
         got = local_time_integral(lambda t, y: np.sin(y), paths, 0, steps)
-        oracle = -np.trapezoid(np.cos(paths.values), dx=grid.dt, axis=1)
+        oracle = -np.trapezoid(np.cos(paths.values), dx=grid.dt, axis=0)
         errors.append(float(np.sqrt(np.mean((got.value - oracle) ** 2))))
         dts.append(grid.dt)
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
@@ -183,15 +183,15 @@ def test_first_variation_against_crn_difference(report):
     minus = picard_solve(spec, 1.0 - h, grid, n, PIN)
     lines, ok = [], True
     for k in (50, 100, 150, 200):
-        crn, crn_se = mean_and_se((plus.ensemble.values[:, k]
-                                   - minus.ensemble.values[:, k]) / (2 * h))
-        got, se = mean_and_se(session.weights * session.first_variation[:, k])
+        crn, crn_se = mean_and_se((plus.ensemble.values[k]
+                                   - minus.ensemble.values[k]) / (2 * h))
+        got, se = mean_and_se(session.weights * session.first_variation[k])
         gap, tol = abs(got - crn), 3 * (se + crn_se) + h * h
         ok = ok and gap <= tol
         lines.append(f"t={grid.nodes[k]:g} gap {gap:.4f} <= {tol:.4f}")
     bare_run = picard_solve(spec, 1.0, grid, n, PIN)
     bare, bare_se = mean_and_se(session.weights
-                                * first_variation(bare_run, dxb=None)[:, 200])
+                                * first_variation(bare_run, dxb=None)[200])
     bare_gap, bare_tol = abs(bare - crn), 3 * (bare_se + crn_se) + h * h
     rejects = bare_gap > bare_tol
     report(f"criterion 06b {'PASS' if ok and rejects else 'FAIL'}  "

@@ -25,7 +25,7 @@ def test_weights_for_constant_drift_match_closed_form():
     c = 0.8
     grid, paths, flow = constant_setup(c)
     w = doleans_weights(constant_drift(c), flow, paths)
-    want = np.exp(c * (paths.terminal() - paths.values[:, 0])
+    want = np.exp(c * (paths.terminal() - paths.values[0])
                   - 0.5 * c * c * grid.horizon)
     assert w.shape == (paths.n_paths,)
     assert np.allclose(w, want, rtol=1e-12)

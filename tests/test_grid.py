@@ -83,19 +83,19 @@ def test_brownian_prefix_stable_when_growing_n():
     grid = make_grid(1.0, 10)
     small = sample_brownian(grid, 3000, 0.0, SeedSpec(3))
     big = sample_brownian(grid, 2 * BLOCK_SIZE + 100, 0.0, SeedSpec(3))
-    assert np.array_equal(big.values[:3000], small.values)
+    assert np.array_equal(big.values[:, :3000], small.values)
 
 
 def test_brownian_statistics():
     grid = make_grid(1.0, 50)
     paths = sample_brownian(grid, 20_000, 0.0, SeedSpec(2024))
     inc = paths.increments()
-    assert inc.shape == (20_000, 50)
+    assert inc.shape == (50, 20_000)
     # increment mean 0 and variance dt, loose 4-sigma style bounds
     assert abs(inc.mean()) < 4.0 / np.sqrt(inc.size)
     assert inc.var() == pytest.approx(grid.dt, rel=0.02)
     # quadratic variation concentrates at the horizon
-    qv = (inc ** 2).sum(axis=1)
+    qv = (inc ** 2).sum(axis=0)
     assert qv.mean() == pytest.approx(1.0, rel=0.01)
     # terminal law is N(start, T)
     xt = paths.terminal()
@@ -106,7 +106,7 @@ def test_brownian_statistics():
 def test_brownian_start_offset():
     grid = make_grid(1.0, 5)
     paths = sample_brownian(grid, 10, -2.5, SeedSpec(0))
-    assert np.all(paths.values[:, 0] == -2.5)
+    assert np.all(paths.values[0] == -2.5)
     assert paths.start == -2.5
     assert paths.kind == "brownian"
     assert paths.n_paths == 10
@@ -114,13 +114,13 @@ def test_brownian_start_offset():
 
 def test_path_ensemble_validation():
     grid = make_grid(1.0, 4)
-    good = np.zeros((3, 5))
+    good = np.zeros((5, 3))
     with pytest.raises(ValueError):
-        PathEnsemble(grid, np.zeros((3, 4)), "brownian", 0.0)
+        PathEnsemble(grid, np.zeros((4, 3)), "brownian", 0.0)
     with pytest.raises(ValueError):
         PathEnsemble(grid, good, "weird", 0.0)
     bad = good.copy()
-    bad[1, 2] = np.nan
+    bad[2, 1] = np.nan
     with pytest.raises(ValueError):
         PathEnsemble(grid, bad, "brownian", 0.0)
 
@@ -136,7 +136,7 @@ def test_at_nodes_evaluates_each_node_column():
     grid = make_grid(1.0, 6)
     paths = sample_brownian(grid, 7, 0.5, SeedSpec(3))
     table = paths.at_nodes(lambda k, t, y: k + t * y)
-    want = np.arange(7)[None, :] + grid.nodes[None, :] * paths.values
+    want = np.arange(7)[:, None] + grid.nodes[:, None] * paths.values
     assert table.shape == (7, 7)
     assert np.array_equal(table, want)
-    assert paths.at_nodes(lambda k, t, y: y, count=3).shape == (7, 3)
+    assert paths.at_nodes(lambda k, t, y: y, count=3).shape == (3, 7)

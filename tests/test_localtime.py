@@ -37,8 +37,8 @@ def test_linear_integrand_equals_negative_quadratic_variation():
     paths = brownian(steps=200)
     s, t = 50, 150
     r = local_time_integral(lambda u, y: y, paths, s, t)
-    db = np.diff(paths.values[:, s:t + 1], axis=1)
-    assert np.allclose(r.value, -(db ** 2).sum(axis=1), atol=1e-12)
+    db = np.diff(paths.values[s:t + 1], axis=0)
+    assert np.allclose(r.value, -(db ** 2).sum(axis=0), atol=1e-12)
     window = (t - s) * paths.grid.dt
     rms_err = float(np.sqrt(np.mean((r.value + window) ** 2)))
     predicted = math.sqrt(2.0 * paths.grid.dt * window)
@@ -69,7 +69,7 @@ def test_smooth_oracle_for_sin_integrand():
     # for smooth f the local-time integral equals -int d/dy f(u, B_u) du
     paths = brownian(steps=400, n=1000)
     r = local_time_integral(lambda t, y: np.sin(y), paths, 0, 400)
-    oracle = -np.trapezoid(np.cos(paths.values), dx=paths.grid.dt, axis=1)
+    oracle = -np.trapezoid(np.cos(paths.values), dx=paths.grid.dt, axis=0)
     rms = float(np.sqrt(np.mean((r.value - oracle) ** 2)))
     assert rms < 3.0 * math.sqrt(paths.grid.dt)
 
@@ -80,7 +80,7 @@ def test_smooth_oracle_error_decays_at_half_order():
         grid = make_grid(1.0, steps)
         paths = sample_brownian(grid, 1000, 0.0, SEED)
         r = local_time_integral(lambda t, y: np.sin(y), paths, 0, steps)
-        oracle = -np.trapezoid(np.cos(paths.values), dx=grid.dt, axis=1)
+        oracle = -np.trapezoid(np.cos(paths.values), dx=grid.dt, axis=0)
         errors.append(float(np.sqrt(np.mean((r.value - oracle) ** 2))))
         dts.append(grid.dt)
     slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
@@ -140,7 +140,7 @@ def test_first_variation_without_law_term():
                           1000, SEED)
     fv = first_variation(result)
     want = np.exp(-theta * grid.nodes)
-    rms = float(np.sqrt(np.mean((fv - want[None, :]) ** 2)))
+    rms = float(np.sqrt(np.mean((fv - want[:, None]) ** 2)))
     assert rms <= 2.0 * math.sqrt(grid.dt)
 
 
@@ -154,7 +154,7 @@ def test_first_variation_with_law_term_hits_closed_form():
     dxb = lambda s, y: np.full_like(y, kappa * math.exp((kappa - theta) * s))
     fv = first_variation(result, dxb=dxb)
     want = np.exp((kappa - theta) * grid.nodes)
-    rms = float(np.sqrt(np.mean((fv - want[None, :]) ** 2)))
+    rms = float(np.sqrt(np.mean((fv - want[:, None]) ** 2)))
     assert rms <= 2.0 * math.sqrt(grid.dt)
 
 

@@ -96,7 +96,7 @@ def test_measure_flow_from_ensemble():
     # every row is the sorted column of the ensemble, bit for bit
     for k in range(7):
         assert (flow.atoms[k].view(np.int64)
-                == np.sort(paths.values[:, k]).view(np.int64)).all()
+                == np.sort(paths.values[k]).view(np.int64)).all()
     assert np.array_equal(flow.means(),
                           [flow[k].mean() for k in range(7)])
     mu3 = empirical_from_column(paths, 3)

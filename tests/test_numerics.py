@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfsde import ExponentOverflowError, guarded_exp, mean_and_se
-from mfsde.numerics import loglog_slope
+from mfsde.numerics import loglog_slope, running_sum
 
 
 def test_guarded_exp_matches_exp_in_range():
@@ -51,3 +51,30 @@ def test_loglog_slope_recovers_a_power_law():
     x = np.array([100.0, 200.0, 400.0, 800.0])
     assert loglog_slope(x, 3.0 * x ** -0.5) == pytest.approx(-0.5, abs=1e-12)
     assert loglog_slope([1, 2, 4], [2, 4, 8]) == pytest.approx(1.0, abs=1e-12)
+
+
+def cumsum_along_paths(x):
+    """np.cumsum along each path of a time-major table, via the transpose."""
+    return np.cumsum(x.T, axis=1).T
+
+
+@pytest.mark.parametrize("steps, n", [(1, 9), (40, 1), (40, 9)],
+                         ids=["one-step", "one-path", "many"])
+def test_running_sum_has_the_bits_of_cumsum_along_paths(steps, n):
+    x = np.random.default_rng(5).standard_normal((steps, n))
+    want = cumsum_along_paths(x)
+    got = running_sum(x, out=np.empty_like(x))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # in place, as sample_brownian sums its increments
+    running_sum(x, out=x)
+    assert np.array_equal(x.view(np.int64), want.view(np.int64))
+
+
+def test_running_sum_of_a_column_prefix_view():
+    # se_rate_study solves on the first n paths, draw.values[:, :n]
+    x = np.random.default_rng(6).standard_normal((30, 50))[:, :17]
+    assert not x.flags.c_contiguous
+    out = np.empty(x.shape)
+    running_sum(x, out=out)
+    want = cumsum_along_paths(x)
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))

@@ -28,7 +28,7 @@ def test_constant_drift_shifts_paths_exactly():
     grid = make_grid(1.0, 25)
     c = 0.8
     result = picard_solve(constant_drift(c), 0.0, grid, 128, SEED)
-    want = result.brownian.values + c * grid.nodes[None, :]
+    want = result.brownian.values + c * grid.nodes[:, None]
     assert np.allclose(result.ensemble.values, want, atol=1e-12)
 
 
@@ -39,8 +39,8 @@ def test_direct_solve_mean_follows_exact_affine_recursion():
     grid = make_grid(1.0, 30)
     result = direct_particle_solve(mean_field_ou(theta, kappa), 1.0, grid,
                                    512, SEED)
-    means = result.ensemble.values.mean(axis=0)
-    db = np.diff(result.brownian.values, axis=1).mean(axis=0)
+    means = result.ensemble.values.mean(axis=1)
+    db = np.diff(result.brownian.values, axis=0).mean(axis=1)
     expected = np.empty(31)
     expected[0] = 1.0
     for k in range(30):
@@ -55,7 +55,7 @@ def test_picard_matches_ode_oracle_mean_curve():
                           SEED)
     values = result.ensemble.values
     for k in (25, 50, 75, 100):
-        m, se = mean_and_se(values[:, k])
+        m, se = mean_and_se(values[k])
         oracle = ou_mean_ode(theta, kappa, 1.0, grid.nodes[k])
         # 3 SE for the noise plus a first-order-in-dt discretization slack
         assert abs(m - oracle) <= 3 * se + 2.0 * grid.dt, f"node {k}"
@@ -85,7 +85,7 @@ def test_euler_reuses_supplied_brownian():
     flow = MeasureFlow.constant(grid, dirac(0.0))
     out = euler_under_flow(constant_drift(1.0), flow, 0.0, grid, 100, SEED,
                            brownian=paths)
-    assert np.allclose(out.values, paths.values + grid.nodes[None, :])
+    assert np.allclose(out.values, paths.values + grid.nodes[:, None])
 
 
 def test_picard_reuses_supplied_brownian_and_rejects_a_mismatch():
@@ -148,6 +148,21 @@ def test_blow_up_raises_with_step_context():
     assert err.value.step > 0
 
 
+def test_non_finite_state_is_reported_as_an_infinite_blow_up():
+    # the drift is NaN from node 2, so the state first leaves the finite
+    # numbers at step 3
+    grid = make_grid(1.0, 10)
+    poisoned = expectation_drift(
+        bbar=lambda t, y, v: np.full_like(y, np.nan if t > 0.15 else 0.0),
+        functional=lambda z: z, growth_const=1.0, law_lipschitz_const=0.0,
+        name="poisoned")
+    flow = MeasureFlow.constant(grid, dirac(0.0))
+    with pytest.raises(BlowUpError) as err:
+        euler_under_flow(poisoned, flow, 0.0, grid, 50, SEED)
+    assert err.value.step == 3
+    assert err.value.worst == math.inf
+
+
 def test_moment_diagnostics_envelope():
     grid = make_grid(1.0, 50)
     result = picard_solve(mean_field_ou(), 1.0, grid, 5000, SEED)
@@ -177,8 +192,8 @@ def test_direct_solve_result_shape():
     result = direct_particle_solve(sign_drift(), 0.1, grid, 300, SEED)
     assert result.method == "direct"
     assert result.iterations == 1
-    assert result.ensemble.values.shape == (300, 21)
-    assert np.all(result.ensemble.values[:, 0] == 0.1)
+    assert result.ensemble.values.shape == (21, 300)
+    assert np.all(result.ensemble.values[0] == 0.1)
 
 
 def test_se_rate_study_draws_once_and_matches_separate_solves(monkeypatch):
