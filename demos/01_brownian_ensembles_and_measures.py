@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from mfsde import (SeedSpec, dirac, empirical_from_column, flow_distance,
-                   kantorovich, make_grid, sample_brownian)
+from mfsde import (SeedSpec, dirac, flow_distance, kantorovich, make_grid,
+                   sample_brownian)
 from mfsde.measures import EmpiricalMeasure, MeasureFlow
 
 
@@ -60,8 +60,8 @@ def main() -> None:
     # two independent Brownian columns at the same time are close in W1
     other = sample_brownian(grid, n_paths=5000, start=0.0, seed=seed.child(2))
     col = grid.steps // 2
-    w1 = kantorovich(empirical_from_column(a, col),
-                     empirical_from_column(other, col))
+    w1 = kantorovich(EmpiricalMeasure(a.values[col]),
+                     EmpiricalMeasure(other.values[col]))
     print(f"W1 between two N=5000 draws of B_{{0.5}} = {w1:.4f}"
           f"   (0 in the limit)")
 

@@ -11,12 +11,11 @@ from .girsanov import (EstimatorResult, doleans_weights, drift_along_paths,
                        epsilon_moment_probe, reweighted_expectation)
 from .grid import (BLOCK_SIZE, PathEnsemble, SeedSpec, TimeGrid, make_grid,
                    sample_brownian)
-from .localtime import (ChainIdentityReport, LocalTimeIntegralResult,
-                        check_chain_identity, drift_cumulants,
-                        first_variation, local_time_integral,
-                        malliavin_derivative)
-from .measures import (EmpiricalMeasure, MeasureFlow, dirac,
-                       empirical_from_column, flow_distance, kantorovich)
+from .localtime import (ChainIdentityReport, check_chain_identity,
+                        drift_cumulants, first_variation,
+                        local_time_integral, malliavin_derivative)
+from .measures import (EmpiricalMeasure, MeasureFlow, dirac, flow_distance,
+                       kantorovich)
 from .numerics import ExponentOverflowError, guarded_exp, mean_and_se
 from .sensitivity import (DeltaSession, MollifyStudy, Payoff, WeightFunctionA,
                           bel_delta, call_payoff, constant_payoff,
@@ -35,7 +34,7 @@ __all__ = [
     "BLOCK_SIZE", "BlowUpError", "ChainIdentityReport", "DeltaSession",
     "DriftSpec",
     "EmpiricalMeasure", "EstimatorResult", "ExponentOverflowError",
-    "LocalTimeIntegralResult", "MeasureFlow",
+    "MeasureFlow",
     "MollifyStudy", "MomentReport", "PathEnsemble", "Payoff", "PicardConfig",
     "PicardConvergenceError", "RegularityReport", "SeedSpec", "SolveResult",
     "StepFunction", "TimeGrid", "WeightFunctionA",
@@ -43,7 +42,7 @@ __all__ = [
     "constant_drift", "constant_payoff", "convolution_drift", "default_bump",
     "dirac", "direct_particle_solve", "doleans_weights", "drift_along_paths",
     "drift_cumulants",
-    "empirical_from_column", "epsilon_moment_probe", "eval_drift",
+    "epsilon_moment_probe", "eval_drift",
     "euler_under_flow", "expectation_drift", "expectation_square_drift",
     "finite_difference_delta",
     "first_variation", "flow_distance", "front_loaded_weight", "guarded_exp",

@@ -52,6 +52,7 @@ EXIT_SELFCHECK = 4
 MAX_PARTICLES = 10_000_000
 MAX_STEPS = 100_000
 MAX_SEED = 2**64 - 1
+MAX_START = 1e300
 
 # Peak resident memory of a command, counted in its largest (M+1) x N
 # float64 path array: peak ru_maxrss bytes over that array's bytes on the
@@ -199,7 +200,8 @@ class RunConfig:
     """
 
     model: dict = _key("model", rule=_model, key=_SECTION)
-    start: float = _key("run", 0.0, _number())
+    # |start| <= MAX_START keeps x +/- h and the blow-up limit finite
+    start: float = _key("run", 0.0, _number(-MAX_START, MAX_START))
     horizon: float = _key("run", 1.0, _number(lo=1e-9))
     steps: int = _key("run", 100, _number(1, MAX_STEPS, integer=True))
     particles: int = _key("run", 10_000,
@@ -382,14 +384,13 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 class ResultTable:
     """Rows of (quantity, estimate, stderr, n, steps) plus run provenance.
 
-    Wall time is tracked here for the run log but written to meta.json, not
-    to the CSV, so output bytes stay reproducible.
+    Wall time goes to meta.json, not to the CSV, so output bytes stay
+    reproducible.
     """
 
     seed: int
     config_hash: str
     rows: list = field(default_factory=list)
-    wall_time: float = 0.0
 
     def add(self, quantity: str, estimate: float, stderr: float, n: int,
             steps: int) -> None:
@@ -608,9 +609,8 @@ def cmd_selfcheck(cfg: Optional[RunConfig], workers: int = 1) -> int:
 
     # Malliavin cocycle at float precision
     c = drift_cumulants(res)
-    d_full = malliavin_derivative(res, 0, 50, cumulants=c)
-    d_split = (malliavin_derivative(res, 0, 25, cumulants=c)
-               * malliavin_derivative(res, 25, 50, cumulants=c))
+    d_full = malliavin_derivative(c, 0, 50)
+    d_split = malliavin_derivative(c, 0, 25) * malliavin_derivative(c, 25, 50)
     cgap = float(np.max(np.abs(d_full - d_split)))
     record("malliavin_cocycle", cgap, 1e-10, cgap <= 1e-10)
 
@@ -672,6 +672,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.config is not None:
             cfg = load_config(args.config, seed_override=args.seed,
                               out_override=args.out)
+        else:
+            # only selfcheck runs without a config; its flags override keys
+            # of a config it does not have
+            for flag, value in (("--seed", args.seed), ("--out", args.out)):
+                if value is not None:
+                    raise ConfigError(f"{flag} needs --config")
         if args.workers is not None and args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         if cfg is not None and args.command in PEAK_ARRAYS:

@@ -60,9 +60,6 @@ class DriftSpec:
     bounded_sup: Optional[float] = None
     mollify_level: Optional[int] = None
 
-    def __call__(self, t: float, y: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
-        return self.fn(t, y, mu)
-
     @property
     def decomposed(self) -> bool:
         return self.bounded_part is not None and self.lipschitz_part is not None
@@ -345,7 +342,7 @@ def check_regularity(spec: DriftSpec, samples: int = 200,
     and the largest observed |bounded part|. A value above the declared
     constant plus slack means the constant is violated.
     """
-    rng = seed.scalar_rng() if isinstance(seed, SeedSpec) else \
+    rng = seed.block_generator(0) if isinstance(seed, SeedSpec) else \
         np.random.Generator(np.random.Philox(key=int(seed)))
     slack = 1e-9
     zero = dirac(0.0)

@@ -36,9 +36,6 @@ class EstimatorResult:
     seed: SeedSpec
     extra: dict = field(default_factory=dict, compare=False)
 
-    def interval(self, z: float = 3.0) -> tuple[float, float]:
-        return self.estimate - z * self.stderr, self.estimate + z * self.stderr
-
 
 def drift_along_paths(spec: DriftSpec, flow: MeasureFlow,
                       paths: PathEnsemble) -> np.ndarray:

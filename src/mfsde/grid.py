@@ -95,10 +95,6 @@ class SeedSpec:
         bitgen.advance(block_index * _BLOCK_COUNTER_STRIDE)
         return np.random.Generator(bitgen)
 
-    def scalar_rng(self) -> np.random.Generator:
-        """Convenience generator for non-ensemble sampling (audits, tests)."""
-        return np.random.Generator(np.random.Philox(key=self._key()))
-
 
 @dataclass(frozen=True)
 class PathEnsemble:

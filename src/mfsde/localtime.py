@@ -54,22 +54,6 @@ from .solver import SolveResult
 SpaceTimeFn = Callable[[float, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class LocalTimeIntegralResult:
-    """Per-particle local-time integral with its three bookkept pieces.
-
-    value == forward + backward + correction holds exactly (same float
-    additions, no hidden rebalancing).
-    """
-
-    value: np.ndarray
-    forward: np.ndarray
-    backward: np.ndarray
-    correction: np.ndarray
-    s_node: int
-    t_node: int
-
-
 def _cumulative_pieces(fvals: np.ndarray,
                        paths: PathEnsemble) -> tuple[np.ndarray, np.ndarray,
                                                      np.ndarray]:
@@ -129,14 +113,13 @@ def cumulative_integral(fvals: np.ndarray, paths: PathEnsemble) -> np.ndarray:
     return cf
 
 
-def _check_nodes(paths: PathEnsemble, s: int, t: int) -> None:
-    if not (0 <= s <= t <= paths.grid.steps):
-        raise ValueError(
-            f"need 0 <= s <= t <= {paths.grid.steps}, got s={s}, t={t}")
+def _check_nodes(steps: int, s: int, t: int) -> None:
+    if not (0 <= s <= t <= steps):
+        raise ValueError(f"need 0 <= s <= t <= {steps}, got s={s}, t={t}")
 
 
 def local_time_integral(f: SpaceTimeFn, paths: PathEnsemble, s: int,
-                        t: int) -> LocalTimeIntegralResult:
+                        t: int) -> np.ndarray:
     """Integrate f against the path local time over [t_s, t_t], per particle.
 
     Parameters
@@ -147,22 +130,18 @@ def local_time_integral(f: SpaceTimeFn, paths: PathEnsemble, s: int,
 
     Returns
     -------
-    LocalTimeIntegralResult with value = forward + backward + correction.
+    The (N,) integral, the sum of the forward, backward and correction
+    pieces over the window; at s = 0 it equals row t of
+    cumulative_integral bit for bit.
     """
     if paths.kind != "brownian":
         raise ValueError("local-time integrals need a Brownian ensemble")
-    _check_nodes(paths, s, t)
+    _check_nodes(paths.grid.steps, s, t)
     fvals = paths.at_nodes(lambda k, u, y: f(u, y))
     if not np.isfinite(fvals).all():
         raise FloatingPointError("integrand non-finite along paths")
     cf, cb, cc = _cumulative_pieces(fvals, paths)
-    forward = cf[t] - cf[s]
-    backward = cb[t] - cb[s]
-    correction = cc[t] - cc[s]
-    return LocalTimeIntegralResult(
-        value=forward + backward + correction, forward=forward,
-        backward=backward, correction=correction, s_node=s, t_node=t,
-    )
+    return (cf[t] - cf[s]) + (cb[t] - cb[s]) + (cc[t] - cc[s])
 
 
 def localtime_rate_study(horizon: float, step_counts: Sequence[int],
@@ -179,8 +158,7 @@ def localtime_rate_study(horizon: float, step_counts: Sequence[int],
     for steps in step_counts:
         grid = make_grid(horizon, steps)
         paths = sample_brownian(grid, n_paths, start, seed, workers=workers)
-        got = local_time_integral(lambda t, y: np.sin(y), paths, 0,
-                                  steps).value
+        got = local_time_integral(lambda t, y: np.sin(y), paths, 0, steps)
         # trapezoid in time of cos along each path
         oracle = -np.trapezoid(np.cos(paths.values), dx=grid.dt, axis=0)
         dts.append(grid.dt)
@@ -193,31 +171,26 @@ def drift_cumulants(result: SolveResult) -> np.ndarray:
 
     C[k] is the integral over [0, t_k] of b(u, y, flow_u) against the
     local time of the Brownian representation; differences of C give every
-    subinterval, so the derived exponentials are exactly multiplicative.
-    Heavy runs compute this once and pass it to the derivative routines.
+    subinterval, so the exponentials malliavin_derivative takes of them
+    are exactly multiplicative.
     """
     return cumulative_integral(
         drift_along_paths(result.spec, result.flow, result.brownian),
         result.brownian)
 
 
-def _factor(c: np.ndarray, s: int, t: int) -> np.ndarray:
-    """exp(-(C_t - C_s)), the Malliavin factor D_s X_t."""
-    return guarded_exp(-(c[t] - c[s]))
-
-
-def malliavin_derivative(result: SolveResult, s: int, t: int,
-                         cumulants: Optional[np.ndarray] = None) -> np.ndarray:
+def malliavin_derivative(cumulants: np.ndarray, s: int,
+                         t: int) -> np.ndarray:
     """Per-particle Malliavin derivative D_s X_t along the Brownian paths.
 
-    D_s X_t = exp( - int_s^t int b(u, y, flow_u) L(du, dy) ), evaluated on
-    the driving ensemble; use the Girsanov weights of the same run when
-    taking expectations against the solution law. Strictly positive by
-    construction; exponents are guarded against overflow.
+    D_s X_t = exp( - int_s^t int b(u, y, flow_u) L(du, dy) )
+    = exp(-(C_t - C_s)) for the cumulant table C of drift_cumulants,
+    evaluated on the driving ensemble; use the Girsanov weights of the same
+    run when taking expectations against the solution law. Strictly
+    positive by construction; exponents are guarded against overflow.
     """
-    _check_nodes(result.brownian, s, t)
-    c = drift_cumulants(result) if cumulants is None else cumulants
-    return _factor(c, s, t)
+    _check_nodes(cumulants.shape[0] - 1, s, t)
+    return guarded_exp(-(cumulants[t] - cumulants[s]))
 
 
 def law_derivative_table(dxb: Optional[SpaceTimeFn],
@@ -248,8 +221,7 @@ def variation_path(c: np.ndarray, table: np.ndarray,
 
 
 def first_variation(result: SolveResult,
-                    dxb: Optional[SpaceTimeFn] = None,
-                    cumulants: Optional[np.ndarray] = None) -> np.ndarray:
+                    dxb: Optional[SpaceTimeFn] = None) -> np.ndarray:
     """Per-particle first-variation path d/dx X_{t_k}, shape (M+1, N).
 
     Variation-of-constants form: the derivative of the flow map is the
@@ -262,7 +234,7 @@ def first_variation(result: SolveResult,
     law derivative (None means no law feedback, in which case the first
     variation equals D_0 X_t exactly).
     """
-    c = drift_cumulants(result) if cumulants is None else cumulants
+    c = drift_cumulants(result)
     table = law_derivative_table(dxb, result.brownian)
     return variation_path(c, table, result.brownian.grid.dt)
 
@@ -299,12 +271,13 @@ def check_chain_identity(result: SolveResult, s: int, u: int, t: int,
     table = law_derivative_table(dxb, result.brownian)
     fv = variation_path(c, table, dt)
 
-    d_st = _factor(c, s, t)
-    cocycle_res = d_st - _factor(c, u, t) * _factor(c, s, u)
+    d_st = malliavin_derivative(c, s, t)
+    cocycle_res = d_st - (malliavin_derivative(c, u, t)
+                          * malliavin_derivative(c, s, u))
 
     integral = np.zeros(c.shape[1])
     for j in range(s, t):
-        integral = integral + _factor(c, j, t) * table[j] * dt
+        integral = integral + malliavin_derivative(c, j, t) * table[j] * dt
     chain_res = fv[t] - (d_st * fv[s] + integral)
 
     return ChainIdentityReport(

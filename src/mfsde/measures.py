@@ -56,13 +56,6 @@ def dirac(x: float) -> EmpiricalMeasure:
     return EmpiricalMeasure(np.array([float(x)]), presorted=True)
 
 
-def empirical_from_column(ensemble: PathEnsemble, node: int) -> EmpiricalMeasure:
-    """Empirical law of the ensemble at grid node k."""
-    if not (0 <= node <= ensemble.grid.steps):
-        raise ValueError(f"node {node} outside 0..{ensemble.grid.steps}")
-    return EmpiricalMeasure(ensemble.values[node].copy())
-
-
 def _w1_sorted(xs: np.ndarray, ys: np.ndarray) -> float:
     """W1 between uniform empirical measures given sorted atom arrays."""
     if xs.size == ys.size:

@@ -31,7 +31,6 @@ the reported value is the version picked by the discretization.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -144,17 +143,6 @@ def default_bump(start: float) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _BumpedPair:
-    """What is kept of the two solves at x +/- h: flows and terminal values."""
-
-    h: float
-    flow_plus: MeasureFlow
-    flow_minus: MeasureFlow
-    terminal_plus: np.ndarray
-    terminal_minus: np.ndarray
-
-
-@dataclass(frozen=True)
 class _PathTerms:
     """Per-path arrays of the solve at x read by the BEL and pathwise
     reductions, all on the driving Brownian representation."""
@@ -202,7 +190,8 @@ class DeltaSession:
         self._dxb = dxb
         self._law_bump = law_bump
         self._draw: Optional[PathEnsemble] = None
-        self._pairs: dict[float, _BumpedPair] = {}
+        # flow and terminal values of each solve, keyed by its start
+        self._runs: dict[float, tuple[MeasureFlow, np.ndarray]] = {}
         self._terms: Optional[_PathTerms] = None
 
     # -- solves ------------------------------------------------------------
@@ -218,29 +207,30 @@ class DeltaSession:
                             self.seed, self.config, workers=self.workers,
                             brownian=brownian)
 
-    def _flow_and_terminal(self, start: float
-                           ) -> tuple[MeasureFlow, np.ndarray]:
-        # terminal() is a view that would pin the whole path array
-        result = self._solve(start)
-        return result.flow, result.ensemble.terminal().copy()
+    def _run(self, start: float) -> tuple[MeasureFlow, np.ndarray]:
+        """Flow and terminal values of the solve at start, solved on first
+        use."""
+        if start not in self._runs:
+            result = self._solve(start)
+            # terminal() is a view that would pin the whole path array
+            self._runs[start] = (result.flow,
+                                 result.ensemble.terminal().copy())
+        return self._runs[start]
 
-    def _pair(self, h: Optional[float]) -> _BumpedPair:
+    def _bump(self, h: Optional[float]) -> float:
         h = default_bump(self.start) if h is None else float(h)
         if h <= 0:
             raise ValueError(f"bump must be positive, got {h}")
-        if h not in self._pairs:
-            flow_p, term_p = self._flow_and_terminal(self.start + h)
-            flow_m, term_m = self._flow_and_terminal(self.start - h)
-            self._pairs[h] = _BumpedPair(h, flow_p, flow_m, term_p, term_m)
-        return self._pairs[h]
+        return h
 
     def law_derivative(self, h: Optional[float] = None) -> SpaceTimeFn:
         """Bump-estimated dxb from the flows at x +/- h (see law_derivative),
         as an (s, y) -> array closure that snaps s to the nearest node."""
-        pair = self._pair(h)
+        h = self._bump(h)
         # the closure holds the two flows only, not the session's arrays
-        spec, grid, h = self.spec, self.grid, pair.h
-        flow_p, flow_m = pair.flow_plus, pair.flow_minus
+        flow_p = self._run(self.start + h)[0]
+        flow_m = self._run(self.start - h)[0]
+        spec, grid = self.spec, self.grid
 
         def call(s: float, y: np.ndarray) -> np.ndarray:
             k = grid.index_of(float(s))
@@ -291,8 +281,8 @@ class DeltaSession:
 
     # -- estimators --------------------------------------------------------
 
-    def bel(self, payoff: Payoff, weight: Optional[WeightFunctionA] = None,
-            se_ceiling: Optional[float] = None) -> EstimatorResult:
+    def bel(self, payoff: Payoff,
+            weight: Optional[WeightFunctionA] = None) -> EstimatorResult:
         """Integration-by-parts delta; see bel_delta."""
         weight = uniform_weight(self.grid.horizon) if weight is None \
             else weight
@@ -309,12 +299,6 @@ class DeltaSession:
         est, se = mean_and_se(samples)
         meta = {"weight_mean": float(terms.weights.mean()),
                 "weight_name": weight.name, "payoff": payoff.name}
-        if se_ceiling is not None and se > se_ceiling:
-            meta["heavy_tail_flag"] = True
-            warnings.warn(
-                f"bel_delta standard error {se:.3e} exceeds ceiling "
-                f"{se_ceiling:.3e}; weights may be heavy tailed",
-                RuntimeWarning)
         return EstimatorResult(label=f"bel[{weight.name}]", estimate=est,
                                stderr=se, n_paths=self.n_paths,
                                seed=self.seed, extra=meta)
@@ -336,14 +320,16 @@ class DeltaSession:
                           ) -> EstimatorResult:
         """Central difference of the solves at x +/- h; see
         finite_difference_delta."""
-        pair = self._pair(h)
-        diff = (np.asarray(payoff.fn(pair.terminal_plus), dtype=float)
-                - np.asarray(payoff.fn(pair.terminal_minus), dtype=float))
-        est, se = mean_and_se(diff / (2.0 * pair.h))
+        h = self._bump(h)
+        terminal_p = self._run(self.start + h)[1]
+        terminal_m = self._run(self.start - h)[1]
+        diff = (np.asarray(payoff.fn(terminal_p), dtype=float)
+                - np.asarray(payoff.fn(terminal_m), dtype=float))
+        est, se = mean_and_se(diff / (2.0 * h))
         return EstimatorResult(
             label="finite_difference", estimate=est, stderr=se,
             n_paths=self.n_paths, seed=self.seed,
-            extra={"payoff": payoff.name, "h": pair.h},
+            extra={"payoff": payoff.name, "h": h},
         )
 
 
@@ -375,7 +361,6 @@ def bel_delta(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
               dxb: Optional[SpaceTimeFn] = None,
               law_bump: Optional[float] = None,
               config: PicardConfig = PicardConfig(),
-              se_ceiling: Optional[float] = None,
               workers: int = 1) -> EstimatorResult:
     """Delta d/dx E[payoff(X_T^x)] via the integration-by-parts weight.
 
@@ -385,8 +370,7 @@ def bel_delta(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
     weights within statistical error.
     """
     return DeltaSession(spec, start, grid, n_paths, seed, config, workers,
-                        dxb=dxb, law_bump=law_bump).bel(payoff, weight,
-                                                        se_ceiling)
+                        dxb=dxb, law_bump=law_bump).bel(payoff, weight)
 
 
 def pathwise_delta(spec: DriftSpec, start: float, grid: TimeGrid,

@@ -28,6 +28,9 @@ from .numerics import loglog_slope, mean_and_se
 # Hard abort threshold for the Euler state, relative to 1 + |x|.
 BLOWUP_FACTOR = 1e6
 
+# Slack factor on the linear-growth envelope of moment_diagnostics.
+ENVELOPE_SLACK = 1.5
+
 
 class BlowUpError(FloatingPointError):
     """Euler state escaped the sanity envelope (or went non-finite)."""
@@ -86,11 +89,16 @@ class SolveResult:
     brownian: PathEnsemble
     flow: MeasureFlow
     frozen_flow: MeasureFlow
-    iterations: int
-    residual: float
     residual_history: tuple[float, ...]
-    seed: SeedSpec
     method: str
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
+
+    @property
+    def residual(self) -> float:
+        return self.residual_history[-1]
 
 
 def _euler_values(spec: DriftSpec, flow: Optional[MeasureFlow],
@@ -184,17 +192,15 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
 
     residuals: list[float] = []
     for _ in range(config.max_iterations):
-        values = _euler_values(spec, flow, brownian, live_law=False)
-        ensemble = PathEnsemble(grid=grid, values=values, kind="solution",
-                                start=start, seed=seed)
+        ensemble = euler_under_flow(spec, flow, start, grid, n_paths, seed,
+                                    brownian=brownian)
         new_flow = MeasureFlow.from_ensemble(ensemble)
         residuals.append(flow_distance(new_flow, flow))
         if residuals[-1] < config.tolerance:
             return SolveResult(
                 spec=spec, ensemble=ensemble, brownian=brownian,
-                flow=new_flow, frozen_flow=flow, iterations=len(residuals),
-                residual=residuals[-1], residual_history=tuple(residuals),
-                seed=seed, method="picard",
+                flow=new_flow, frozen_flow=flow,
+                residual_history=tuple(residuals), method="picard",
             )
         flow = new_flow
     raise PicardConvergenceError(residuals, config.tolerance)
@@ -216,8 +222,7 @@ def direct_particle_solve(spec: DriftSpec, start: float, grid: TimeGrid,
     flow = MeasureFlow.from_ensemble(ensemble)
     return SolveResult(
         spec=spec, ensemble=ensemble, brownian=brownian, flow=flow,
-        frozen_flow=flow, iterations=1, residual=0.0,
-        residual_history=(0.0,), seed=seed, method="direct",
+        frozen_flow=flow, residual_history=(0.0,), method="direct",
     )
 
 
@@ -261,15 +266,15 @@ def _sup_abs(v: np.ndarray) -> np.ndarray:
     return np.maximum(v.max(axis=0), -v.min(axis=0))
 
 
-def moment_diagnostics(result: SolveResult, orders: tuple[float, ...] = (2.0,),
-                       envelope_slack: float = 1.5) -> MomentReport:
+def moment_diagnostics(result: SolveResult,
+                       orders: tuple[float, ...] = (2.0,)) -> MomentReport:
     """Audit moments and the pathwise linear-growth envelope.
 
     The solution of a linear-growth drift satisfies
     |X_t| <= c (1 + |x| + sup_s |x + B_s|) pathwise with
     c = (1 + C T) exp(C T) for the declared growth constant C. The report
-    flags the run when the observed ratio exceeds that envelope times a
-    slack factor, which catches drifts whose declared constants lie.
+    flags the run when the observed ratio exceeds that envelope times
+    ENVELOPE_SLACK, which catches drifts whose declared constants lie.
     """
     for p in orders:
         if p <= 0:
@@ -292,7 +297,7 @@ def moment_diagnostics(result: SolveResult, orders: tuple[float, ...] = (2.0,),
 
     c = result.spec.growth_const
     horizon = result.ensemble.grid.horizon
-    limit = (1.0 + c * horizon) * np.exp(c * horizon) * envelope_slack
+    limit = (1.0 + c * horizon) * np.exp(c * horizon) * ENVELOPE_SLACK
     return MomentReport(
         orders=tuple(orders), node_moments=node_moments,
         max_moments=max_moments, envelope_ratio=ratio,

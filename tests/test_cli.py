@@ -87,6 +87,11 @@ def test_type_and_range_validation():
         parse_config({"run": {"start": 10 ** 400}})
     with pytest.raises(ConfigError, match="model.theta"):
         parse_config({"model": {"name": "ou", "theta": 10 ** 400}})
+    # finite, but x +/- h or the blow-up limit 1e6 (1 + |x|) would overflow
+    for start in (1.79e308, -1e301):
+        with pytest.raises(ConfigError, match="run.start"):
+            parse_config({"run": {"start": start}})
+    assert parse_config({"run": {"start": -1e300}}).start == -1e300
     # a fit needs >= 2 particles per run and distinct abscissae
     with pytest.raises(ConfigError, match="convergence.particle_counts"):
         parse_config({"convergence": {"particle_counts": [1, 2, 4]}})
@@ -353,6 +358,22 @@ def test_exit_codes(tmp_path, capsys):
                  write_config(tmp_path, split, "split.json")]) == 2
     assert "convergence.studies" in capsys.readouterr().err
     assert not (tmp_path / "o4").exists()
+    # 2: a start whose bumped solves at x +/- h would overflow
+    huge = {"model": {"name": "ou"},
+            "run": {"start": 1.79e308, "steps": 5, "particles": 50},
+            "delta": {"methods": ["finite_difference"]},
+            "output": {"directory": str(tmp_path / "o5")}}
+    assert main(["delta", "--config",
+                 write_config(tmp_path, huge, "huge.json")]) == 2
+    assert "run.start" in capsys.readouterr().err
+    assert not (tmp_path / "o5").exists()
+    # 2: without a config, selfcheck has no keys for --seed or --out to
+    # override
+    for flag, value in (("--seed", "-5"), ("--seed", "7"),
+                        ("--out", str(tmp_path / "o6"))):
+        assert main(["selfcheck", flag, value]) == 2
+        assert flag in capsys.readouterr().err
+    assert not (tmp_path / "o6").exists()
     # 0: healthy run
     ok = deep(BASE, run__particles=500, run__steps=20)
     ok["output"] = {"directory": str(tmp_path / "o0")}

@@ -22,15 +22,15 @@ def cloud(seed=0, n=200, loc=0.0, scale=1.0):
 def test_zero_and_constant_drift_values():
     mu = cloud()
     y = np.linspace(-3, 3, 7)
-    assert np.array_equal(zero_drift()(0.3, y, mu), np.zeros(7))
-    assert np.array_equal(constant_drift(2.5)(0.3, y, mu), np.full(7, 2.5))
+    assert np.array_equal(zero_drift().fn(0.3, y, mu), np.zeros(7))
+    assert np.array_equal(constant_drift(2.5).fn(0.3, y, mu), np.full(7, 2.5))
 
 
 def test_mean_field_ou_values():
     spec = mean_field_ou(theta=1.0, kappa=0.5)
     mu = EmpiricalMeasure(np.array([1.0, 3.0]))  # mean 2
     y = np.array([0.0, 1.0, -2.0])
-    assert np.allclose(spec(0.0, y, mu), -y + 0.5 * 2.0)
+    assert np.allclose(spec.fn(0.0, y, mu), -y + 0.5 * 2.0)
 
 
 def test_sign_drift_values_and_decomposition():
@@ -38,7 +38,7 @@ def test_sign_drift_values_and_decomposition():
     mu = dirac(2.0)
     y = np.array([-1.0, 0.0, 3.0])
     want = 0.5 * np.sign(y) - y + 0.5 * 2.0
-    assert np.allclose(spec(0.2, y, mu), want)
+    assert np.allclose(spec.fn(0.2, y, mu), want)
     assert spec.decomposed
     bounded, lipschitz = spec.bounded_part, spec.lipschitz_part
     assert np.allclose(bounded(0.2, y, mu) + lipschitz(0.2, y, mu), want)
@@ -52,7 +52,7 @@ def test_convolution_drift_matches_direct_sum():
     mu = cloud(3, n=40)
     y = np.linspace(-2, 2, 9)
     direct = np.array([np.mean(np.sin(v - mu.atoms)) for v in y])
-    assert np.allclose(spec(0.0, y, mu), direct, atol=1e-12)
+    assert np.allclose(spec.fn(0.0, y, mu), direct, atol=1e-12)
 
 
 def test_drift_broadcasting_scalar_and_array():
@@ -109,7 +109,7 @@ def test_law_lipschitz_translation_bound():
     mu = cloud(7)
     nu = EmpiricalMeasure(mu.atoms + 0.3)
     y = np.linspace(-2, 2, 5)
-    gap = np.max(np.abs(spec(0.5, y, mu) - spec(0.5, y, nu)))
+    gap = np.max(np.abs(spec.fn(0.5, y, mu) - spec.fn(0.5, y, nu)))
     assert gap <= spec.law_lipschitz_const * 0.3 + 1e-12
 
 
@@ -292,7 +292,7 @@ def test_expectation_square_model_is_built_once():
     mu = cloud(seed=4)
     y = np.linspace(-3, 3, 13)
     want = -theta * y + kappa * float(np.mean(mu.atoms * mu.atoms))
-    assert np.array_equal(spec(0.2, y, mu), want)
-    assert np.array_equal(cli_spec(0.2, y, mu), want)
+    assert np.array_equal(spec.fn(0.2, y, mu), want)
+    assert np.array_equal(cli_spec.fn(0.2, y, mu), want)
     assert (spec.name, spec.growth_const, spec.law_lipschitz_const) == (
         cli_spec.name, cli_spec.growth_const, cli_spec.law_lipschitz_const)

@@ -7,6 +7,7 @@ from mfsde import (SeedSpec, check_chain_identity, drift_cumulants,
                    first_variation, local_time_integral, make_grid,
                    malliavin_derivative, mean_field_ou, picard_solve,
                    sample_brownian, sign_drift)
+from mfsde.localtime import cumulative_integral
 
 SEED = SeedSpec(1_618_033)
 
@@ -15,20 +16,12 @@ def brownian(steps=200, n=2000, start=0.0, horizon=1.0):
     return sample_brownian(make_grid(horizon, steps), n, start, SEED)
 
 
-def test_three_term_bookkeeping_is_exact():
-    paths = brownian()
-    r = local_time_integral(lambda t, y: np.sin(y + t), paths, 40, 160)
-    assert np.array_equal(r.value, r.forward + r.backward + r.correction)
-    assert r.s_node == 40 and r.t_node == 160
-    assert r.value.shape == (2000,)
-
-
 def test_constant_integrand_vanishes():
     # the local-time measure of a constant telescopes away; the three
     # pieces are accumulated separately so only rounding noise survives
     paths = brownian()
     r = local_time_integral(lambda t, y: np.ones_like(y), paths, 0, 200)
-    assert np.max(np.abs(r.value)) < 1e-12
+    assert np.max(np.abs(r)) < 1e-12
 
 
 def test_linear_integrand_equals_negative_quadratic_variation():
@@ -38,9 +31,9 @@ def test_linear_integrand_equals_negative_quadratic_variation():
     s, t = 50, 150
     r = local_time_integral(lambda u, y: y, paths, s, t)
     db = np.diff(paths.values[s:t + 1], axis=0)
-    assert np.allclose(r.value, -(db ** 2).sum(axis=0), atol=1e-12)
+    assert np.allclose(r, -(db ** 2).sum(axis=0), atol=1e-12)
     window = (t - s) * paths.grid.dt
-    rms_err = float(np.sqrt(np.mean((r.value + window) ** 2)))
+    rms_err = float(np.sqrt(np.mean((r + window) ** 2)))
     predicted = math.sqrt(2.0 * paths.grid.dt * window)
     assert rms_err == pytest.approx(predicted, rel=0.15)
 
@@ -49,19 +42,19 @@ def test_integral_is_linear_in_the_integrand():
     paths = brownian(steps=100, n=500)
     f = lambda t, y: np.sin(y)
     g = lambda t, y: y * t
-    rf = local_time_integral(f, paths, 0, 100).value
-    rg = local_time_integral(g, paths, 0, 100).value
+    rf = local_time_integral(f, paths, 0, 100)
+    rg = local_time_integral(g, paths, 0, 100)
     combo = local_time_integral(
-        lambda t, y: 2.0 * f(t, y) - 3.0 * g(t, y), paths, 0, 100).value
+        lambda t, y: 2.0 * f(t, y) - 3.0 * g(t, y), paths, 0, 100)
     assert np.allclose(combo, 2.0 * rf - 3.0 * rg, atol=1e-10)
 
 
 def test_integral_is_additive_over_adjacent_windows():
     paths = brownian(steps=120, n=400)
     f = lambda t, y: np.cos(y - t)
-    whole = local_time_integral(f, paths, 10, 110).value
-    left = local_time_integral(f, paths, 10, 60).value
-    right = local_time_integral(f, paths, 60, 110).value
+    whole = local_time_integral(f, paths, 10, 110)
+    left = local_time_integral(f, paths, 10, 60)
+    right = local_time_integral(f, paths, 60, 110)
     assert np.allclose(whole, left + right, atol=1e-12)
 
 
@@ -70,7 +63,7 @@ def test_smooth_oracle_for_sin_integrand():
     paths = brownian(steps=400, n=1000)
     r = local_time_integral(lambda t, y: np.sin(y), paths, 0, 400)
     oracle = -np.trapezoid(np.cos(paths.values), dx=paths.grid.dt, axis=0)
-    rms = float(np.sqrt(np.mean((r.value - oracle) ** 2)))
+    rms = float(np.sqrt(np.mean((r - oracle) ** 2)))
     assert rms < 3.0 * math.sqrt(paths.grid.dt)
 
 
@@ -81,7 +74,7 @@ def test_smooth_oracle_error_decays_at_half_order():
         paths = sample_brownian(grid, 1000, 0.0, SEED)
         r = local_time_integral(lambda t, y: np.sin(y), paths, 0, steps)
         oracle = -np.trapezoid(np.cos(paths.values), dx=grid.dt, axis=0)
-        errors.append(float(np.sqrt(np.mean((r.value - oracle) ** 2))))
+        errors.append(float(np.sqrt(np.mean((r - oracle) ** 2))))
         dts.append(grid.dt)
     slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
     assert 0.35 <= slope <= 0.65
@@ -91,13 +84,25 @@ def test_node_window_validation():
     paths = brownian(steps=50, n=10)
     # the empty window integrates to exactly zero
     empty = local_time_integral(lambda t, y: y, paths, 30, 30)
-    assert np.array_equal(empty.value, np.zeros(10))
+    assert np.array_equal(empty, np.zeros(10))
     with pytest.raises(ValueError):
         local_time_integral(lambda t, y: y, paths, 31, 30)
     with pytest.raises(ValueError):
         local_time_integral(lambda t, y: y, paths, -1, 30)
     with pytest.raises(ValueError):
         local_time_integral(lambda t, y: y, paths, 0, 51)
+
+
+def test_window_from_node_zero_is_the_cumulant_row():
+    # the two public routes to the integral agree bit for bit at s = 0
+    paths = brownian(steps=120, n=300)
+    f = lambda t, y: np.sin(y + t)
+    cumulants = cumulative_integral(
+        paths.at_nodes(lambda k, u, y: f(u, y)), paths)
+    for t in (0, 1, 57, 120):
+        got = local_time_integral(f, paths, 0, t)
+        assert np.array_equal(got.view(np.int64),
+                              cumulants[t].view(np.int64)), t
 
 
 def test_local_time_requires_brownian_kind():
@@ -114,10 +119,18 @@ def test_malliavin_matches_linear_model_closed_form():
     grid = make_grid(1.0, 400)
     result = picard_solve(mean_field_ou(theta=theta), 1.0, grid, 1000, SEED)
     for s, t in ((0, 400), (100, 300), (350, 400)):
-        d = malliavin_derivative(result, s, t)
+        d = malliavin_derivative(drift_cumulants(result), s, t)
         want = math.exp(-theta * (t - s) * grid.dt)
         rms = float(np.sqrt(np.mean((d - want) ** 2)))
         assert rms <= 2.0 * math.sqrt(grid.dt), (s, t)
+
+
+def test_malliavin_window_must_lie_in_the_table():
+    c = np.zeros((11, 4))
+    assert np.array_equal(malliavin_derivative(c, 3, 10), np.ones(4))
+    for s, t in ((5, 4), (-1, 3), (0, 11)):
+        with pytest.raises(ValueError):
+            malliavin_derivative(c, s, t)
 
 
 def test_malliavin_cocycle_and_positivity():
@@ -125,9 +138,9 @@ def test_malliavin_cocycle_and_positivity():
         grid = make_grid(1.0, 200)
         result = picard_solve(builder(), 1.0, grid, 2000, SEED)
         c = drift_cumulants(result)
-        full = malliavin_derivative(result, 0, 200, cumulants=c)
-        split = (malliavin_derivative(result, 0, 80, cumulants=c)
-                 * malliavin_derivative(result, 80, 200, cumulants=c))
+        full = malliavin_derivative(c, 0, 200)
+        split = (malliavin_derivative(c, 0, 80)
+                 * malliavin_derivative(c, 80, 200))
         assert np.max(np.abs(full - split)) < 1e-12
         assert np.all(full > 0)
 

@@ -3,8 +3,7 @@ import pytest
 from scipy import stats
 
 from mfsde import (EmpiricalMeasure, MeasureFlow, SeedSpec, dirac,
-                   empirical_from_column, flow_distance, kantorovich,
-                   make_grid, sample_brownian)
+                   flow_distance, kantorovich, make_grid, sample_brownian)
 from oracles import dual_w1
 
 
@@ -99,7 +98,7 @@ def test_measure_flow_from_ensemble():
                 == np.sort(paths.values[k]).view(np.int64)).all()
     assert np.array_equal(flow.means(),
                           [flow[k].mean() for k in range(7)])
-    mu3 = empirical_from_column(paths, 3)
+    mu3 = EmpiricalMeasure(paths.values[3])
     assert kantorovich(mu3, flow[3]) == 0.0
     # node access is a read-only view into the one array
     assert not flow.atoms.flags.writeable

@@ -143,14 +143,6 @@ def test_weight_choice_does_not_move_the_estimate():
     assert abs(ru.estimate - rf.estimate) <= 3 * (ru.stderr + rf.stderr)
 
 
-def test_bel_heavy_tail_flag_warns():
-    grid = make_grid(1.0, 50)
-    with pytest.warns(RuntimeWarning):
-        r = bel_delta(mean_field_ou(), 1.0, grid, 2000, SEED,
-                      identity_payoff(), se_ceiling=1e-12)
-    assert r.extra["heavy_tail_flag"]
-
-
 # ---------------------------------------------------------------------------
 # derivative of the drift through its law argument
 # ---------------------------------------------------------------------------

@@ -1,0 +1,42 @@
+"""The benchmark tracer still finds every name it wraps.
+
+perfbench/traced.py rebinds package functions by name in its own process,
+so a refactor that drops or renames one breaks the traced benchmark run and
+nothing else. Each command runs in a subprocess on a tiny config.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+
+TINY = {
+    "model": {"name": "sign", "alpha": 0.5, "theta": 1.0, "kappa": 0.5},
+    "run": {"start": 1.0, "horizon": 1.0, "steps": 20, "particles": 300,
+            "seed": 5},
+    "picard": {"tolerance": 1e-3, "max_iterations": 50},
+    "delta": {"payoff": "call", "strike": 1.0,
+              "methods": ["bel", "pathwise", "finite_difference"]},
+    "convergence": {"studies": ["se_vs_n", "localtime_rate", "mollify"],
+                    "particle_counts": [100, 200], "step_counts": [10, 20],
+                    "rate_paths": 100, "mollify_levels": [4, 16]},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "delta", "convergence"])
+def test_traced_run_counts_solves_and_draws(tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY), encoding="utf-8")
+    record = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(TRACED), str(record), command, "--config",
+         str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(record.read_text(encoding="utf-8"))["metrics"]
+    assert metrics["solver.solves"] > 0
+    assert metrics["grid.sample_brownian.calls"] > 0
