@@ -9,7 +9,8 @@ counts; volatile run facts (wall time, package version) go to meta.json.
 
 Exit codes: 0 success, 2 malformed config, usage error or a run estimated
 to need more than physical memory, 3 numerical failure (non-convergence,
-blow-up, overflow guard), 4 self-check failure.
+blow-up, overflow guard, a non-finite simulate statistic), 4 self-check
+failure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -56,14 +57,15 @@ MAX_START = 1e300
 
 # Peak resident memory of a command, counted in its largest (M+1) x N
 # float64 path array: peak ru_maxrss bytes over that array's bytes on the
-# benchmark configs (sign model, --workers 2, median of 3 runs), rounded
-# up. simulate 50 000 x 200: 466.2 MB / 80.4 MB = 5.80; delta
-# 10 000 x 200: 223.8 MB / 16.08 MB = 13.92; convergence, whose largest
-# array is the 4000 x 1600 local-time ensemble: 409.6 MB / 51.23 MB = 7.99.
+# benchmark configs (sign model, --workers 2, median of 5 runs), rounded
+# up. simulate 50 000 x 200, which holds four path arrays (Brownian,
+# solution, two flows): 385.4 MB / 80.4 MB = 4.79; delta 10 000 x 200:
+# 222.7 MB / 16.08 MB = 13.85; convergence, whose largest array is the
+# 4000 x 1600 local-time ensemble: 409.2 MB / 51.23 MB = 7.99.
 # The interpreter's own 36 MB is included, so the counts overstate large
 # runs a little. check_memory adds the Brownian blocks drawn at once,
 # which these counts miss when N is far below BLOCK_SIZE.
-PEAK_ARRAYS = {"simulate": 6, "delta": 14, "convergence": 8}
+PEAK_ARRAYS = {"simulate": 5, "delta": 14, "convergence": 8}
 
 
 class ConfigError(ValueError):
@@ -380,6 +382,17 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _require_finite(header: list[str], rows: list[list]) -> None:
+    """Raise FloatingPointError naming the first non-finite number of a
+    table, so that no CSV receives it; rows are named by their first
+    column."""
+    for row in rows:
+        for name, v in zip(header, row):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise FloatingPointError(
+                    f"{name} of {header[0]} {row[0]} is {v!r}")
+
+
 @dataclass
 class ResultTable:
     """Rows of (quantity, estimate, stderr, n, steps) plus run provenance.
@@ -387,6 +400,9 @@ class ResultTable:
     Wall time goes to meta.json, not to the CSV, so output bytes stay
     reproducible.
     """
+
+    header: ClassVar[list[str]] = ["quantity", "estimate", "stderr",
+                                   "n_paths", "steps", "seed", "config_hash"]
 
     seed: int
     config_hash: str
@@ -398,8 +414,7 @@ class ResultTable:
                           int(n), int(steps), self.seed, self.config_hash])
 
     def write(self, path: Path) -> None:
-        write_csv(path, ["quantity", "estimate", "stderr", "n_paths",
-                         "steps", "seed", "config_hash"], self.rows)
+        write_csv(path, self.header, self.rows)
 
 
 def _write_meta(out: Path, command: str, cfg: RunConfig,
@@ -439,25 +454,18 @@ def cmd_simulate(cfg: RunConfig, workers: int = 1) -> int:
         result = direct_particle_solve(spec, cfg.start, grid, cfg.particles,
                                        seed, workers=workers)
     values = result.ensemble.values
-    # the flow holds each node's values sorted, so the quantiles select
-    # from presorted rows
-    qs = np.quantile(result.flow.atoms, [0.05, 0.25, 0.5, 0.75, 0.95],
-                     axis=1)
-    out = _outdir(cfg)
-
     node_rows = []
     for k in range(grid.steps + 1):
+        # the flow holds each node's values sorted, so the quantiles select
+        # from a presorted row; taken a row at a time, they copy one row,
+        # not the whole flow
+        qs = np.quantile(result.flow.atoms[k], [0.05, 0.25, 0.5, 0.75, 0.95])
         node_rows.append([k, float(grid.nodes[k]),
                           float(values[k].mean()),
                           float(values[k].var(ddof=1)),
-                          float(qs[0, k]), float(qs[1, k]), float(qs[2, k]),
-                          float(qs[3, k]), float(qs[4, k])])
-    write_csv(out / "simulate_nodes.csv",
-              ["node", "time", "mean", "variance", "q05", "q25", "q50",
-               "q75", "q95"], node_rows)
-
-    write_csv(out / "simulate_residuals.csv", ["iteration", "residual"],
-              [[i + 1, float(r)] for i, r in enumerate(result.residual_history)])
+                          *(float(q) for q in qs)])
+    residual_rows = [[i + 1, float(r)]
+                     for i, r in enumerate(result.residual_history)]
 
     table = ResultTable(seed=cfg.seed, config_hash=cfg.config_hash())
     xt = result.ensemble.terminal()
@@ -474,6 +482,17 @@ def cmd_simulate(cfg: RunConfig, workers: int = 1) -> int:
               cfg.particles, cfg.steps)
     table.add("final_residual", result.residual, 0.0, cfg.particles,
               cfg.steps)
+
+    node_header = ["node", "time", "mean", "variance", "q05", "q25", "q50",
+                   "q75", "q95"]
+    residual_header = ["iteration", "residual"]
+    for header, rows in ((node_header, node_rows),
+                         (residual_header, residual_rows),
+                         (table.header, table.rows)):
+        _require_finite(header, rows)
+    out = _outdir(cfg)
+    write_csv(out / "simulate_nodes.csv", node_header, node_rows)
+    write_csv(out / "simulate_residuals.csv", residual_header, residual_rows)
     table.write(out / "simulate_summary.csv")
     _write_meta(out, "simulate", cfg, time.perf_counter() - t0)
     print(f"simulate: terminal mean {m:.6f} (se {se:.2e}), "

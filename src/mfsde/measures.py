@@ -69,6 +69,24 @@ def _w1_sorted(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(np.sum(np.abs(cdf_x - cdf_y) * deltas))
 
 
+def _sort_rows(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Copy values into out and sort each row of out in place, in one
+    batched sort; row k of the returned out equals np.sort(values[k])."""
+    np.copyto(out, values)
+    out.sort(axis=1)
+    return out
+
+
+def _sup_w1(a: np.ndarray, b: np.ndarray) -> float:
+    """Sup over rows of W1 between two row-sorted atom arrays."""
+    worst = 0.0
+    for xs, ys in zip(a, b):
+        d = _w1_sorted(xs, ys)
+        if d > worst:
+            worst = d
+    return worst
+
+
 def kantorovich(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Kantorovich (Wasserstein-1) distance between two empirical measures.
 
@@ -115,9 +133,9 @@ class MeasureFlow:
         One copy of the paths, sorted in place along rows; row k equals
         np.sort(ensemble.values[k]).
         """
-        atoms = ensemble.values.copy()
-        atoms.sort(axis=1)
-        return MeasureFlow(grid=ensemble.grid, atoms=atoms)
+        values = ensemble.values
+        return MeasureFlow(grid=ensemble.grid,
+                           atoms=_sort_rows(values, np.empty_like(values)))
 
     @staticmethod
     def constant(grid: TimeGrid, mu: EmpiricalMeasure) -> "MeasureFlow":
@@ -133,9 +151,4 @@ def flow_distance(a: MeasureFlow, b: MeasureFlow) -> float:
     """Uniform Kantorovich distance: sup over nodes of W1 between the laws."""
     if a.grid != b.grid:
         raise ValueError("flows live on different grids")
-    worst = 0.0
-    for xs, ys in zip(a.atoms, b.atoms):
-        d = _w1_sorted(xs, ys)
-        if d > worst:
-            worst = d
-    return worst
+    return _sup_w1(a.atoms, b.atoms)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .drift import DriftSpec
 from .grid import PathEnsemble, SeedSpec, TimeGrid, sample_brownian
-from .measures import (EmpiricalMeasure, MeasureFlow, dirac, flow_distance)
+from .measures import (EmpiricalMeasure, MeasureFlow, _sort_rows, _sup_w1,
+                       dirac)
 from .numerics import loglog_slope, mean_and_se
 
 # Hard abort threshold for the Euler state, relative to 1 + |x|.
@@ -101,28 +102,30 @@ class SolveResult:
         return self.residual_history[-1]
 
 
-def _euler_values(spec: DriftSpec, flow: Optional[MeasureFlow],
-                  brownian: PathEnsemble, live_law: bool) -> np.ndarray:
-    """Shared Euler loop writing row k + 1 from row k; flow is ignored when
-    live_law is set."""
+def _euler_values(spec: DriftSpec, atoms: Optional[np.ndarray],
+                  brownian: PathEnsemble, out: np.ndarray) -> np.ndarray:
+    """Shared Euler loop writing row k + 1 of out from row k; returns out.
+
+    Row k of the row-sorted `atoms` is the frozen law at node k; with atoms
+    None, step k reads the empirical law of the live states instead.
+    """
     grid = brownian.grid
     dt = grid.dt
     x = brownian.start
     limit = BLOWUP_FACTOR * (1.0 + abs(x))
     bv = brownian.values
-    values = np.empty_like(bv)
-    values[0] = x
-    state = values[0]
+    out[0] = x
+    state = out[0]
     for k in range(grid.steps):
-        if live_law:
+        if atoms is None:
             mu = EmpiricalMeasure(state.copy())
         else:
-            mu = flow[k]
+            mu = EmpiricalMeasure(atoms[k], presorted=True)
         b = spec.fn(float(grid.nodes[k]), state, mu)
         # dB_k = bv[k + 1] - bv[k] has the bits of np.diff, and since
         # addition commutes, dB_k + (state + b dt) has those of
         # state + b dt + dB_k
-        row = np.subtract(bv[k + 1], bv[k], out=values[k + 1])
+        row = np.subtract(bv[k + 1], bv[k], out=out[k + 1])
         row += state + b * dt
         state = row
         # NaN or inf when a state is non-finite, and both fail the test
@@ -131,7 +134,7 @@ def _euler_values(spec: DriftSpec, flow: Optional[MeasureFlow],
             raise BlowUpError(step=k + 1,
                               worst=math.inf if math.isnan(worst) else worst,
                               limit=limit)
-    return values
+    return out
 
 
 def euler_under_flow(spec: DriftSpec, flow: MeasureFlow, start: float,
@@ -151,16 +154,10 @@ def euler_under_flow(spec: DriftSpec, flow: MeasureFlow, start: float,
         raise ValueError("flow and requested grid disagree")
     if brownian is None:
         brownian = sample_brownian(grid, n_paths, start, seed, workers=workers)
-    values = _euler_values(spec, flow, brownian, live_law=False)
+    values = _euler_values(spec, flow.atoms, brownian,
+                           np.empty_like(brownian.values))
     return PathEnsemble(grid=grid, values=values, kind="solution",
                         start=start, seed=brownian.seed)
-
-
-def _initial_flow(cfg: PicardConfig, grid: TimeGrid, start: float,
-                  brownian: PathEnsemble) -> MeasureFlow:
-    if cfg.initial_flow == "dirac":
-        return MeasureFlow.constant(grid, dirac(start))
-    return MeasureFlow.from_ensemble(brownian)
 
 
 def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
@@ -178,6 +175,11 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
     work; a passed ensemble must be the one sample_brownian gives for
     (grid, n_paths, start, seed).
 
+    A solve allocates three path arrays besides the driving ensemble and
+    reuses them in every sweep: the solution, and two row-sorted flow
+    buffers that swap roles (frozen flow, new flow) after each sweep. Only
+    the converged sweep is wrapped in the read-only result.
+
     Raises PicardConvergenceError (with the residual history attached) if
     the tolerance is not reached within config.max_iterations.
     """
@@ -188,21 +190,31 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
           or brownian.start != start or brownian.seed != seed):
         raise ValueError("driving ensemble does not match the requested "
                          "grid, particle count, start and seed")
-    flow = _initial_flow(config, grid, start, brownian)
+    values = np.empty_like(brownian.values)
+    if config.initial_flow == "dirac":
+        frozen = MeasureFlow.constant(grid, dirac(start)).atoms
+    else:
+        frozen = _sort_rows(brownian.values, np.empty_like(values))
+    new = np.empty_like(values)
 
     residuals: list[float] = []
     for _ in range(config.max_iterations):
-        ensemble = euler_under_flow(spec, flow, start, grid, n_paths, seed,
-                                    brownian=brownian)
-        new_flow = MeasureFlow.from_ensemble(ensemble)
-        residuals.append(flow_distance(new_flow, flow))
+        _euler_values(spec, frozen, brownian, values)
+        residuals.append(_sup_w1(_sort_rows(values, new), frozen))
         if residuals[-1] < config.tolerance:
+            ensemble = PathEnsemble(grid=grid, values=values, kind="solution",
+                                    start=start, seed=brownian.seed)
             return SolveResult(
                 spec=spec, ensemble=ensemble, brownian=brownian,
-                flow=new_flow, frozen_flow=flow,
+                flow=MeasureFlow(grid, new),
+                frozen_flow=MeasureFlow(grid, frozen),
                 residual_history=tuple(residuals), method="picard",
             )
-        flow = new_flow
+        # the new flow is frozen for the next sweep, which sorts into the
+        # old frozen buffer; the Dirac start is a read-only one-atom view,
+        # so its place goes to a second buffer allocated here
+        frozen, new = new, (frozen if frozen.flags.writeable
+                            else np.empty_like(values))
     raise PicardConvergenceError(residuals, config.tolerance)
 
 
@@ -216,7 +228,8 @@ def direct_particle_solve(spec: DriftSpec, start: float, grid: TimeGrid,
     the two routes can be compared pathwise.
     """
     brownian = sample_brownian(grid, n_paths, start, seed, workers=workers)
-    values = _euler_values(spec, None, brownian, live_law=True)
+    values = _euler_values(spec, None, brownian,
+                           np.empty_like(brownian.values))
     ensemble = PathEnsemble(grid=grid, values=values, kind="solution",
                             start=start, seed=seed)
     flow = MeasureFlow.from_ensemble(ensemble)
@@ -280,15 +293,15 @@ def moment_diagnostics(result: SolveResult,
         if p <= 0:
             raise ValueError(f"moment orders must be positive, got {p}")
     values = result.ensemble.values
-    # each order is raised in place in one scratch array, so the audit
-    # adds one path array to the peak, not three
-    buf = np.empty_like(values)
+    # each node is raised in place in one row buffer, so the audit adds no
+    # path array to the peak; a row's mean has the bits of mean(axis=1)
+    row = np.empty(values.shape[1])
     node_moments = np.empty((len(orders), values.shape[0]))
     for i, p in enumerate(orders):
-        np.abs(values, out=buf)
-        np.power(buf, p, out=buf)
-        node_moments[i] = buf.mean(axis=1)
-    del buf
+        for k, v in enumerate(values):
+            np.abs(v, out=row)
+            np.power(row, p, out=row)
+            node_moments[i, k] = row.mean()
     max_moments = tuple(float(m.max()) for m in node_moments)
 
     sup_driver = _sup_abs(result.brownian.values)

@@ -262,6 +262,23 @@ def test_csv_floats_round_trip_exactly(tmp_path, capsys):
     assert got == want  # full-precision repr survives the round trip
 
 
+def test_node_quantiles_equal_the_whole_flow_quantiles(tmp_path, capsys):
+    # simulate reads each node's quantiles from one flow row at a time;
+    # they must be the bits of one np.quantile call over the whole flow
+    payload = deep(BASE, run__particles=1001, run__steps=20)
+    payload["model"] = {"name": "sign"}
+    payload["output"] = {"directory": str(tmp_path / "out")}
+    assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 0
+    from mfsde import SeedSpec, make_grid, picard_solve, sign_drift
+    result = picard_solve(sign_drift(), 1.0, make_grid(1.0, 20), 1001,
+                          SeedSpec(424242))
+    want = np.quantile(result.flow.atoms, [0.05, 0.25, 0.5, 0.75, 0.95],
+                       axis=1)
+    rows = (tmp_path / "out" / "simulate_nodes.csv").read_text().splitlines()
+    got = np.array([[float(c) for c in r.split(",")[4:]] for r in rows[1:]])
+    assert np.array_equal(got, want.T)
+
+
 def test_outputs_are_deterministic_across_runs_and_workers(tmp_path, capsys):
     payload = deep(BASE, run__particles=6000, run__steps=60)
     outputs = {
@@ -367,6 +384,17 @@ def test_exit_codes(tmp_path, capsys):
                  write_config(tmp_path, huge, "huge.json")]) == 2
     assert "run.start" in capsys.readouterr().err
     assert not (tmp_path / "o5").exists()
+    # 3: states finite but their squares or spreads not; nothing is written
+    for name, model, start in (("inf1", "ou", 1e300), ("inf2", "sign", 1e200)):
+        overflow = {"model": {"name": model},
+                    "run": {"start": start, "steps": 5, "particles": 50},
+                    "output": {"directory": str(tmp_path / name)}}
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["simulate", "--config",
+                         write_config(tmp_path, overflow, f"{name}.json")])
+        assert code == 3
+        assert "variance of node 0 is inf" in capsys.readouterr().err
+        assert not (tmp_path / name).exists()
     # 2: without a config, selfcheck has no keys for --seed or --out to
     # override
     for flag, value in (("--seed", "-5"), ("--seed", "7"),

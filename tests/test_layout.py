@@ -2,17 +2,18 @@
 
 Every path array, flow and cumulant table of a Picard solve must be the
 transpose of the particle-major reference bit for bit, with the same
-iterations and residual history.
+iterations and residual history. The reference allocates new arrays every
+sweep, so it also checks the solver's reused sweep buffers.
 """
 
 import numpy as np
 import pytest
 
 import mfsde.solver as solver
-from mfsde import (BLOCK_SIZE, MeasureFlow, PicardConfig, SeedSpec,
-                   convolution_drift, drift_cumulants, first_variation,
-                   flow_distance, make_grid, mean_field_ou, picard_solve,
-                   sign_drift)
+from mfsde import (BLOCK_SIZE, EmpiricalMeasure, MeasureFlow, PicardConfig,
+                   SeedSpec, convolution_drift, dirac, drift_cumulants,
+                   first_variation, flow_distance, make_grid, mean_field_ou,
+                   picard_solve, sign_drift)
 from oracles import (particle_major_brownian, particle_major_cumulative_pieces,
                      particle_major_euler, particle_major_variation)
 
@@ -34,7 +35,10 @@ def sorted_flow(grid, paths):
 
 
 def reference_solve(spec, grid, brownian, config):
-    flow = sorted_flow(grid, brownian)
+    if config.initial_flow == "dirac":
+        flow = MeasureFlow.constant(grid, dirac(START))
+    else:
+        flow = sorted_flow(grid, brownian)
     residuals = []
     while True:
         values = particle_major_euler(spec, flow, brownian, grid, START)
@@ -52,10 +56,9 @@ def same_bits(time_major, particle_major):
         np.ascontiguousarray(particle_major.T).view(np.int64))
 
 
-def layout_mismatches(spec):
+def layout_mismatches(spec, config=PicardConfig()):
     """Names of the quantities of one solve that differ from the reference."""
     grid = make_grid(1.0, STEPS)
-    config = PicardConfig()
     result = picard_solve(spec, START, grid, N_PATHS, SEED, config)
 
     brownian = particle_major_brownian(grid, N_PATHS, START, SEED, BLOCK_SIZE)
@@ -92,17 +95,32 @@ def test_time_major_arrays_are_the_particle_major_transposes(builder):
     assert layout_mismatches(builder()) == []
 
 
-def euler_reading_the_next_increment(spec, flow, brownian, live_law):
+@pytest.mark.parametrize("builder, config, min_sweeps", [
+    # the first residual compares against a one-atom flow, and the second
+    # flow buffer is allocated after sweep 1
+    (sign_drift, PicardConfig(initial_flow="dirac"), 2),
+    # each flow buffer is overwritten at least twice
+    (mean_field_ou, PicardConfig(tolerance=1e-5), 4),
+], ids=["dirac", "ou-tight"])
+def test_reused_sweep_buffers_match_the_reference(builder, config,
+                                                  min_sweeps):
+    assert layout_mismatches(builder(), config) == []
+    result = picard_solve(builder(), START, make_grid(1.0, STEPS), N_PATHS,
+                          SEED, config)
+    assert result.iterations >= min_sweeps
+
+
+def euler_reading_the_next_increment(spec, atoms, brownian, out):
     """An off-by-one Euler pass: step k adds the increment of step k + 1
     (the last step wraps to the first)."""
     bv, grid = brownian.values, brownian.grid
     db = np.diff(bv, axis=0)
-    values = np.empty_like(bv)
-    values[0] = brownian.start
+    out[0] = brownian.start
     for k in range(grid.steps):
-        b = spec.fn(float(grid.nodes[k]), values[k], flow[k])
-        values[k + 1] = values[k] + b * grid.dt + db[(k + 1) % grid.steps]
-    return values
+        mu = EmpiricalMeasure(atoms[k], presorted=True)
+        b = spec.fn(float(grid.nodes[k]), out[k], mu)
+        out[k + 1] = out[k] + b * grid.dt + db[(k + 1) % grid.steps]
+    return out
 
 
 def test_an_euler_pass_reading_the_next_increment_is_caught(monkeypatch):

@@ -1,14 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from mfsde import (BlowUpError, MeasureFlow, PicardConfig,
-                   PicardConvergenceError, SeedSpec, constant_drift, dirac,
-                   direct_particle_solve, euler_under_flow, expectation_drift,
-                   flow_distance, make_grid, mean_and_se, mean_field_ou,
-                   moment_diagnostics, picard_solve, sample_brownian,
-                   sign_drift, zero_drift)
+from mfsde import (BlowUpError, DeltaSession, MeasureFlow, PicardConfig,
+                   PicardConvergenceError, SeedSpec, call_payoff,
+                   constant_drift, dirac, direct_particle_solve,
+                   euler_under_flow, expectation_drift, flow_distance,
+                   make_grid, mean_and_se, mean_field_ou, moment_diagnostics,
+                   picard_solve, sample_brownian, sign_drift, zero_drift)
 from oracles import ou_mean_ode
 
 SEED = SeedSpec(314159)
@@ -77,6 +78,55 @@ def test_frozen_flow_reproduces_the_ensemble_bit_for_bit():
     replay = euler_under_flow(mean_field_ou(), result.frozen_flow, 1.0,
                               grid, 2000, SEED)
     assert np.array_equal(replay.values, result.ensemble.values)
+
+
+def result_arrays(result):
+    return {"ensemble": result.ensemble.values, "flow": result.flow.atoms,
+            "frozen_flow": result.frozen_flow.atoms,
+            "brownian": result.brownian.values}
+
+
+@pytest.mark.parametrize("config", [
+    PicardConfig(), PicardConfig(initial_flow="dirac"),
+    PicardConfig(tolerance=1e-5),
+], ids=["brownian", "dirac", "tight"])
+def test_solve_arrays_are_read_only_and_share_no_memory(config):
+    # the sweeps reuse their buffers; the result must still hand out four
+    # separate, frozen arrays
+    result = picard_solve(mean_field_ou(), 1.0, make_grid(1.0, 30), 2000,
+                          SEED, config)
+    assert result.iterations >= 2
+    arrays = result_arrays(result)
+    for name, a in arrays.items():
+        assert not a.flags.writeable, name
+    for (na, a), (nb, b) in itertools.combinations(arrays.items(), 2):
+        assert not np.shares_memory(a, b), (na, nb)
+
+
+def test_later_solves_leave_an_earlier_result_unchanged(monkeypatch):
+    import mfsde.sensitivity as sensitivity
+    spec, grid, n = sign_drift(), make_grid(1.0, 30), 2000
+    first = picard_solve(spec, 1.0, grid, n, SEED)
+    before = {k: v.tobytes() for k, v in result_arrays(first).items()}
+
+    picard_solve(spec, 1.0, grid, n, SEED)
+    solves = []
+    solve = sensitivity.picard_solve
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "picard_solve", counted_solve)
+    session = DeltaSession(spec, 1.0, grid, n, SEED)
+    session.bel(call_payoff(1.0))
+    session.finite_difference(call_payoff(1.0))
+    assert len(solves) == 3
+
+    after = {k: v.tobytes() for k, v in result_arrays(first).items()}
+    assert after == before
+    replay = euler_under_flow(spec, first.frozen_flow, 1.0, grid, n, SEED)
+    assert replay.values.tobytes() == first.ensemble.values.tobytes()
 
 
 def test_euler_reuses_supplied_brownian():
@@ -179,6 +229,17 @@ def test_moment_diagnostics_envelope():
         growth_const=0.01, law_lipschitz_const=0.0, name="liar")
     flagged = moment_diagnostics(picard_solve(liar, 1.0, grid, 500, SEED))
     assert flagged.flagged
+
+
+def test_row_moments_equal_the_whole_array_moments():
+    # moment_diagnostics raises one node at a time in a row buffer; the
+    # moments must be the bits of the whole-array form
+    result = picard_solve(sign_drift(), 1.0, make_grid(1.0, 40), 3001, SEED)
+    orders = (0.5, 1.0, 1.5, 2.0, 3.0)
+    report = moment_diagnostics(result, orders=orders)
+    v = result.ensemble.values
+    for p, got in zip(orders, report.node_moments):
+        assert np.array_equal(got, (np.abs(v) ** p).mean(axis=1)), p
 
 
 def test_solver_rejects_bad_particle_count():
