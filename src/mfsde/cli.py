@@ -4,12 +4,13 @@ The config is a single JSON file with nested sections (schema in the
 README); parsing is strict, so unknown sections or keys are errors rather
 than silent no-ops. Results land in an output directory as CSV files with
 fixed column sets, full-precision floats, UTF-8 and LF line endings. For a
-fixed config and seed the CSV bytes are identical across runs and worker
-counts; volatile run facts (wall time, package version) go to meta.json.
+fixed config and seed the CSV bytes are identical across runs and
+--workers values; volatile run facts (wall time, package version) go to
+meta.json.
 
 Exit codes: 0 success, 2 malformed config, usage error or a run estimated
 to need more than physical memory, 3 numerical failure (non-convergence,
-blow-up, overflow guard, a non-finite simulate statistic), 4 self-check
+blow-up, overflow guard, a non-finite number in a table), 4 self-check
 failure.
 """
 
@@ -57,11 +58,11 @@ MAX_START = 1e300
 
 # Peak resident memory of a command, counted in its largest (M+1) x N
 # float64 path array: peak ru_maxrss bytes over that array's bytes on the
-# benchmark configs (sign model, --workers 2, median of 5 runs), rounded
-# up. simulate 50 000 x 200, which holds four path arrays (Brownian,
-# solution, two flows): 385.4 MB / 80.4 MB = 4.79; delta 10 000 x 200:
-# 222.7 MB / 16.08 MB = 13.85; convergence, whose largest array is the
-# 4000 x 1600 local-time ensemble: 409.2 MB / 51.23 MB = 7.99.
+# benchmark configs (sign model, seed 11, median of 3 runs), rounded up.
+# simulate 50 000 x 200, which holds four path arrays (Brownian, solution,
+# two flows): 371.1 MB / 80.4 MB = 4.62; delta 10 000 x 200: 215.2 MB /
+# 16.08 MB = 13.38; convergence, whose largest array is the 4000 x 1600
+# local-time ensemble: 395.0 MB / 51.23 MB = 7.71.
 # The interpreter's own 36 MB is included, so the counts overstate large
 # runs a little. check_memory adds the Brownian blocks drawn at once,
 # which these counts miss when N is far below BLOCK_SIZE.
@@ -343,15 +344,14 @@ def _ensembles(command: str, cfg: RunConfig) -> list[tuple[int, int, str]]:
     return sizes
 
 
-def check_memory(command: str, cfg: RunConfig, workers: int) -> None:
+def check_memory(command: str, cfg: RunConfig) -> None:
     """Refuse a run whose estimated peak memory exceeds physical memory.
 
-    The estimate is PEAK_ARRAYS path arrays plus the full BLOCK_SIZE x steps
-    normal blocks that up to `workers` threads draw at once.
+    The estimate is PEAK_ARRAYS path arrays plus the one full BLOCK_SIZE x
+    steps normal block drawn at a time.
     """
     need, keys = max(
-        (8 * (n * (m + 1) * PEAK_ARRAYS[command]
-              + min(workers, math.ceil(n / BLOCK_SIZE)) * BLOCK_SIZE * m), k)
+        (8 * (n * (m + 1) * PEAK_ARRAYS[command] + BLOCK_SIZE * m), k)
         for n, m, k in _ensembles(command, cfg))
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     _require(need <= have,
@@ -441,7 +441,7 @@ def _outdir(cfg: RunConfig) -> Path:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg: RunConfig, workers: int = 1) -> int:
+def cmd_simulate(cfg: RunConfig) -> int:
     """Solve the configured model; write node stats, residuals, summary."""
     t0 = time.perf_counter()
     spec = cfg.build_drift()
@@ -449,10 +449,10 @@ def cmd_simulate(cfg: RunConfig, workers: int = 1) -> int:
     seed = cfg.seed_spec()
     if cfg.method == "picard":
         result = picard_solve(spec, cfg.start, grid, cfg.particles, seed,
-                              cfg.picard, workers=workers)
+                              cfg.picard)
     else:
         result = direct_particle_solve(spec, cfg.start, grid, cfg.particles,
-                                       seed, workers=workers)
+                                       seed)
     values = result.ensemble.values
     node_rows = []
     for k in range(grid.steps + 1):
@@ -516,7 +516,7 @@ def _agreement_rows(results: dict[str, EstimatorResult]) -> list[list]:
     return rows
 
 
-def cmd_delta(cfg: RunConfig, workers: int = 1) -> int:
+def cmd_delta(cfg: RunConfig) -> int:
     """Estimate the delta by the configured methods; write agreement flags."""
     t0 = time.perf_counter()
     spec = cfg.build_drift()
@@ -525,8 +525,7 @@ def cmd_delta(cfg: RunConfig, workers: int = 1) -> int:
     payoff = cfg.build_payoff()
     weight = cfg.build_weight()
     session = DeltaSession(spec, cfg.start, grid, cfg.particles, seed,
-                           cfg.picard, workers=workers,
-                           law_bump=cfg.law_bump)
+                           cfg.picard, law_bump=cfg.law_bump)
     results: dict[str, EstimatorResult] = {}
     for method in cfg.methods:
         if method == "bel":
@@ -538,15 +537,18 @@ def cmd_delta(cfg: RunConfig, workers: int = 1) -> int:
         else:
             results[method] = session.finite_difference(payoff, cfg.fd_bump)
 
-    out = _outdir(cfg)
     table = ResultTable(seed=cfg.seed, config_hash=cfg.config_hash())
     for name, r in results.items():
         table.add(f"delta_{name}", r.estimate, r.stderr, cfg.particles,
                   cfg.steps)
+    agreement_header = ["pair", "abs_diff", "tolerance", "agree"]
+    agreement_rows = _agreement_rows(results)
+    for header, rows in ((table.header, table.rows),
+                         (agreement_header, agreement_rows)):
+        _require_finite(header, rows)
+    out = _outdir(cfg)
     table.write(out / "delta_results.csv")
-    write_csv(out / "delta_agreement.csv",
-              ["pair", "abs_diff", "tolerance", "agree"],
-              _agreement_rows(results))
+    write_csv(out / "delta_agreement.csv", agreement_header, agreement_rows)
     _write_meta(out, "delta", cfg, time.perf_counter() - t0)
     for name, r in results.items():
         print(f"delta[{name}]: {r.estimate:.6f} (se {r.stderr:.2e})")
@@ -554,52 +556,61 @@ def cmd_delta(cfg: RunConfig, workers: int = 1) -> int:
     return EXIT_OK
 
 
-def cmd_convergence(cfg: RunConfig, workers: int = 1) -> int:
+def cmd_convergence(cfg: RunConfig) -> int:
     """Run the configured convergence studies; write tables and fits."""
     t0 = time.perf_counter()
     _require("mollify" not in cfg.studies or cfg.build_drift().decomposed,
              f"'convergence.studies' includes mollify, which smooths the "
              f"bounded part of a bounded/Lipschitz split that model "
              f"'{cfg.model['name']}' does not declare")
-    out = _outdir(cfg)
+    # every table is built and checked before the output directory exists
+    tables: dict[str, tuple[list[str], list]] = {}
     fit_rows = []
+    notes = []
     if "se_vs_n" in cfg.studies:
         ses, slope = se_rate_study(cfg.build_drift(), cfg.start, cfg.grid(),
                                    cfg.particle_counts, cfg.seed_spec(),
-                                   cfg.picard, workers=workers)
-        write_csv(out / "convergence_se_vs_n.csv", ["n_paths", "stderr"],
-                  list(zip(cfg.particle_counts, ses)))
+                                   cfg.picard)
+        tables["convergence_se_vs_n.csv"] = (
+            ["n_paths", "stderr"], list(zip(cfg.particle_counts, ses)))
         fit_rows.append(["se_vs_n", float(slope)])
-        print(f"se_vs_n slope: {slope:.3f} (expect about -0.5)")
+        notes.append(f"se_vs_n slope: {slope:.3f} (expect about -0.5)")
     if "localtime_rate" in cfg.studies:
         dts, errors, slope = localtime_rate_study(
             cfg.horizon, cfg.step_counts, cfg.rate_paths, cfg.start,
-            cfg.seed_spec(), workers=workers)
-        write_csv(out / "convergence_localtime.csv",
-                  ["steps", "dt", "rms_error"],
-                  list(zip(cfg.step_counts, dts, errors)))
+            cfg.seed_spec())
+        tables["convergence_localtime.csv"] = (
+            ["steps", "dt", "rms_error"],
+            list(zip(cfg.step_counts, dts, errors)))
         fit_rows.append(["localtime_rate", float(slope)])
-        print(f"localtime_rate slope: {slope:.3f} (expect about 0.5)")
+        notes.append(f"localtime_rate slope: {slope:.3f} (expect about 0.5)")
     if "mollify" in cfg.studies:
         study = mollified_convergence_study(
             cfg.build_drift(), cfg.start, cfg.grid(), cfg.particles,
-            cfg.seed_spec(), levels=cfg.mollify_levels, config=cfg.picard,
-            workers=workers)
-        write_csv(out / "convergence_mollify.csv",
-                  ["level", "mean_square_gap", "gap_stderr", "terminal_w1"],
-                  [[n, m, s, w] for n, m, s, w in
-                   zip(study.levels, study.mean_square_gap,
-                       study.gap_stderr, study.terminal_w1)])
+            cfg.seed_spec(), levels=cfg.mollify_levels, config=cfg.picard)
+        tables["convergence_mollify.csv"] = (
+            ["level", "mean_square_gap", "gap_stderr", "terminal_w1"],
+            [[n, m, s, w] for n, m, s, w in
+             zip(study.levels, study.mean_square_gap, study.gap_stderr,
+                 study.terminal_w1)])
         fit_rows.append(["mollify_rate", float(study.rate_slope)])
-        print(f"mollify: monotone within noise: {study.monotone_within_noise}, "
-              f"rate slope {study.rate_slope:.3f}")
-    write_csv(out / "convergence_fits.csv", ["study", "slope"], fit_rows)
+        notes.append(f"mollify: monotone within noise: "
+                     f"{study.monotone_within_noise}, "
+                     f"rate slope {study.rate_slope:.3f}")
+    tables["convergence_fits.csv"] = (["study", "slope"], fit_rows)
+    for header, rows in tables.values():
+        _require_finite(header, rows)
+    out = _outdir(cfg)
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
     _write_meta(out, "convergence", cfg, time.perf_counter() - t0)
+    for note in notes:
+        print(note)
     print(f"wrote {out}/")
     return EXIT_OK
 
 
-def cmd_selfcheck(cfg: Optional[RunConfig], workers: int = 1) -> int:
+def cmd_selfcheck(cfg: Optional[RunConfig]) -> int:
     """Fast built-in battery; prints one PASS/FAIL line per check."""
     t0 = time.perf_counter()
     seed = SeedSpec(cfg.seed if cfg is not None else 2718281828)
@@ -611,12 +622,12 @@ def cmd_selfcheck(cfg: Optional[RunConfig], workers: int = 1) -> int:
         checks.append((name, value, bound, ok))
 
     # zero drift reproduces the driving noise exactly
-    res0 = picard_solve(zero_drift(), 1.0, grid, n, seed, workers=workers)
+    res0 = picard_solve(zero_drift(), 1.0, grid, n, seed)
     gap = float(np.max(np.abs(res0.ensemble.values - res0.brownian.values)))
     record("zero_drift_identity", gap, 0.0, gap == 0.0)
 
     # terminal mean of the linear model within 4 standard errors
-    res = picard_solve(mean_field_ou(), 1.0, grid, n, seed, workers=workers)
+    res = picard_solve(mean_field_ou(), 1.0, grid, n, seed)
     m, se = mean_and_se(res.ensemble.terminal())
     err = abs(m - math.exp(-0.5))
     record("ou_terminal_mean", err, 4 * se, err <= 4 * se)
@@ -634,16 +645,16 @@ def cmd_selfcheck(cfg: Optional[RunConfig], workers: int = 1) -> int:
     record("malliavin_cocycle", cgap, 1e-10, cgap <= 1e-10)
 
     # delta of the flat model is one
-    r = bel_delta(zero_drift(), 1.0, grid, n, seed, identity_payoff(),
-                  workers=workers)
+    r = bel_delta(zero_drift(), 1.0, grid, n, seed, identity_payoff())
     err = abs(r.estimate - 1.0)
     record("bel_flat_delta", err, 4 * r.stderr, err <= 4 * r.stderr)
 
-    # generation is independent of the worker count
-    a = sample_brownian(grid, n, 0.0, seed, workers=1)
-    b = sample_brownian(grid, n, 0.0, seed, workers=2)
-    same = bool(np.array_equal(a.values, b.values))
-    record("worker_independence", 0.0 if same else 1.0, 0.0, same)
+    # a draw is the prefix of a longer one, which the studies that draw
+    # once at their largest count rely on
+    a = sample_brownian(grid, n, 0.0, seed)
+    b = sample_brownian(grid, n + BLOCK_SIZE, 0.0, seed)
+    same = bool(np.array_equal(a.values, b.values[:, :n]))
+    record("block_prefix", 0.0 if same else 1.0, 0.0, same)
 
     failed = [c for c in checks if not c[3]]
     for name, value, bound, ok in checks:
@@ -677,8 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override run.seed")
         p.add_argument("--workers", type=int, default=1,
-                       help="thread cap for path generation (results do not "
-                            "depend on it)")
+                       help="thread cap, N >= 1; the engine draws and solves "
+                            "on one thread, which honours every cap")
         p.add_argument("--out", default=None,
                        help="override output.directory")
     return parser
@@ -700,14 +711,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.workers is not None and args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         if cfg is not None and args.command in PEAK_ARRAYS:
-            check_memory(args.command, cfg, args.workers)
+            check_memory(args.command, cfg)
         if args.command == "simulate":
-            return cmd_simulate(cfg, workers=args.workers)
+            return cmd_simulate(cfg)
         if args.command == "delta":
-            return cmd_delta(cfg, workers=args.workers)
+            return cmd_delta(cfg)
         if args.command == "convergence":
-            return cmd_convergence(cfg, workers=args.workers)
-        return cmd_selfcheck(cfg, workers=args.workers)
+            return cmd_convergence(cfg)
+        return cmd_selfcheck(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

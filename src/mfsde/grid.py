@@ -3,15 +3,13 @@
 All Monte Carlo work in this package runs on a uniform grid over [0, T] and
 consumes Brownian increments generated from counter-based (Philox) streams.
 Streams are derived from a (seed, stream) pair and a fixed particle-block
-partition, so a given SeedSpec always produces bit-identical ensembles, no
-matter how many worker threads generate the blocks or in which order they
-finish.
+partition, so a given SeedSpec always produces bit-identical ensembles, and
+the first n paths of a larger ensemble are the ensemble of n paths.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -69,8 +67,8 @@ class SeedSpec:
     """Master seed plus a stream index selecting an independent substream.
 
     The pair keys a 128-bit Philox counter-based generator. Block j of an
-    ensemble draws from counter offset j * 2**80, which makes generation
-    embarrassingly parallel and independent of scheduling.
+    ensemble draws from counter offset j * 2**80, so its draws depend only
+    on the pair and j.
     """
 
     seed: int
@@ -147,32 +145,23 @@ class PathEnsemble:
         return out
 
 
-def _normal_increments(out: np.ndarray, seed: SeedSpec,
-                       workers: int = 1) -> None:
+def _normal_increments(out: np.ndarray, seed: SeedSpec) -> None:
     """Fill out, shape (steps, n_paths), with standard normal draws from
     fixed particle blocks; each block is drawn particle-major and written
     transposed into its columns."""
     steps, n_paths = out.shape
-    n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
-
-    def fill(j: int) -> None:
+    for j in range((n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE):
         lo = j * BLOCK_SIZE
         hi = min(lo + BLOCK_SIZE, n_paths)
-        # always draw the full block shape so partial tail blocks do not
-        # change the draws of a longer run sharing the same seed
+        # particle-major order puts each path's draws before the next
+        # path's, so a path's draws do not depend on how many paths follow
+        # it: a draw is the prefix of any longer draw with the same seed
         block = seed.block_generator(j).standard_normal((BLOCK_SIZE, steps))
         out[:, lo:hi] = block[: hi - lo].T
 
-    if workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n_blocks)))
-    else:
-        for j in range(n_blocks):
-            fill(j)
 
-
-def sample_brownian(grid: TimeGrid, n_paths: int, start: float, seed: SeedSpec,
-                    workers: int = 1) -> PathEnsemble:
+def sample_brownian(grid: TimeGrid, n_paths: int, start: float,
+                    seed: SeedSpec) -> PathEnsemble:
     """Sample N Brownian paths started at x on the grid.
 
     Parameters
@@ -181,7 +170,6 @@ def sample_brownian(grid: TimeGrid, n_paths: int, start: float, seed: SeedSpec,
     n_paths : number of paths N
     start : common initial value x
     seed : stream specification; same spec gives bit-identical output
-    workers : thread cap for block generation; has no effect on the values
 
     Returns
     -------
@@ -194,7 +182,7 @@ def sample_brownian(grid: TimeGrid, n_paths: int, start: float, seed: SeedSpec,
     values[0] = start
     # the increments are drawn, scaled and summed in place in rows 1..M
     dw = values[1:]
-    _normal_increments(dw, seed, workers=workers)
+    _normal_increments(dw, seed)
     dw *= math.sqrt(grid.dt)
     running_sum(dw, out=dw)
     dw += start

@@ -145,8 +145,7 @@ def local_time_integral(f: SpaceTimeFn, paths: PathEnsemble, s: int,
 
 
 def localtime_rate_study(horizon: float, step_counts: Sequence[int],
-                         n_paths: int, start: float, seed: SeedSpec,
-                         workers: int = 1
+                         n_paths: int, start: float, seed: SeedSpec
                          ) -> tuple[list[float], list[float], float]:
     """RMS error of the local-time integral of sin against its smooth
     oracle (minus the time integral of cos along the path) per step count.
@@ -157,7 +156,7 @@ def localtime_rate_study(horizon: float, step_counts: Sequence[int],
     dts, errors = [], []
     for steps in step_counts:
         grid = make_grid(horizon, steps)
-        paths = sample_brownian(grid, n_paths, start, seed, workers=workers)
+        paths = sample_brownian(grid, n_paths, start, seed)
         got = local_time_integral(lambda t, y: np.sin(y), paths, 0, steps)
         # trapezoid in time of cos along each path
         oracle = -np.trapezoid(np.cos(paths.values), dx=grid.dt, axis=0)

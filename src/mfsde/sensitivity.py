@@ -177,7 +177,7 @@ class DeltaSession:
 
     def __init__(self, spec: DriftSpec, start: float, grid: TimeGrid,
                  n_paths: int, seed: SeedSpec,
-                 config: PicardConfig = PicardConfig(), workers: int = 1,
+                 config: PicardConfig = PicardConfig(),
                  dxb: Optional[SpaceTimeFn] = None,
                  law_bump: Optional[float] = None):
         self.spec = spec
@@ -186,7 +186,6 @@ class DeltaSession:
         self.n_paths = n_paths
         self.seed = seed
         self.config = config
-        self.workers = workers
         self._dxb = dxb
         self._law_bump = law_bump
         self._draw: Optional[PathEnsemble] = None
@@ -199,13 +198,12 @@ class DeltaSession:
     def _solve(self, start: float) -> SolveResult:
         if self._draw is None:
             self._draw = sample_brownian(self.grid, self.n_paths, 0.0,
-                                         self.seed, workers=self.workers)
+                                         self.seed)
         brownian = PathEnsemble(grid=self.grid,
                                 values=self._draw.values + start,
                                 kind="brownian", start=start, seed=self.seed)
         return picard_solve(self.spec, start, self.grid, self.n_paths,
-                            self.seed, self.config, workers=self.workers,
-                            brownian=brownian)
+                            self.seed, self.config, brownian=brownian)
 
     def _run(self, start: float) -> tuple[MeasureFlow, np.ndarray]:
         """Flow and terminal values of the solve at start, solved on first
@@ -339,8 +337,7 @@ class DeltaSession:
 
 def law_derivative(spec: DriftSpec, start: float, grid: TimeGrid,
                    n_paths: int, seed: SeedSpec, h: Optional[float] = None,
-                   config: PicardConfig = PicardConfig(),
-                   workers: int = 1) -> SpaceTimeFn:
+                   config: PicardConfig = PicardConfig()) -> SpaceTimeFn:
     """Central difference of the drift through the law in the initial point.
 
     Runs picard_solve at x + h and x - h with the same seed, so both flows
@@ -351,8 +348,8 @@ def law_derivative(spec: DriftSpec, start: float, grid: TimeGrid,
 
     Drifts with no law dependence give exactly zero by cancellation.
     """
-    return DeltaSession(spec, start, grid, n_paths, seed, config,
-                        workers).law_derivative(h)
+    return DeltaSession(spec, start, grid, n_paths, seed,
+                        config).law_derivative(h)
 
 
 def bel_delta(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
@@ -360,8 +357,7 @@ def bel_delta(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
               weight: Optional[WeightFunctionA] = None,
               dxb: Optional[SpaceTimeFn] = None,
               law_bump: Optional[float] = None,
-              config: PicardConfig = PicardConfig(),
-              workers: int = 1) -> EstimatorResult:
+              config: PicardConfig = PicardConfig()) -> EstimatorResult:
     """Delta d/dx E[payoff(X_T^x)] via the integration-by-parts weight.
 
     Needs no payoff derivative. The law derivative is bump estimated from
@@ -369,7 +365,7 @@ def bel_delta(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
     defaults to the uniform a = 1/T; estimates must agree across admissible
     weights within statistical error.
     """
-    return DeltaSession(spec, start, grid, n_paths, seed, config, workers,
+    return DeltaSession(spec, start, grid, n_paths, seed, config,
                         dxb=dxb, law_bump=law_bump).bel(payoff, weight)
 
 
@@ -377,25 +373,25 @@ def pathwise_delta(spec: DriftSpec, start: float, grid: TimeGrid,
                    n_paths: int, seed: SeedSpec, payoff: Payoff,
                    dxb: Optional[SpaceTimeFn] = None,
                    law_bump: Optional[float] = None,
-                   config: PicardConfig = PicardConfig(),
-                   workers: int = 1) -> EstimatorResult:
+                   config: PicardConfig = PicardConfig()
+                   ) -> EstimatorResult:
     """Delta as E[payoff'(X_T) dX_T/dx] for differentiable payoffs.
 
     Uses the first-variation path on the Brownian representation and the
     Girsanov weights of the same run.
     """
-    return DeltaSession(spec, start, grid, n_paths, seed, config, workers,
+    return DeltaSession(spec, start, grid, n_paths, seed, config,
                         dxb=dxb, law_bump=law_bump).pathwise(payoff)
 
 
 def finite_difference_delta(spec: DriftSpec, start: float, grid: TimeGrid,
                             n_paths: int, seed: SeedSpec, payoff: Payoff,
                             h: Optional[float] = None,
-                            config: PicardConfig = PicardConfig(),
-                            workers: int = 1) -> EstimatorResult:
+                            config: PicardConfig = PicardConfig()
+                            ) -> EstimatorResult:
     """Central difference of two solves at x +/- h, common random numbers."""
-    return DeltaSession(spec, start, grid, n_paths, seed, config,
-                        workers).finite_difference(payoff, h)
+    return DeltaSession(spec, start, grid, n_paths, seed,
+                        config).finite_difference(payoff, h)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +413,8 @@ class MollifyStudy:
 def mollified_convergence_study(spec: DriftSpec, start: float, grid: TimeGrid,
                                 n_paths: int, seed: SeedSpec,
                                 levels: Sequence[int] = (4, 16, 64, 256),
-                                config: PicardConfig = PicardConfig(),
-                                workers: int = 1) -> MollifyStudy:
+                                config: PicardConfig = PicardConfig()
+                                ) -> MollifyStudy:
     """Solve with the drift mollified at each bandwidth 1/n, same noise.
 
     Reports E|X_T^n - X_T|^2 with its standard error and the terminal W1
@@ -428,13 +424,12 @@ def mollified_convergence_study(spec: DriftSpec, start: float, grid: TimeGrid,
     """
     if len(levels) < 2 or any(n < 1 for n in levels):
         raise ValueError("levels must be at least two bandwidth parameters")
-    base = picard_solve(spec, start, grid, n_paths, seed, config,
-                        workers=workers)
+    base = picard_solve(spec, start, grid, n_paths, seed, config)
     x_t = base.ensemble.terminal()
     msd, ses, w1s = [], [], []
     for n in levels:
         res = picard_solve(mollify(spec, int(n)), start, grid, n_paths, seed,
-                           config, workers=workers, brownian=base.brownian)
+                           config, brownian=base.brownian)
         gap = (res.ensemble.terminal() - x_t) ** 2
         m, se = mean_and_se(gap)
         msd.append(m)

@@ -139,7 +139,6 @@ def _euler_values(spec: DriftSpec, atoms: Optional[np.ndarray],
 
 def euler_under_flow(spec: DriftSpec, flow: MeasureFlow, start: float,
                      grid: TimeGrid, n_paths: int, seed: SeedSpec,
-                     workers: int = 1,
                      brownian: Optional[PathEnsemble] = None) -> PathEnsemble:
     """One Euler pass with the law flow frozen.
 
@@ -153,7 +152,7 @@ def euler_under_flow(spec: DriftSpec, flow: MeasureFlow, start: float,
     if flow.grid != grid:
         raise ValueError("flow and requested grid disagree")
     if brownian is None:
-        brownian = sample_brownian(grid, n_paths, start, seed, workers=workers)
+        brownian = sample_brownian(grid, n_paths, start, seed)
     values = _euler_values(spec, flow.atoms, brownian,
                            np.empty_like(brownian.values))
     return PathEnsemble(grid=grid, values=values, kind="solution",
@@ -162,7 +161,6 @@ def euler_under_flow(spec: DriftSpec, flow: MeasureFlow, start: float,
 
 def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
                  seed: SeedSpec, config: PicardConfig = PicardConfig(),
-                 workers: int = 1,
                  brownian: Optional[PathEnsemble] = None) -> SolveResult:
     """Construct the solution law by fixed-point iteration on measure flows.
 
@@ -184,8 +182,7 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
     the tolerance is not reached within config.max_iterations.
     """
     if brownian is None:
-        brownian = sample_brownian(grid, n_paths, start, seed,
-                                   workers=workers)
+        brownian = sample_brownian(grid, n_paths, start, seed)
     elif (brownian.grid != grid or brownian.n_paths != n_paths
           or brownian.start != start or brownian.seed != seed):
         raise ValueError("driving ensemble does not match the requested "
@@ -226,8 +223,11 @@ def direct_particle_solve(spec: DriftSpec, start: float, grid: TimeGrid,
     Single Euler pass where step k reads the empirical measure of the
     current states. Same driving noise as picard_solve for equal seeds, so
     the two routes can be compared pathwise.
+
+    `workers` has no effect: the paths are drawn on one thread. It is kept
+    because perfbench/make_reference.py passes it.
     """
-    brownian = sample_brownian(grid, n_paths, start, seed, workers=workers)
+    brownian = sample_brownian(grid, n_paths, start, seed)
     values = _euler_values(spec, None, brownian,
                            np.empty_like(brownian.values))
     ensemble = PathEnsemble(grid=grid, values=values, kind="solution",
@@ -241,8 +241,8 @@ def direct_particle_solve(spec: DriftSpec, start: float, grid: TimeGrid,
 
 def se_rate_study(spec: DriftSpec, start: float, grid: TimeGrid,
                   particle_counts: Sequence[int], seed: SeedSpec,
-                  config: PicardConfig = PicardConfig(),
-                  workers: int = 1) -> tuple[list[float], float]:
+                  config: PicardConfig = PicardConfig()
+                  ) -> tuple[list[float], float]:
     """Standard error of the terminal mean of one solve per particle count,
     and the fitted log-log slope of standard error against count (about
     -0.5).
@@ -250,14 +250,13 @@ def se_rate_study(spec: DriftSpec, start: float, grid: TimeGrid,
     The paths are drawn once at the largest count; each solve runs on the
     first n of them, which are the paths sample_brownian gives for n (the
     particle blocks make every draw a prefix of a longer one)."""
-    draw = sample_brownian(grid, max(particle_counts), start, seed,
-                           workers=workers)
+    draw = sample_brownian(grid, max(particle_counts), start, seed)
     ses = []
     for n in particle_counts:
         prefix = PathEnsemble(grid=grid, values=draw.values[:, :n],
                               kind="brownian", start=start, seed=seed)
         result = picard_solve(spec, start, grid, n, seed, config,
-                              workers=workers, brownian=prefix)
+                              brownian=prefix)
         ses.append(mean_and_se(result.ensemble.terminal())[1])
     return ses, loglog_slope(particle_counts, ses)
 

@@ -341,6 +341,24 @@ def test_selfcheck_passes_and_writes_table(tmp_path, capsys):
     assert all(r.split(",")[3] == "1" for r in table[1:])
 
 
+def test_selfcheck_fails_when_a_draw_is_not_a_prefix(capsys, monkeypatch):
+    # a tail block drawn time-major at its own width gives a short draw
+    # other numbers than the same paths of a longer draw
+    import mfsde.grid as grid
+
+    def tail_at_own_width(out, seed):
+        steps, n_paths = out.shape
+        for j in range(-(-n_paths // grid.BLOCK_SIZE)):
+            lo = j * grid.BLOCK_SIZE
+            hi = min(lo + grid.BLOCK_SIZE, n_paths)
+            out[:, lo:hi] = seed.block_generator(j).standard_normal(
+                (steps, hi - lo))
+
+    monkeypatch.setattr(grid, "_normal_increments", tail_at_own_width)
+    assert main(["selfcheck"]) == 4
+    assert "FAIL block_prefix" in capsys.readouterr().out
+
+
 def test_exit_codes(tmp_path, capsys):
     # 2: malformed config (negative particle count, diagnostic names key)
     bad = deep(BASE, run__particles=-5)
@@ -395,6 +413,30 @@ def test_exit_codes(tmp_path, capsys):
         assert code == 3
         assert "variance of node 0 is inf" in capsys.readouterr().err
         assert not (tmp_path / name).exists()
+    # 3: the same for delta and convergence, whose tables would hold nan
+    # and inf
+    far = {"model": {"name": "zero"},
+           "run": {"start": 1e200, "steps": 5, "particles": 50}}
+    for name, command, section, quantity in (
+            ("inf3", "delta",
+             {"delta": {"payoff": "square",
+                        "methods": ["finite_difference"]}},
+             "delta_finite_difference is nan"),
+            ("inf4", "convergence",
+             {"convergence": {"studies": ["se_vs_n"],
+                              "particle_counts": [10, 20]}},
+             "stderr of n_paths")):
+        overflow = {**far, **section,
+                    "output": {"directory": str(tmp_path / name)}}
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            code = main([command, "--config",
+                         write_config(tmp_path, overflow, f"{name}.json")])
+        assert code == 3
+        assert quantity in capsys.readouterr().err
+        assert not (tmp_path / name).exists()
+    # 2: --workers caps threads and must be at least one
+    assert main(["selfcheck", "--workers", "0"]) == 2
+    assert "--workers" in capsys.readouterr().err
     # 2: without a config, selfcheck has no keys for --seed or --out to
     # override
     for flag, value in (("--seed", "-5"), ("--seed", "7"),
