@@ -1,10 +1,11 @@
 """Local-time-space integrals and derivative weights without derivatives.
 
 The engine never differentiates the drift in space. Integrals of a function
-against the Brownian local time are computed from a forward sum, a
-time-reversed sum, and a quadratic correction; Malliavin derivatives and
-first-variation paths then come out as exponentials of such integrals. The
-demo verifies the machinery against closed forms:
+against the Brownian local time are computed as minus the discrete
+quadratic covariation of f(., B) and B, which is what the forward,
+time-reversed and correction sums telescope to on the grid; Malliavin
+derivatives and first-variation paths then come out as exponentials of such
+integrals. The demo verifies the machinery against closed forms:
 
   * f(t, y) = y integrates to minus the realized quadratic variation,
   * smooth f matches -int d/dy f(u, B_u) du at the Euler rate,

@@ -57,16 +57,16 @@ MAX_SEED = 2**64 - 1
 MAX_START = 1e300
 
 # Peak resident memory of a command, counted in its largest (M+1) x N
-# float64 path array: peak ru_maxrss bytes over that array's bytes on the
-# benchmark configs (sign model, seed 11, median of 3 runs), rounded up.
-# simulate 50 000 x 200, which holds four path arrays (Brownian, solution,
-# two flows): 371.1 MB / 80.4 MB = 4.62; delta 10 000 x 200: 215.2 MB /
-# 16.08 MB = 13.38; convergence, whose largest array is the 4000 x 1600
-# local-time ensemble: 395.0 MB / 51.23 MB = 7.71.
+# float64 path array: peak ru_maxrss bytes (ru_maxrss is in KiB) over that
+# array's bytes on the benchmark configs (sign model, seed 11, median of 3
+# runs), rounded up. simulate 50 000 x 200, which holds four path arrays
+# (Brownian, solution, two flows): 371.7 MB / 80.4 MB = 4.62; delta
+# 10 000 x 200: 200.1 MB / 16.08 MB = 12.45; convergence, whose largest
+# array is the 4000 x 1600 local-time ensemble: 293.2 MB / 51.23 MB = 5.72.
 # The interpreter's own 36 MB is included, so the counts overstate large
-# runs a little. check_memory adds the Brownian blocks drawn at once,
-# which these counts miss when N is far below BLOCK_SIZE.
-PEAK_ARRAYS = {"simulate": 5, "delta": 14, "convergence": 8}
+# runs a little. check_memory adds the one min(N, BLOCK_SIZE) x steps
+# normal block drawn at a time.
+PEAK_ARRAYS = {"simulate": 5, "delta": 13, "convergence": 6}
 
 
 class ConfigError(ValueError):
@@ -347,11 +347,12 @@ def _ensembles(command: str, cfg: RunConfig) -> list[tuple[int, int, str]]:
 def check_memory(command: str, cfg: RunConfig) -> None:
     """Refuse a run whose estimated peak memory exceeds physical memory.
 
-    The estimate is PEAK_ARRAYS path arrays plus the one full BLOCK_SIZE x
-    steps normal block drawn at a time.
+    The estimate is PEAK_ARRAYS path arrays plus the one normal block of
+    min(N, BLOCK_SIZE) x steps drawn at a time.
     """
     need, keys = max(
-        (8 * (n * (m + 1) * PEAK_ARRAYS[command] + BLOCK_SIZE * m), k)
+        (8 * (n * (m + 1) * PEAK_ARRAYS[command] + min(n, BLOCK_SIZE) * m),
+         k)
         for n, m, k in _ensembles(command, cfg))
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     _require(need <= have,

@@ -155,9 +155,10 @@ def _normal_increments(out: np.ndarray, seed: SeedSpec) -> None:
         hi = min(lo + BLOCK_SIZE, n_paths)
         # particle-major order puts each path's draws before the next
         # path's, so a path's draws do not depend on how many paths follow
-        # it: a draw is the prefix of any longer draw with the same seed
-        block = seed.block_generator(j).standard_normal((BLOCK_SIZE, steps))
-        out[:, lo:hi] = block[: hi - lo].T
+        # it: a partial tail block is the prefix of the full block, and a
+        # draw the prefix of any longer draw with the same seed
+        block = seed.block_generator(j).standard_normal((hi - lo, steps))
+        out[:, lo:hi] = block.T
 
 
 def sample_brownian(grid: TimeGrid, n_paths: int, start: float,

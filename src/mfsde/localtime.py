@@ -1,10 +1,10 @@
-"""Local-time-space integrals by time reversal, without differentiating f.
+"""Local-time-space integrals, without differentiating f.
 
-The integral of f against the local time of a Brownian path in time and
-space decomposes into three discretizable pieces: a forward Ito sum, a
-backward Ito sum along the time-reversed path (whose Brownian increments are
-reconstructed from the reversed path and its known drift), and a correction
-integral against that drift:
+In continuous time the integral of f against the local time of a Brownian
+path in time and space has Eisenbaum's time-reversal decomposition: a
+forward Ito integral, a backward Ito integral along the time-reversed path
+(whose Brownian part is the reversed path plus its known drift), and a
+correction integral against that drift:
 
     int_s^t int f(u, y) L(du, dy)
         = int_s^t f(u, B_u^x) dB_u
@@ -12,14 +12,23 @@ integral against that drift:
         - int_{T-t}^{T-s} f(T-u, Bh_u^x) (Bh_u / (T-u)) du
 
 with Bh_u = B_{T-u} the reversed (centered) path and W its Brownian part,
-dW = dBh + (Bh_u / (T-u)) du. All three pieces use left-point sums; in
-reversed time the left points stay at least one step away from u = T, so
-the drift ratio never divides by zero.
+dW = dBh + (Bh_u / (T-u)) du. The integral is minus the quadratic
+covariation of f(., B) and B (Foellmer, Protter and Shiryaev, Bernoulli
+1995; Eisenbaum, Potential Anal. 2000). On the grid, with left-point sums
+in both directions of time, the drift terms of the backward and correction
+sums cancel term by term and the decomposition telescopes to that
+covariation,
+
+    C_k = - sum_{j < k} (f_{j+1} - f_j) (B_{j+1} - B_j),
+
+which is what cumulative_integral computes; the integral over
+[t_s, t_t] is C_t - C_s.
 
 For smooth f the integral equals minus the time integral of the space
-derivative of f along the path, which is the validation oracle. Because the
-sums are left-point, the integral is exactly additive over adjacent
-intervals, which makes the Malliavin derivative
+derivative of f along the path, which is the validation oracle. Because
+every window is a difference of rows of one running sum, the integral is
+exactly additive over adjacent intervals, which makes the Malliavin
+derivative
 
     D_s X_t = exp( - int_s^t int b(u, y, law_u) L(du, dy) )
 
@@ -54,63 +63,25 @@ from .solver import SolveResult
 SpaceTimeFn = Callable[[float, np.ndarray], np.ndarray]
 
 
-def _cumulative_pieces(fvals: np.ndarray,
-                       paths: PathEnsemble) -> tuple[np.ndarray, np.ndarray,
-                                                     np.ndarray]:
-    """Cumulative forward / backward / correction sums from node 0 to k.
-
-    Returns three (M+1, N) arrays cf, cb, cc with the convention that the
-    piece over [node i, node j] is c[j] - c[i]. Forward contributions
-    sit at left points k in [i, j); backward and correction contributions
-    map to original nodes k' in (i, j] (left points of the reversed
-    interval), where t_{k'} >= dt keeps the reversal drift finite.
-
-    Each piece's terms are formed in place in rows 1..M of its output and
-    summed there, with the bits of the plain expressions; the call holds
-    four path-sized arrays besides its inputs at any time.
-    """
-    grid = paths.grid
-    dt = grid.dt
-    v = paths.values
-    x = paths.start
-
-    db = np.diff(v, axis=0)
-    cf = np.zeros_like(v)
-    np.multiply(fvals[:-1], db, out=cf[1:])
-    running_sum(cf[1:], out=cf[1:])
-
-    # reversal drift ratio Bh / (T - u) at original nodes 1..M
-    ratio = np.subtract(v[1:], x)
-    ratio /= grid.nodes[1:, None]
-    # correction terms -f ratio dt
-    cc = np.zeros_like(v)
-    g_corr = np.negative(fvals[1:], out=cc[1:])
-    g_corr *= ratio
-    g_corr *= dt
-    running_sum(g_corr, out=g_corr)
-    # backward terms f dW, with dW = dBh + ratio dt the reversed-time
-    # Brownian increment; the reversed-path increment at node k' is
-    # dBh = v[k'-1] - v[k'] = -db[k'-1]
-    ratio *= dt
-    dw = np.negative(db, out=db)
-    dw += ratio
-    del ratio
-    cb = np.zeros_like(v)
-    g_back = np.multiply(fvals[1:], dw, out=cb[1:])
-    running_sum(g_back, out=g_back)
-    return cf, cb, cc
-
-
-def cumulative_integral(fvals: np.ndarray, paths: PathEnsemble) -> np.ndarray:
+def cumulative_integral(fvals: np.ndarray, db: np.ndarray) -> np.ndarray:
     """C[k], the local-time integral over [0, t_k] of the integrand whose
-    (M+1, N) node table is fvals; the integral over [t_s, t_t] is
-    C[t] - C[s]."""
-    cf, cb, cc = _cumulative_pieces(fvals, paths)
-    # (cf + cb) + cc, summed in place
-    cf += cb
-    del cb
-    cf += cc
-    return cf
+    (M+1, N) node table is fvals, along the paths whose (M, N) increments
+    are db; the integral over [t_s, t_t] is C[t] - C[s].
+
+    The terms are formed in rows 1..M of the output and summed there; the
+    call holds no path-sized array besides its inputs and the output.
+    """
+    c = np.zeros_like(fvals)
+    terms = np.subtract(fvals[1:], fvals[:-1], out=c[1:])
+    terms *= db
+    running_sum(terms, out=terms)
+    # row 0 stays +0.0, so a window from node 0 is its row bit for bit
+    np.negative(terms, out=terms)
+    return c
+
+
+# perfbench/traced.py is the only reader of this name
+_cumulative_pieces = cumulative_integral
 
 
 def _check_nodes(steps: int, s: int, t: int) -> None:
@@ -125,14 +96,13 @@ def local_time_integral(f: SpaceTimeFn, paths: PathEnsemble, s: int,
     Parameters
     ----------
     f : space-time function, vectorized over states
-    paths : Brownian ensemble (the decomposition is a Brownian identity)
+    paths : Brownian ensemble (the covariation is a Brownian identity)
     s, t : node indices with 0 <= s <= t <= steps
 
     Returns
     -------
-    The (N,) integral, the sum of the forward, backward and correction
-    pieces over the window; at s = 0 it equals row t of
-    cumulative_integral bit for bit.
+    The (N,) integral C[t] - C[s] of the cumulant table of
+    cumulative_integral; at s = 0 it equals row t bit for bit.
     """
     if paths.kind != "brownian":
         raise ValueError("local-time integrals need a Brownian ensemble")
@@ -140,8 +110,8 @@ def local_time_integral(f: SpaceTimeFn, paths: PathEnsemble, s: int,
     fvals = paths.at_nodes(lambda k, u, y: f(u, y))
     if not np.isfinite(fvals).all():
         raise FloatingPointError("integrand non-finite along paths")
-    cf, cb, cc = _cumulative_pieces(fvals, paths)
-    return (cf[t] - cf[s]) + (cb[t] - cb[s]) + (cc[t] - cc[s])
+    c = cumulative_integral(fvals, paths.increments())
+    return c[t] - c[s]
 
 
 def localtime_rate_study(horizon: float, step_counts: Sequence[int],
@@ -175,7 +145,7 @@ def drift_cumulants(result: SolveResult) -> np.ndarray:
     """
     return cumulative_integral(
         drift_along_paths(result.spec, result.flow, result.brownian),
-        result.brownian)
+        result.brownian.increments())
 
 
 def malliavin_derivative(cumulants: np.ndarray, s: int,

@@ -255,7 +255,7 @@ class DeltaSession:
         dt = self.grid.dt
         db = brownian.increments()
         w = guarded_exp(log_weights(fb, db, dt))
-        c = cumulative_integral(fb, brownian)
+        c = cumulative_integral(fb, db)
         # driving increments of the solution in this representation
         drive = db - fb[:-1] * dt
         del fb, db

@@ -196,6 +196,18 @@ def particle_major_cumulative_pieces(fvals: np.ndarray, v: np.ndarray,
     return cf, cb, cc
 
 
+def particle_major_covariation(fvals: np.ndarray, v: np.ndarray
+                               ) -> np.ndarray:
+    """Minus the discrete quadratic covariation of f(., B) and B from node 0
+    to k along Brownian paths v, (N, M+1), by np.cumsum along the paths;
+    column 0 is +0.0."""
+    c = np.zeros_like(v)
+    np.cumsum(np.diff(fvals, axis=1) * np.diff(v, axis=1), axis=1,
+              out=c[:, 1:])
+    np.negative(c[:, 1:], out=c[:, 1:])
+    return c
+
+
 def particle_major_variation(c: np.ndarray, table: np.ndarray,
                              dt: float) -> np.ndarray:
     """dX/dx at every node, (N, M+1), from the cumulants C and the (N, M)

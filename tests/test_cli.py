@@ -477,27 +477,32 @@ def test_oversized_run_is_refused_before_allocating(tmp_path, capsys,
     assert "convergence.rate_paths" in capsys.readouterr().err
 
 
-def test_memory_check_counts_the_brownian_block(tmp_path, capsys,
-                                                monkeypatch):
-    # two paths still draw a full BLOCK_SIZE x steps normal block: 3.3 GB
-    # at 100 000 steps, against 1 GiB of physical memory
+def test_memory_check_refuses_one_page_below_its_estimate(tmp_path, capsys,
+                                                          monkeypatch):
+    # two paths at 100 000 steps draw a 2 x steps normal block, not a full
+    # BLOCK_SIZE one: the estimate is PEAK_ARRAYS path arrays plus that
     import mfsde.cli as cli
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("command ran despite the memory check")
-
+    ran = []
     for command in ("simulate", "delta", "convergence"):
-        monkeypatch.setattr(cli, f"cmd_{command}", refuse)
-    pages = {"SC_PHYS_PAGES": 2**18, "SC_PAGE_SIZE": 2**12}
-    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(cli, f"cmd_{command}",
+                            lambda cfg, c=command: ran.append(c) or 0)
     tall = deep(BASE, run__particles=2, run__steps=100_000,
                 convergence__studies=["mollify"])
     tall["model"] = {"name": "sign"}
     path = write_config(tmp_path, tall)
     for command in ("simulate", "delta", "convergence"):
-        assert main([command, "--config", path]) == 2
-        err = capsys.readouterr().err
-        assert "run.steps" in err and "physical memory" in err
+        need = 8 * (2 * 100_001 * cli.PEAK_ARRAYS[command] + 2 * 100_000)
+        # 8-byte pages: one page below the estimate, then exactly at it
+        for pages, code in ((need // 8 - 1, 2), (need // 8, 0)):
+            monkeypatch.setattr(cli.os, "sysconf",
+                                {"SC_PHYS_PAGES": pages,
+                                 "SC_PAGE_SIZE": 8}.__getitem__)
+            assert main([command, "--config", path]) == code, (command, pages)
+            err = capsys.readouterr().err
+            assert ("run.steps" in err and "physical memory" in err) \
+                == (code == 2)
+    assert ran == ["simulate", "delta", "convergence"]
 
 
 def test_readme_outputs_table_matches_csv_headers(tmp_path, capsys):

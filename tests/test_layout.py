@@ -14,7 +14,7 @@ from mfsde import (BLOCK_SIZE, EmpiricalMeasure, MeasureFlow, PicardConfig,
                    SeedSpec, convolution_drift, dirac, drift_cumulants,
                    first_variation, flow_distance, make_grid, mean_field_ou,
                    picard_solve, sign_drift)
-from oracles import (particle_major_brownian, particle_major_cumulative_pieces,
+from oracles import (particle_major_brownian, particle_major_covariation,
                      particle_major_euler, particle_major_variation)
 
 SEED = SeedSpec(2_718_281)
@@ -66,8 +66,7 @@ def layout_mismatches(spec, config=PicardConfig()):
     fvals = np.empty_like(brownian)
     for k in range(STEPS + 1):
         fvals[:, k] = spec.fn(float(grid.nodes[k]), brownian[:, k], flow[k])
-    cumulants = sum(particle_major_cumulative_pieces(fvals, brownian, START,
-                                                     grid))
+    cumulants = particle_major_covariation(fvals, brownian)
     table = np.empty((N_PATHS, STEPS))
     for j in range(STEPS):
         table[:, j] = dxb(float(grid.nodes[j]), brownian[:, j])

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mfsde import (SeedSpec, check_chain_identity, drift_cumulants,
-                   first_variation, local_time_integral, make_grid,
-                   malliavin_derivative, mean_field_ou, picard_solve,
-                   sample_brownian, sign_drift)
+from mfsde import (PathEnsemble, SeedSpec, check_chain_identity,
+                   convolution_drift, doleans_weights, drift_along_paths,
+                   drift_cumulants, euler_under_flow, first_variation,
+                   local_time_integral, make_grid, malliavin_derivative,
+                   mean_and_se, mean_field_ou, picard_solve, sample_brownian,
+                   sign_drift)
 from mfsde.localtime import cumulative_integral
+from oracles import particle_major_cumulative_pieces
 
 SEED = SeedSpec(1_618_033)
 
@@ -17,11 +20,12 @@ def brownian(steps=200, n=2000, start=0.0, horizon=1.0):
 
 
 def test_constant_integrand_vanishes():
-    # the local-time measure of a constant telescopes away; the three
-    # pieces are accumulated separately so only rounding noise survives
+    # the local-time measure of a constant telescopes away; every increment
+    # of a constant integrand is exactly zero, so no rounding survives
     paths = brownian()
     r = local_time_integral(lambda t, y: np.ones_like(y), paths, 0, 200)
     assert np.max(np.abs(r)) < 1e-12
+    assert not r.any()
 
 
 def test_linear_integrand_equals_negative_quadratic_variation():
@@ -98,11 +102,41 @@ def test_window_from_node_zero_is_the_cumulant_row():
     paths = brownian(steps=120, n=300)
     f = lambda t, y: np.sin(y + t)
     cumulants = cumulative_integral(
-        paths.at_nodes(lambda k, u, y: f(u, y)), paths)
+        paths.at_nodes(lambda k, u, y: f(u, y)), paths.increments())
     for t in (0, 1, 57, 120):
         got = local_time_integral(f, paths, 0, t)
         assert np.array_equal(got.view(np.int64),
                               cumulants[t].view(np.int64)), t
+
+
+def relative_gap(table, reference):
+    return float(np.max(np.abs(table - reference))
+                 / np.max(np.abs(reference)))
+
+
+def drift_table_and_pieces(builder):
+    """The drift node table of a solve and the forward, backward and
+    correction sums of the time-reversal reference, time-major."""
+    result = picard_solve(builder(), 1.0, make_grid(1.0, 200), 2000, SEED)
+    paths = result.brownian
+    fvals = drift_along_paths(result.spec, result.flow, paths)
+    pieces = particle_major_cumulative_pieces(fvals.T, paths.values.T,
+                                              paths.start, paths.grid)
+    return fvals, paths.increments(), [p.T for p in pieces]
+
+
+@pytest.mark.parametrize("builder", [mean_field_ou, sign_drift,
+                                     convolution_drift],
+                         ids=["ou", "sign", "convolution"])
+def test_covariation_is_the_three_piece_time_reversal_sum(builder):
+    fvals, db, (cf, cb, cc) = drift_table_and_pieces(builder)
+    reference = cf + cb + cc
+    assert relative_gap(cumulative_integral(fvals, db), reference) <= 1e-12
+    # broken variants the comparison must reject: the covariation with f
+    # read one node late, and the reference without its correction piece
+    late = np.concatenate([fvals[:1], fvals[:-1]])
+    assert relative_gap(cumulative_integral(late, db), reference) > 1e-12
+    assert relative_gap(cf + cb, reference) > 1e-12
 
 
 def test_local_time_requires_brownian_kind():
@@ -177,3 +211,75 @@ def test_chain_identity_report():
     report = check_chain_identity(result, 0, 200, 400)
     assert report.chain_rms <= 5.0 * math.sqrt(grid.dt)
     assert report.cocycle_max < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Malliavin derivative against a Cameron-Martin shift of the driving noise
+# ---------------------------------------------------------------------------
+#
+# D_s X_t is the derivative of X_t along the shift eps 1_{[s, T]} of the
+# Brownian path (Nualart, The Malliavin Calculus and Related Topics, 2006,
+# section 1.2). Under the frozen flow of a solve, a central difference of
+# two Euler passes driven by B +/- eps 1_{(t_s, T]} estimates E[D_s X_t]
+# without the local-time machinery; the cumulant route estimates it as
+# E[w exp(-(C_t - C_s))] over the Brownian representation.
+
+EPS = 0.02
+WINDOWS = ((0.0, 0.5), (0.25, 1.0), (0.5, 1.0))
+ORACLE_PATHS = 20_000
+
+
+def shifted(paths, s, eps):
+    """The ensemble with eps added at every node after s."""
+    values = paths.values.copy()
+    values[s + 1:] += eps
+    return PathEnsemble(grid=paths.grid, values=values, kind="brownian",
+                        start=paths.start, seed=paths.seed)
+
+
+def malliavin_windows(builder, steps):
+    """One row per window: s, t, the shift estimate, the cumulant estimate,
+    the cumulant estimate with C of the wrong sign, and the tolerance.
+
+    The tolerance is 3 combined standard errors, plus eps^2 for the
+    central difference and one dt (horizon 1) for the Euler schemes.
+    """
+    grid = make_grid(1.0, steps)
+    result = picard_solve(builder(), 1.0, grid, ORACLE_PATHS, SEED)
+    spec, flow, paths = result.spec, result.flow, result.brownian
+    weights = doleans_weights(spec, flow, paths)
+    c = drift_cumulants(result)
+    rows = []
+    for fs, ft in WINDOWS:
+        s, t = round(fs * steps), round(ft * steps)
+        up, down = (euler_under_flow(spec, flow, 1.0, grid, ORACLE_PATHS,
+                                     SEED, brownian=shifted(paths, s, e))
+                    for e in (EPS, -EPS))
+        shift, shift_se = mean_and_se(
+            (up.values[t] - down.values[t]) / (2.0 * EPS))
+        local, local_se = mean_and_se(
+            weights * malliavin_derivative(c, s, t))
+        wrong, _ = mean_and_se(weights * malliavin_derivative(-c, s, t))
+        rows.append((s, t, shift, local, wrong,
+                     3.0 * math.hypot(shift_se, local_se) + EPS ** 2
+                     + grid.dt))
+    return rows
+
+
+@pytest.mark.parametrize("builder", [mean_field_ou, sign_drift,
+                                     convolution_drift],
+                         ids=["ou", "sign", "convolution"])
+def test_malliavin_derivative_matches_a_cameron_martin_shift(builder):
+    worst = {}
+    for steps in (100, 400):
+        rows = malliavin_windows(builder, steps)
+        for s, t, shift, local, wrong, tol in rows:
+            assert abs(shift - local) <= tol, (steps, s, t, shift, local)
+            # cumulants of the wrong sign must fail the same tolerance
+            assert abs(shift - wrong) > tol, (steps, s, t, shift, wrong)
+            if builder is mean_field_ou:
+                # D_s X_t = (1 - theta dt)^(t - s) in node units, theta = 1
+                closed = (1.0 - 1.0 / steps) ** (t - s)
+                assert abs(local - closed) <= tol, (steps, s, t, local)
+        worst[steps] = max(abs(r[2] - r[3]) for r in rows)
+    assert worst[400] < worst[100], worst
