@@ -2,11 +2,12 @@
 
 The config is a single JSON file with nested sections (schema in the
 README); parsing is strict, so unknown sections or keys are errors rather
-than silent no-ops. Results land in an output directory as CSV files with
-fixed column sets, full-precision floats, UTF-8 and LF line endings. For a
-fixed config and seed the CSV bytes are identical across runs and
---workers values; volatile run facts (wall time, package version) go to
-meta.json.
+than silent no-ops. Every command hands its tables to one writer,
+`_write_outputs`, which checks that every number is finite before the
+output directory exists, then writes each table as a CSV file with fixed
+columns, full-precision floats, UTF-8 and LF line endings. For a fixed
+config and seed the CSV bytes are identical across runs and --workers
+values; volatile run facts (wall time, package version) go to meta.json.
 
 Exit codes: 0 success, 2 malformed config, usage error or a run estimated
 to need more than physical memory, 3 numerical failure (non-convergence,
@@ -26,7 +27,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, ClassVar, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -394,28 +395,17 @@ def _require_finite(header: list[str], rows: list[list]) -> None:
                     f"{name} of {header[0]} {row[0]} is {v!r}")
 
 
-@dataclass
-class ResultTable:
-    """Rows of (quantity, estimate, stderr, n, steps) plus run provenance.
+SUMMARY_HEADER = ["quantity", "estimate", "stderr", "n_paths", "steps",
+                  "seed", "config_hash"]
 
-    Wall time goes to meta.json, not to the CSV, so output bytes stay
-    reproducible.
-    """
 
-    header: ClassVar[list[str]] = ["quantity", "estimate", "stderr",
-                                   "n_paths", "steps", "seed", "config_hash"]
-
-    seed: int
-    config_hash: str
-    rows: list = field(default_factory=list)
-
-    def add(self, quantity: str, estimate: float, stderr: float, n: int,
-            steps: int) -> None:
-        self.rows.append([quantity, float(estimate), float(stderr),
-                          int(n), int(steps), self.seed, self.config_hash])
-
-    def write(self, path: Path) -> None:
-        write_csv(path, self.header, self.rows)
+def _summary_rows(cfg: RunConfig, triples) -> list[list]:
+    """Summary rows from (quantity, estimate, stderr) triples; the other
+    columns are the run's provenance, taken from the config."""
+    config_hash = cfg.config_hash()
+    return [[quantity, float(estimate), float(stderr), cfg.particles,
+             cfg.steps, cfg.seed, config_hash]
+            for quantity, estimate, stderr in triples]
 
 
 def _write_meta(out: Path, command: str, cfg: RunConfig,
@@ -432,9 +422,19 @@ def _write_meta(out: Path, command: str, cfg: RunConfig,
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _outdir(cfg: RunConfig) -> Path:
+def _write_outputs(cfg: RunConfig, command: str,
+                   tables: dict[str, tuple[list[str], list]],
+                   t0: float) -> Path:
+    """Check that every {file name: (header, rows)} table is finite, then
+    create the output directory, write the tables as CSVs in insertion
+    order and meta.json (wall time since t0), and return the directory."""
+    for header, rows in tables.values():
+        _require_finite(header, rows)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
+    _write_meta(out, command, cfg, time.perf_counter() - t0)
     return out
 
 
@@ -468,34 +468,23 @@ def cmd_simulate(cfg: RunConfig) -> int:
     residual_rows = [[i + 1, float(r)]
                      for i, r in enumerate(result.residual_history)]
 
-    table = ResultTable(seed=cfg.seed, config_hash=cfg.config_hash())
     xt = result.ensemble.terminal()
     m, se = mean_and_se(xt)
-    table.add("terminal_mean", m, se, cfg.particles, cfg.steps)
-    m2, se2 = mean_and_se(xt * xt)
-    table.add("terminal_second_moment", m2, se2, cfg.particles, cfg.steps)
     report = moment_diagnostics(result)
-    table.add("max_node_second_moment", report.max_moments[0], 0.0,
-              cfg.particles, cfg.steps)
-    table.add("envelope_ratio", report.envelope_ratio, 0.0, cfg.particles,
-              cfg.steps)
-    table.add("picard_iterations", float(result.iterations), 0.0,
-              cfg.particles, cfg.steps)
-    table.add("final_residual", result.residual, 0.0, cfg.particles,
-              cfg.steps)
+    summary_rows = _summary_rows(cfg, [
+        ("terminal_mean", m, se),
+        ("terminal_second_moment", *mean_and_se(xt * xt)),
+        ("max_node_second_moment", report.max_moments[0], 0.0),
+        ("envelope_ratio", report.envelope_ratio, 0.0),
+        ("picard_iterations", result.iterations, 0.0),
+        ("final_residual", result.residual, 0.0)])
 
-    node_header = ["node", "time", "mean", "variance", "q05", "q25", "q50",
-                   "q75", "q95"]
-    residual_header = ["iteration", "residual"]
-    for header, rows in ((node_header, node_rows),
-                         (residual_header, residual_rows),
-                         (table.header, table.rows)):
-        _require_finite(header, rows)
-    out = _outdir(cfg)
-    write_csv(out / "simulate_nodes.csv", node_header, node_rows)
-    write_csv(out / "simulate_residuals.csv", residual_header, residual_rows)
-    table.write(out / "simulate_summary.csv")
-    _write_meta(out, "simulate", cfg, time.perf_counter() - t0)
+    out = _write_outputs(cfg, "simulate", {
+        "simulate_nodes.csv": (["node", "time", "mean", "variance", "q05",
+                                "q25", "q50", "q75", "q95"], node_rows),
+        "simulate_residuals.csv": (["iteration", "residual"], residual_rows),
+        "simulate_summary.csv": (SUMMARY_HEADER, summary_rows),
+    }, t0)
     print(f"simulate: terminal mean {m:.6f} (se {se:.2e}), "
           f"{result.iterations} iteration(s), wrote {out}/")
     return EXIT_OK
@@ -538,19 +527,13 @@ def cmd_delta(cfg: RunConfig) -> int:
         else:
             results[method] = session.finite_difference(payoff, cfg.fd_bump)
 
-    table = ResultTable(seed=cfg.seed, config_hash=cfg.config_hash())
-    for name, r in results.items():
-        table.add(f"delta_{name}", r.estimate, r.stderr, cfg.particles,
-                  cfg.steps)
-    agreement_header = ["pair", "abs_diff", "tolerance", "agree"]
-    agreement_rows = _agreement_rows(results)
-    for header, rows in ((table.header, table.rows),
-                         (agreement_header, agreement_rows)):
-        _require_finite(header, rows)
-    out = _outdir(cfg)
-    table.write(out / "delta_results.csv")
-    write_csv(out / "delta_agreement.csv", agreement_header, agreement_rows)
-    _write_meta(out, "delta", cfg, time.perf_counter() - t0)
+    out = _write_outputs(cfg, "delta", {
+        "delta_results.csv": (SUMMARY_HEADER, _summary_rows(
+            cfg, [(f"delta_{name}", r.estimate, r.stderr)
+                  for name, r in results.items()])),
+        "delta_agreement.csv": (["pair", "abs_diff", "tolerance", "agree"],
+                                _agreement_rows(results)),
+    }, t0)
     for name, r in results.items():
         print(f"delta[{name}]: {r.estimate:.6f} (se {r.stderr:.2e})")
     print(f"wrote {out}/")
@@ -564,7 +547,6 @@ def cmd_convergence(cfg: RunConfig) -> int:
              f"'convergence.studies' includes mollify, which smooths the "
              f"bounded part of a bounded/Lipschitz split that model "
              f"'{cfg.model['name']}' does not declare")
-    # every table is built and checked before the output directory exists
     tables: dict[str, tuple[list[str], list]] = {}
     fit_rows = []
     notes = []
@@ -599,12 +581,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
                      f"{study.monotone_within_noise}, "
                      f"rate slope {study.rate_slope:.3f}")
     tables["convergence_fits.csv"] = (["study", "slope"], fit_rows)
-    for header, rows in tables.values():
-        _require_finite(header, rows)
-    out = _outdir(cfg)
-    for name, (header, rows) in tables.items():
-        write_csv(out / name, header, rows)
-    _write_meta(out, "convergence", cfg, time.perf_counter() - t0)
+    out = _write_outputs(cfg, "convergence", tables, t0)
     for note in notes:
         print(note)
     print(f"wrote {out}/")
@@ -662,11 +639,10 @@ def cmd_selfcheck(cfg: Optional[RunConfig]) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {name}: value {value:.3e} "
               f"(bound {bound:.3e})")
     if cfg is not None:
-        out = _outdir(cfg)
-        write_csv(out / "selfcheck.csv", ["check", "value", "bound", "pass"],
-                  [[nm, float(v), float(bd), int(ok)]
-                   for nm, v, bd, ok in checks])
-        _write_meta(out, "selfcheck", cfg, time.perf_counter() - t0)
+        _write_outputs(cfg, "selfcheck", {"selfcheck.csv": (
+            ["check", "value", "bound", "pass"],
+            [[nm, float(v), float(bd), int(ok)]
+             for nm, v, bd, ok in checks])}, t0)
     print(f"selfcheck: {len(checks) - len(failed)}/{len(checks)} passed")
     return EXIT_OK if not failed else EXIT_SELFCHECK
 

@@ -20,20 +20,18 @@ from typing import Callable
 import numpy as np
 
 from .drift import DriftSpec
-from .grid import PathEnsemble, SeedSpec
+from .grid import PathEnsemble
 from .measures import MeasureFlow
 from .numerics import guarded_exp, mean_and_se
 
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """Point estimate with standard error and run provenance."""
+    """Point estimate with its standard error and diagnostics."""
 
     label: str
     estimate: float
     stderr: float
-    n_paths: int
-    seed: SeedSpec
     extra: dict = field(default_factory=dict, compare=False)
 
 
@@ -89,15 +87,14 @@ def reweighted_expectation(spec: DriftSpec, flow: MeasureFlow,
     w_mean, w_se = mean_and_se(w)
     self_norm = float((w * g).mean() / w_mean)
     return EstimatorResult(
-        label=label, estimate=est, stderr=se, n_paths=paths.n_paths,
-        seed=paths.seed if paths.seed is not None else SeedSpec(0),
+        label=label, estimate=est, stderr=se,
         extra={"self_normalized": self_norm, "weight_mean": w_mean,
                "weight_mean_se": w_se},
     )
 
 
-def epsilon_moment_probe(weights: np.ndarray, eps: float = 0.5,
-                         seed: SeedSpec | None = None) -> EstimatorResult:
+def epsilon_moment_probe(weights: np.ndarray,
+                         eps: float = 0.5) -> EstimatorResult:
     """Sample (1 + eps)-moment of the weights, a heavy-tail diagnostic.
 
     A finite, stable value across runs supports the integrability of the
@@ -107,8 +104,5 @@ def epsilon_moment_probe(weights: np.ndarray, eps: float = 0.5,
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     est, se = mean_and_se(weights ** (1.0 + eps))
-    return EstimatorResult(
-        label=f"weight_moment_{1 + eps:g}", estimate=est, stderr=se,
-        n_paths=weights.size, seed=seed if seed is not None else SeedSpec(0),
-        extra={"eps": eps},
-    )
+    return EstimatorResult(label=f"weight_moment_{1 + eps:g}", estimate=est,
+                           stderr=se, extra={"eps": eps})

@@ -10,32 +10,42 @@ in the uniform (sup over nodes) Kantorovich distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import PathEnsemble, TimeGrid
 
 
+def _ascending(row: np.ndarray) -> bool:
+    """Whether a nonempty 1-d array is ascending with finite ends, and so
+    finite throughout. One pass: a NaN fails every comparison."""
+    return (math.isfinite(row[0]) and math.isfinite(row[-1])
+            and bool((row[1:] >= row[:-1]).all()))
+
+
 @dataclass(frozen=True)
 class EmpiricalMeasure:
     """Uniformly weighted atoms, stored sorted.
 
-    Pass presorted=True only when the input is already sorted ascending;
-    construction is then zero-copy.
+    Ascending input is held as a read-only view, without a copy; any other
+    input is sorted into a new array.
     """
 
     atoms: np.ndarray
-    presorted: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         atoms = np.asarray(self.atoms, dtype=float)
         if atoms.ndim != 1 or atoms.size == 0:
             raise ValueError("atoms must be a nonempty 1-d array")
-        if not np.isfinite(atoms).all():
-            raise ValueError("atoms must be finite")
-        if not self.presorted:
+        if _ascending(atoms):
+            atoms = atoms.view()
+        else:
+            # np.sort puts any NaN last and -inf first, +inf last
             atoms = np.sort(atoms)
+            if not (math.isfinite(atoms[0]) and math.isfinite(atoms[-1])):
+                raise ValueError("atoms must be finite")
         atoms.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
 
@@ -53,7 +63,7 @@ class EmpiricalMeasure:
 
 def dirac(x: float) -> EmpiricalMeasure:
     """Point mass at x."""
-    return EmpiricalMeasure(np.array([float(x)]), presorted=True)
+    return EmpiricalMeasure(np.array([float(x)]))
 
 
 def _w1_sorted(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -101,9 +111,10 @@ class MeasureFlow:
     """A discrete measure flow: the empirical law at every grid node.
 
     `atoms` is one read-only (steps + 1, n_atoms) array whose row k holds
-    the atoms of the law at node k, sorted ascending. Build it with
-    from_ensemble or constant, which guarantee the ordering; node access
-    returns a zero-copy EmpiricalMeasure view of one row.
+    the atoms of the law at node k, sorted ascending; construction rejects
+    a row that is not ascending or not finite. Build it with from_ensemble
+    or constant, which guarantee the ordering; node access returns a
+    zero-copy EmpiricalMeasure view of one row.
     """
 
     grid: TimeGrid
@@ -117,11 +128,15 @@ class MeasureFlow:
                 f"flow needs a ({self.grid.steps + 1}, n_atoms) array with "
                 f"n_atoms >= 1, got shape {atoms.shape}"
             )
+        for k, row in enumerate(atoms):
+            if not _ascending(row):
+                raise ValueError(
+                    f"flow atoms at node {k} must be finite and ascending")
         atoms.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
 
     def __getitem__(self, node: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.atoms[node], presorted=True)
+        return EmpiricalMeasure(self.atoms[node])
 
     def __len__(self) -> int:
         return self.atoms.shape[0]

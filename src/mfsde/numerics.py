@@ -26,10 +26,9 @@ def guarded_exp(exponents: np.ndarray) -> np.ndarray:
     derivative factors are always finite and positive.
     """
     exponents = np.asarray(exponents, dtype=float)
-    if exponents.size and not np.isfinite(exponents).all():
-        raise ExponentOverflowError(float("nan"))
     worst = float(np.max(np.abs(exponents))) if exponents.size else 0.0
-    if worst > EXP_GUARD:
+    # NaN or inf when an exponent is non-finite, and both fail the test
+    if not worst <= EXP_GUARD:
         raise ExponentOverflowError(worst)
     return np.exp(exponents)
 

@@ -298,8 +298,7 @@ class DeltaSession:
         meta = {"weight_mean": float(terms.weights.mean()),
                 "weight_name": weight.name, "payoff": payoff.name}
         return EstimatorResult(label=f"bel[{weight.name}]", estimate=est,
-                               stderr=se, n_paths=self.n_paths,
-                               seed=self.seed, extra=meta)
+                               stderr=se, extra=meta)
 
     def pathwise(self, payoff: Payoff) -> EstimatorResult:
         """E[payoff'(X_T) dX_T/dx]; see pathwise_delta."""
@@ -308,11 +307,8 @@ class DeltaSession:
         terms = self._path_terms()
         dphi = np.asarray(payoff.derivative(terms.terminal), dtype=float)
         est, se = mean_and_se(terms.weights * dphi * terms.variation[-1])
-        return EstimatorResult(
-            label="pathwise", estimate=est, stderr=se, n_paths=self.n_paths,
-            seed=self.seed,
-            extra={"payoff": payoff.name},
-        )
+        return EstimatorResult(label="pathwise", estimate=est, stderr=se,
+                               extra={"payoff": payoff.name})
 
     def finite_difference(self, payoff: Payoff, h: Optional[float] = None
                           ) -> EstimatorResult:
@@ -324,11 +320,9 @@ class DeltaSession:
         diff = (np.asarray(payoff.fn(terminal_p), dtype=float)
                 - np.asarray(payoff.fn(terminal_m), dtype=float))
         est, se = mean_and_se(diff / (2.0 * h))
-        return EstimatorResult(
-            label="finite_difference", estimate=est, stderr=se,
-            n_paths=self.n_paths, seed=self.seed,
-            extra={"payoff": payoff.name, "h": h},
-        )
+        return EstimatorResult(label="finite_difference", estimate=est,
+                               stderr=se,
+                               extra={"payoff": payoff.name, "h": h})
 
 
 # ---------------------------------------------------------------------------

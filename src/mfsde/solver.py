@@ -120,7 +120,7 @@ def _euler_values(spec: DriftSpec, atoms: Optional[np.ndarray],
         if atoms is None:
             mu = EmpiricalMeasure(state.copy())
         else:
-            mu = EmpiricalMeasure(atoms[k], presorted=True)
+            mu = EmpiricalMeasure(atoms[k])
         b = spec.fn(float(grid.nodes[k]), state, mu)
         # dB_k = bv[k + 1] - bv[k] has the bits of np.diff, and since
         # addition commutes, dB_k + (state + b dt) has those of

@@ -116,7 +116,7 @@ def euler_reading_the_next_increment(spec, atoms, brownian, out):
     db = np.diff(bv, axis=0)
     out[0] = brownian.start
     for k in range(grid.steps):
-        mu = EmpiricalMeasure(atoms[k], presorted=True)
+        mu = EmpiricalMeasure(atoms[k])
         b = spec.fn(float(grid.nodes[k]), out[k], mu)
         out[k + 1] = out[k] + b * grid.dt + db[(k + 1) % grid.steps]
     return out

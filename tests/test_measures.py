@@ -16,12 +16,29 @@ def test_empirical_measure_basics():
 
 
 def test_empirical_measure_rejects_bad_atoms():
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(np.array([1.0, np.nan]))
+    # ascending input is judged by its ends, anything else once sorted
+    for atoms in ([1.0, np.nan], [-np.inf, 0.0], [0.0, np.inf],
+                  [0.0, np.nan, 1.0], [1.0, np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            EmpiricalMeasure(np.array(atoms))
     with pytest.raises(ValueError):
         EmpiricalMeasure(np.array([]))
     with pytest.raises(ValueError):
         EmpiricalMeasure(np.array([[1.0, 2.0]]))
+
+
+def test_ascending_atoms_are_a_read_only_view_of_the_input():
+    xs = np.array([-1.0, 0.0, 0.0, 2.5])
+    mu = EmpiricalMeasure(xs)
+    assert np.shares_memory(mu.atoms, xs)
+    assert not mu.atoms.flags.writeable
+    # the caller's array is not frozen
+    assert xs.flags.writeable
+    ys = np.array([2.5, -1.0, 0.0])
+    nu = EmpiricalMeasure(ys)
+    assert np.array_equal(nu.atoms, [-1.0, 0.0, 2.5])
+    assert not np.shares_memory(nu.atoms, ys)
+    assert np.array_equal(ys, [2.5, -1.0, 0.0])
 
 
 def test_dirac():
@@ -115,6 +132,21 @@ def test_measure_flow_rejects_a_misshapen_array():
         MeasureFlow(grid, atoms=np.zeros(5))
     with pytest.raises(ValueError, match="flow needs"):
         MeasureFlow(grid, atoms=np.zeros((5, 0)))
+
+
+def test_measure_flow_rejects_unsorted_and_non_finite_rows():
+    g = make_grid(1.0, 1)
+    # the same law at both nodes, but the first flow's node 1 is unsorted,
+    # so its sup-W1 against the second would read 1.0 instead of 0
+    with pytest.raises(ValueError, match="node 1"):
+        flow_distance(MeasureFlow(g, [[0, 1], [1, 0]]),
+                      MeasureFlow(g, [[0, 1], [0, 1]]))
+    with pytest.raises(ValueError, match="node 0"):
+        MeasureFlow(g, [[0.0, np.nan, 1.0], [0.0, 0.5, 1.0]])
+    with pytest.raises(ValueError, match="node 1"):
+        MeasureFlow(g, [[0.0, 1.0], [0.0, np.inf]])
+    assert flow_distance(MeasureFlow(g, [[0, 1], [0, 1]]),
+                         MeasureFlow(g, [[0, 1], [0, 1]])) == 0.0
 
 
 def test_constant_flow_and_flow_distance():

@@ -2,7 +2,10 @@
 
 perfbench/traced.py rebinds package functions by name in its own process,
 so a refactor that drops or renames one breaks the traced benchmark run and
-nothing else. Each command runs in a subprocess on a tiny config.
+nothing else. A command or `write_csv` bound where the tracer cannot rebind
+it (say, in a dispatch table built at import) runs untraced: the counts of
+CSV writes and command spans below catch that. Each command runs in a
+subprocess on a tiny config.
 """
 
 import json
@@ -27,7 +30,11 @@ TINY = {
 }
 
 
-@pytest.mark.parametrize("command", ["simulate", "delta", "convergence"])
+# CSV files each command writes on TINY
+CSV_FILES = {"simulate": 3, "delta": 2, "convergence": 4}
+
+
+@pytest.mark.parametrize("command", list(CSV_FILES))
 def test_traced_run_counts_solves_and_draws(tmp_path, command):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(TINY), encoding="utf-8")
@@ -40,3 +47,6 @@ def test_traced_run_counts_solves_and_draws(tmp_path, command):
     metrics = json.loads(record.read_text(encoding="utf-8"))["metrics"]
     assert metrics["solver.solves"] > 0
     assert metrics["grid.sample_brownian.calls"] > 0
+    assert metrics["cli.write_csv.calls"] == CSV_FILES[command]
+    assert metrics["cli.csv_bytes"] > 0
+    assert metrics["cli.cmd.self_s"] > 0
