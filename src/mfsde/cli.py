@@ -62,12 +62,13 @@ MAX_START = 1e300
 # array's bytes on the benchmark configs (sign model, seed 11, median of 3
 # runs), rounded up. simulate 50 000 x 200, which holds four path arrays
 # (Brownian, solution, two flows): 371.7 MB / 80.4 MB = 4.62; delta
-# 10 000 x 200: 200.1 MB / 16.08 MB = 12.45; convergence, whose largest
+# 10 000 x 200, which holds the draw, the shifted copy, three solve buffers
+# and two flows: 152.8 MB / 16.08 MB = 9.50; convergence, whose largest
 # array is the 4000 x 1600 local-time ensemble: 293.2 MB / 51.23 MB = 5.72.
 # The interpreter's own 36 MB is included, so the counts overstate large
 # runs a little. check_memory adds the one min(N, BLOCK_SIZE) x steps
 # normal block drawn at a time.
-PEAK_ARRAYS = {"simulate": 5, "delta": 13, "convergence": 6}
+PEAK_ARRAYS = {"simulate": 5, "delta": 10, "convergence": 6}
 
 
 class ConfigError(ValueError):

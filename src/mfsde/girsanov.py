@@ -35,14 +35,21 @@ class EstimatorResult:
     extra: dict = field(default_factory=dict, compare=False)
 
 
+def drift_row(spec: DriftSpec, flow: MeasureFlow, k: int, t: float,
+              y: np.ndarray) -> np.ndarray:
+    """b(t_k, y, flow_k) for the path values y at node k, rejecting a
+    non-finite value."""
+    row = spec.fn(t, y, flow[k])
+    if not np.isfinite(row).all():
+        raise FloatingPointError(
+            f"drift '{spec.name}' non-finite along paths")
+    return row
+
+
 def drift_along_paths(spec: DriftSpec, flow: MeasureFlow,
                       paths: PathEnsemble) -> np.ndarray:
     """b(t_k, path value, flow_k) for every node and path, shape (M+1, N)."""
-    out = paths.at_nodes(lambda k, t, y: spec.fn(t, y, flow[k]))
-    if not np.isfinite(out).all():
-        raise FloatingPointError(
-            f"drift '{spec.name}' non-finite along paths")
-    return out
+    return paths.at_nodes(lambda k, t, y: drift_row(spec, flow, k, t, y))
 
 
 def log_weights(drift_vals: np.ndarray, db: np.ndarray,

@@ -39,12 +39,13 @@ from the same cumulants by variation of constants,
 
 where C is the cumulative local-time integral of the drift and dxb, the
 derivative of the drift in the initial point through the law, is any
-(s, y) -> array callable. This module is the one place that composes it:
-first_variation, check_chain_identity and the delta session all call
-variation_path. Quantities for the solution process are evaluated along the
-driving Brownian ensemble and transported by the Girsanov weights; the
-identification holds in law, which is what the expectation-level estimators
-need.
+(s, y) -> array callable. This module is the one place that composes the
+table: first_variation, check_chain_identity and the delta session's
+first_variation all call variation_path (the session's estimators form the
+same recurrence one node at a time, with the same bits). Quantities for
+the solution process are evaluated along the driving Brownian ensemble and
+transported by the Girsanov weights; the identification holds in law,
+which is what the expectation-level estimators need.
 """
 
 from __future__ import annotations

@@ -20,9 +20,12 @@ Three estimators of the same delta:
   under common random numbers; the blunt baseline the other two must match.
 
 The estimators are reductions over a DeltaSession, which runs each Picard
-solve they read once and computes the weights, cumulants and first variation
-once; bel_delta, pathwise_delta and finite_difference_delta are one-shot
-sessions.
+solve they read once. Under the frozen flow of the solve at x, every factor
+of BEL and pathwise is a recurrence over time: the drift row, the
+local-time cumulant, the log-weight sums, the first variation and the Ito
+sum. The session forms them in one pass over the nodes that holds O(N)
+state, never an (M+1, N) table. bel_delta, pathwise_delta and
+finite_difference_delta are one-shot sessions.
 
 The delta is x-almost-everywhere well defined; at an exceptional null set of
 initial points (e.g. a payoff kink sitting exactly on an atom of the law)
@@ -37,13 +40,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .drift import DriftSpec, mollify
-from .girsanov import EstimatorResult, drift_along_paths, log_weights
+from .girsanov import EstimatorResult, drift_along_paths, drift_row
 from .grid import PathEnsemble, SeedSpec, TimeGrid, sample_brownian
 from .localtime import (SpaceTimeFn, cumulative_integral,
                         law_derivative_table, variation_path)
 from .measures import MeasureFlow, kantorovich
 from .numerics import guarded_exp, loglog_slope, mean_and_se
-from .solver import PicardConfig, SolveResult, picard_solve
+from .solver import PicardConfig, picard_solve
 
 
 # ---------------------------------------------------------------------------
@@ -139,20 +142,8 @@ def default_bump(start: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# delta session: the solves and per-path arrays the estimators share
+# delta session: the solves and the pass over time the estimators share
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _PathTerms:
-    """Per-path arrays of the solve at x read by the BEL and pathwise
-    reductions, all on the driving Brownian representation."""
-
-    weights: np.ndarray  # Girsanov weights, (N,)
-    terminal: np.ndarray  # Brownian values at T, (N,)
-    variation: np.ndarray  # dX/dx at every node, (M+1, N); row M at T
-    law_table: np.ndarray  # dxb at the left points, (M, N)
-    drive: np.ndarray  # driving increments dB - b dt, (M, N)
-
 
 class DeltaSession:
     """One delta computation at (spec, x, grid, N, seed, config).
@@ -167,8 +158,17 @@ class DeltaSession:
 
     All solves ride one Philox draw started at 0: sample_brownian adds the
     start to the cumulative sums, so shifting that draw gives the ensemble
-    of any start bit for bit. The weights, cumulants, first variation and
-    law-derivative table are computed once, when BEL or pathwise first asks.
+    of any start bit for bit. Of each solve the session keeps the flow and
+    the terminal values, so besides the draw it holds one path-sized array
+    per solve.
+
+    BEL and pathwise read one pass over the nodes along the driving paths
+    under the flow of the solve at x, which holds O(N) state: the drift row,
+    the cumulant C_k, the two log-weight sums, the variation V_k and the
+    BEL Ito sum. A pass keeps the weights, the terminal values and dX_T/dx,
+    which pathwise and `weights` reuse; each bel call runs its own pass for
+    its weight function. `first_variation` is the (M+1, N) table, computed
+    on demand and not kept.
 
     `dxb` is the law derivative BEL and pathwise use, any (s, y) -> array
     callable; left None it is bump estimated at `law_bump` unless the drift
@@ -191,25 +191,26 @@ class DeltaSession:
         self._draw: Optional[PathEnsemble] = None
         # flow and terminal values of each solve, keyed by its start
         self._runs: dict[float, tuple[MeasureFlow, np.ndarray]] = {}
-        self._terms: Optional[_PathTerms] = None
+        # weights, Brownian terminal values and dX_T/dx of the last pass
+        self._terminal: Optional[tuple[np.ndarray, np.ndarray,
+                                       np.ndarray]] = None
 
     # -- solves ------------------------------------------------------------
 
-    def _solve(self, start: float) -> SolveResult:
+    def _brownian(self, start: float) -> PathEnsemble:
         if self._draw is None:
             self._draw = sample_brownian(self.grid, self.n_paths, 0.0,
                                          self.seed)
-        brownian = PathEnsemble(grid=self.grid,
-                                values=self._draw.values + start,
-                                kind="brownian", start=start, seed=self.seed)
-        return picard_solve(self.spec, start, self.grid, self.n_paths,
-                            self.seed, self.config, brownian=brownian)
+        return PathEnsemble(grid=self.grid, values=self._draw.values + start,
+                            kind="brownian", start=start, seed=self.seed)
 
     def _run(self, start: float) -> tuple[MeasureFlow, np.ndarray]:
         """Flow and terminal values of the solve at start, solved on first
         use."""
         if start not in self._runs:
-            result = self._solve(start)
+            result = picard_solve(self.spec, start, self.grid, self.n_paths,
+                                  self.seed, self.config,
+                                  brownian=self._brownian(start))
             # terminal() is a view that would pin the whole path array
             self._runs[start] = (result.flow,
                                  result.ensemble.terminal().copy())
@@ -244,38 +245,81 @@ class DeltaSession:
             self._dxb = self.law_derivative(self._law_bump)
         return self._dxb
 
-    def _path_terms(self) -> _PathTerms:
-        if self._terms is not None:
-            return self._terms
-        dxb = self._law_feedback()
-        solved = self._solve(self.start)
-        brownian = solved.brownian
-        fb = drift_along_paths(self.spec, solved.flow, brownian)
-        del solved  # the solution paths and flows are not read again
-        dt = self.grid.dt
-        db = brownian.increments()
-        w = guarded_exp(log_weights(fb, db, dt))
-        c = cumulative_integral(fb, db)
-        # driving increments of the solution in this representation
-        drive = db - fb[:-1] * dt
-        del fb, db
+    # -- the pass over time ------------------------------------------------
 
-        table = law_derivative_table(dxb, brownian)
-        self._terms = _PathTerms(
-            weights=w, terminal=brownian.terminal().copy(),
-            variation=variation_path(c, table, dt), law_table=table,
-            drive=drive)
-        return self._terms
+    def _pass(self, weight: Optional[WeightFunctionA] = None
+              ) -> Optional[np.ndarray]:
+        """One loop over the nodes k = 0..M-1 along the driving paths
+        y_k = draw_k + x under the flow of the solve at x.
+
+        Keeps the weights, the terminal values y_M and dX_T/dx; returns the
+        BEL Ito sum of (a_k V_k + dxb_k A_k)(dB_k - f_k dt) when given a
+        weight. Each value has the bits of the tables of drift_along_paths,
+        log_weights, cumulative_integral, law_derivative_table and
+        variation_path: sums start from zeros and add rows in order, as
+        np.einsum("kj,kj->j") and running_sum do (tests/test_numerics.py
+        pins the einsum order). Where running_sum copies its first row
+        instead, only the sign of a zero can differ, and the covariation
+        reaches the outputs only through exp, the response sum only
+        through + 1.0, both of which erase it.
+        """
+        dxb = self._law_feedback()
+        flow = self._run(self.start)[0]
+        spec, x, dt = self.spec, self.start, self.grid.dt
+        nodes, draw = self.grid.nodes, self._draw.values
+        if weight is not None:
+            a_vals = np.asarray(weight.fn(nodes[:-1]), dtype=float)
+            big_a = np.asarray(weight.integral(nodes[:-1]), dtype=float)
+            ito = np.zeros(self.n_paths)
+        no_law = np.zeros(self.n_paths)
+        # log-weight sums, covariation and response running sums; C_0 = +0.0
+        s1, s2 = np.zeros(self.n_paths), np.zeros(self.n_paths)
+        covar, response = np.zeros(self.n_paths), np.zeros(self.n_paths)
+        c = np.zeros(self.n_paths)
+        y = draw[0] + x
+        f = drift_row(spec, flow, 0, float(nodes[0]), y)
+        for k in range(self.grid.steps):
+            t = float(nodes[k])
+            y_next = draw[k + 1] + x
+            db = y_next - y
+            s1 += f * db
+            s2 += f * f
+            law = no_law if dxb is None else dxb(t, y)
+            if weight is not None:
+                v = (response + 1.0) * guarded_exp(-c)
+                ito += (a_vals[k] * v + law * big_a[k]) * (db - f * dt)
+            response += guarded_exp(c) * law * dt
+            f_next = drift_row(spec, flow, k + 1, float(nodes[k + 1]),
+                               y_next)
+            covar += (f_next - f) * db
+            c = -covar
+            y, f = y_next, f_next
+        variation = (response + 1.0) * guarded_exp(-c)
+        weights = guarded_exp(s1 - 0.5 * dt * s2)
+        self._terminal = (weights, y, variation)
+        return ito if weight is not None else None
+
+    def _terminal_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._terminal is None:
+            self._pass()
+        return self._terminal
 
     @property
     def weights(self) -> np.ndarray:
         """Girsanov weights of the solve at x along the driving paths."""
-        return self._path_terms().weights
+        return self._terminal_terms()[0]
 
     @property
     def first_variation(self) -> np.ndarray:
-        """dX_{t_k}/dx along the driving paths, shape (M+1, N)."""
-        return self._path_terms().variation
+        """dX_{t_k}/dx along the driving paths, shape (M+1, N); computed
+        on each access and not kept."""
+        dxb = self._law_feedback()
+        flow = self._run(self.start)[0]
+        brownian = self._brownian(self.start)
+        c = cumulative_integral(drift_along_paths(self.spec, flow, brownian),
+                                brownian.increments())
+        return variation_path(c, law_derivative_table(dxb, brownian),
+                              self.grid.dt)
 
     # -- estimators --------------------------------------------------------
 
@@ -285,17 +329,12 @@ class DeltaSession:
         weight = uniform_weight(self.grid.horizon) if weight is None \
             else weight
         weight.validate(self.grid)
-        terms = self._path_terms()
-        nodes = self.grid.nodes[:-1]
-        a_vals = np.asarray(weight.fn(nodes), dtype=float)
-        big_a = np.asarray(weight.integral(nodes), dtype=float)
-        integrand = (a_vals[:, None] * terms.variation[:-1]
-                     + terms.law_table * big_a[:, None])
-        ito = np.einsum("kj,kj->j", integrand, terms.drive)
-        samples = (terms.weights
-                   * np.asarray(payoff.fn(terms.terminal), dtype=float) * ito)
+        ito = self._pass(weight)
+        weights, terminal, _ = self._terminal
+        samples = (weights * np.asarray(payoff.fn(terminal), dtype=float)
+                   * ito)
         est, se = mean_and_se(samples)
-        meta = {"weight_mean": float(terms.weights.mean()),
+        meta = {"weight_mean": float(weights.mean()),
                 "weight_name": weight.name, "payoff": payoff.name}
         return EstimatorResult(label=f"bel[{weight.name}]", estimate=est,
                                stderr=se, extra=meta)
@@ -304,9 +343,9 @@ class DeltaSession:
         """E[payoff'(X_T) dX_T/dx]; see pathwise_delta."""
         if payoff.derivative is None:
             raise ValueError(f"payoff '{payoff.name}' has no derivative")
-        terms = self._path_terms()
-        dphi = np.asarray(payoff.derivative(terms.terminal), dtype=float)
-        est, se = mean_and_se(terms.weights * dphi * terms.variation[-1])
+        weights, terminal, variation = self._terminal_terms()
+        dphi = np.asarray(payoff.derivative(terminal), dtype=float)
+        est, se = mean_and_se(weights * dphi * variation)
         return EstimatorResult(label="pathwise", estimate=est, stderr=se,
                                extra={"payoff": payoff.name})
 

@@ -4,8 +4,9 @@ Everything here is computed by a route that shares no code with the
 package: brute-force ODE integration, closed-form Gaussian moment
 identities, and the dual (Lipschitz-witness) characterization of the
 Kantorovich distance. Tests compare package output against these. The
-particle-major layout reference at the end is the exception: it shares the
-Philox blocks and the drift evaluators with the package.
+two references at the end are the exceptions: the particle-major layout
+shares the Philox blocks and the drift evaluators with the package, and the
+whole-table delta route shares its table functions.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from mfsde.girsanov import drift_along_paths, log_weights
+from mfsde.localtime import (cumulative_integral, law_derivative_table,
+                             variation_path)
+from mfsde.numerics import guarded_exp, mean_and_se
 
 
 def ou_mean_ode(theta: float, kappa: float, x: float, t: float,
@@ -219,3 +225,48 @@ def particle_major_variation(c: np.ndarray, table: np.ndarray,
     running += 1.0
     running *= exp_neg
     return running
+
+
+# ---------------------------------------------------------------------------
+# the delta session by whole tables, shaped (M+1, N) and (M, N)
+# ---------------------------------------------------------------------------
+#
+# DeltaSession forms its BEL and pathwise samples in one pass over the
+# nodes that holds O(N) state. These are the table routines it replaced,
+# kept as a test-only reference: the session must give their bits.
+
+def table_path_terms(spec, flow, brownian, dxb, drift_in_drive=True):
+    """Weights, terminal values, the first variation (M+1, N), the law
+    table (M, N) and the driving increments dB - b dt (M, N) of the paths
+    `brownian` under `flow`. drift_in_drive=False drops the -b dt term, a
+    broken drive the session must not match."""
+    fb = drift_along_paths(spec, flow, brownian)
+    dt = brownian.grid.dt
+    db = brownian.increments()
+    weights = guarded_exp(log_weights(fb, db, dt))
+    c = cumulative_integral(fb, db)
+    drive = db - fb[:-1] * dt if drift_in_drive else db
+    table = law_derivative_table(dxb, brownian)
+    return (weights, brownian.terminal().copy(),
+            variation_path(c, table, dt), table, drive)
+
+
+def table_bel(terms, grid, payoff, weight) -> tuple[float, float]:
+    """Mean and SE of the BEL samples: the Ito sum of the whole integrand
+    table against the drive by np.einsum."""
+    weights, terminal, variation, table, drive = terms
+    nodes = grid.nodes[:-1]
+    a_vals = np.asarray(weight.fn(nodes), dtype=float)
+    big_a = np.asarray(weight.integral(nodes), dtype=float)
+    integrand = (a_vals[:, None] * variation[:-1]
+                 + table * big_a[:, None])
+    ito = np.einsum("kj,kj->j", integrand, drive)
+    return mean_and_se(weights * np.asarray(payoff.fn(terminal), dtype=float)
+                       * ito)
+
+
+def table_pathwise(terms, payoff) -> tuple[float, float]:
+    """Mean and SE of the pathwise samples w payoff'(B_T) dX_T/dx."""
+    weights, terminal, variation = terms[:3]
+    dphi = np.asarray(payoff.derivative(terminal), dtype=float)
+    return mean_and_se(weights * dphi * variation[-1])

@@ -359,6 +359,19 @@ def test_selfcheck_fails_when_a_draw_is_not_a_prefix(capsys, monkeypatch):
     assert "FAIL block_prefix" in capsys.readouterr().out
 
 
+def test_delta_weight_overflow_exits_3_before_writing(tmp_path, capsys):
+    # the Girsanov exponent of a constant drift 40 passes the 700 guard
+    overflow = {"model": {"name": "constant", "value": 40.0},
+                "run": {"start": 1.0, "steps": 50, "particles": 500},
+                "delta": {"payoff": "call", "strike": 1.0,
+                          "methods": ["bel", "pathwise"]},
+                "output": {"directory": str(tmp_path / "out")}}
+    code = main(["delta", "--config", write_config(tmp_path, overflow)])
+    assert code == 3
+    assert "exceeds guard" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_codes(tmp_path, capsys):
     # 2: malformed config (negative particle count, diagnostic names key)
     bad = deep(BASE, run__particles=-5)

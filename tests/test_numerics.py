@@ -78,3 +78,19 @@ def test_running_sum_of_a_column_prefix_view():
     running_sum(x, out=out)
     want = cumsum_along_paths(x)
     assert np.array_equal(out.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("steps, n", [(200, 10_000), (200, 50_000),
+                                      (40, 3000), (400, 10_000), (200, 4097)])
+def test_einsum_adds_rows_in_order(steps, n):
+    # DeltaSession sums the log-weight and BEL terms row by row and matches
+    # the bits of np.einsum("kj,kj->j") only while einsum accumulates in
+    # this order; a numpy that changes it fails here, not in the CSVs
+    rng = np.random.default_rng(steps + n)
+    a = rng.standard_normal((steps, n))
+    b = rng.standard_normal((steps, n))
+    acc = np.zeros(n)
+    for k in range(steps):
+        acc += a[k] * b[k]
+    got = np.einsum("kj,kj->j", a, b)
+    assert np.array_equal(got.view(np.int64), acc.view(np.int64))

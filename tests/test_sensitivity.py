@@ -1,13 +1,16 @@
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import mfsde.sensitivity as sensitivity
-from mfsde import (DeltaSession, Payoff, PicardConfig, SeedSpec,
-                   bel_delta, call_payoff, constant_drift, constant_payoff,
-                   default_bump, doleans_weights, expectation_square_drift,
+from mfsde import (DeltaSession, ExponentOverflowError, Payoff, PicardConfig,
+                   SeedSpec, bel_delta, call_payoff, constant_drift,
+                   constant_payoff, convolution_drift, default_bump,
+                   doleans_weights, expectation_square_drift,
                    finite_difference_delta, first_variation,
                    front_loaded_weight, identity_payoff, law_derivative,
                    make_grid, mean_and_se, mean_field_ou,
@@ -16,7 +19,8 @@ from mfsde import (DeltaSession, Payoff, PicardConfig, SeedSpec,
                    zero_drift)
 from mfsde.cli import main as cli_main
 from oracles import (discrete_ou_mean, expectation_square_law_derivative,
-                     ou_mean_ode)
+                     ou_mean_ode, table_bel, table_path_terms,
+                     table_pathwise)
 
 SEED = SeedSpec(9_462_371)
 
@@ -305,6 +309,74 @@ def test_session_path_terms_are_the_localtime_and_girsanov_bits(spec):
                           doleans_weights(spec, solve.flow, solve.brownian))
     assert np.array_equal(session.first_variation,
                           first_variation(solve, session.law_derivative()))
+
+
+@pytest.mark.parametrize("feedback", [True, False], ids=["law", "no-law"])
+@pytest.mark.parametrize("spec", [mean_field_ou(), sign_drift(),
+                                  convolution_drift()],
+                         ids=["ou", "sign", "convolution"])
+def test_session_pass_has_the_bits_of_the_table_route(spec, feedback):
+    # the session's one pass over the nodes against the whole-table route
+    # it replaced; without feedback the session reads no law derivative
+    if not feedback:
+        spec = replace(spec, law_lipschitz_const=0.0)
+    grid = make_grid(1.0, 40)
+    n, x = 3000, 1.0
+    payoff = call_payoff(1.0)
+    session = DeltaSession(spec, x, grid, n, SEED)
+    solve = picard_solve(spec, x, grid, n, SEED)
+    dxb = session.law_derivative() if feedback else None
+    terms = table_path_terms(spec, solve.flow, solve.brownian, dxb)
+    for weight in (uniform_weight(1.0), front_loaded_weight(1.0)):
+        got = session.bel(payoff, weight)
+        assert (got.estimate, got.stderr) == table_bel(terms, grid, payoff,
+                                                       weight), weight.name
+    got = session.pathwise(payoff)
+    assert (got.estimate, got.stderr) == table_pathwise(terms, payoff)
+    assert np.array_equal(session.weights.view(np.int64),
+                          terms[0].view(np.int64))
+    assert np.array_equal(session.first_variation.view(np.int64),
+                          terms[2].view(np.int64))
+    # a drive without the -b dt term is a different estimator
+    broken = table_path_terms(spec, solve.flow, solve.brownian, dxb,
+                              drift_in_drive=False)
+    got = session.bel(payoff)
+    assert (got.estimate, got.stderr) != table_bel(broken, grid, payoff,
+                                                   uniform_weight(1.0))
+
+
+@pytest.mark.parametrize("spec", [sign_drift(), mean_field_ou()],
+                         ids=["sign", "ou"])
+def test_session_peak_memory_in_path_arrays(spec):
+    # the draw, the shifted copy and the three buffers of the last solve
+    # and the two flows at x +/- h: the pass adds O(N), so a table of the
+    # drift, cumulants or variation held alongside would show here
+    grid = make_grid(1.0, 200)
+    n = 4096
+    payoff = call_payoff(1.0)
+    tracemalloc.start()
+    try:
+        session = DeltaSession(spec, 1.0, grid, n, SEED)
+        session.bel(payoff)
+        session.pathwise(payoff)
+        session.finite_difference(payoff)
+        session.bel(payoff, front_loaded_weight(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * n * (grid.steps + 1))
+    assert arrays <= 7.5, f"peak {arrays:.2f} path arrays"
+
+
+def test_weight_overflow_fails_through_the_pass():
+    # a constant drift c = 40 puts the weight exponent c B_T - c^2 T / 2
+    # near -800, past the 700 guard, on almost every path
+    session = DeltaSession(constant_drift(40.0), 1.0, make_grid(1.0, 50),
+                           500, SEED)
+    with pytest.raises(ExponentOverflowError):
+        session.bel(call_payoff(1.0))
+    with pytest.raises(ExponentOverflowError):
+        session.pathwise(call_payoff(1.0))
 
 
 def test_session_rejects_a_nonpositive_bump():
