@@ -64,11 +64,13 @@ MAX_START = 1e300
 # (Brownian, solution, two flows): 371.7 MB / 80.4 MB = 4.62; delta
 # 10 000 x 200, which holds the draw, the shifted copy, three solve buffers
 # and two flows: 152.8 MB / 16.08 MB = 9.50; convergence, whose largest
-# array is the 4000 x 1600 local-time ensemble: 293.2 MB / 51.23 MB = 5.72.
+# array is the 4000 x 1600 local-time ensemble (the walk over it holds O(N)
+# state; the study peaks at that ensemble and two arrays of its trapezoid
+# oracle): 241.5 MB / 51.23 MB = 4.71.
 # The interpreter's own 36 MB is included, so the counts overstate large
 # runs a little. check_memory adds the one min(N, BLOCK_SIZE) x steps
 # normal block drawn at a time.
-PEAK_ARRAYS = {"simulate": 5, "delta": 10, "convergence": 6}
+PEAK_ARRAYS = {"simulate": 5, "delta": 10, "convergence": 5}
 
 
 class ConfigError(ValueError):

@@ -21,8 +21,9 @@ import numpy as np
 
 from .drift import DriftSpec
 from .grid import PathEnsemble
+from .localtime import _drift, _walk
 from .measures import MeasureFlow
-from .numerics import guarded_exp, mean_and_se
+from .numerics import mean_and_se
 
 
 @dataclass(frozen=True)
@@ -35,32 +36,10 @@ class EstimatorResult:
     extra: dict = field(default_factory=dict, compare=False)
 
 
-def drift_row(spec: DriftSpec, flow: MeasureFlow, k: int, t: float,
-              y: np.ndarray) -> np.ndarray:
-    """b(t_k, y, flow_k) for the path values y at node k, rejecting a
-    non-finite value."""
-    row = spec.fn(t, y, flow[k])
-    if not np.isfinite(row).all():
-        raise FloatingPointError(
-            f"drift '{spec.name}' non-finite along paths")
-    return row
-
-
 def drift_along_paths(spec: DriftSpec, flow: MeasureFlow,
                       paths: PathEnsemble) -> np.ndarray:
     """b(t_k, path value, flow_k) for every node and path, shape (M+1, N)."""
-    return paths.at_nodes(lambda k, t, y: drift_row(spec, flow, k, t, y))
-
-
-def log_weights(drift_vals: np.ndarray, db: np.ndarray,
-                dt: float) -> np.ndarray:
-    """Left-point exponent sum_k b_k dB_k - 1/2 sum_k b_k^2 dt per path.
-
-    drift_vals is the (M+1, N) table of drift_along_paths (its last node
-    has no increment to the right and is unused); db the (M, N) increments.
-    """
-    b = drift_vals[:-1]
-    return np.einsum("kj,kj->j", b, db) - 0.5 * dt * np.einsum("kj,kj->j", b, b)
+    return paths.at_nodes(_drift(spec, flow))
 
 
 def doleans_weights(spec: DriftSpec, flow: MeasureFlow,
@@ -68,13 +47,15 @@ def doleans_weights(spec: DriftSpec, flow: MeasureFlow,
     """Stochastic exponential of the drift along a Brownian ensemble, (N,).
 
     Left-point discretization of exp( int b dB - 1/2 int b^2 dt ) over the
-    whole horizon. Exponents are guarded (|exponent| <= 700), so the
-    weights are finite and strictly positive.
+    whole horizon, summed in one walk over the nodes. Exponents are
+    guarded (|exponent| <= 700), so the weights are finite and strictly
+    positive.
     """
     if paths.kind != "brownian":
         raise ValueError("weights are defined along Brownian ensembles")
-    return guarded_exp(log_weights(drift_along_paths(spec, flow, paths),
-                                   paths.increments(), paths.grid.dt))
+    for node in _walk(paths, _drift(spec, flow), girsanov=True):
+        pass
+    return node.weights
 
 
 def reweighted_expectation(spec: DriftSpec, flow: MeasureFlow,

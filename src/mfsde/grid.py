@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -134,13 +134,11 @@ class PathEnsemble:
     def terminal(self) -> np.ndarray:
         return self.values[-1]
 
-    def at_nodes(self, fn: Callable[[int, float, np.ndarray], np.ndarray],
-                 count: Optional[int] = None) -> np.ndarray:
-        """fn(k, t_k, values[k]) at the first `count` nodes (all by
-        default), shape (count, N); the one loop over nodes along paths."""
-        count = self.grid.steps + 1 if count is None else count
-        out = np.empty((count, self.n_paths))
-        for k in range(count):
+    def at_nodes(self, fn: Callable[[int, float, np.ndarray], np.ndarray]
+                 ) -> np.ndarray:
+        """fn(k, t_k, values[k]) at every node, shape (steps + 1, N)."""
+        out = np.empty_like(self.values)
+        for k in range(self.grid.steps + 1):
             out[k] = fn(k, float(self.grid.nodes[k]), self.values[k])
         return out
 

@@ -21,14 +21,13 @@ covariation,
 
     C_k = - sum_{j < k} (f_{j+1} - f_j) (B_{j+1} - B_j),
 
-which is what cumulative_integral computes; the integral over
+which is what the walk below accumulates; the integral over
 [t_s, t_t] is C_t - C_s.
 
 For smooth f the integral equals minus the time integral of the space
 derivative of f along the path, which is the validation oracle. Because
-every window is a difference of rows of one running sum, the integral is
-exactly additive over adjacent intervals, which makes the Malliavin
-derivative
+every window is a difference of one running sum, the integral is exactly
+additive over adjacent intervals, which makes the Malliavin derivative
 
     D_s X_t = exp( - int_s^t int b(u, y, law_u) L(du, dy) )
 
@@ -39,50 +38,115 @@ from the same cumulants by variation of constants,
 
 where C is the cumulative local-time integral of the drift and dxb, the
 derivative of the drift in the initial point through the law, is any
-(s, y) -> array callable. This module is the one place that composes the
-table: first_variation, check_chain_identity and the delta session's
-first_variation all call variation_path (the session's estimators form the
-same recurrence one node at a time, with the same bits). Quantities for
-the solution process are evaluated along the driving Brownian ensemble and
-transported by the Girsanov weights; the identification holds in law,
-which is what the expectation-level estimators need.
+(s, y) -> array callable.
+
+Every one of these is a recurrence over the nodes, and _walk is their one
+implementation: it walks the rows of a path array under an integrand with
+O(N) state and carries the covariation C_k, the response sum behind the
+first variation and the Girsanov sums. local_time_integral,
+drift_cumulants, first_variation, check_chain_identity,
+girsanov.doleans_weights and the delta session's estimators read it and
+keep only what they return. Quantities for the solution process are
+evaluated along the driving Brownian ensemble and transported by the
+Girsanov weights; the identification holds in law, which is what the
+expectation-level estimators need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .girsanov import drift_along_paths
+from .drift import DriftSpec, eval_drift
 from .grid import PathEnsemble, SeedSpec, make_grid, sample_brownian
-from .numerics import guarded_exp, loglog_slope, running_sum
+from .measures import MeasureFlow
+from .numerics import guarded_exp, loglog_slope
 from .solver import SolveResult
 
 # integrands and law derivatives along paths: (time, states) -> values
 SpaceTimeFn = Callable[[float, np.ndarray], np.ndarray]
+# integrands of the walk: (node, time, states) -> values
+NodeFn = Callable[[int, float, np.ndarray], np.ndarray]
 
 
-def cumulative_integral(fvals: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """C[k], the local-time integral over [0, t_k] of the integrand whose
-    (M+1, N) node table is fvals, along the paths whose (M, N) increments
-    are db; the integral over [t_s, t_t] is C[t] - C[s].
+class _Node(NamedTuple):
+    """What a walk knows at node k. Its arrays are never written after
+    they are yielded, so a caller may keep them."""
 
-    The terms are formed in rows 1..M of the output and summed there; the
-    call holds no path-sized array besides its inputs and the output.
+    k: int
+    y: np.ndarray                  # path values y_k
+    f: np.ndarray                  # integrand f_k
+    c: np.ndarray                  # covariation C_k
+    db: Optional[np.ndarray]       # y_{k+1} - y_k; None at the last node
+    law: Optional[np.ndarray]      # dxb(t_k, y_k); None at the last node
+    v: Optional[np.ndarray]        # first variation V_k
+    weights: Optional[np.ndarray]  # Girsanov weights, at the last node
+
+
+def _walk(paths: PathEnsemble, f: NodeFn, stop: Optional[int] = None,
+          shift: Optional[float] = None, law: Optional[SpaceTimeFn] = None,
+          variation: bool = False, girsanov: bool = False
+          ) -> Iterator[_Node]:
+    """Walk the nodes k = 0..stop (M by default) of the paths, each row
+    shifted by `shift` when given, under the integrand f, with O(N) state.
+
+    Every node carries C_k = -sum_{j < k} (f_{j+1} - f_j)(y_{j+1} - y_j).
+    With variation, it also carries the law row (zeros when law is None)
+    and V_k = (S_k + 1) exp(-C_k), S_k = sum_{j < k} exp(C_j) dxb_j dt;
+    with girsanov, the last node carries the weights
+    exp(sum_k f_k db_k - 1/2 sum_k f_k^2 dt). Only these two exponentiate.
+    The sums add rows in order from zeros, as np.einsum("kj,kj->j") does
+    (tests/test_numerics.py pins its order); the covariation starts from
+    -0.0, the identity of +, so its first term is copied as np.cumsum
+    copies it, and C_0 = +0.0.
     """
-    c = np.zeros_like(fvals)
-    terms = np.subtract(fvals[1:], fvals[:-1], out=c[1:])
-    terms *= db
-    running_sum(terms, out=terms)
-    # row 0 stays +0.0, so a window from node 0 is its row bit for bit
-    np.negative(terms, out=terms)
-    return c
+    stop = paths.grid.steps if stop is None else stop
+    nodes, dt, values = paths.grid.nodes, paths.grid.dt, paths.values
+    n = paths.n_paths
+
+    def row(k: int) -> np.ndarray:
+        return values[k] if shift is None else values[k] + shift
+
+    covar = np.full(n, -0.0)
+    response, no_law = np.zeros(n), np.zeros(n)
+    s1, s2 = np.zeros(n), np.zeros(n)
+    y = row(0)
+    fk = f(0, float(nodes[0]), y)
+    for k in range(stop + 1):
+        t = float(nodes[k])
+        c = -covar
+        last = k == stop
+        y_next = None if last else row(k + 1)
+        db = None if last else y_next - y
+        lk = v = weights = None
+        if variation:
+            v = (response + 1.0) * guarded_exp(-c)
+            if not last:
+                lk = no_law if law is None else law(t, y)
+                response += guarded_exp(c) * lk * dt
+        if girsanov:
+            if last:
+                weights = guarded_exp(s1 - 0.5 * dt * s2)
+            else:
+                s1 += fk * db
+                s2 += fk * fk
+        yield _Node(k, y, fk, c, db, lk, v, weights)
+        if last:
+            return
+        f_next = f(k + 1, float(nodes[k + 1]), y_next)
+        covar += (f_next - fk) * db
+        y, fk = y_next, f_next
 
 
-# perfbench/traced.py is the only reader of this name
-_cumulative_pieces = cumulative_integral
+# perfbench/traced.py reads this name
+_cumulative_pieces = _walk
+
+
+def _drift(spec: DriftSpec, flow: MeasureFlow) -> NodeFn:
+    """b(t_k, y, flow_k) as an integrand of the walk."""
+    return lambda k, t, y: eval_drift(spec, t, y, flow[k])
 
 
 def _check_nodes(steps: int, s: int, t: int) -> None:
@@ -102,17 +166,22 @@ def local_time_integral(f: SpaceTimeFn, paths: PathEnsemble, s: int,
 
     Returns
     -------
-    The (N,) integral C[t] - C[s] of the cumulant table of
-    cumulative_integral; at s = 0 it equals row t bit for bit.
+    The (N,) integral C_t - C_s; at s = 0 it equals C_t bit for bit.
     """
     if paths.kind != "brownian":
         raise ValueError("local-time integrals need a Brownian ensemble")
     _check_nodes(paths.grid.steps, s, t)
-    fvals = paths.at_nodes(lambda k, u, y: f(u, y))
-    if not np.isfinite(fvals).all():
-        raise FloatingPointError("integrand non-finite along paths")
-    c = cumulative_integral(fvals, paths.increments())
-    return c[t] - c[s]
+
+    def integrand(k: int, u: float, y: np.ndarray) -> np.ndarray:
+        out = f(u, y)
+        if not np.isfinite(out).all():
+            raise FloatingPointError("integrand non-finite along paths")
+        return out
+
+    for node in _walk(paths, integrand, stop=t):
+        if node.k == s:
+            c_s = node.c
+    return node.c - c_s
 
 
 def localtime_rate_study(horizon: float, step_counts: Sequence[int],
@@ -144,9 +213,10 @@ def drift_cumulants(result: SolveResult) -> np.ndarray:
     subinterval, so the exponentials malliavin_derivative takes of them
     are exactly multiplicative.
     """
-    return cumulative_integral(
-        drift_along_paths(result.spec, result.flow, result.brownian),
-        result.brownian.increments())
+    c = np.empty_like(result.brownian.values)
+    for node in _walk(result.brownian, _drift(result.spec, result.flow)):
+        c[node.k] = node.c
+    return c
 
 
 def malliavin_derivative(cumulants: np.ndarray, s: int,
@@ -163,33 +233,6 @@ def malliavin_derivative(cumulants: np.ndarray, s: int,
     return guarded_exp(-(cumulants[t] - cumulants[s]))
 
 
-def law_derivative_table(dxb: Optional[SpaceTimeFn],
-                         paths: PathEnsemble) -> np.ndarray:
-    """dxb(t_j, path value at j) at the left points j < M, shape (M, N).
-
-    All zeros when dxb is None (no law feedback).
-    """
-    if dxb is None:
-        return np.zeros((paths.grid.steps, paths.n_paths))
-    return paths.at_nodes(lambda k, t, y: dxb(t, y), count=paths.grid.steps)
-
-
-def variation_path(c: np.ndarray, table: np.ndarray,
-                   dt: float) -> np.ndarray:
-    """dX/dx at every node, (M+1, N), by variation of constants from the
-    cumulants C and the law-derivative table; row M is dX_T/dx."""
-    exp_neg = guarded_exp(-c)
-    response = guarded_exp(c[:-1]) * table * dt
-    running = np.zeros_like(exp_neg)
-    running_sum(response, out=running[1:])
-    del response
-    # exp(-C_k) (1 + sum_{j < k} response_j) in place, sparing a path-sized
-    # temporary; + and * commute, so the bits are those of the expression
-    running += 1.0
-    running *= exp_neg
-    return running
-
-
 def first_variation(result: SolveResult,
                     dxb: Optional[SpaceTimeFn] = None) -> np.ndarray:
     """Per-particle first-variation path d/dx X_{t_k}, shape (M+1, N).
@@ -204,9 +247,11 @@ def first_variation(result: SolveResult,
     law derivative (None means no law feedback, in which case the first
     variation equals D_0 X_t exactly).
     """
-    c = drift_cumulants(result)
-    table = law_derivative_table(dxb, result.brownian)
-    return variation_path(c, table, result.brownian.grid.dt)
+    v = np.empty_like(result.brownian.values)
+    for node in _walk(result.brownian, _drift(result.spec, result.flow),
+                      law=dxb, variation=True):
+        v[node.k] = node.v
+    return v
 
 
 @dataclass(frozen=True)
@@ -237,18 +282,27 @@ def check_chain_identity(result: SolveResult, s: int, u: int, t: int,
     if not (0 <= s <= u <= t <= result.brownian.grid.steps):
         raise ValueError(f"need 0 <= s <= u <= t, got ({s}, {u}, {t})")
     dt = result.brownian.grid.dt
-    c = drift_cumulants(result)
-    table = law_derivative_table(dxb, result.brownian)
-    fv = variation_path(c, table, dt)
+    # the cumulants and law rows of the window [s, t], with dX/dx at s
+    rows, laws = [], []
+    for node in _walk(result.brownian, _drift(result.spec, result.flow),
+                      stop=t, law=dxb, variation=True):
+        if node.k == s:
+            v_s = node.v
+        if node.k >= s:
+            rows.append(node.c)
+            laws.append(node.law)
+    c = np.array(rows)
+    width = t - s
 
-    d_st = malliavin_derivative(c, s, t)
-    cocycle_res = d_st - (malliavin_derivative(c, u, t)
-                          * malliavin_derivative(c, s, u))
+    d_st = malliavin_derivative(c, 0, width)
+    cocycle_res = d_st - (malliavin_derivative(c, u - s, width)
+                          * malliavin_derivative(c, 0, u - s))
 
     integral = np.zeros(c.shape[1])
-    for j in range(s, t):
-        integral = integral + malliavin_derivative(c, j, t) * table[j] * dt
-    chain_res = fv[t] - (d_st * fv[s] + integral)
+    for j in range(width):
+        integral = (integral
+                    + malliavin_derivative(c, j, width) * laws[j] * dt)
+    chain_res = node.v - (d_st * v_s + integral)
 
     return ChainIdentityReport(
         s_node=s, u_node=u, t_node=t,

@@ -23,8 +23,9 @@ The estimators are reductions over a DeltaSession, which runs each Picard
 solve they read once. Under the frozen flow of the solve at x, every factor
 of BEL and pathwise is a recurrence over time: the drift row, the
 local-time cumulant, the log-weight sums, the first variation and the Ito
-sum. The session forms them in one pass over the nodes that holds O(N)
-state, never an (M+1, N) table. bel_delta, pathwise_delta and
+sum. The session reads the first four from the walk over the nodes in
+localtime, the one implementation of each, and adds the Ito sum; it holds
+O(N) state, never an (M+1, N) table. bel_delta, pathwise_delta and
 finite_difference_delta are one-shot sessions.
 
 The delta is x-almost-everywhere well defined; at an exceptional null set of
@@ -35,17 +36,16 @@ the reported value is the version picked by the discretization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .drift import DriftSpec, mollify
-from .girsanov import EstimatorResult, drift_along_paths, drift_row
+from .girsanov import EstimatorResult
 from .grid import PathEnsemble, SeedSpec, TimeGrid, sample_brownian
-from .localtime import (SpaceTimeFn, cumulative_integral,
-                        law_derivative_table, variation_path)
+from .localtime import SpaceTimeFn, _drift, _Node, _walk
 from .measures import MeasureFlow, kantorovich
-from .numerics import guarded_exp, loglog_slope, mean_and_se
+from .numerics import loglog_slope, mean_and_se
 from .solver import PicardConfig, picard_solve
 
 
@@ -163,12 +163,14 @@ class DeltaSession:
     per solve.
 
     BEL and pathwise read one pass over the nodes along the driving paths
-    under the flow of the solve at x, which holds O(N) state: the drift row,
-    the cumulant C_k, the two log-weight sums, the variation V_k and the
-    BEL Ito sum. A pass keeps the weights, the terminal values and dX_T/dx,
-    which pathwise and `weights` reuse; each bel call runs its own pass for
-    its weight function. `first_variation` is the (M+1, N) table, computed
-    on demand and not kept.
+    under the flow of the solve at x: the walk of localtime, which holds
+    O(N) state and carries the cumulant C_k, the variation V_k and the
+    Girsanov weights, to which bel adds only its Ito sum. A pass keeps the
+    weights, the terminal values and dX_T/dx, which pathwise reuses; each
+    bel call runs its own pass for its weight function. The first
+    variation table and the weights of the solve at x are
+    first_variation(solve, session.law_derivative()) and doleans_weights
+    of that solve, bit for bit.
 
     `dxb` is the law derivative BEL and pathwise use, any (s, y) -> array
     callable; left None it is bump estimated at `law_bump` unless the drift
@@ -247,79 +249,18 @@ class DeltaSession:
 
     # -- the pass over time ------------------------------------------------
 
-    def _pass(self, weight: Optional[WeightFunctionA] = None
-              ) -> Optional[np.ndarray]:
-        """One loop over the nodes k = 0..M-1 along the driving paths
-        y_k = draw_k + x under the flow of the solve at x.
-
-        Keeps the weights, the terminal values y_M and dX_T/dx; returns the
-        BEL Ito sum of (a_k V_k + dxb_k A_k)(dB_k - f_k dt) when given a
-        weight. Each value has the bits of the tables of drift_along_paths,
-        log_weights, cumulative_integral, law_derivative_table and
-        variation_path: sums start from zeros and add rows in order, as
-        np.einsum("kj,kj->j") and running_sum do (tests/test_numerics.py
-        pins the einsum order). Where running_sum copies its first row
-        instead, only the sign of a zero can differ, and the covariation
-        reaches the outputs only through exp, the response sum only
-        through + 1.0, both of which erase it.
-        """
+    def _pass(self) -> Iterator[_Node]:
+        """The walk over the driving paths draw_k + x under the flow of the
+        solve at x, with the first variation and the Girsanov weights. It
+        keeps the weights, the terminal values and dX_T/dx of its last
+        node, which pathwise reuses."""
         dxb = self._law_feedback()
         flow = self._run(self.start)[0]
-        spec, x, dt = self.spec, self.start, self.grid.dt
-        nodes, draw = self.grid.nodes, self._draw.values
-        if weight is not None:
-            a_vals = np.asarray(weight.fn(nodes[:-1]), dtype=float)
-            big_a = np.asarray(weight.integral(nodes[:-1]), dtype=float)
-            ito = np.zeros(self.n_paths)
-        no_law = np.zeros(self.n_paths)
-        # log-weight sums, covariation and response running sums; C_0 = +0.0
-        s1, s2 = np.zeros(self.n_paths), np.zeros(self.n_paths)
-        covar, response = np.zeros(self.n_paths), np.zeros(self.n_paths)
-        c = np.zeros(self.n_paths)
-        y = draw[0] + x
-        f = drift_row(spec, flow, 0, float(nodes[0]), y)
-        for k in range(self.grid.steps):
-            t = float(nodes[k])
-            y_next = draw[k + 1] + x
-            db = y_next - y
-            s1 += f * db
-            s2 += f * f
-            law = no_law if dxb is None else dxb(t, y)
-            if weight is not None:
-                v = (response + 1.0) * guarded_exp(-c)
-                ito += (a_vals[k] * v + law * big_a[k]) * (db - f * dt)
-            response += guarded_exp(c) * law * dt
-            f_next = drift_row(spec, flow, k + 1, float(nodes[k + 1]),
-                               y_next)
-            covar += (f_next - f) * db
-            c = -covar
-            y, f = y_next, f_next
-        variation = (response + 1.0) * guarded_exp(-c)
-        weights = guarded_exp(s1 - 0.5 * dt * s2)
-        self._terminal = (weights, y, variation)
-        return ito if weight is not None else None
-
-    def _terminal_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._terminal is None:
-            self._pass()
-        return self._terminal
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Girsanov weights of the solve at x along the driving paths."""
-        return self._terminal_terms()[0]
-
-    @property
-    def first_variation(self) -> np.ndarray:
-        """dX_{t_k}/dx along the driving paths, shape (M+1, N); computed
-        on each access and not kept."""
-        dxb = self._law_feedback()
-        flow = self._run(self.start)[0]
-        brownian = self._brownian(self.start)
-        c = cumulative_integral(drift_along_paths(self.spec, flow, brownian),
-                                brownian.increments())
-        return variation_path(c, law_derivative_table(dxb, brownian),
-                              self.grid.dt)
+        for node in _walk(self._draw, _drift(self.spec, flow),
+                          shift=self.start, law=dxb, variation=True,
+                          girsanov=True):
+            yield node
+        self._terminal = (node.weights, node.y, node.v)
 
     # -- estimators --------------------------------------------------------
 
@@ -329,7 +270,15 @@ class DeltaSession:
         weight = uniform_weight(self.grid.horizon) if weight is None \
             else weight
         weight.validate(self.grid)
-        ito = self._pass(weight)
+        nodes, dt = self.grid.nodes[:-1], self.grid.dt
+        a_vals = np.asarray(weight.fn(nodes), dtype=float)
+        big_a = np.asarray(weight.integral(nodes), dtype=float)
+        # the Ito sum of (a_k V_k + dxb_k A_k)(dB_k - f_k dt)
+        ito = np.zeros(self.n_paths)
+        for node in self._pass():
+            if node.db is not None:
+                ito += ((a_vals[node.k] * node.v + node.law * big_a[node.k])
+                        * (node.db - node.f * dt))
         weights, terminal, _ = self._terminal
         samples = (weights * np.asarray(payoff.fn(terminal), dtype=float)
                    * ito)
@@ -343,7 +292,10 @@ class DeltaSession:
         """E[payoff'(X_T) dX_T/dx]; see pathwise_delta."""
         if payoff.derivative is None:
             raise ValueError(f"payoff '{payoff.name}' has no derivative")
-        weights, terminal, variation = self._terminal_terms()
+        if self._terminal is None:
+            for _ in self._pass():
+                pass
+        weights, terminal, variation = self._terminal
         dphi = np.asarray(payoff.derivative(terminal), dtype=float)
         est, se = mean_and_se(weights * dphi * variation)
         return EstimatorResult(label="pathwise", estimate=est, stderr=se,

@@ -4,9 +4,10 @@ Everything here is computed by a route that shares no code with the
 package: brute-force ODE integration, closed-form Gaussian moment
 identities, and the dual (Lipschitz-witness) characterization of the
 Kantorovich distance. Tests compare package output against these. The
-two references at the end are the exceptions: the particle-major layout
-shares the Philox blocks and the drift evaluators with the package, and the
-whole-table delta route shares its table functions.
+two references at the end are the exceptions: the particle-major layout and
+the whole-table delta route built on it share the Philox blocks, the drift
+evaluators and the law derivatives with the package, but none of its code
+over the nodes.
 """
 
 from __future__ import annotations
@@ -15,10 +16,7 @@ import math
 
 import numpy as np
 
-from mfsde.girsanov import drift_along_paths, log_weights
-from mfsde.localtime import (cumulative_integral, law_derivative_table,
-                             variation_path)
-from mfsde.numerics import guarded_exp, mean_and_se
+from mfsde.numerics import mean_and_se
 
 
 def ou_mean_ode(theta: float, kappa: float, x: float, t: float,
@@ -231,24 +229,37 @@ def particle_major_variation(c: np.ndarray, table: np.ndarray,
 # the delta session by whole tables, shaped (M+1, N) and (M, N)
 # ---------------------------------------------------------------------------
 #
-# DeltaSession forms its BEL and pathwise samples in one pass over the
-# nodes that holds O(N) state. These are the table routines it replaced,
-# kept as a test-only reference: the session must give their bits.
+# DeltaSession forms its BEL and pathwise samples in one walk over the nodes
+# that holds O(N) state. These are whole-table routines built from the
+# particle-major references above and np.einsum, kept as a test-only
+# reference: the session must give their bits.
 
 def table_path_terms(spec, flow, brownian, dxb, drift_in_drive=True):
     """Weights, terminal values, the first variation (M+1, N), the law
     table (M, N) and the driving increments dB - b dt (M, N) of the paths
     `brownian` under `flow`. drift_in_drive=False drops the -b dt term, a
     broken drive the session must not match."""
-    fb = drift_along_paths(spec, flow, brownian)
-    dt = brownian.grid.dt
-    db = brownian.increments()
-    weights = guarded_exp(log_weights(fb, db, dt))
-    c = cumulative_integral(fb, db)
-    drive = db - fb[:-1] * dt if drift_in_drive else db
-    table = law_derivative_table(dxb, brownian)
+    grid, dt = brownian.grid, brownian.grid.dt
+    v = brownian.values.T
+    fvals = np.empty_like(v)
+    for k in range(grid.steps + 1):
+        fvals[:, k] = spec.fn(float(grid.nodes[k]), v[:, k], flow[k])
+    table = np.zeros((v.shape[0], grid.steps))
+    if dxb is not None:
+        for j in range(grid.steps):
+            table[:, j] = dxb(float(grid.nodes[j]), v[:, j])
+    variation = particle_major_variation(
+        particle_major_covariation(fvals, v), table, dt)
+    # time-major from here on: np.einsum("kj,kj->j") over contiguous
+    # (M, N) tables adds the rows in order
+    fb = np.ascontiguousarray(fvals[:, :-1].T)
+    db = np.diff(brownian.values, axis=0)
+    weights = np.exp(np.einsum("kj,kj->j", fb, db)
+                     - 0.5 * dt * np.einsum("kj,kj->j", fb, fb))
+    drive = db - fb * dt if drift_in_drive else db
     return (weights, brownian.terminal().copy(),
-            variation_path(c, table, dt), table, drive)
+            np.ascontiguousarray(variation.T),
+            np.ascontiguousarray(table.T), drive)
 
 
 def table_bel(terms, grid, payoff, weight) -> tuple[float, float]:

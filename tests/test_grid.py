@@ -131,4 +131,3 @@ def test_at_nodes_evaluates_each_node_column():
     want = np.arange(7)[:, None] + grid.nodes[:, None] * paths.values
     assert table.shape == (7, 7)
     assert np.array_equal(table, want)
-    assert paths.at_nodes(lambda k, t, y: y, count=3).shape == (3, 7)

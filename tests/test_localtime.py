@@ -1,15 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mfsde import (PathEnsemble, SeedSpec, check_chain_identity,
+from mfsde import (ExponentOverflowError, PathEnsemble, SeedSpec,
+                   check_chain_identity,
                    convolution_drift, doleans_weights, drift_along_paths,
                    drift_cumulants, euler_under_flow, first_variation,
                    local_time_integral, make_grid, malliavin_derivative,
                    mean_and_se, mean_field_ou, picard_solve, sample_brownian,
                    sign_drift)
-from mfsde.localtime import cumulative_integral
 from oracles import particle_major_cumulative_pieces
 
 SEED = SeedSpec(1_618_033)
@@ -97,12 +98,18 @@ def test_node_window_validation():
         local_time_integral(lambda t, y: y, paths, 0, 51)
 
 
+def node_integrand(table, grid):
+    """The integrand whose value at node k is row k of a node table."""
+    return lambda u, y: table[grid.index_of(u)]
+
+
 def test_window_from_node_zero_is_the_cumulant_row():
     # the two public routes to the integral agree bit for bit at s = 0
-    paths = brownian(steps=120, n=300)
-    f = lambda t, y: np.sin(y + t)
-    cumulants = cumulative_integral(
-        paths.at_nodes(lambda k, u, y: f(u, y)), paths.increments())
+    result = picard_solve(sign_drift(), 1.0, make_grid(1.0, 120), 300, SEED)
+    paths = result.brownian
+    cumulants = drift_cumulants(result)
+    f = node_integrand(drift_along_paths(result.spec, result.flow, paths),
+                       paths.grid)
     for t in (0, 1, 57, 120):
         got = local_time_integral(f, paths, 0, t)
         assert np.array_equal(got.view(np.int64),
@@ -115,28 +122,74 @@ def relative_gap(table, reference):
 
 
 def drift_table_and_pieces(builder):
-    """The drift node table of a solve and the forward, backward and
-    correction sums of the time-reversal reference, time-major."""
+    """The drift cumulants and node table of a solve, its Brownian paths
+    and the forward, backward and correction sums of the time-reversal
+    reference, time-major."""
     result = picard_solve(builder(), 1.0, make_grid(1.0, 200), 2000, SEED)
     paths = result.brownian
     fvals = drift_along_paths(result.spec, result.flow, paths)
     pieces = particle_major_cumulative_pieces(fvals.T, paths.values.T,
                                               paths.start, paths.grid)
-    return fvals, paths.increments(), [p.T for p in pieces]
+    return drift_cumulants(result), fvals, paths, [p.T for p in pieces]
 
 
 @pytest.mark.parametrize("builder", [mean_field_ou, sign_drift,
                                      convolution_drift],
                          ids=["ou", "sign", "convolution"])
 def test_covariation_is_the_three_piece_time_reversal_sum(builder):
-    fvals, db, (cf, cb, cc) = drift_table_and_pieces(builder)
+    cumulants, fvals, paths, (cf, cb, cc) = drift_table_and_pieces(builder)
     reference = cf + cb + cc
-    assert relative_gap(cumulative_integral(fvals, db), reference) <= 1e-12
+    assert relative_gap(cumulants, reference) <= 1e-12
     # broken variants the comparison must reject: the covariation with f
     # read one node late, and the reference without its correction piece
-    late = np.concatenate([fvals[:1], fvals[:-1]])
-    assert relative_gap(cumulative_integral(late, db), reference) > 1e-12
+    late = node_integrand(np.concatenate([fvals[:1], fvals[:-1]]),
+                          paths.grid)
+    late_table = np.array([local_time_integral(late, paths, 0, t)
+                           for t in range(paths.grid.steps + 1)])
+    assert relative_gap(late_table, reference) > 1e-12
     assert relative_gap(cf + cb, reference) > 1e-12
+
+
+def peak_in_path_arrays(run, paths):
+    """Peak of the arrays run() allocates, in path arrays of `paths`."""
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / paths.values.nbytes
+
+
+def test_integrals_hold_no_table_beside_their_output():
+    # the walk keeps O(N) state: the integral allocates no path-sized
+    # array and the first variation only the table it returns
+    result = picard_solve(sign_drift(), 1.0, make_grid(1.0, 400), 4000, SEED)
+    paths = result.brownian
+    integral = peak_in_path_arrays(
+        lambda: local_time_integral(lambda t, y: np.sin(y), paths, 0, 400),
+        paths)
+    assert integral < 0.5, f"peak {integral:.2f} path arrays"
+    dxb = lambda s, y: 0.1 * np.cos(y) + s
+    variation = peak_in_path_arrays(lambda: first_variation(result, dxb),
+                                    paths)
+    assert variation < 1.5, f"peak {variation:.2f} path arrays"
+
+
+def test_only_the_first_variation_exponentiates_the_cumulants():
+    # with theta = 5 over T = 200 the cumulants grow to about theta T =
+    # 1000, past the 700 guard; the integral and the cumulant table take
+    # no exponential, the first variation must
+    theta = 5.0
+    grid = make_grid(200.0, 2000)
+    result = picard_solve(mean_field_ou(theta=theta), 1.0, grid, 200, SEED)
+    cumulants = drift_cumulants(result)
+    assert np.max(np.abs(cumulants[-1])) > 700.0
+    integral = local_time_integral(lambda t, y: -theta * y, result.brownian,
+                                   0, grid.steps)
+    assert np.max(np.abs(integral)) > 700.0
+    with pytest.raises(ExponentOverflowError):
+        first_variation(result)
 
 
 def test_local_time_requires_brownian_kind():

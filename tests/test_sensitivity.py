@@ -299,16 +299,19 @@ def test_session_estimators_match_one_shot_wrappers(spec, payoff):
 @pytest.mark.parametrize("spec", [mean_field_ou(), sign_drift()],
                          ids=["ou", "sign"])
 def test_session_path_terms_are_the_localtime_and_girsanov_bits(spec):
-    # the session computes the weights and the first variation with the
-    # same functions the public one-shot routines call
+    # the session's pathwise samples are those of the public routines:
+    # the weights and the first variation of the solve at x
     grid = make_grid(1.0, 40)
     n, x = 3000, 1.0
+    payoff = square_payoff()
     session = DeltaSession(spec, x, grid, n, SEED)
     solve = picard_solve(spec, x, grid, n, SEED)
-    assert np.array_equal(session.weights,
-                          doleans_weights(spec, solve.flow, solve.brownian))
-    assert np.array_equal(session.first_variation,
-                          first_variation(solve, session.law_derivative()))
+    weights = doleans_weights(spec, solve.flow, solve.brownian)
+    variation = first_variation(solve, session.law_derivative())
+    want = mean_and_se(weights * payoff.derivative(solve.brownian.terminal())
+                       * variation[-1])
+    got = session.pathwise(payoff)
+    assert (got.estimate, got.stderr) == want
 
 
 @pytest.mark.parametrize("feedback", [True, False], ids=["law", "no-law"])
@@ -333,9 +336,9 @@ def test_session_pass_has_the_bits_of_the_table_route(spec, feedback):
                                                        weight), weight.name
     got = session.pathwise(payoff)
     assert (got.estimate, got.stderr) == table_pathwise(terms, payoff)
-    assert np.array_equal(session.weights.view(np.int64),
-                          terms[0].view(np.int64))
-    assert np.array_equal(session.first_variation.view(np.int64),
+    weights = doleans_weights(spec, solve.flow, solve.brownian)
+    assert np.array_equal(weights.view(np.int64), terms[0].view(np.int64))
+    assert np.array_equal(first_variation(solve, dxb).view(np.int64),
                           terms[2].view(np.int64))
     # a drive without the -b dt term is a different estimator
     broken = table_path_terms(spec, solve.flow, solve.brownian, dxb,

@@ -2,9 +2,10 @@
 
 perfbench/traced.py rebinds package functions by name in its own process,
 so a refactor that drops or renames one breaks the traced benchmark run and
-nothing else. A command or `write_csv` bound where the tracer cannot rebind
-it (say, in a dispatch table built at import) runs untraced: the counts of
-CSV writes and command spans below catch that. Each command runs in a
+nothing else. A command, `write_csv` or the node walk of `localtime` bound
+where the tracer cannot rebind it (say, in a dispatch table built at
+import) runs untraced: the counts of CSV writes, command spans and walks
+below catch that. Each command runs in a
 subprocess on a tiny config.
 """
 
@@ -32,6 +33,9 @@ TINY = {
 
 # CSV files each command writes on TINY
 CSV_FILES = {"simulate": 3, "delta": 2, "convergence": 4}
+# commands that walk the nodes for local time, weights or the first
+# variation; the walk must be reached through a name the tracer rebinds
+WALKS = ("delta", "convergence")
 
 
 @pytest.mark.parametrize("command", list(CSV_FILES))
@@ -50,3 +54,5 @@ def test_traced_run_counts_solves_and_draws(tmp_path, command):
     assert metrics["cli.write_csv.calls"] == CSV_FILES[command]
     assert metrics["cli.csv_bytes"] > 0
     assert metrics["cli.cmd.self_s"] > 0
+    if command in WALKS:
+        assert metrics["localtime.cumulative_pieces.calls"] > 0
