@@ -58,19 +58,20 @@ MAX_SEED = 2**64 - 1
 MAX_START = 1e300
 
 # Peak resident memory of a command, counted in its largest (M+1) x N
-# float64 path array: peak ru_maxrss bytes (ru_maxrss is in KiB) over that
-# array's bytes on the benchmark configs (sign model, seed 11, median of 3
-# runs), rounded up. simulate 50 000 x 200, which holds four path arrays
-# (Brownian, solution, two flows): 371.7 MB / 80.4 MB = 4.62; delta
-# 10 000 x 200, which holds the draw, the shifted copy, three solve buffers
-# and two flows: 152.8 MB / 16.08 MB = 9.50; convergence, whose largest
-# array is the 4000 x 1600 local-time ensemble (the walk over it holds O(N)
-# state; the study peaks at that ensemble and two arrays of its trapezoid
-# oracle): 241.5 MB / 51.23 MB = 4.71.
+# float64 path array: peak ru_maxrss over that array's size, both in MB of
+# 10^6 bytes (ru_maxrss is in KiB), on the benchmark configs (sign model,
+# seed 11, median of 10 runs for simulate and of 5 for the others), rounded
+# up. simulate 50 000 x 200, which holds three path arrays (Brownian,
+# solution, one flow buffer): 290.9 MB / 80.4 MB = 3.62; delta
+# 10 000 x 200, which holds the draw, the shifted copy, the two buffers of
+# a solve and the flows of two earlier solves: 136.7 MB / 16.08 MB = 8.50;
+# convergence, whose largest array is the 4000 x 1600 local-time ensemble
+# (the walk over it holds O(N) state; the study peaks at that ensemble and
+# two arrays of its trapezoid oracle): 241.5 MB / 51.23 MB = 4.71.
 # The interpreter's own 36 MB is included, so the counts overstate large
 # runs a little. check_memory adds the one min(N, BLOCK_SIZE) x steps
 # normal block drawn at a time.
-PEAK_ARRAYS = {"simulate": 5, "delta": 10, "convergence": 5}
+PEAK_ARRAYS = {"simulate": 4, "delta": 9, "convergence": 5}
 
 
 class ConfigError(ValueError):

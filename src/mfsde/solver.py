@@ -22,7 +22,7 @@ import numpy as np
 
 from .drift import DriftSpec
 from .grid import PathEnsemble, SeedSpec, TimeGrid, sample_brownian
-from .measures import (EmpiricalMeasure, MeasureFlow, _sort_rows, _sup_w1,
+from .measures import (EmpiricalMeasure, MeasureFlow, _sort_rows, _w1_sorted,
                        dirac)
 from .numerics import loglog_slope, mean_and_se
 
@@ -79,17 +79,16 @@ class PicardConfig:
 class SolveResult:
     """Solution ensemble with its law flow and iteration diagnostics.
 
-    `flow` is the empirical law of `ensemble` at every node. `frozen_flow`
-    is the flow the final Euler pass ran under; feeding it back to
-    euler_under_flow with the same seed reproduces `ensemble` bit for bit.
-    For the direct particle scheme the two coincide by construction.
+    `flow` is the empirical law of `ensemble` at every node. For a Picard
+    solve, `flow` replaced, node by node, the flow the final Euler pass ran
+    under, which is not kept; `residual_history` ends with the sup-W1
+    distance between the two.
     """
 
     spec: DriftSpec
     ensemble: PathEnsemble
     brownian: PathEnsemble
     flow: MeasureFlow
-    frozen_flow: MeasureFlow
     residual_history: tuple[float, ...]
     method: str
 
@@ -102,12 +101,18 @@ class SolveResult:
         return self.residual_history[-1]
 
 
-def _euler_values(spec: DriftSpec, atoms: Optional[np.ndarray],
-                  brownian: PathEnsemble, out: np.ndarray) -> np.ndarray:
-    """Shared Euler loop writing row k + 1 of out from row k; returns out.
+def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
+                 brownian: PathEnsemble, out: np.ndarray,
+                 flow: Optional[np.ndarray] = None) -> float:
+    """The one Euler loop: writes row k + 1 of out from row k.
 
-    Row k of the row-sorted `atoms` is the frozen law at node k; with atoms
-    None, step k reads the empirical law of the live states instead.
+    Step k reads row k of the row-sorted `frozen` as the law at node k.
+    With `flow` given, the sweep sorts row k of out into flow[k] once step
+    k has read frozen[k], so flow may be frozen itself and is then updated
+    in place, and it returns the sup over nodes of W1 between the new and
+    the frozen rows. With frozen None, row k is sorted into flow[k] before
+    step k, which reads that empirical law of the live states. A sweep
+    without flow or without frozen returns 0.0.
     """
     grid = brownian.grid
     dt = grid.dt
@@ -115,26 +120,47 @@ def _euler_values(spec: DriftSpec, atoms: Optional[np.ndarray],
     limit = BLOWUP_FACTOR * (1.0 + abs(x))
     bv = brownian.values
     out[0] = x
-    state = out[0]
+    # the new row k goes through a one-row scratch, as frozen[k] must stay
+    # whole until the distance between the two is taken
+    scratch = np.empty(out.shape[1])
+    residual = 0.0
+
+    def settle(k: int) -> float:
+        """Sort row k of out into flow[k]; its W1 to frozen[k], if any."""
+        if frozen is None:
+            np.copyto(flow[k], out[k])
+            flow[k].sort()
+            return 0.0
+        np.copyto(scratch, out[k])
+        scratch.sort()
+        d = _w1_sorted(scratch, frozen[k])
+        np.copyto(flow[k], scratch)
+        return d
+
     for k in range(grid.steps):
-        if atoms is None:
-            mu = EmpiricalMeasure(state.copy())
+        state = out[k]
+        if frozen is None:
+            settle(k)
+            mu = EmpiricalMeasure(flow[k])
         else:
-            mu = EmpiricalMeasure(atoms[k])
+            mu = EmpiricalMeasure(frozen[k])
         b = spec.fn(float(grid.nodes[k]), state, mu)
         # dB_k = bv[k + 1] - bv[k] has the bits of np.diff, and since
         # addition commutes, dB_k + (state + b dt) has those of
         # state + b dt + dB_k
         row = np.subtract(bv[k + 1], bv[k], out=out[k + 1])
         row += state + b * dt
-        state = row
         # NaN or inf when a state is non-finite, and both fail the test
-        worst = float(np.abs(state).max())
+        worst = float(np.abs(row).max())
         if not worst < limit:
             raise BlowUpError(step=k + 1,
                               worst=math.inf if math.isnan(worst) else worst,
                               limit=limit)
-    return out
+        if frozen is not None and flow is not None:
+            residual = max(residual, settle(k))
+    if flow is not None:
+        residual = max(residual, settle(grid.steps))
+    return residual
 
 
 def euler_under_flow(spec: DriftSpec, flow: MeasureFlow, start: float,
@@ -153,8 +179,8 @@ def euler_under_flow(spec: DriftSpec, flow: MeasureFlow, start: float,
         raise ValueError("flow and requested grid disagree")
     if brownian is None:
         brownian = sample_brownian(grid, n_paths, start, seed)
-    values = _euler_values(spec, flow.atoms, brownian,
-                           np.empty_like(brownian.values))
+    values = np.empty_like(brownian.values)
+    _euler_sweep(spec, flow.atoms, brownian, values)
     return PathEnsemble(grid=grid, values=values, kind="solution",
                         start=start, seed=brownian.seed)
 
@@ -173,10 +199,13 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
     work; a passed ensemble must be the one sample_brownian gives for
     (grid, n_paths, start, seed).
 
-    A solve allocates three path arrays besides the driving ensemble and
-    reuses them in every sweep: the solution, and two row-sorted flow
-    buffers that swap roles (frozen flow, new flow) after each sweep. Only
-    the converged sweep is wrapped in the read-only result.
+    A solve allocates two path arrays besides the driving ensemble and
+    reuses them in every sweep: the solution and one row-sorted flow
+    buffer. Inside the sweep, once step k has read row k of the frozen
+    flow, the sorted row k of the solution overwrites it, so the buffer
+    ends each sweep holding the new flow. A Dirac start's flow is a
+    read-only one-atom view, so the buffer is allocated before sweep 1.
+    Only the converged sweep is wrapped in the read-only result.
 
     Raises PicardConvergenceError (with the residual history attached) if
     the tolerance is not reached within config.max_iterations.
@@ -188,30 +217,24 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
         raise ValueError("driving ensemble does not match the requested "
                          "grid, particle count, start and seed")
     values = np.empty_like(brownian.values)
+    flow = np.empty_like(values)
     if config.initial_flow == "dirac":
         frozen = MeasureFlow.constant(grid, dirac(start)).atoms
     else:
-        frozen = _sort_rows(brownian.values, np.empty_like(values))
-    new = np.empty_like(values)
+        frozen = _sort_rows(brownian.values, flow)
 
     residuals: list[float] = []
     for _ in range(config.max_iterations):
-        _euler_values(spec, frozen, brownian, values)
-        residuals.append(_sup_w1(_sort_rows(values, new), frozen))
+        residuals.append(_euler_sweep(spec, frozen, brownian, values, flow))
         if residuals[-1] < config.tolerance:
             ensemble = PathEnsemble(grid=grid, values=values, kind="solution",
                                     start=start, seed=brownian.seed)
             return SolveResult(
                 spec=spec, ensemble=ensemble, brownian=brownian,
-                flow=MeasureFlow(grid, new),
-                frozen_flow=MeasureFlow(grid, frozen),
+                flow=MeasureFlow(grid, flow),
                 residual_history=tuple(residuals), method="picard",
             )
-        # the new flow is frozen for the next sweep, which sorts into the
-        # old frozen buffer; the Dirac start is a read-only one-atom view,
-        # so its place goes to a second buffer allocated here
-        frozen, new = new, (frozen if frozen.flags.writeable
-                            else np.empty_like(values))
+        frozen = flow
     raise PicardConvergenceError(residuals, config.tolerance)
 
 
@@ -221,21 +244,23 @@ def direct_particle_solve(spec: DriftSpec, start: float, grid: TimeGrid,
     """Interacting-particle scheme: the law is that of the live states.
 
     Single Euler pass where step k reads the empirical measure of the
-    current states. Same driving noise as picard_solve for equal seeds, so
-    the two routes can be compared pathwise.
+    current states, sorted into row k of the flow. Same driving noise as
+    picard_solve for equal seeds, so the two routes can be compared
+    pathwise.
 
     `workers` has no effect: the paths are drawn on one thread. It is kept
     because perfbench/make_reference.py passes it.
     """
     brownian = sample_brownian(grid, n_paths, start, seed)
-    values = _euler_values(spec, None, brownian,
-                           np.empty_like(brownian.values))
+    values = np.empty_like(brownian.values)
+    flow = np.empty_like(values)
+    _euler_sweep(spec, None, brownian, values, flow)
     ensemble = PathEnsemble(grid=grid, values=values, kind="solution",
                             start=start, seed=seed)
-    flow = MeasureFlow.from_ensemble(ensemble)
     return SolveResult(
-        spec=spec, ensemble=ensemble, brownian=brownian, flow=flow,
-        frozen_flow=flow, residual_history=(0.0,), method="direct",
+        spec=spec, ensemble=ensemble, brownian=brownian,
+        flow=MeasureFlow(grid, flow), residual_history=(0.0,),
+        method="direct",
     )
 
 

@@ -4,10 +4,11 @@ Everything here is computed by a route that shares no code with the
 package: brute-force ODE integration, closed-form Gaussian moment
 identities, and the dual (Lipschitz-witness) characterization of the
 Kantorovich distance. Tests compare package output against these. The
-two references at the end are the exceptions: the particle-major layout and
+three references at the end are the exceptions: the particle-major layout and
 the whole-table delta route built on it share the Philox blocks, the drift
 evaluators and the law derivatives with the package, but none of its code
-over the nodes.
+over the nodes; the two-flow Picard iteration is built from the package's
+public one-sweep functions, and checks only how picard_solve chains them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import math
 
 import numpy as np
 
+from mfsde import (MeasureFlow, dirac, euler_under_flow, flow_distance,
+                   sample_brownian)
 from mfsde.numerics import mean_and_se
 
 
@@ -281,3 +284,36 @@ def table_pathwise(terms, payoff) -> tuple[float, float]:
     weights, terminal, variation = terms[:3]
     dphi = np.asarray(payoff.derivative(terminal), dtype=float)
     return mean_and_se(weights * dphi * variation[-1])
+
+
+# ---------------------------------------------------------------------------
+# the Picard iteration by the public API, with a new flow every sweep
+# ---------------------------------------------------------------------------
+#
+# picard_solve keeps one flow buffer and sorts each node of the solution into
+# it inside the Euler sweep, once the sweep has read that node of the frozen
+# flow. This reference keeps the frozen and the new flow apart, so it also
+# hands back the flow the last sweep ran under; picard_solve must give its
+# ensemble, flow and residual history bit for bit.
+
+def reference_solve(spec, start: float, grid, n_paths: int, seed, config):
+    """Solution ensemble, its flow, the frozen flow of the last sweep and
+    the residual history of the Picard iteration: euler_under_flow under
+    the frozen flow, MeasureFlow.from_ensemble of the output and
+    flow_distance between the two, until the distance is below
+    config.tolerance."""
+    brownian = sample_brownian(grid, n_paths, start, seed)
+    if config.initial_flow == "dirac":
+        frozen = MeasureFlow.constant(grid, dirac(start))
+    else:
+        frozen = MeasureFlow.from_ensemble(brownian)
+    residuals = []
+    while True:
+        ensemble = euler_under_flow(spec, frozen, start, grid, n_paths, seed,
+                                    brownian=brownian)
+        flow = MeasureFlow.from_ensemble(ensemble)
+        residuals.append(flow_distance(flow, frozen))
+        if residuals[-1] < config.tolerance:
+            return ensemble, flow, frozen, tuple(residuals)
+        assert len(residuals) < config.max_iterations, residuals
+        frozen = flow

@@ -24,7 +24,7 @@ from mfsde import (DeltaSession, SeedSpec, call_payoff, check_chain_identity,
                    PicardConfig, reweighted_expectation, sample_brownian,
                    sign_drift, uniform_weight, zero_drift)
 from mfsde.cli import main as cli_main
-from oracles import ou_mean_ode
+from oracles import ou_mean_ode, reference_solve
 
 PIN = SeedSpec(20260816)
 TARGET = math.exp(-0.5)
@@ -212,12 +212,13 @@ def test_criterion_07_change_of_measure_triangle(report):
     for builder, tag in ((mean_field_ou, "linear"), (sign_drift, "irregular")):
         spec = builder()
         solved = picard_solve(spec, 1.0, grid, n, PIN)
+        # the flow the last Picard sweep ran under
+        frozen = reference_solve(spec, 1.0, grid, n, PIN, PicardConfig())[2]
         direct = direct_particle_solve(spec, 1.0, grid, n, PIN)
         paths = sample_brownian(grid, n, 1.0, PIN)
         for payoff, pname in ((lambda y: y, "id"),
                               (lambda y: np.maximum(y, 0.0), "call")):
-            rw = reweighted_expectation(spec, solved.frozen_flow, paths,
-                                        payoff)
+            rw = reweighted_expectation(spec, frozen, paths, payoff)
             wm, wse = rw.extra["weight_mean"], rw.extra["weight_mean_se"]
             ok = ok and abs(wm - 1.0) <= 3 * wse
             ests = [rw.estimate,

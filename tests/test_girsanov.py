@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from mfsde import (MeasureFlow, SeedSpec, constant_drift, convolution_drift,
-                   dirac, doleans_weights, drift_along_paths,
-                   epsilon_moment_probe, make_grid, mean_and_se,
-                   mean_field_ou, picard_solve, reweighted_expectation,
-                   sample_brownian, sign_drift, zero_drift)
-from oracles import gaussian_weight_moment
+from mfsde import (MeasureFlow, PicardConfig, SeedSpec, constant_drift,
+                   convolution_drift, dirac, doleans_weights,
+                   drift_along_paths, epsilon_moment_probe, make_grid,
+                   mean_and_se, mean_field_ou, picard_solve,
+                   reweighted_expectation, sample_brownian, sign_drift,
+                   zero_drift)
+from oracles import gaussian_weight_moment, reference_solve
 
 SEED = SeedSpec(2_718_281)
 
@@ -48,8 +49,10 @@ def test_weights_mean_one_for_all_models():
     for builder in (zero_drift, lambda: constant_drift(0.5), mean_field_ou,
                     convolution_drift, sign_drift):
         spec = builder()
-        result = picard_solve(spec, 1.0, grid, 20_000, SEED)
-        w = doleans_weights(spec, result.frozen_flow, paths)
+        # the flow the last Picard sweep ran under
+        frozen = reference_solve(spec, 1.0, grid, 20_000, SEED,
+                                 PicardConfig())[2]
+        w = doleans_weights(spec, frozen, paths)
         m, se = mean_and_se(w)
         assert abs(m - 1.0) <= 3 * se + 1e-12, spec.name
         assert np.all(w > 0)
@@ -78,8 +81,9 @@ def test_reweighted_expectation_on_mean_field_model():
     x = 1.0
     spec = mean_field_ou()
     result = picard_solve(spec, x, grid, 20_000, SEED)
+    frozen = reference_solve(spec, x, grid, 20_000, SEED, PicardConfig())[2]
     paths = sample_brownian(grid, 20_000, x, SEED.child(5))
-    r = reweighted_expectation(spec, result.frozen_flow, paths, lambda y: y)
+    r = reweighted_expectation(spec, frozen, paths, lambda y: y)
     direct = result.ensemble.terminal().mean()
     assert abs(r.estimate - direct) <= 3 * (r.stderr + 0.01)
 

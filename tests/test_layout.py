@@ -2,8 +2,10 @@
 
 Every path array, flow and cumulant table of a Picard solve must be the
 transpose of the particle-major reference bit for bit, with the same
-iterations and residual history. The reference allocates new arrays every
-sweep, so it also checks the solver's reused sweep buffers.
+iterations and residual history. The iteration is replayed by the
+two-flow reference_solve of oracles.py, and the particle-major Euler pass
+runs under the flow its last sweep was frozen under, so the check also
+covers the solver's in-place flow buffer.
 """
 
 import numpy as np
@@ -11,11 +13,12 @@ import pytest
 
 import mfsde.solver as solver
 from mfsde import (BLOCK_SIZE, EmpiricalMeasure, MeasureFlow, PicardConfig,
-                   SeedSpec, convolution_drift, dirac, drift_cumulants,
-                   first_variation, flow_distance, make_grid, mean_field_ou,
+                   SeedSpec, convolution_drift, drift_cumulants,
+                   first_variation, kantorovich, make_grid, mean_field_ou,
                    picard_solve, sign_drift)
 from oracles import (particle_major_brownian, particle_major_covariation,
-                     particle_major_euler, particle_major_variation)
+                     particle_major_euler, particle_major_variation,
+                     reference_solve)
 
 SEED = SeedSpec(2_718_281)
 START = 1.0
@@ -34,22 +37,6 @@ def sorted_flow(grid, paths):
     return MeasureFlow(grid, atoms=np.sort(paths.T, axis=1))
 
 
-def reference_solve(spec, grid, brownian, config):
-    if config.initial_flow == "dirac":
-        flow = MeasureFlow.constant(grid, dirac(START))
-    else:
-        flow = sorted_flow(grid, brownian)
-    residuals = []
-    while True:
-        values = particle_major_euler(spec, flow, brownian, grid, START)
-        new_flow = sorted_flow(grid, values)
-        residuals.append(flow_distance(new_flow, flow))
-        if residuals[-1] < config.tolerance:
-            return values, new_flow, residuals
-        assert len(residuals) < config.max_iterations
-        flow = new_flow
-
-
 def same_bits(time_major, particle_major):
     return np.array_equal(
         time_major.view(np.int64),
@@ -61,8 +48,11 @@ def layout_mismatches(spec, config=PicardConfig()):
     grid = make_grid(1.0, STEPS)
     result = picard_solve(spec, START, grid, N_PATHS, SEED, config)
 
+    *_, frozen, residuals = reference_solve(spec, START, grid, N_PATHS, SEED,
+                                            config)
     brownian = particle_major_brownian(grid, N_PATHS, START, SEED, BLOCK_SIZE)
-    values, flow, residuals = reference_solve(spec, grid, brownian, config)
+    values = particle_major_euler(spec, frozen, brownian, grid, START)
+    flow = sorted_flow(grid, values)
     fvals = np.empty_like(brownian)
     for k in range(STEPS + 1):
         fvals[:, k] = spec.fn(float(grid.nodes[k]), brownian[:, k], flow[k])
@@ -82,7 +72,7 @@ def layout_mismatches(spec, config=PicardConfig()):
     }
     bad = [name for name, (got, want) in pairs.items()
            if not same_bits(got, want)]
-    if result.residual_history != tuple(residuals):
+    if result.residual_history != residuals:
         bad.append("residuals")
     return bad
 
@@ -95,10 +85,10 @@ def test_time_major_arrays_are_the_particle_major_transposes(builder):
 
 
 @pytest.mark.parametrize("builder, config, min_sweeps", [
-    # the first residual compares against a one-atom flow, and the second
-    # flow buffer is allocated after sweep 1
+    # sweep 1 reads a one-atom flow and sorts into the flow buffer, which
+    # later sweeps read and overwrite in place
     (sign_drift, PicardConfig(initial_flow="dirac"), 2),
-    # each flow buffer is overwritten at least twice
+    # the flow buffer is overwritten in place at least four times
     (mean_field_ou, PicardConfig(tolerance=1e-5), 4),
 ], ids=["dirac", "ou-tight"])
 def test_reused_sweep_buffers_match_the_reference(builder, config,
@@ -109,22 +99,57 @@ def test_reused_sweep_buffers_match_the_reference(builder, config,
     assert result.iterations >= min_sweeps
 
 
-def euler_reading_the_next_increment(spec, atoms, brownian, out):
-    """An off-by-one Euler pass: step k adds the increment of step k + 1
-    (the last step wraps to the first)."""
+def euler_reading_the_next_increment(spec, frozen, brownian, out,
+                                     flow=None):
+    """An off-by-one Euler sweep: step k adds the increment of step k + 1
+    (the last step wraps to the first). The flow is sorted after the pass,
+    by whole rows."""
     bv, grid = brownian.values, brownian.grid
     db = np.diff(bv, axis=0)
     out[0] = brownian.start
     for k in range(grid.steps):
-        mu = EmpiricalMeasure(atoms[k])
+        mu = EmpiricalMeasure(frozen[k])
         b = spec.fn(float(grid.nodes[k]), out[k], mu)
         out[k + 1] = out[k] + b * grid.dt + db[(k + 1) % grid.steps]
-    return out
+    if flow is None:
+        return 0.0
+    new = np.sort(out, axis=1)
+    residual = max(kantorovich(EmpiricalMeasure(a), EmpiricalMeasure(b))
+                   for a, b in zip(new, frozen))
+    np.copyto(flow, new)
+    return residual
+
+
+def sweep_sorting_before_the_step(spec, frozen, brownian, out, flow=None):
+    """An in-place sweep in the wrong order: node k of the solution is
+    sorted into flow[k] before step k reads frozen[k], so where the two are
+    one buffer, step k reads the new law at node k, not the frozen one."""
+    bv, grid = brownian.values, brownian.grid
+    out[0] = brownian.start
+    residual = 0.0
+    for k in range(grid.steps + 1):
+        if flow is not None:
+            new = np.sort(out[k])
+            residual = max(residual, kantorovich(EmpiricalMeasure(new),
+                                                 EmpiricalMeasure(frozen[k])))
+            flow[k] = new
+        if k < grid.steps:
+            mu = EmpiricalMeasure(frozen[k])
+            b = spec.fn(float(grid.nodes[k]), out[k], mu)
+            out[k + 1] = out[k] + b * grid.dt + (bv[k + 1] - bv[k])
+    return residual
 
 
 def test_an_euler_pass_reading_the_next_increment_is_caught(monkeypatch):
-    monkeypatch.setattr(solver, "_euler_values",
+    monkeypatch.setattr(solver, "_euler_sweep",
                         euler_reading_the_next_increment)
+    bad = layout_mismatches(sign_drift())
+    assert "solution" in bad
+    assert "brownian" not in bad
+
+
+def test_a_sweep_sorting_a_node_before_its_step_is_caught(monkeypatch):
+    monkeypatch.setattr(solver, "_euler_sweep", sweep_sorting_before_the_step)
     bad = layout_mismatches(sign_drift())
     assert "solution" in bad
     assert "brownian" not in bad

@@ -1,16 +1,18 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mfsde import (BlowUpError, DeltaSession, MeasureFlow, PicardConfig,
                    PicardConvergenceError, SeedSpec, call_payoff,
-                   constant_drift, dirac, direct_particle_solve,
-                   euler_under_flow, expectation_drift, flow_distance,
-                   make_grid, mean_and_se, mean_field_ou, moment_diagnostics,
-                   picard_solve, sample_brownian, sign_drift, zero_drift)
-from oracles import ou_mean_ode
+                   constant_drift, convolution_drift, dirac,
+                   direct_particle_solve, euler_under_flow, expectation_drift,
+                   flow_distance, make_grid, mean_and_se, mean_field_ou,
+                   moment_diagnostics, picard_solve, sample_brownian,
+                   sign_drift, zero_drift)
+from oracles import ou_mean_ode, reference_solve
 
 SEED = SeedSpec(314159)
 
@@ -73,16 +75,74 @@ def test_picard_and_direct_agree():
 
 
 def test_frozen_flow_reproduces_the_ensemble_bit_for_bit():
-    grid = make_grid(1.0, 40)
-    result = picard_solve(mean_field_ou(), 1.0, grid, 2000, SEED)
-    replay = euler_under_flow(mean_field_ou(), result.frozen_flow, 1.0,
-                              grid, 2000, SEED)
-    assert np.array_equal(replay.values, result.ensemble.values)
+    # a tolerance above the first residual stops after one sweep, which ran
+    # under the initial flow: replaying it reproduces the ensemble, and the
+    # flow and the residual follow from the ensemble
+    grid, n, spec = make_grid(1.0, 40), 2000, mean_field_ou()
+    brownian = sample_brownian(grid, n, 1.0, SEED)
+    for config, frozen in (
+            (PicardConfig(tolerance=10.0), MeasureFlow.from_ensemble(brownian)),
+            (PicardConfig(tolerance=10.0, initial_flow="dirac"),
+             MeasureFlow.constant(grid, dirac(1.0)))):
+        result = picard_solve(spec, 1.0, grid, n, SEED, config)
+        assert result.iterations == 1
+        replay = euler_under_flow(spec, frozen, 1.0, grid, n, SEED)
+        assert np.array_equal(replay.values, result.ensemble.values)
+        flow = MeasureFlow.from_ensemble(replay)
+        assert np.array_equal(flow.atoms, result.flow.atoms)
+        assert result.residual == flow_distance(flow, frozen)
+
+
+@pytest.mark.parametrize("config", [
+    PicardConfig(), PicardConfig(initial_flow="dirac"),
+    PicardConfig(tolerance=1e-5),
+], ids=["brownian", "dirac", "tight"])
+@pytest.mark.parametrize("builder", [mean_field_ou, sign_drift,
+                                     convolution_drift],
+                         ids=["ou", "sign", "convolution"])
+def test_picard_solve_is_the_two_flow_reference_bit_for_bit(builder, config):
+    # the solve keeps one flow buffer, overwritten node by node inside the
+    # sweep; the reference builds a new flow after every sweep
+    grid, n, spec = make_grid(1.0, 40), 3000, builder()
+    result = picard_solve(spec, 1.0, grid, n, SEED, config)
+    ensemble, flow, _, residuals = reference_solve(spec, 1.0, grid, n, SEED,
+                                                   config)
+    assert result.iterations >= 2
+    assert np.array_equal(result.ensemble.values.view(np.int64),
+                          ensemble.values.view(np.int64))
+    assert np.array_equal(result.flow.atoms.view(np.int64),
+                          flow.atoms.view(np.int64))
+    assert result.residual_history == residuals
+
+
+@pytest.mark.parametrize("initial_flow", ["brownian", "dirac"])
+def test_solve_peak_memory_in_path_arrays(initial_flow):
+    # the draw, the solution and one flow buffer, plus the normal block of
+    # the draw; a second flow buffer or a whole copy of the solution held
+    # alongside would show here
+    grid, n = make_grid(1.0, 200), 4096
+    config = PicardConfig(initial_flow=initial_flow)
+    tracemalloc.start()
+    try:
+        result = picard_solve(sign_drift(), 1.0, grid, n, SEED, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.iterations >= 2
+    arrays = peak / (8 * n * (grid.steps + 1))
+    assert arrays <= 3.5, f"peak {arrays:.2f} path arrays"
+
+
+def test_direct_solve_flow_is_the_sorted_ensemble():
+    result = direct_particle_solve(sign_drift(), 1.0, make_grid(1.0, 40),
+                                   3000, SEED)
+    want = MeasureFlow.from_ensemble(result.ensemble)
+    assert np.array_equal(result.flow.atoms.view(np.int64),
+                          want.atoms.view(np.int64))
 
 
 def result_arrays(result):
     return {"ensemble": result.ensemble.values, "flow": result.flow.atoms,
-            "frozen_flow": result.frozen_flow.atoms,
             "brownian": result.brownian.values}
 
 
@@ -91,7 +151,7 @@ def result_arrays(result):
     PicardConfig(tolerance=1e-5),
 ], ids=["brownian", "dirac", "tight"])
 def test_solve_arrays_are_read_only_and_share_no_memory(config):
-    # the sweeps reuse their buffers; the result must still hand out four
+    # the sweeps reuse their buffers; the result must still hand out three
     # separate, frozen arrays
     result = picard_solve(mean_field_ou(), 1.0, make_grid(1.0, 30), 2000,
                           SEED, config)
@@ -125,7 +185,8 @@ def test_later_solves_leave_an_earlier_result_unchanged(monkeypatch):
 
     after = {k: v.tobytes() for k, v in result_arrays(first).items()}
     assert after == before
-    replay = euler_under_flow(spec, first.frozen_flow, 1.0, grid, n, SEED)
+    frozen = reference_solve(spec, 1.0, grid, n, SEED, PicardConfig())[2]
+    replay = euler_under_flow(spec, frozen, 1.0, grid, n, SEED)
     assert replay.values.tobytes() == first.ensemble.values.tobytes()
 
 
