@@ -35,7 +35,8 @@ from .drift import (DriftSpec, constant_drift, convolution_drift,
                     expectation_square_drift, mean_field_ou, sign_drift,
                     zero_drift)
 from .girsanov import EstimatorResult, doleans_weights
-from .grid import BLOCK_SIZE, SeedSpec, TimeGrid, make_grid, sample_brownian
+from .grid import (BLOCK_SIZE, SeedSpec, TimeGrid, chunk_rows, make_grid,
+                   sample_brownian)
 from .localtime import (drift_cumulants, localtime_rate_study,
                         malliavin_derivative)
 from .numerics import ExponentOverflowError, mean_and_se
@@ -60,17 +61,21 @@ MAX_START = 1e300
 # Peak resident memory of a command, counted in its largest (M+1) x N
 # float64 path array: peak ru_maxrss over that array's size, both in MB of
 # 10^6 bytes (ru_maxrss is in KiB), on the benchmark configs (sign model,
-# seed 11, median of 10 runs for simulate and of 5 for the others), rounded
-# up. simulate 50 000 x 200, which holds three path arrays (Brownian,
-# solution, one flow buffer): 290.9 MB / 80.4 MB = 3.62; delta
-# 10 000 x 200, which holds the draw, the shifted copy, the two buffers of
-# a solve and the flows of two earlier solves: 136.7 MB / 16.08 MB = 8.50;
+# seed 11, median of 6 runs for simulate, 12 for delta and 10 for
+# convergence), rounded up. simulate 50 000 x 200, which holds three path
+# arrays (Brownian, solution, one flow buffer): 283.1 MB / 80.4 MB = 3.52;
+# delta 10 000 x 200, which holds the draw, the shifted copy, the two
+# buffers of a solve and the flows of two earlier solves: 134.7 MB /
+# 16.08 MB = 8.38;
 # convergence, whose largest array is the 4000 x 1600 local-time ensemble
-# (the walk over it holds O(N) state; the study peaks at that ensemble and
-# two arrays of its trapezoid oracle): 241.5 MB / 51.23 MB = 4.71.
+# (the study holds that one ensemble and O(N) state, so the peak sits in
+# se_vs_n's 16 000 x 200 draw and solve): 144.1 MB / 51.23 MB = 2.81. It
+# stays 5 because se_vs_n alone, at counts 12 500 to 200 000 x 200, peaks
+# at 1269.6 MiB = 4.14 of its arrays, and a config dominated by that study
+# must not pass the check and then run out of memory.
 # The interpreter's own 36 MB is included, so the counts overstate large
-# runs a little. check_memory adds the one min(N, BLOCK_SIZE) x steps
-# normal block drawn at a time.
+# runs a little. check_memory adds the one chunk of normals drawn at a
+# time, min(N, chunk_rows(steps)) x steps.
 PEAK_ARRAYS = {"simulate": 4, "delta": 9, "convergence": 5}
 
 
@@ -352,11 +357,11 @@ def _ensembles(command: str, cfg: RunConfig) -> list[tuple[int, int, str]]:
 def check_memory(command: str, cfg: RunConfig) -> None:
     """Refuse a run whose estimated peak memory exceeds physical memory.
 
-    The estimate is PEAK_ARRAYS path arrays plus the one normal block of
-    min(N, BLOCK_SIZE) x steps drawn at a time.
+    The estimate is PEAK_ARRAYS path arrays plus the one chunk of
+    min(N, chunk_rows(steps)) x steps normals drawn at a time.
     """
     need, keys = max(
-        (8 * (n * (m + 1) * PEAK_ARRAYS[command] + min(n, BLOCK_SIZE) * m),
+        (8 * (n * (m + 1) * PEAK_ARRAYS[command] + min(n, chunk_rows(m)) * m),
          k)
         for n, m, k in _ensembles(command, cfg))
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

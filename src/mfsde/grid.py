@@ -25,6 +25,15 @@ BLOCK_SIZE = 4096
 # consumes far fewer draws than 2**80, so blocks can never overlap.
 _BLOCK_COUNTER_STRIDE = 1 << 80
 
+# A block is drawn in consecutive chunks of about this many normals, so the
+# draw holds one chunk beside its output, not a whole block.
+_CHUNK_NORMALS = 1 << 18
+
+
+def chunk_rows(steps: int) -> int:
+    """Particles per chunk of a block drawn at `steps` normals each."""
+    return max(1, _CHUNK_NORMALS // steps)
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -119,7 +128,10 @@ class PathEnsemble:
             )
         if self.kind not in ("brownian", "solution"):
             raise ValueError(f"unknown ensemble kind '{self.kind}'")
-        if not np.all(np.isfinite(self.values)):
+        # NaN propagates through min and max, and an infinity is one of
+        # them, so this is np.isfinite(values).all() without its bool table
+        if not (np.isfinite(self.values.min())
+                and np.isfinite(self.values.max())):
             raise ValueError("path values must be finite")
         self.values.setflags(write=False)
 
@@ -145,18 +157,23 @@ class PathEnsemble:
 
 def _normal_increments(out: np.ndarray, seed: SeedSpec) -> None:
     """Fill out, shape (steps, n_paths), with standard normal draws from
-    fixed particle blocks; each block is drawn particle-major and written
-    transposed into its columns."""
+    fixed particle blocks; each block is drawn particle-major, in chunks of
+    chunk_rows(steps) particles, and each chunk written transposed into its
+    columns."""
     steps, n_paths = out.shape
+    rows = chunk_rows(steps)
     for j in range((n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        lo = j * BLOCK_SIZE
-        hi = min(lo + BLOCK_SIZE, n_paths)
+        hi = min((j + 1) * BLOCK_SIZE, n_paths)
         # particle-major order puts each path's draws before the next
         # path's, so a path's draws do not depend on how many paths follow
         # it: a partial tail block is the prefix of the full block, and a
-        # draw the prefix of any longer draw with the same seed
-        block = seed.block_generator(j).standard_normal((hi - lo, steps))
-        out[:, lo:hi] = block.T
+        # draw the prefix of any longer draw with the same seed. A
+        # Generator fills standard_normal in order, so consecutive chunks
+        # from one generator are the rows of the one-call block
+        gen = seed.block_generator(j)
+        for lo in range(j * BLOCK_SIZE, hi, rows):
+            width = min(rows, hi - lo)
+            out[:, lo:lo + width] = gen.standard_normal((width, steps)).T
 
 
 def sample_brownian(grid: TimeGrid, n_paths: int, start: float,

@@ -492,8 +492,9 @@ def test_oversized_run_is_refused_before_allocating(tmp_path, capsys,
 
 def test_memory_check_refuses_one_page_below_its_estimate(tmp_path, capsys,
                                                           monkeypatch):
-    # two paths at 100 000 steps draw a 2 x steps normal block, not a full
-    # BLOCK_SIZE one: the estimate is PEAK_ARRAYS path arrays plus that
+    # two paths at 100 000 steps draw a chunk of 2 x steps normals, not a
+    # full BLOCK_SIZE block: the estimate is PEAK_ARRAYS path arrays plus
+    # that
     import mfsde.cli as cli
 
     ran = []
@@ -516,6 +517,25 @@ def test_memory_check_refuses_one_page_below_its_estimate(tmp_path, capsys,
             assert ("run.steps" in err and "physical memory" in err) \
                 == (code == 2)
     assert ran == ["simulate", "delta", "convergence"]
+
+
+def test_memory_check_counts_one_chunk_of_a_block(tmp_path, capsys,
+                                                  monkeypatch):
+    # 5000 paths at 1000 steps draw chunks of 2**18 // 1000 = 262
+    # particles, so the draw adds 262 x steps normals, not a block's 4096
+    import mfsde.cli as cli
+
+    monkeypatch.setattr(cli, "cmd_simulate", lambda cfg: 0)
+    wide = deep(BASE, run__particles=5000, run__steps=1000)
+    wide["model"] = {"name": "sign"}
+    path = write_config(tmp_path, wide)
+    need = 8 * (5000 * 1001 * cli.PEAK_ARRAYS["simulate"] + 262 * 1000)
+    for pages, code in ((need // 8 - 1, 2), (need // 8, 0)):
+        monkeypatch.setattr(cli.os, "sysconf",
+                            {"SC_PHYS_PAGES": pages,
+                             "SC_PAGE_SIZE": 8}.__getitem__)
+        assert main(["simulate", "--config", path]) == code, pages
+    assert "physical memory" in capsys.readouterr().err
 
 
 def test_readme_outputs_table_matches_csv_headers(tmp_path, capsys):

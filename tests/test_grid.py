@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mfsde import BLOCK_SIZE, PathEnsemble, SeedSpec, TimeGrid, make_grid, sample_brownian
+from mfsde.grid import chunk_rows
+from oracles import particle_major_brownian
 
 
 def test_grid_nodes_and_dt():
@@ -78,6 +82,31 @@ def test_brownian_prefix_stable_when_growing_n():
         assert np.array_equal(big.values[:, :n], small.values)
 
 
+def test_chunked_draw_is_the_one_call_block_bit_for_bit():
+    # at 1000 steps a full block splits into 262-particle chunks with a
+    # ragged last one, and the tail block into several chunks of its own;
+    # the oracle draws each block in one call at BLOCK_SIZE rows
+    grid, n = make_grid(1.0, 1000), 5000
+    rows = chunk_rows(grid.steps)
+    assert BLOCK_SIZE % rows and n - BLOCK_SIZE > rows
+    paths = sample_brownian(grid, n, 0.3, SeedSpec(7))
+    want = particle_major_brownian(grid, n, 0.3, SeedSpec(7), BLOCK_SIZE)
+    assert np.array_equal(paths.values, want.T)
+
+
+def test_draw_holds_one_chunk_beside_its_output():
+    # a whole block of normals held while it is transposed would read 2
+    grid, n = make_grid(1.0, 1600), 4000
+    tracemalloc.start()
+    try:
+        sample_brownian(grid, n, 1.0, SeedSpec(11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * n * (grid.steps + 1))
+    assert arrays < 1.2, f"peak {arrays:.2f} path arrays"
+
+
 def test_brownian_statistics():
     grid = make_grid(1.0, 50)
     paths = sample_brownian(grid, 20_000, 0.0, SeedSpec(2024))
@@ -111,10 +140,12 @@ def test_path_ensemble_validation():
         PathEnsemble(grid, np.zeros((4, 3)), "brownian", 0.0)
     with pytest.raises(ValueError):
         PathEnsemble(grid, good, "weird", 0.0)
-    bad = good.copy()
-    bad[2, 1] = np.nan
-    with pytest.raises(ValueError):
-        PathEnsemble(grid, bad, "brownian", 0.0)
+    # one non-finite value in an interior row, among finite paths
+    for value in (np.nan, np.inf, -np.inf):
+        bad = sample_brownian(grid, 3, 0.0, SeedSpec(1)).values.copy()
+        bad[2, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            PathEnsemble(grid, bad, "brownian", 0.0)
 
 
 def test_path_values_read_only():

@@ -11,6 +11,7 @@ from mfsde import (ExponentOverflowError, PathEnsemble, SeedSpec,
                    local_time_integral, make_grid, malliavin_derivative,
                    mean_and_se, mean_field_ou, picard_solve, sample_brownian,
                    sign_drift)
+from mfsde.localtime import localtime_rate_study
 from oracles import particle_major_cumulative_pieces
 
 SEED = SeedSpec(1_618_033)
@@ -83,6 +84,22 @@ def test_smooth_oracle_error_decays_at_half_order():
         dts.append(grid.dt)
     slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
     assert 0.35 <= slope <= 0.65
+
+
+def test_rate_study_errors_are_the_trapezoid_errors_bit_for_bit():
+    # the study takes the trapezoid a row at a time; its errors must be
+    # those of np.trapezoid over the whole table of cos
+    counts = (50, 100, 200)
+    dts, errors, _ = localtime_rate_study(1.0, counts, 700, 0.4, SEED)
+    want = []
+    for steps in counts:
+        grid = make_grid(1.0, steps)
+        paths = sample_brownian(grid, 700, 0.4, SEED)
+        r = local_time_integral(lambda t, y: np.sin(y), paths, 0, steps)
+        oracle = -np.trapezoid(np.cos(paths.values), dx=grid.dt, axis=0)
+        want.append(float(np.sqrt(np.mean((r - oracle) ** 2))))
+    assert dts == [1.0 / steps for steps in counts]
+    assert errors == want
 
 
 def test_node_window_validation():
@@ -174,6 +191,20 @@ def test_integrals_hold_no_table_beside_their_output():
     variation = peak_in_path_arrays(lambda: first_variation(result, dxb),
                                     paths)
     assert variation < 1.5, f"peak {variation:.2f} path arrays"
+
+
+def test_rate_study_holds_one_ensemble():
+    # a table of cos beside the ensemble, or the previous level's ensemble
+    # held while the next is drawn, would read 2 or 1.5
+    counts, n = (100, 200, 400, 800, 1600), 4000
+    tracemalloc.start()
+    try:
+        localtime_rate_study(1.0, counts, n, 1.0, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * n * (max(counts) + 1))
+    assert arrays < 1.2, f"peak {arrays:.2f} path arrays"
 
 
 def test_only_the_first_variation_exponentiates_the_cumulants():
