@@ -4,20 +4,20 @@ The sensitivity d/dx E[payoff(X_T^x)] is computed three independent ways
 on the mean-field OU model and compared against the exact ODE value
 exp((kappa - theta) T):
 
-  * bel_delta            -- integration-by-parts weight on Brownian paths;
+  * bel                  -- integration-by-parts weight on Brownian paths;
                             needs no payoff derivative, works for kinked
                             and even discontinuous payoffs,
-  * pathwise_delta       -- payoff derivative times the first variation,
+  * pathwise             -- payoff derivative times the first variation,
   * finite_difference    -- central bump with common random numbers
                             (deterministic given the seed).
 
 The integration-by-parts estimate must also be invariant, within noise, to
 the admissible weight function used inside it.
 
-All estimates below come from one DeltaSession, which runs the three Picard
-solves they need (at x and at x +/- h) once and shares them; the one-shot
-functions bel_delta, pathwise_delta and finite_difference_delta give the
-same numbers at the cost of fresh solves per call.
+Each estimator is a method of DeltaSession. All estimates below come from
+one session, which runs the three Picard solves they need (at x and at
+x +/- h) once and shares them; a fresh session per estimate gives the same
+numbers at the cost of fresh solves.
 
 Run:
   python demos/05_delta_three_ways.py

@@ -7,8 +7,8 @@ from .drift import (DriftSpec, RegularityReport, StepFunction,
                     check_regularity, constant_drift, convolution_drift,
                     eval_drift, expectation_drift, expectation_square_drift,
                     mean_field_ou, mollify, sign_drift, zero_drift)
-from .girsanov import (EstimatorResult, doleans_weights, drift_along_paths,
-                       epsilon_moment_probe, reweighted_expectation)
+from .girsanov import (EstimatorResult, doleans_weights, epsilon_moment_probe,
+                       reweighted_expectation)
 from .grid import (BLOCK_SIZE, PathEnsemble, SeedSpec, TimeGrid, make_grid,
                    sample_brownian)
 from .localtime import (ChainIdentityReport, check_chain_identity,
@@ -18,11 +18,10 @@ from .measures import (EmpiricalMeasure, MeasureFlow, dirac, flow_distance,
                        kantorovich)
 from .numerics import ExponentOverflowError, guarded_exp, mean_and_se
 from .sensitivity import (DeltaSession, MollifyStudy, Payoff, WeightFunctionA,
-                          bel_delta, call_payoff, constant_payoff,
-                          default_bump, finite_difference_delta,
+                          call_payoff, constant_payoff, default_bump,
                           front_loaded_weight, identity_payoff,
-                          law_derivative, mollified_convergence_study,
-                          pathwise_delta, square_payoff, uniform_weight)
+                          mollified_convergence_study, square_payoff,
+                          uniform_weight)
 from .solver import (BlowUpError, MomentReport, PicardConfig,
                      PicardConvergenceError, SolveResult,
                      direct_particle_solve, euler_under_flow,
@@ -38,19 +37,18 @@ __all__ = [
     "MollifyStudy", "MomentReport", "PathEnsemble", "Payoff", "PicardConfig",
     "PicardConvergenceError", "RegularityReport", "SeedSpec", "SolveResult",
     "StepFunction", "TimeGrid", "WeightFunctionA",
-    "bel_delta", "call_payoff", "check_chain_identity", "check_regularity",
+    "call_payoff", "check_chain_identity", "check_regularity",
     "constant_drift", "constant_payoff", "convolution_drift", "default_bump",
-    "dirac", "direct_particle_solve", "doleans_weights", "drift_along_paths",
+    "dirac", "direct_particle_solve", "doleans_weights",
     "drift_cumulants",
     "epsilon_moment_probe", "eval_drift",
     "euler_under_flow", "expectation_drift", "expectation_square_drift",
-    "finite_difference_delta",
     "first_variation", "flow_distance", "front_loaded_weight", "guarded_exp",
     "identity_payoff", "kantorovich",
-    "law_derivative", "local_time_integral", "make_grid",
+    "local_time_integral", "make_grid",
     "malliavin_derivative", "mean_and_se",
     "mean_field_ou", "moment_diagnostics", "mollified_convergence_study",
-    "mollify", "pathwise_delta", "picard_solve", "reweighted_expectation",
+    "mollify", "picard_solve", "reweighted_expectation",
     "sample_brownian", "sign_drift", "square_payoff", "uniform_weight",
     "zero_drift",
 ]

@@ -40,8 +40,8 @@ from .grid import (BLOCK_SIZE, SeedSpec, TimeGrid, chunk_rows, make_grid,
 from .localtime import (drift_cumulants, localtime_rate_study,
                         malliavin_derivative)
 from .numerics import ExponentOverflowError, mean_and_se
-from .sensitivity import (DeltaSession, Payoff, WeightFunctionA, bel_delta,
-                          call_payoff, constant_payoff, front_loaded_weight,
+from .sensitivity import (DeltaSession, Payoff, WeightFunctionA, call_payoff,
+                          constant_payoff, front_loaded_weight,
                           identity_payoff, mollified_convergence_study,
                           square_payoff, uniform_weight)
 from .solver import (BlowUpError, PicardConfig, PicardConvergenceError,
@@ -530,8 +530,6 @@ def cmd_delta(cfg: RunConfig) -> int:
         if method == "bel":
             results[method] = session.bel(payoff, weight)
         elif method == "pathwise":
-            if payoff.derivative is None:
-                continue
             results[method] = session.pathwise(payoff)
         else:
             results[method] = session.finite_difference(payoff, cfg.fd_bump)
@@ -632,7 +630,7 @@ def cmd_selfcheck(cfg: Optional[RunConfig]) -> int:
     record("malliavin_cocycle", cgap, 1e-10, cgap <= 1e-10)
 
     # delta of the flat model is one
-    r = bel_delta(zero_drift(), 1.0, grid, n, seed, identity_payoff())
+    r = DeltaSession(zero_drift(), 1.0, grid, n, seed).bel(identity_payoff())
     err = abs(r.estimate - 1.0)
     record("bel_flat_delta", err, 4 * r.stderr, err <= 4 * r.stderr)
 
@@ -694,7 +692,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             for flag, value in (("--seed", args.seed), ("--out", args.out)):
                 if value is not None:
                     raise ConfigError(f"{flag} needs --config")
-        if args.workers is not None and args.workers < 1:
+        if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         if cfg is not None and args.command in PEAK_ARRAYS:
             check_memory(args.command, cfg)

@@ -38,8 +38,14 @@ class EstimatorResult:
 
 def drift_along_paths(spec: DriftSpec, flow: MeasureFlow,
                       paths: PathEnsemble) -> np.ndarray:
-    """b(t_k, path value, flow_k) for every node and path, shape (M+1, N)."""
-    return paths.at_nodes(_drift(spec, flow))
+    """b(t_k, path value, flow_k) for every node and path, shape (M+1, N).
+
+    Not exported: perfbench/traced.py reads this name, and ROADMAP item 1b
+    deletes it."""
+    fn, out = _drift(spec, flow), np.empty_like(paths.values)
+    for k in range(paths.grid.steps + 1):
+        out[k] = fn(k, float(paths.grid.nodes[k]), paths.values[k])
+    return out
 
 
 def doleans_weights(spec: DriftSpec, flow: MeasureFlow,

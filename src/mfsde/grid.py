@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -145,14 +144,6 @@ class PathEnsemble:
 
     def terminal(self) -> np.ndarray:
         return self.values[-1]
-
-    def at_nodes(self, fn: Callable[[int, float, np.ndarray], np.ndarray]
-                 ) -> np.ndarray:
-        """fn(k, t_k, values[k]) at every node, shape (steps + 1, N)."""
-        out = np.empty_like(self.values)
-        for k in range(self.grid.steps + 1):
-            out[k] = fn(k, float(self.grid.nodes[k]), self.values[k])
-        return out
 
 
 def _normal_increments(out: np.ndarray, seed: SeedSpec) -> None:

@@ -1,8 +1,8 @@
 """Sensitivity of E[payoff(X_T^x)] to the initial point x.
 
-Three estimators of the same delta:
+Three estimators of the same delta, each a method of DeltaSession:
 
-* bel_delta: integration-by-parts (Bismut-Elworthy-Li) weight. The delta is
+* bel: integration-by-parts (Bismut-Elworthy-Li) weight. The delta is
   E[ payoff(X_T) int_0^T ( a(s) dX_s/dx + dxb(s, X_s) A(s) ) dW_s ] for any
   bounded a with integral one (A is its running integral), where dxb is the
   derivative of the drift in the initial point through the law argument.
@@ -14,19 +14,18 @@ Three estimators of the same delta:
   weights of the same run; in that representation the driving increments of
   the solution are dB_k - b dt.
 
-* pathwise_delta: E[ payoff'(X_T) dX_T/dx ] for differentiable payoffs.
+* pathwise: E[ payoff'(X_T) dX_T/dx ] for differentiable payoffs.
 
-* finite_difference_delta: central difference of two full solves at x +/- h
+* finite_difference: central difference of two full solves at x +/- h
   under common random numbers; the blunt baseline the other two must match.
 
-The estimators are reductions over a DeltaSession, which runs each Picard
-solve they read once. Under the frozen flow of the solve at x, every factor
-of BEL and pathwise is a recurrence over time: the drift row, the
-local-time cumulant, the log-weight sums, the first variation and the Ito
-sum. The session reads the first four from the walk over the nodes in
-localtime, the one implementation of each, and adds the Ito sum; it holds
-O(N) state, never an (M+1, N) table. bel_delta, pathwise_delta and
-finite_difference_delta are one-shot sessions.
+A DeltaSession runs each Picard solve its estimators read once. Under the
+frozen flow of the solve at x, every factor of BEL and pathwise is a
+recurrence over time: the drift row, the local-time cumulant, the
+log-weight sums, the first variation and the Ito sum. The session reads
+the first four from the walk over the nodes in localtime, the one
+implementation of each, and adds the Ito sum; it holds O(N) state, never
+an (M+1, N) table. One estimate is one session and one method call.
 
 The delta is x-almost-everywhere well defined; at an exceptional null set of
 initial points (e.g. a payoff kink sitting exactly on an atom of the law)
@@ -225,8 +224,18 @@ class DeltaSession:
         return h
 
     def law_derivative(self, h: Optional[float] = None) -> SpaceTimeFn:
-        """Bump-estimated dxb from the flows at x +/- h (see law_derivative),
-        as an (s, y) -> array closure that snaps s to the nearest node."""
+        """Central difference of the drift through the law in the initial
+        point, as an (s, y) -> array closure that snaps s to the nearest
+        node.
+
+        Reads the solves at x + h and x - h, which ride the same Brownian
+        ensemble, so the difference isolates the response of the law to
+        the initial point:
+
+            dxb(s, y) ~= ( b(s, y, law^+_s) - b(s, y, law^-_s) ) / (2 h).
+
+        Drifts with no law dependence give exactly zero by cancellation.
+        """
         h = self._bump(h)
         # the closure holds the two flows only, not the session's arrays
         flow_p = self._run(self.start + h)[0]
@@ -266,7 +275,14 @@ class DeltaSession:
 
     def bel(self, payoff: Payoff,
             weight: Optional[WeightFunctionA] = None) -> EstimatorResult:
-        """Integration-by-parts delta; see bel_delta."""
+        """Delta d/dx E[payoff(X_T^x)] via the integration-by-parts weight.
+
+        Needs no payoff derivative. The law derivative is bump estimated
+        from the two common-random-number solves at x +/- law_bump unless
+        the session was given one or the drift ignores the law. `weight`
+        defaults to the uniform a = 1/T; estimates must agree across
+        admissible weights within statistical error.
+        """
         weight = uniform_weight(self.grid.horizon) if weight is None \
             else weight
         weight.validate(self.grid)
@@ -289,7 +305,11 @@ class DeltaSession:
                                stderr=se, extra=meta)
 
     def pathwise(self, payoff: Payoff) -> EstimatorResult:
-        """E[payoff'(X_T) dX_T/dx]; see pathwise_delta."""
+        """Delta as E[payoff'(X_T) dX_T/dx] for differentiable payoffs.
+
+        Uses the first variation along the Brownian representation and the
+        Girsanov weights of the same pass.
+        """
         if payoff.derivative is None:
             raise ValueError(f"payoff '{payoff.name}' has no derivative")
         if self._terminal is None:
@@ -303,8 +323,14 @@ class DeltaSession:
 
     def finite_difference(self, payoff: Payoff, h: Optional[float] = None
                           ) -> EstimatorResult:
-        """Central difference of the solves at x +/- h; see
-        finite_difference_delta."""
+        """Central difference of the solves at x +/- h.
+
+        Both solves ride the same Brownian draw (common random numbers),
+        so the noise of the two terminal values largely cancels; for a
+        drift affine in the state and the mean, as in the mean-field OU
+        model, the per-path quotient is constant and the standard error
+        vanishes.
+        """
         h = self._bump(h)
         terminal_p = self._run(self.start + h)[1]
         terminal_m = self._run(self.start - h)[1]
@@ -316,67 +342,11 @@ class DeltaSession:
                                extra={"payoff": payoff.name, "h": h})
 
 
-# ---------------------------------------------------------------------------
-# one-shot estimators
-# ---------------------------------------------------------------------------
-
-def law_derivative(spec: DriftSpec, start: float, grid: TimeGrid,
-                   n_paths: int, seed: SeedSpec, h: Optional[float] = None,
-                   config: PicardConfig = PicardConfig()) -> SpaceTimeFn:
-    """Central difference of the drift through the law in the initial point.
-
-    Runs picard_solve at x + h and x - h with the same seed, so both flows
-    ride the same Brownian ensemble and the difference isolates the response
-    of the law to the initial point:
-
-        dxb(s, y) ~= ( b(s, y, law^+_s) - b(s, y, law^-_s) ) / (2 h).
-
-    Drifts with no law dependence give exactly zero by cancellation.
-    """
-    return DeltaSession(spec, start, grid, n_paths, seed,
-                        config).law_derivative(h)
-
-
-def bel_delta(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
-              seed: SeedSpec, payoff: Payoff,
-              weight: Optional[WeightFunctionA] = None,
-              dxb: Optional[SpaceTimeFn] = None,
-              law_bump: Optional[float] = None,
-              config: PicardConfig = PicardConfig()) -> EstimatorResult:
-    """Delta d/dx E[payoff(X_T^x)] via the integration-by-parts weight.
-
-    Needs no payoff derivative. The law derivative is bump estimated from
-    two extra common-random-number solves unless one is supplied. `weight`
-    defaults to the uniform a = 1/T; estimates must agree across admissible
-    weights within statistical error.
-    """
-    return DeltaSession(spec, start, grid, n_paths, seed, config,
-                        dxb=dxb, law_bump=law_bump).bel(payoff, weight)
-
-
-def pathwise_delta(spec: DriftSpec, start: float, grid: TimeGrid,
-                   n_paths: int, seed: SeedSpec, payoff: Payoff,
-                   dxb: Optional[SpaceTimeFn] = None,
-                   law_bump: Optional[float] = None,
-                   config: PicardConfig = PicardConfig()
-                   ) -> EstimatorResult:
-    """Delta as E[payoff'(X_T) dX_T/dx] for differentiable payoffs.
-
-    Uses the first-variation path on the Brownian representation and the
-    Girsanov weights of the same run.
-    """
-    return DeltaSession(spec, start, grid, n_paths, seed, config,
-                        dxb=dxb, law_bump=law_bump).pathwise(payoff)
-
-
-def finite_difference_delta(spec: DriftSpec, start: float, grid: TimeGrid,
-                            n_paths: int, seed: SeedSpec, payoff: Payoff,
-                            h: Optional[float] = None,
-                            config: PicardConfig = PicardConfig()
-                            ) -> EstimatorResult:
-    """Central difference of two solves at x +/- h, common random numbers."""
-    return DeltaSession(spec, start, grid, n_paths, seed,
-                        config).finite_difference(payoff, h)
+# perfbench/traced.py looks these names up; ROADMAP item 1b deletes them
+law_derivative = DeltaSession.law_derivative
+bel_delta = DeltaSession.bel
+pathwise_delta = DeltaSession.pathwise
+finite_difference_delta = DeltaSession.finite_difference
 
 
 # ---------------------------------------------------------------------------

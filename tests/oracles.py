@@ -237,6 +237,16 @@ def particle_major_variation(c: np.ndarray, table: np.ndarray,
 # particle-major references above and np.einsum, kept as a test-only
 # reference: the session must give their bits.
 
+def drift_table(spec, flow, paths) -> np.ndarray:
+    """b(t_k, path value, flow_k) at every node and path, (M+1, N), one
+    spec.fn call per node."""
+    grid = paths.grid
+    out = np.empty_like(paths.values)
+    for k in range(grid.steps + 1):
+        out[k] = spec.fn(float(grid.nodes[k]), paths.values[k], flow[k])
+    return out
+
+
 def table_path_terms(spec, flow, brownian, dxb, drift_in_drive=True):
     """Weights, terminal values, the first variation (M+1, N), the law
     table (M, N) and the driving increments dB - b dt (M, N) of the paths
@@ -244,9 +254,7 @@ def table_path_terms(spec, flow, brownian, dxb, drift_in_drive=True):
     broken drive the session must not match."""
     grid, dt = brownian.grid, brownian.grid.dt
     v = brownian.values.T
-    fvals = np.empty_like(v)
-    for k in range(grid.steps + 1):
-        fvals[:, k] = spec.fn(float(grid.nodes[k]), v[:, k], flow[k])
+    fvals = drift_table(spec, flow, brownian).T
     table = np.zeros((v.shape[0], grid.steps))
     if dxb is not None:
         for j in range(grid.steps):

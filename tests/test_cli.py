@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfsde.cli import (ConfigError, load_config, main, parse_config,
-                       serialize_config)
+from mfsde import PicardConfig
+from mfsde.cli import (_PAYOFFS, ConfigError, load_config, main,
+                       parse_config, serialize_config)
 from oracles import ou_mean_ode
+from test_traced import TINY
 
 BASE = {
     "model": {"name": "ou", "theta": 1.0, "kappa": 0.5},
@@ -327,6 +329,37 @@ def test_convergence_command_fits(tmp_path, capsys):
     assert 0.2 <= fits["localtime_rate"] <= 0.8
     assert (tmp_path / "out" / "convergence_se_vs_n.csv").exists()
     assert (tmp_path / "out" / "convergence_localtime.csv").exists()
+
+
+def test_every_payoff_has_a_derivative():
+    # cmd_delta runs pathwise for every configurable payoff, which needs
+    # its derivative
+    for name, build in _PAYOFFS.items():
+        assert build(1.0).derivative is not None, name
+
+
+@pytest.mark.parametrize("command", ["simulate", "delta", "convergence"])
+def test_no_picard_solve_repeats_within_a_command(tmp_path, capsys,
+                                                   monkeypatch, command):
+    import mfsde.cli as cli
+    import mfsde.sensitivity as sensitivity
+    import mfsde.solver as solver
+
+    keys = []
+    solve = solver.picard_solve
+
+    def recorded(spec, start, grid, n_paths, seed, config=PicardConfig(),
+                 brownian=None):
+        keys.append((spec.name, start, grid.steps, n_paths, seed, config))
+        return solve(spec, start, grid, n_paths, seed, config, brownian)
+
+    for module in (cli, solver, sensitivity):
+        monkeypatch.setattr(module, "picard_solve", recorded)
+    path = write_config(tmp_path, TINY)
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert keys
+    assert len(set(keys)) == len(keys), keys
 
 
 def test_selfcheck_passes_and_writes_table(tmp_path, capsys):

@@ -5,11 +5,12 @@ import pytest
 
 from mfsde import (MeasureFlow, PicardConfig, SeedSpec, constant_drift,
                    convolution_drift, dirac, doleans_weights,
-                   drift_along_paths, epsilon_moment_probe, make_grid,
+                   epsilon_moment_probe, make_grid,
                    mean_and_se, mean_field_ou, picard_solve,
                    reweighted_expectation, sample_brownian, sign_drift,
                    zero_drift)
-from oracles import gaussian_weight_moment, reference_solve
+from mfsde.girsanov import drift_along_paths
+from oracles import drift_table, gaussian_weight_moment, reference_solve
 
 SEED = SeedSpec(2_718_281)
 
@@ -106,6 +107,12 @@ def test_doleans_weights_demand_brownian_paths():
 
 def test_drift_along_paths_shape_and_values():
     grid, paths, flow = constant_setup(c=0.3, n=50)
-    vals = drift_along_paths(constant_drift(0.3), flow, paths)
+    vals = drift_table(constant_drift(0.3), flow, paths)
     assert vals.shape == paths.values.shape
     assert np.all(vals == 0.3)
+    # the unexported package table has the oracle's bits on a model that
+    # reads the law
+    result = picard_solve(sign_drift(), 1.0, make_grid(1.0, 30), 500, SEED)
+    want = drift_table(result.spec, result.flow, result.brownian)
+    got = drift_along_paths(result.spec, result.flow, result.brownian)
+    assert np.array_equal(got, want)

@@ -153,12 +153,3 @@ def test_path_values_read_only():
     paths = sample_brownian(grid, 8, 0.0, SeedSpec(1))
     with pytest.raises(ValueError):
         paths.values[0, 0] = 99.0
-
-
-def test_at_nodes_evaluates_each_node_column():
-    grid = make_grid(1.0, 6)
-    paths = sample_brownian(grid, 7, 0.5, SeedSpec(3))
-    table = paths.at_nodes(lambda k, t, y: k + t * y)
-    want = np.arange(7)[:, None] + grid.nodes[:, None] * paths.values
-    assert table.shape == (7, 7)
-    assert np.array_equal(table, want)

@@ -8,15 +8,13 @@ import pytest
 
 import mfsde.sensitivity as sensitivity
 from mfsde import (DeltaSession, ExponentOverflowError, Payoff, PicardConfig,
-                   SeedSpec, bel_delta, call_payoff, constant_drift,
-                   constant_payoff, convolution_drift, default_bump,
-                   doleans_weights, expectation_square_drift,
-                   finite_difference_delta, first_variation,
-                   front_loaded_weight, identity_payoff, law_derivative,
-                   make_grid, mean_and_se, mean_field_ou,
-                   mollified_convergence_study, pathwise_delta, picard_solve,
-                   sample_brownian, sign_drift, square_payoff, uniform_weight,
-                   zero_drift)
+                   SeedSpec, call_payoff, constant_drift, constant_payoff,
+                   convolution_drift, default_bump, doleans_weights,
+                   expectation_square_drift, first_variation,
+                   front_loaded_weight, identity_payoff, make_grid,
+                   mean_and_se, mean_field_ou, mollified_convergence_study,
+                   picard_solve, sample_brownian, sign_drift, square_payoff,
+                   uniform_weight, zero_drift)
 from mfsde.cli import main as cli_main
 from oracles import (discrete_ou_mean, expectation_square_law_derivative,
                      ou_mean_ode, table_bel, table_path_terms,
@@ -55,14 +53,16 @@ def test_weight_function_must_integrate_to_one():
 
 def test_flat_model_delta_is_one():
     grid = make_grid(1.0, 50)
-    r = bel_delta(zero_drift(), 0.0, grid, 20_000, SEED, identity_payoff())
+    r = DeltaSession(zero_drift(), 0.0, grid, 20_000, SEED).bel(
+        identity_payoff())
     assert abs(r.estimate - 1.0) <= 3 * r.stderr
     assert r.label.startswith("bel")
 
 
 def test_bel_matches_linear_model_closed_form():
     grid = make_grid(1.0, 100)
-    r = bel_delta(mean_field_ou(), 1.0, grid, 20_000, SEED, identity_payoff())
+    r = DeltaSession(mean_field_ou(), 1.0, grid, 20_000, SEED).bel(
+        identity_payoff())
     want = math.exp(-0.5)
     assert abs(r.estimate - want) <= 3 * r.stderr + 2 * grid.dt
 
@@ -70,11 +70,10 @@ def test_bel_matches_linear_model_closed_form():
 def test_pathwise_identity_and_square_payoffs():
     # d/dx E[X_T] = e^{(kappa-theta) T}; d/dx E[X_T^2] = 2 e^{-1} at T = 1
     grid = make_grid(1.0, 100)
-    r1 = pathwise_delta(mean_field_ou(), 1.0, grid, 20_000, SEED,
-                        identity_payoff())
+    session = DeltaSession(mean_field_ou(), 1.0, grid, 20_000, SEED)
+    r1 = session.pathwise(identity_payoff())
     assert abs(r1.estimate - math.exp(-0.5)) <= 3 * r1.stderr + 2 * grid.dt
-    r2 = pathwise_delta(mean_field_ou(), 1.0, grid, 20_000, SEED,
-                        square_payoff())
+    r2 = session.pathwise(square_payoff())
     assert abs(r2.estimate - 2 * math.exp(-1.0)) <= 3 * r2.stderr + 4 * grid.dt
 
 
@@ -83,15 +82,15 @@ def test_pathwise_needs_a_derivative():
     eyeless = Payoff("opaque", fn=lambda y: np.maximum(y, 0.0),
                      derivative=None)
     with pytest.raises(ValueError):
-        pathwise_delta(mean_field_ou(), 1.0, grid, 100, SEED, eyeless)
+        DeltaSession(mean_field_ou(), 1.0, grid, 100, SEED).pathwise(eyeless)
 
 
 def test_finite_difference_is_deterministic_under_crn():
     # common random numbers cancel the noise exactly: the per-path
     # difference quotient is constant, so the standard error vanishes
     grid = make_grid(1.0, 100)
-    r = finite_difference_delta(mean_field_ou(), 1.0, grid, 5000, SEED,
-                                identity_payoff())
+    r = DeltaSession(mean_field_ou(), 1.0, grid, 5000,
+                     SEED).finite_difference(identity_payoff())
     assert r.stderr < 1e-10
 
 
@@ -101,8 +100,8 @@ def test_finite_difference_hits_discrete_fixed_point_derivative():
     # difference quotient must reproduce it almost to rounding
     grid = make_grid(1.0, 100)
     tight = PicardConfig(tolerance=1e-8, max_iterations=80)
-    r = finite_difference_delta(mean_field_ou(), 1.0, grid, 5000, SEED,
-                                identity_payoff(), config=tight)
+    r = DeltaSession(mean_field_ou(), 1.0, grid, 5000, SEED,
+                     tight).finite_difference(identity_payoff())
     oracle = discrete_ou_mean(1.0, 0.5, 1.0, 1.0, 100)
     assert abs(r.estimate - oracle) < 1e-8
 
@@ -110,12 +109,12 @@ def test_finite_difference_hits_discrete_fixed_point_derivative():
 def test_constant_payoff_all_deltas_vanish():
     grid = make_grid(1.0, 50)
     payoff = constant_payoff(3.0)
-    fd = finite_difference_delta(mean_field_ou(), 1.0, grid, 2000, SEED,
-                                 payoff)
+    session = DeltaSession(mean_field_ou(), 1.0, grid, 2000, SEED)
+    fd = session.finite_difference(payoff)
     assert fd.estimate == 0.0
-    pw = pathwise_delta(mean_field_ou(), 1.0, grid, 2000, SEED, payoff)
+    pw = session.pathwise(payoff)
     assert pw.estimate == 0.0
-    bel = bel_delta(mean_field_ou(), 1.0, grid, 20_000, SEED, payoff)
+    bel = DeltaSession(mean_field_ou(), 1.0, grid, 20_000, SEED).bel(payoff)
     assert abs(bel.estimate) <= 3 * bel.stderr
 
 
@@ -125,10 +124,10 @@ def test_three_estimators_agree_on_linear_model():
     # against the other two routes get a dt allowance on top of the noise
     grid = make_grid(1.0, 200)
     n = 20_000
-    b = bel_delta(mean_field_ou(), 1.0, grid, n, SEED, identity_payoff())
-    p = pathwise_delta(mean_field_ou(), 1.0, grid, n, SEED, identity_payoff())
-    f = finite_difference_delta(mean_field_ou(), 1.0, grid, n, SEED,
-                                identity_payoff())
+    session = DeltaSession(mean_field_ou(), 1.0, grid, n, SEED)
+    b = session.bel(identity_payoff())
+    p = session.pathwise(identity_payoff())
+    f = session.finite_difference(identity_payoff())
     h = default_bump(1.0)
     assert abs(b.estimate - p.estimate) <= (3 * (b.stderr + p.stderr)
                                             + grid.dt)
@@ -139,10 +138,9 @@ def test_three_estimators_agree_on_linear_model():
 def test_weight_choice_does_not_move_the_estimate():
     grid = make_grid(1.0, 100)
     n = 20_000
-    ru = bel_delta(mean_field_ou(), 1.0, grid, n, SEED, identity_payoff(),
-                   weight=uniform_weight(1.0))
-    rf = bel_delta(mean_field_ou(), 1.0, grid, n, SEED, identity_payoff(),
-                   weight=front_loaded_weight(1.0))
+    session = DeltaSession(mean_field_ou(), 1.0, grid, n, SEED)
+    ru = session.bel(identity_payoff(), uniform_weight(1.0))
+    rf = session.bel(identity_payoff(), front_loaded_weight(1.0))
     assert ru.label != rf.label
     assert abs(ru.estimate - rf.estimate) <= 3 * (ru.stderr + rf.stderr)
 
@@ -153,7 +151,8 @@ def test_weight_choice_does_not_move_the_estimate():
 
 def test_law_derivative_vanishes_without_law_dependence():
     grid = make_grid(1.0, 50)
-    ev = law_derivative(constant_drift(0.7), 0.0, grid, 2000, SEED)
+    ev = DeltaSession(constant_drift(0.7), 0.0, grid, 2000,
+                      SEED).law_derivative()
     vals = ev(0.5, np.linspace(-2, 2, 9))
     assert np.max(np.abs(vals)) == 0.0
 
@@ -162,7 +161,8 @@ def test_law_derivative_matches_linear_model():
     # the drift reads the mean: d/dx b = kappa e^{(kappa - theta) s}
     theta, kappa = 1.0, 0.5
     grid = make_grid(1.0, 100)
-    ev = law_derivative(mean_field_ou(theta, kappa), 1.0, grid, 20_000, SEED)
+    ev = DeltaSession(mean_field_ou(theta, kappa), 1.0, grid, 20_000,
+                      SEED).law_derivative()
     for s in (0.0, 0.25, 0.5, 1.0):
         got = float(ev(s, np.array([0.0]))[0])
         want = kappa * ou_mean_ode(theta, kappa, 1.0, s) if s > 0 else kappa
@@ -174,10 +174,10 @@ def test_law_derivative_matches_moment_ode_oracle():
     # moment ODE system with RK4
     theta, kappa, x = 1.0, 0.25, 0.3
     grid = make_grid(1.0, 100)
-    ev = law_derivative(expectation_square_drift(theta, kappa), x, grid,
-                        20_000, SEED,
-                        config=PicardConfig(tolerance=1e-5,
-                                            max_iterations=60))
+    ev = DeltaSession(expectation_square_drift(theta, kappa), x, grid,
+                      20_000, SEED,
+                      PicardConfig(tolerance=1e-5,
+                                   max_iterations=60)).law_derivative()
     for s in (0.25, 0.5, 1.0):
         got = float(ev(s, np.array([0.0]))[0])
         want = expectation_square_law_derivative(theta, kappa, x, s)
@@ -190,15 +190,15 @@ def test_bel_accepts_supplied_law_derivative():
     theta, kappa = 1.0, 0.5
     grid = make_grid(1.0, 100)
     exact = lambda s, y: np.full_like(y, kappa * math.exp((kappa - theta) * s))
-    ra = bel_delta(mean_field_ou(), 1.0, grid, 10_000, SEED,
-                   identity_payoff(), dxb=exact)
-    rb = bel_delta(mean_field_ou(), 1.0, grid, 10_000, SEED,
-                   identity_payoff())
+    ra = DeltaSession(mean_field_ou(), 1.0, grid, 10_000, SEED,
+                      dxb=exact).bel(identity_payoff())
+    rb = DeltaSession(mean_field_ou(), 1.0, grid, 10_000, SEED).bel(
+        identity_payoff())
     assert abs(ra.estimate - rb.estimate) <= 3 * (ra.stderr + rb.stderr)
 
 
 # ---------------------------------------------------------------------------
-# delta session: solve counts and bit identity with the one-shot wrappers
+# delta session: solve counts and bit identity with one-shot sessions
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -248,8 +248,8 @@ def test_distinct_bumps_add_one_pair_of_solves(tmp_path, counted, capsys):
 
 def test_supplied_law_derivative_needs_one_solve(counted):
     exact = lambda s, y: np.full_like(y, 0.5 * math.exp(-0.5 * s))
-    bel_delta(mean_field_ou(), 1.0, make_grid(1.0, 20), 500, SEED,
-              identity_payoff(), dxb=exact)
+    DeltaSession(mean_field_ou(), 1.0, make_grid(1.0, 20), 500, SEED,
+                 dxb=exact).bel(identity_payoff())
     assert counted == {"solves": 1, "draws": 1}
 
 
@@ -271,16 +271,19 @@ def test_session_estimators_match_one_shot_wrappers(spec, payoff):
     n, x = 3000, 1.0
     front = front_loaded_weight(1.0)
     session = DeltaSession(spec, x, grid, n, SEED)
+
+    def one_shot():
+        # a fresh session for a single estimate
+        return DeltaSession(spec, x, grid, n, SEED)
+
     pairs = [
-        (session.bel(payoff), bel_delta(spec, x, grid, n, SEED, payoff)),
-        (session.bel(payoff, front),
-         bel_delta(spec, x, grid, n, SEED, payoff, weight=front)),
-        (session.pathwise(payoff),
-         pathwise_delta(spec, x, grid, n, SEED, payoff)),
+        (session.bel(payoff), one_shot().bel(payoff)),
+        (session.bel(payoff, front), one_shot().bel(payoff, front)),
+        (session.pathwise(payoff), one_shot().pathwise(payoff)),
         (session.finite_difference(payoff),
-         finite_difference_delta(spec, x, grid, n, SEED, payoff)),
+         one_shot().finite_difference(payoff)),
         (session.finite_difference(payoff, h=5e-3),
-         finite_difference_delta(spec, x, grid, n, SEED, payoff, h=5e-3)),
+         one_shot().finite_difference(payoff, h=5e-3)),
     ]
     for got, want in pairs:
         assert got.label == want.label
