@@ -63,8 +63,7 @@ def main() -> None:
     one = picard_solve(spec, START, grid, n_paths=50_000, seed=seed,
                        config=PicardConfig(tolerance=10.0))
     replay = euler_under_flow(spec, MeasureFlow.from_ensemble(one.brownian),
-                              START, grid, n_paths=50_000, seed=seed,
-                              brownian=one.brownian)
+                              one.brownian)
     print(f"one Euler pass under the Brownian flow reproduces the one-sweep "
           f"solve bit for bit: "
           f"{np.array_equal(replay.values, one.ensemble.values)}")

@@ -629,8 +629,9 @@ def cmd_selfcheck(cfg: Optional[RunConfig]) -> int:
     cgap = float(np.max(np.abs(d_full - d_split)))
     record("malliavin_cocycle", cgap, 1e-10, cgap <= 1e-10)
 
-    # delta of the flat model is one
-    r = DeltaSession(zero_drift(), 1.0, grid, n, seed).bel(identity_payoff())
+    # delta of the flat model is one at any start; x = 0 is a solve no
+    # other check makes
+    r = DeltaSession(zero_drift(), 0.0, grid, n, seed).bel(identity_payoff())
     err = abs(r.estimate - 1.0)
     record("bel_flat_delta", err, 4 * r.stderr, err <= 4 * r.stderr)
 

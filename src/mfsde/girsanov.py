@@ -55,10 +55,12 @@ def doleans_weights(spec: DriftSpec, flow: MeasureFlow,
     Left-point discretization of exp( int b dB - 1/2 int b^2 dt ) over the
     whole horizon, summed in one walk over the nodes. Exponents are
     guarded (|exponent| <= 700), so the weights are finite and strictly
-    positive.
+    positive. The flow must be on the grid of the paths.
     """
     if paths.kind != "brownian":
         raise ValueError("weights are defined along Brownian ensembles")
+    if flow.grid != paths.grid:
+        raise ValueError("flow and paths are on different grids")
     for node in _walk(paths, _drift(spec, flow), girsanov=True):
         pass
     return node.weights

@@ -40,7 +40,7 @@ class TimeGrid:
 
     horizon: float
     steps: int
-    nodes: np.ndarray = field(repr=False, compare=False, default=None)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):

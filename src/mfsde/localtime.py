@@ -271,14 +271,10 @@ def first_variation(result: SolveResult,
 class ChainIdentityReport:
     """Residuals of the derivative chain rule and the cocycle property."""
 
-    s_node: int
-    u_node: int
-    t_node: int
     chain_rms: float
     chain_max: float
     cocycle_rms: float
     cocycle_max: float
-    n_paths: int
 
 
 def check_chain_identity(result: SolveResult, s: int, u: int, t: int,
@@ -318,10 +314,8 @@ def check_chain_identity(result: SolveResult, s: int, u: int, t: int,
     chain_res = node.v - (d_st * v_s + integral)
 
     return ChainIdentityReport(
-        s_node=s, u_node=u, t_node=t,
         chain_rms=float(np.sqrt(np.mean(chain_res ** 2))),
         chain_max=float(np.max(np.abs(chain_res))),
         cocycle_rms=float(np.sqrt(np.mean(cocycle_res ** 2))),
         cocycle_max=float(np.max(np.abs(cocycle_res))),
-        n_paths=c.shape[1],
     )

@@ -62,8 +62,9 @@ class WeightFunctionA:
     fn: Callable[[np.ndarray], np.ndarray]
     integral: Callable[[np.ndarray], np.ndarray]
 
-    def validate(self, grid: TimeGrid, tol: float = 1e-10) -> None:
+    def validate(self, grid: TimeGrid) -> None:
         """Reject weights whose grid quadrature misses integral one."""
+        tol = 1e-10
         if grid.horizon != self.horizon:
             raise ValueError("weight horizon does not match the grid")
         total = float(np.trapezoid(self.fn(grid.nodes), grid.nodes))
@@ -172,8 +173,8 @@ class DeltaSession:
     of that solve, bit for bit.
 
     `dxb` is the law derivative BEL and pathwise use, any (s, y) -> array
-    callable; left None it is bump estimated at `law_bump` unless the drift
-    ignores the law.
+    callable; left None it is law_derivative() unless the drift ignores
+    the law. `law_bump` (default_bump(start) when None) is checked here.
     """
 
     def __init__(self, spec: DriftSpec, start: float, grid: TimeGrid,
@@ -188,7 +189,7 @@ class DeltaSession:
         self.seed = seed
         self.config = config
         self._dxb = dxb
-        self._law_bump = law_bump
+        self._law_bump = self._bump(law_bump)
         self._draw: Optional[PathEnsemble] = None
         # flow and terminal values of each solve, keyed by its start
         self._runs: dict[float, tuple[MeasureFlow, np.ndarray]] = {}
@@ -223,20 +224,20 @@ class DeltaSession:
             raise ValueError(f"bump must be positive, got {h}")
         return h
 
-    def law_derivative(self, h: Optional[float] = None) -> SpaceTimeFn:
+    def law_derivative(self) -> SpaceTimeFn:
         """Central difference of the drift through the law in the initial
         point, as an (s, y) -> array closure that snaps s to the nearest
         node.
 
-        Reads the solves at x + h and x - h, which ride the same Brownian
-        ensemble, so the difference isolates the response of the law to
-        the initial point:
+        Reads the solves at x + h and x - h, h = law_bump, which ride the
+        same Brownian ensemble, so the difference isolates the response of
+        the law to the initial point:
 
             dxb(s, y) ~= ( b(s, y, law^+_s) - b(s, y, law^-_s) ) / (2 h).
 
         Drifts with no law dependence give exactly zero by cancellation.
         """
-        h = self._bump(h)
+        h = self._law_bump
         # the closure holds the two flows only, not the session's arrays
         flow_p = self._run(self.start + h)[0]
         flow_m = self._run(self.start - h)[0]
@@ -253,7 +254,7 @@ class DeltaSession:
 
     def _law_feedback(self) -> Optional[SpaceTimeFn]:
         if self._dxb is None and self.spec.law_lipschitz_const != 0.0:
-            self._dxb = self.law_derivative(self._law_bump)
+            self._dxb = self.law_derivative()
         return self._dxb
 
     # -- the pass over time ------------------------------------------------

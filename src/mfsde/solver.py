@@ -163,26 +163,26 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
     return residual
 
 
-def euler_under_flow(spec: DriftSpec, flow: MeasureFlow, start: float,
-                     grid: TimeGrid, n_paths: int, seed: SeedSpec,
-                     brownian: Optional[PathEnsemble] = None) -> PathEnsemble:
+def euler_under_flow(spec: DriftSpec, flow: MeasureFlow,
+                     brownian: PathEnsemble) -> PathEnsemble:
     """One Euler pass with the law flow frozen.
 
-    X_{k+1} = X_k + b(t_k, X_k, flow_k) dt + dB_k, X_0 = start. The driving
-    ensemble is regenerated from the seed (or passed in to share work), so
-    identical (seed, grid, n_paths) give identical increments across calls.
+    X_{k+1} = X_k + b(t_k, X_k, flow_k) dt + dB_k, X_0 = x, with x, the
+    grid, the increments and the seed those of the Brownian ensemble
+    `brownian`, on whose grid the flow must be.
 
     Raises BlowUpError when any state leaves [-L, L] with
-    L = 1e6 (1 + |start|).
+    L = 1e6 (1 + |x|).
     """
-    if flow.grid != grid:
-        raise ValueError("flow and requested grid disagree")
-    if brownian is None:
-        brownian = sample_brownian(grid, n_paths, start, seed)
+    if brownian.kind != "brownian":
+        raise ValueError("the driving ensemble must be Brownian, got kind "
+                         f"'{brownian.kind}'")
+    if flow.grid != brownian.grid:
+        raise ValueError("flow and driving ensemble are on different grids")
     values = np.empty_like(brownian.values)
     _euler_sweep(spec, flow.atoms, brownian, values)
-    return PathEnsemble(grid=grid, values=values, kind="solution",
-                        start=start, seed=brownian.seed)
+    return PathEnsemble(grid=brownian.grid, values=values, kind="solution",
+                        start=brownian.start, seed=brownian.seed)
 
 
 def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,

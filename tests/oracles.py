@@ -317,8 +317,7 @@ def reference_solve(spec, start: float, grid, n_paths: int, seed, config):
         frozen = MeasureFlow.from_ensemble(brownian)
     residuals = []
     while True:
-        ensemble = euler_under_flow(spec, frozen, start, grid, n_paths, seed,
-                                    brownian=brownian)
+        ensemble = euler_under_flow(spec, frozen, brownian)
         flow = MeasureFlow.from_ensemble(ensemble)
         residuals.append(flow_distance(flow, frozen))
         if residuals[-1] < config.tolerance:

@@ -338,7 +338,8 @@ def test_every_payoff_has_a_derivative():
         assert build(1.0).derivative is not None, name
 
 
-@pytest.mark.parametrize("command", ["simulate", "delta", "convergence"])
+@pytest.mark.parametrize("command", ["simulate", "delta", "convergence",
+                                     "selfcheck"])
 def test_no_picard_solve_repeats_within_a_command(tmp_path, capsys,
                                                    monkeypatch, command):
     import mfsde.cli as cli

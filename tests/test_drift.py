@@ -146,7 +146,6 @@ def test_mollify_l1_error_shrinks_like_support():
 
 def test_mollify_keeps_declared_constants_valid():
     smooth = mollify(sign_drift(alpha=0.5), 16)
-    assert smooth.mollify_level == 16
     assert "16" in smooth.name
     report = check_regularity(smooth, samples=120, seed=4)
     assert report.all_ok

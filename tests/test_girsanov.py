@@ -65,6 +65,20 @@ def test_zero_drift_weights_are_exactly_one():
     assert np.array_equal(w, np.ones(paths.n_paths))
 
 
+def test_weights_reject_a_flow_on_another_grid():
+    # a 40-step or horizon-2 flow would be read at the wrong times
+    grid = make_grid(1.0, 20)
+    paths = sample_brownian(grid, 500, 1.0, SEED)
+    spec = mean_field_ou()
+    for other in (make_grid(1.0, 40), make_grid(2.0, 20)):
+        flow = MeasureFlow.from_ensemble(sample_brownian(other, 500, 1.0,
+                                                         SEED))
+        with pytest.raises(ValueError, match="grid"):
+            doleans_weights(spec, flow, paths)
+        with pytest.raises(ValueError, match="grid"):
+            reweighted_expectation(spec, flow, paths, lambda y: y)
+
+
 def test_reweighted_expectation_transports_the_mean():
     # E[w Phi(x + B_T)] = E[Phi(X_T)]; for constant drift X_T = x + cT + B_T
     c, x = 0.8, 0.0

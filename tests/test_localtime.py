@@ -348,8 +348,7 @@ def malliavin_windows(builder, paths):
     rows = []
     for fs, ft in WINDOWS:
         s, t = round(fs * steps), round(ft * steps)
-        up, down = (euler_under_flow(spec, flow, 1.0, grid, ORACLE_PATHS,
-                                     SEED, brownian=shifted(paths, s, e))
+        up, down = (euler_under_flow(spec, flow, shifted(paths, s, e))
                     for e in (EPS, -EPS))
         shift, shift_se = mean_and_se(
             (up.values[t] - down.values[t]) / (2.0 * EPS))

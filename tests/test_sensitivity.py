@@ -253,6 +253,30 @@ def test_supplied_law_derivative_needs_one_solve(counted):
     assert counted == {"solves": 1, "draws": 1}
 
 
+def test_law_derivative_is_the_one_bel_reads(counted):
+    # law_bump is the one source of the bump: law_derivative() is the
+    # central difference at 0.05 that bel reads, from the solves at x and
+    # x +/- 0.05 only
+    spec, grid, n = convolution_drift(), make_grid(1.0, 40), 3000
+    x, h = 1.0, 0.05
+    payoff = call_payoff(1.0)
+    session = DeltaSession(spec, x, grid, n, SEED, law_bump=h)
+    got = session.bel(payoff)
+    dxb = session.law_derivative()
+    assert counted == {"solves": 3, "draws": 1}
+    up, down = (picard_solve(spec, x + e, grid, n, SEED) for e in (h, -h))
+    y = np.linspace(-2.0, 3.0, 11)
+    for k in (0, 13, 40):
+        t = float(grid.nodes[k])
+        want = (spec.fn(t, y, up.flow[k])
+                - spec.fn(t, y, down.flow[k])) / (2 * h)
+        assert np.array_equal(dxb(t, y), want), k
+    solve = picard_solve(spec, x, grid, n, SEED)
+    terms = table_path_terms(spec, solve.flow, solve.brownian, dxb)
+    assert (got.estimate, got.stderr) == table_bel(terms, grid, payoff,
+                                                   uniform_weight(1.0))
+
+
 def test_shifted_draw_is_the_draw_of_the_start():
     # the session builds every start's ensemble from one draw at 0
     grid = make_grid(1.0, 30)
@@ -386,13 +410,17 @@ def test_weight_overflow_fails_through_the_pass():
         session.pathwise(call_payoff(1.0))
 
 
-def test_session_rejects_a_nonpositive_bump():
-    session = DeltaSession(mean_field_ou(), 1.0, make_grid(1.0, 10), 100,
-                           SEED)
+def test_session_rejects_a_nonpositive_bump(counted):
+    grid = make_grid(1.0, 10)
+    session = DeltaSession(mean_field_ou(), 1.0, grid, 100, SEED)
     with pytest.raises(ValueError, match="bump"):
         session.finite_difference(identity_payoff(), h=0.0)
-    with pytest.raises(ValueError, match="bump"):
-        session.law_derivative(-1e-3)
+    # the law bump is checked when the session is built, before any solve
+    for bump in (-1e-3, 0.0):
+        with pytest.raises(ValueError, match="bump"):
+            DeltaSession(mean_field_ou(), 1.0, grid, 100, SEED,
+                         law_bump=bump)
+    assert counted == {"solves": 0, "draws": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mfsde import (BlowUpError, DeltaSession, MeasureFlow, PicardConfig,
-                   PicardConvergenceError, SeedSpec, call_payoff,
-                   constant_drift, convolution_drift, dirac,
+from mfsde import (BlowUpError, DeltaSession, MeasureFlow, PathEnsemble,
+                   PicardConfig, PicardConvergenceError, SeedSpec,
+                   call_payoff, constant_drift, convolution_drift, dirac,
                    direct_particle_solve, euler_under_flow, expectation_drift,
                    flow_distance, make_grid, mean_and_se, mean_field_ou,
                    moment_diagnostics, picard_solve, sample_brownian,
@@ -86,7 +86,7 @@ def test_frozen_flow_reproduces_the_ensemble_bit_for_bit():
              MeasureFlow.constant(grid, dirac(1.0)))):
         result = picard_solve(spec, 1.0, grid, n, SEED, config)
         assert result.iterations == 1
-        replay = euler_under_flow(spec, frozen, 1.0, grid, n, SEED)
+        replay = euler_under_flow(spec, frozen, result.brownian)
         assert np.array_equal(replay.values, result.ensemble.values)
         flow = MeasureFlow.from_ensemble(replay)
         assert np.array_equal(flow.atoms, result.flow.atoms)
@@ -186,7 +186,7 @@ def test_later_solves_leave_an_earlier_result_unchanged(monkeypatch):
     after = {k: v.tobytes() for k, v in result_arrays(first).items()}
     assert after == before
     frozen = reference_solve(spec, 1.0, grid, n, SEED, PicardConfig())[2]
-    replay = euler_under_flow(spec, frozen, 1.0, grid, n, SEED)
+    replay = euler_under_flow(spec, frozen, first.brownian)
     assert replay.values.tobytes() == first.ensemble.values.tobytes()
 
 
@@ -194,9 +194,29 @@ def test_euler_reuses_supplied_brownian():
     grid = make_grid(1.0, 20)
     paths = sample_brownian(grid, 100, 0.0, SEED)
     flow = MeasureFlow.constant(grid, dirac(0.0))
-    out = euler_under_flow(constant_drift(1.0), flow, 0.0, grid, 100, SEED,
-                           brownian=paths)
-    assert np.allclose(out.values, paths.values + grid.nodes[:, None])
+    # the driver is the pass's one source of x, the grid and the seed; a
+    # shifted draw, which no seed gives, starts where it starts
+    moved = PathEnsemble(grid=grid, values=paths.values + 1.5,
+                         kind="brownian", start=1.5, seed=None)
+    for driver in (paths, moved):
+        out = euler_under_flow(constant_drift(1.0), flow, driver)
+        assert np.allclose(out.values, driver.values + grid.nodes[:, None])
+        assert (out.kind, out.grid, out.start, out.seed) == (
+            "solution", driver.grid, driver.start, driver.seed)
+
+
+def test_euler_rejects_a_flow_on_another_grid_and_a_solution_driver():
+    grid = make_grid(1.0, 20)
+    paths = sample_brownian(grid, 200, 1.0, SEED)
+    flow = MeasureFlow.from_ensemble(paths)
+    spec = mean_field_ou()
+    for other in (make_grid(2.0, 20), make_grid(1.0, 40)):
+        with pytest.raises(ValueError, match="grid"):
+            euler_under_flow(spec, MeasureFlow.constant(other, dirac(1.0)),
+                             paths)
+    solution = euler_under_flow(spec, flow, paths)
+    with pytest.raises(ValueError, match="Brownian"):
+        euler_under_flow(spec, flow, solution)
 
 
 def test_picard_reuses_supplied_brownian_and_rejects_a_mismatch():
@@ -269,7 +289,7 @@ def test_non_finite_state_is_reported_as_an_infinite_blow_up():
         name="poisoned")
     flow = MeasureFlow.constant(grid, dirac(0.0))
     with pytest.raises(BlowUpError) as err:
-        euler_under_flow(poisoned, flow, 0.0, grid, 50, SEED)
+        euler_under_flow(poisoned, flow, sample_brownian(grid, 50, 0.0, SEED))
     assert err.value.step == 3
     assert err.value.worst == math.inf
 
