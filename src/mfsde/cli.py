@@ -209,7 +209,8 @@ class RunConfig:
     """Validated, effective configuration of one CLI run.
 
     Each field declares its config key (see `_key`); `raw` is the canonical
-    nested dict the hash and the re-serialization are computed from.
+    nested dict the hash and the re-serialization are computed from, read
+    back from the fields.
     """
 
     model: dict = _key("model", rule=_model, key=_SECTION)
@@ -248,7 +249,19 @@ class RunConfig:
                            _number(2, MAX_PARTICLES, integer=True))
     out_dir: str = _key("output", "out", _path, key="directory",
                         flag="--out")
-    raw: dict = field(compare=False)
+
+    @property
+    def raw(self) -> dict:
+        raw: dict[str, Any] = {}
+        for f in fields(self):
+            section, key = f.metadata["section"], f.metadata["key"] or f.name
+            value = getattr(self, f.name)
+            if key == _SECTION:
+                raw[section] = dict(value)
+            else:
+                raw.setdefault(section, {})[key] = \
+                    list(value) if isinstance(value, tuple) else value
+        return raw
 
     @property
     def picard(self) -> PicardConfig:
@@ -288,16 +301,14 @@ def parse_config(payload: dict, seed_override: Optional[int] = None,
     _require(isinstance(payload, dict), "top-level config must be an object")
     sections: dict[str, dict] = {}
     for f in fields(RunConfig):
-        if f.metadata:
-            sections.setdefault(f.metadata["section"], {})[
-                f.metadata["key"] or f.name] = f
+        sections.setdefault(f.metadata["section"], {})[
+            f.metadata["key"] or f.name] = f
     unknown = set(payload) - set(sections)
     _require(not unknown,
              f"unknown section(s): {', '.join(sorted(unknown))}")
     overrides = {"--seed": seed_override, "--out": out_override}
 
     values: dict[str, Any] = {}
-    raw: dict[str, Any] = {}
     for section, keys in sections.items():
         entries = payload.get(section, {})
         _require(isinstance(entries, dict),
@@ -305,12 +316,10 @@ def parse_config(payload: dict, seed_override: Optional[int] = None,
         if _SECTION in keys:
             f = keys[_SECTION]
             values[f.name] = f.metadata["rule"](entries, section)
-            raw[section] = dict(values[f.name])
             continue
         unknown = set(entries) - set(keys)
         _require(not unknown, f"unknown key(s) in '{section}': "
                               f"{', '.join(sorted(unknown))}")
-        raw[section] = {}
         for key, f in keys.items():
             rule, flag = f.metadata["rule"], f.metadata["flag"]
             value = (rule(entries[key], f"'{section}.{key}'")
@@ -318,9 +327,7 @@ def parse_config(payload: dict, seed_override: Optional[int] = None,
             if overrides.get(flag) is not None:
                 value = rule(overrides[flag], flag)
             values[f.name] = value
-            raw[section][key] = list(value) if isinstance(value, tuple) \
-                else value
-    return RunConfig(**values, raw=raw)
+    return RunConfig(**values)
 
 
 def load_config(path: str, seed_override: Optional[int] = None,

@@ -104,19 +104,19 @@ class SeedSpec:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """N discrete paths on a common grid, values shaped (steps + 1, N):
+    """N >= 1 discrete paths on a common grid, values shaped (steps + 1, N):
     row k holds every path at node k.
 
     `kind` records what the paths represent ("brownian" for x + B_t, or
-    "solution" for an Euler scheme output); `start` is the common initial
-    point x; `seed` is the stream that generated the driving noise. Values
-    are read-only after construction.
+    "solution" for an Euler scheme output); `seed` is the stream that
+    generated the driving noise. The common initial point x is row 0 of
+    the values, read by `start`; a row 0 that does not hold one value is
+    rejected. Values are read-only after construction.
     """
 
     grid: TimeGrid
     values: np.ndarray
     kind: str
-    start: float
     seed: "SeedSpec | None" = None
 
     def __post_init__(self) -> None:
@@ -127,12 +127,23 @@ class PathEnsemble:
             )
         if self.kind not in ("brownian", "solution"):
             raise ValueError(f"unknown ensemble kind '{self.kind}'")
+        if self.values.shape[1] == 0:
+            raise ValueError("row 0 holds no start: the ensemble has no paths")
         # NaN propagates through min and max, and an infinity is one of
         # them, so this is np.isfinite(values).all() without its bool table
         if not (np.isfinite(self.values.min())
                 and np.isfinite(self.values.max())):
             raise ValueError("path values must be finite")
+        lo, hi = float(self.values[0].min()), float(self.values[0].max())
+        if lo != hi:
+            raise ValueError("row 0 must hold one start value, got values "
+                             f"from {lo!r} to {hi!r}")
         self.values.setflags(write=False)
+
+    @property
+    def start(self) -> float:
+        """The common initial point x, read from row 0."""
+        return float(self.values[0, 0])
 
     @property
     def n_paths(self) -> int:
@@ -181,7 +192,7 @@ def sample_brownian(grid: TimeGrid, n_paths: int, start: float,
     Returns
     -------
     PathEnsemble of kind "brownian" with values[k, i] = x + B_{t_k} of
-    path i.
+    path i; row 0 holds x, which is the ensemble's start.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -193,5 +204,4 @@ def sample_brownian(grid: TimeGrid, n_paths: int, start: float,
     dw *= math.sqrt(grid.dt)
     running_sum(dw, out=dw)
     dw += start
-    return PathEnsemble(grid=grid, values=values, kind="brownian",
-                        start=start, seed=seed)
+    return PathEnsemble(grid=grid, values=values, kind="brownian", seed=seed)

@@ -63,17 +63,29 @@ class WeightFunctionA:
     integral: Callable[[np.ndarray], np.ndarray]
 
     def validate(self, grid: TimeGrid) -> None:
-        """Reject weights whose grid quadrature misses integral one."""
+        """Reject weights whose grid quadrature misses integral one, or
+        whose running integral misses the cumulative trapezoid of a at a
+        node."""
         tol = 1e-10
         if grid.horizon != self.horizon:
             raise ValueError("weight horizon does not match the grid")
-        total = float(np.trapezoid(self.fn(grid.nodes), grid.nodes))
+        nodes = grid.nodes
+        a = np.asarray(self.fn(nodes), dtype=float)
+        # the cumulative trapezoid of a, which ends at its integral
+        running = np.zeros_like(nodes)
+        np.cumsum(0.5 * (a[1:] + a[:-1]) * np.diff(nodes), out=running[1:])
+        total = float(running[-1])
         if abs(total - 1.0) > tol:
             raise ValueError(
                 f"weight '{self.name}' integrates to {total!r}, not 1")
-        if abs(float(self.integral(np.array([self.horizon]))[0]) - 1.0) > tol:
+        gap = np.abs(np.asarray(self.integral(nodes), dtype=float) - running)
+        # NaN fails the comparison
+        missed = ~(gap <= tol)
+        if missed.any():
+            k = int(missed.argmax())
             raise ValueError(
-                f"weight '{self.name}' running integral misses A(T) = 1")
+                f"weight '{self.name}' running integral misses the "
+                f"trapezoid of a by {float(gap[k])!r} at node {k}")
 
 
 def uniform_weight(horizon: float) -> WeightFunctionA:
@@ -174,7 +186,8 @@ class DeltaSession:
 
     `dxb` is the law derivative BEL and pathwise use, any (s, y) -> array
     callable; left None it is law_derivative() unless the drift ignores
-    the law. `law_bump` (default_bump(start) when None) is checked here.
+    the law. `law_bump` (default_bump(start) when None) is checked here to
+    be positive and finite.
     """
 
     def __init__(self, spec: DriftSpec, start: float, grid: TimeGrid,
@@ -189,7 +202,7 @@ class DeltaSession:
         self.seed = seed
         self.config = config
         self._dxb = dxb
-        self._law_bump = self._bump(law_bump)
+        self._law_bump = self._bump(law_bump, "law_bump")
         self._draw: Optional[PathEnsemble] = None
         # flow and terminal values of each solve, keyed by its start
         self._runs: dict[float, tuple[MeasureFlow, np.ndarray]] = {}
@@ -204,7 +217,7 @@ class DeltaSession:
             self._draw = sample_brownian(self.grid, self.n_paths, 0.0,
                                          self.seed)
         return PathEnsemble(grid=self.grid, values=self._draw.values + start,
-                            kind="brownian", start=start, seed=self.seed)
+                            kind="brownian", seed=self.seed)
 
     def _run(self, start: float) -> tuple[MeasureFlow, np.ndarray]:
         """Flow and terminal values of the solve at start, solved on first
@@ -218,10 +231,11 @@ class DeltaSession:
                                  result.ensemble.terminal().copy())
         return self._runs[start]
 
-    def _bump(self, h: Optional[float]) -> float:
+    def _bump(self, h: Optional[float], name: str) -> float:
         h = default_bump(self.start) if h is None else float(h)
-        if h <= 0:
-            raise ValueError(f"bump must be positive, got {h}")
+        if not 0 < h < np.inf:
+            raise ValueError(f"bump {name} must be positive and finite, "
+                             f"got {h}")
         return h
 
     def law_derivative(self) -> SpaceTimeFn:
@@ -332,7 +346,7 @@ class DeltaSession:
         model, the per-path quotient is constant and the standard error
         vanishes.
         """
-        h = self._bump(h)
+        h = self._bump(h, "h")
         terminal_p = self._run(self.start + h)[1]
         terminal_m = self._run(self.start - h)[1]
         diff = (np.asarray(payoff.fn(terminal_p), dtype=float)

@@ -67,8 +67,9 @@ class PicardConfig:
     initial_flow: str = "brownian"  # "brownian" | "dirac"
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not self.tolerance > 0:
+            raise ValueError(
+                f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.initial_flow not in ("brownian", "dirac"):
@@ -90,7 +91,6 @@ class SolveResult:
     brownian: PathEnsemble
     flow: MeasureFlow
     residual_history: tuple[float, ...]
-    method: str
 
     @property
     def iterations(self) -> int:
@@ -116,10 +116,10 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
     """
     grid = brownian.grid
     dt = grid.dt
-    x = brownian.start
-    limit = BLOWUP_FACTOR * (1.0 + abs(x))
     bv = brownian.values
-    out[0] = x
+    # the solution starts where its driver starts: row 0 is x
+    np.copyto(out[0], bv[0])
+    limit = BLOWUP_FACTOR * (1.0 + abs(brownian.start))
     # the new row k goes through a one-row scratch, as frozen[k] must stay
     # whole until the distance between the two is taken
     scratch = np.empty(out.shape[1])
@@ -182,7 +182,7 @@ def euler_under_flow(spec: DriftSpec, flow: MeasureFlow,
     values = np.empty_like(brownian.values)
     _euler_sweep(spec, flow.atoms, brownian, values)
     return PathEnsemble(grid=brownian.grid, values=values, kind="solution",
-                        start=brownian.start, seed=brownian.seed)
+                        seed=brownian.seed)
 
 
 def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
@@ -197,7 +197,7 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
 
     The driving ensemble is sampled from the seed unless passed in to share
     work; a passed ensemble must be the one sample_brownian gives for
-    (grid, n_paths, start, seed).
+    (grid, n_paths, start, seed), its start being its row 0.
 
     A solve allocates two path arrays besides the driving ensemble and
     reuses them in every sweep: the solution and one row-sorted flow
@@ -228,11 +228,11 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
         residuals.append(_euler_sweep(spec, frozen, brownian, values, flow))
         if residuals[-1] < config.tolerance:
             ensemble = PathEnsemble(grid=grid, values=values, kind="solution",
-                                    start=start, seed=brownian.seed)
+                                    seed=brownian.seed)
             return SolveResult(
                 spec=spec, ensemble=ensemble, brownian=brownian,
                 flow=MeasureFlow(grid, flow),
-                residual_history=tuple(residuals), method="picard",
+                residual_history=tuple(residuals),
             )
         frozen = flow
     raise PicardConvergenceError(residuals, config.tolerance)
@@ -256,11 +256,10 @@ def direct_particle_solve(spec: DriftSpec, start: float, grid: TimeGrid,
     flow = np.empty_like(values)
     _euler_sweep(spec, None, brownian, values, flow)
     ensemble = PathEnsemble(grid=grid, values=values, kind="solution",
-                            start=start, seed=seed)
+                            seed=seed)
     return SolveResult(
         spec=spec, ensemble=ensemble, brownian=brownian,
         flow=MeasureFlow(grid, flow), residual_history=(0.0,),
-        method="direct",
     )
 
 
@@ -279,7 +278,7 @@ def se_rate_study(spec: DriftSpec, start: float, grid: TimeGrid,
     ses = []
     for n in particle_counts:
         prefix = PathEnsemble(grid=grid, values=draw.values[:, :n],
-                              kind="brownian", start=start, seed=seed)
+                              kind="brownian", seed=seed)
         result = picard_solve(spec, start, grid, n, seed, config,
                               brownian=prefix)
         ses.append(mean_and_se(result.ensemble.terminal())[1])

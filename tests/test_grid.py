@@ -137,15 +137,24 @@ def test_path_ensemble_validation():
     grid = make_grid(1.0, 4)
     good = np.zeros((5, 3))
     with pytest.raises(ValueError):
-        PathEnsemble(grid, np.zeros((4, 3)), "brownian", 0.0)
+        PathEnsemble(grid, np.zeros((4, 3)), "brownian")
     with pytest.raises(ValueError):
-        PathEnsemble(grid, good, "weird", 0.0)
+        PathEnsemble(grid, good, "weird")
     # one non-finite value in an interior row, among finite paths
     for value in (np.nan, np.inf, -np.inf):
         bad = sample_brownian(grid, 3, 0.0, SeedSpec(1)).values.copy()
         bad[2, 1] = value
         with pytest.raises(ValueError, match="finite"):
-            PathEnsemble(grid, bad, "brownian", 0.0)
+            PathEnsemble(grid, bad, "brownian")
+    # the start is row 0, so a row 0 that is not one value has none, and
+    # neither has an ensemble with no paths
+    for row0 in ([0.0, 0.0, 1e-12], [1.0, 2.0, 1.0]):
+        bad = good.copy()
+        bad[0] = row0
+        with pytest.raises(ValueError, match="row 0"):
+            PathEnsemble(grid, bad, "brownian")
+    with pytest.raises(ValueError, match="row 0"):
+        PathEnsemble(grid, np.zeros((5, 0)), "solution")
 
 
 def test_path_values_read_only():

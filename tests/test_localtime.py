@@ -318,7 +318,7 @@ def shifted(paths, s, eps):
     values = paths.values.copy()
     values[s + 1:] += eps
     return PathEnsemble(grid=paths.grid, values=values, kind="brownian",
-                        start=paths.start, seed=paths.seed)
+                        seed=paths.seed)
 
 
 def coarse(paths, r):
@@ -328,7 +328,7 @@ def coarse(paths, r):
     return PathEnsemble(grid=make_grid(paths.grid.horizon,
                                        paths.grid.steps // r),
                         values=np.ascontiguousarray(paths.values[::r]),
-                        kind="brownian", start=paths.start, seed=paths.seed)
+                        kind="brownian", seed=paths.seed)
 
 
 def malliavin_windows(builder, paths):

@@ -47,6 +47,22 @@ def test_weight_function_must_integrate_to_one():
         bad.validate(make_grid(1.0, 20))
 
 
+def test_weight_running_integral_must_match_its_density(counted):
+    # a = 1 integrates to one, and A(T) = T^2 = 1 at T = 1, but A is not
+    # the running integral of a: bel would weigh the law term by t^2, not t
+    from mfsde import WeightFunctionA
+    grid = make_grid(1.0, 40)
+    lying = WeightFunctionA("lying", horizon=1.0,
+                            fn=lambda s: np.ones_like(s),
+                            integral=lambda t: np.asarray(t) ** 2)
+    with pytest.raises(ValueError, match="running integral"):
+        lying.validate(grid)
+    session = DeltaSession(mean_field_ou(), 1.0, grid, 100, SEED)
+    with pytest.raises(ValueError, match="running integral"):
+        session.bel(identity_payoff(), lying)
+    assert counted == {"solves": 0, "draws": 0}
+
+
 # ---------------------------------------------------------------------------
 # delta estimators against closed forms
 # ---------------------------------------------------------------------------
@@ -413,11 +429,12 @@ def test_weight_overflow_fails_through_the_pass():
 def test_session_rejects_a_nonpositive_bump(counted):
     grid = make_grid(1.0, 10)
     session = DeltaSession(mean_field_ou(), 1.0, grid, 100, SEED)
-    with pytest.raises(ValueError, match="bump"):
-        session.finite_difference(identity_payoff(), h=0.0)
-    # the law bump is checked when the session is built, before any solve
-    for bump in (-1e-3, 0.0):
-        with pytest.raises(ValueError, match="bump"):
+    for bump in (math.nan, math.inf, -1e-3, 0.0):
+        with pytest.raises(ValueError, match="bump h"):
+            session.finite_difference(identity_payoff(), h=bump)
+        # the law bump is checked when the session is built, before any
+        # solve
+        with pytest.raises(ValueError, match="bump law_bump"):
             DeltaSession(mean_field_ou(), 1.0, grid, 100, SEED,
                          law_bump=bump)
     assert counted == {"solves": 0, "draws": 0}

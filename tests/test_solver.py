@@ -197,9 +197,11 @@ def test_euler_reuses_supplied_brownian():
     # the driver is the pass's one source of x, the grid and the seed; a
     # shifted draw, which no seed gives, starts where it starts
     moved = PathEnsemble(grid=grid, values=paths.values + 1.5,
-                         kind="brownian", start=1.5, seed=None)
+                         kind="brownian", seed=None)
+    assert moved.start == 1.5
     for driver in (paths, moved):
         out = euler_under_flow(constant_drift(1.0), flow, driver)
+        assert np.array_equal(out.values[0], driver.values[0])
         assert np.allclose(out.values, driver.values + grid.nodes[:, None])
         assert (out.kind, out.grid, out.start, out.seed) == (
             "solution", driver.grid, driver.start, driver.seed)
@@ -236,6 +238,21 @@ def test_picard_reuses_supplied_brownian_and_rejects_a_mismatch():
                          brownian=bad)
 
 
+def test_picard_refuses_a_driver_that_starts_elsewhere():
+    # a draw from 1.0 starts at 1.0 whatever it is wrapped as, so a solve
+    # from 2.0 cannot ride it and come out 1.0 away from its driver
+    grid = make_grid(1.0, 10)
+    draw = sample_brownian(grid, 50, 1.0, SEED)
+    rewrapped = PathEnsemble(grid=grid, values=draw.values, kind="brownian",
+                             seed=SEED)
+    assert rewrapped.start == 1.0
+    with pytest.raises(ValueError, match="driving ensemble"):
+        picard_solve(zero_drift(), 2.0, grid, 50, SEED, brownian=rewrapped)
+    solved = picard_solve(zero_drift(), 1.0, grid, 50, SEED,
+                          brownian=rewrapped)
+    assert np.array_equal(solved.ensemble.values, draw.values)
+
+
 def test_residual_history_shrinks_and_converges():
     grid = make_grid(1.0, 60)
     result = picard_solve(mean_field_ou(), 1.0, grid, 5000, SEED,
@@ -266,6 +283,13 @@ def test_picard_convergence_error_carries_history():
                      PicardConfig(tolerance=1e-12, max_iterations=2))
     assert len(err.value.residuals) == 2
     assert err.value.tolerance == 1e-12
+
+
+def test_picard_config_rejects_a_tolerance_that_is_not_positive():
+    # nan passes "tolerance <= 0" but would run every sweep and then fail
+    for tolerance in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            PicardConfig(tolerance=tolerance)
 
 
 def test_blow_up_raises_with_step_context():
@@ -332,7 +356,6 @@ def test_solver_rejects_bad_particle_count():
 def test_direct_solve_result_shape():
     grid = make_grid(0.5, 20)
     result = direct_particle_solve(sign_drift(), 0.1, grid, 300, SEED)
-    assert result.method == "direct"
     assert result.iterations == 1
     assert result.ensemble.values.shape == (21, 300)
     assert np.all(result.ensemble.values[0] == 0.1)
