@@ -61,12 +61,12 @@ MAX_START = 1e300
 # Peak resident memory of a command, counted in its largest (M+1) x N
 # float64 path array: peak ru_maxrss over that array's size, both in MB of
 # 10^6 bytes (ru_maxrss is in KiB), on the benchmark configs (sign model,
-# seed 11, median of 6 runs for simulate, 12 for delta and 10 for
+# seed 11, median of 6 runs for simulate, 10 for delta and 10 for
 # convergence), rounded up. simulate 50 000 x 200, which holds three path
 # arrays (Brownian, solution, one flow buffer): 283.1 MB / 80.4 MB = 3.52;
-# delta 10 000 x 200, which holds the draw, the shifted copy, the two
-# buffers of a solve and the flows of two earlier solves: 134.7 MB /
-# 16.08 MB = 8.38;
+# delta 10 000 x 200, which holds the draw, the two buffers of a solve
+# and the flows of two earlier solves (each solve reads the draw at its
+# start row by row, with no shifted copy): 118.8 MB / 16.08 MB = 7.39;
 # convergence, whose largest array is the 4000 x 1600 local-time ensemble
 # (the study holds that one ensemble and O(N) state, so the peak sits in
 # se_vs_n's 16 000 x 200 draw and solve): 144.1 MB / 51.23 MB = 2.81. It
@@ -76,7 +76,7 @@ MAX_START = 1e300
 # The interpreter's own 36 MB is included, so the counts overstate large
 # runs a little. check_memory adds the one chunk of normals drawn at a
 # time, min(N, chunk_rows(steps)) x steps.
-PEAK_ARRAYS = {"simulate": 4, "delta": 9, "convergence": 5}
+PEAK_ARRAYS = {"simulate": 4, "delta": 8, "convergence": 5}
 
 
 class ConfigError(ValueError):

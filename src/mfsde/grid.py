@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -155,6 +157,63 @@ class PathEnsemble:
 
     def terminal(self) -> np.ndarray:
         return self.values[-1]
+
+    def _rows(self) -> Iterator[np.ndarray]:
+        """Rows 0..M of the values, in order, as views."""
+        return iter(self.values)
+
+
+@dataclass(frozen=True)
+class _ShiftedDraw:
+    """A Brownian draw started at 0, read as the ensemble started at x.
+
+    sample_brownian adds the start to the cumulative sums, so row k of the
+    draw plus x has the bits of row k of the ensemble sample_brownian gives
+    at x. `_rows` adds x one row at a time into two row buffers, so a
+    reader that holds at most two consecutive rows needs no shifted copy;
+    `values` builds that copy on first read, for a caller that wants the
+    whole ensemble at x.
+    """
+
+    draw: PathEnsemble
+    start: float
+    kind = "brownian"
+
+    def __post_init__(self) -> None:
+        if self.draw.kind != "brownian" or self.draw.start != 0.0:
+            raise ValueError("a shifted draw reads a Brownian draw whose "
+                             f"row 0 is 0, got a {self.draw.kind} ensemble "
+                             f"starting at {self.draw.start!r}")
+        if not math.isfinite(self.start):
+            raise ValueError("path values must be finite")
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.draw.grid
+
+    @property
+    def seed(self) -> "SeedSpec | None":
+        return self.draw.seed
+
+    @property
+    def n_paths(self) -> int:
+        return self.draw.n_paths
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = self.draw.values + self.start
+        values.setflags(write=False)
+        return values
+
+    def terminal(self) -> np.ndarray:
+        return self.draw.values[-1] + self.start
+
+    def _rows(self) -> Iterator[np.ndarray]:
+        """Rows 0..M of draw + x, in order; each is overwritten when the
+        row two after it is read."""
+        buffers = np.empty((2, self.n_paths))
+        for k, row in enumerate(self.draw.values):
+            yield np.add(row, self.start, out=buffers[k % 2])
 
 
 def _normal_increments(out: np.ndarray, seed: SeedSpec) -> None:

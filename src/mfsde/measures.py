@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -79,10 +80,13 @@ def _w1_sorted(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(np.sum(np.abs(cdf_x - cdf_y) * deltas))
 
 
-def _sort_rows(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Copy values into out and sort each row of out in place, in one
-    batched sort; row k of the returned out equals np.sort(values[k])."""
-    np.copyto(out, values)
+def _sort_rows(rows: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Copy row k of rows into out[k] and sort each row of out in place,
+    in one batched sort; row k of the returned out equals np.sort(rows[k]).
+    The rows may be a 2-D array or an iterator whose rows are read once,
+    in order."""
+    for dst, row in zip(out, rows):
+        np.copyto(dst, row)
     out.sort(axis=1)
     return out
 

@@ -41,7 +41,8 @@ import numpy as np
 
 from .drift import DriftSpec, mollify
 from .girsanov import EstimatorResult
-from .grid import PathEnsemble, SeedSpec, TimeGrid, sample_brownian
+from .grid import (PathEnsemble, SeedSpec, TimeGrid, _ShiftedDraw,
+                   sample_brownian)
 from .localtime import SpaceTimeFn, _drift, _Node, _walk
 from .measures import MeasureFlow, kantorovich
 from .numerics import loglog_slope, mean_and_se
@@ -169,10 +170,13 @@ class DeltaSession:
     when the law derivative is supplied or the drift ignores the law.
 
     All solves ride one Philox draw started at 0: sample_brownian adds the
-    start to the cumulative sums, so shifting that draw gives the ensemble
-    of any start bit for bit. Of each solve the session keeps the flow and
-    the terminal values, so besides the draw it holds one path-sized array
-    per solve.
+    start to the cumulative sums, so that draw read at any start, row k as
+    draw[k] + x, is the ensemble of that start bit for bit. Each solve
+    reads it so, one row at a time, and no shifted copy is made. Of each
+    solve the session keeps the flow and the terminal values, so besides
+    the draw it holds one path-sized array per solve; its peak, in the
+    third solve, is the draw, that solve's two buffers and the two earlier
+    flows.
 
     BEL and pathwise read one pass over the nodes along the driving paths
     under the flow of the solve at x: the walk of localtime, which holds
@@ -212,12 +216,11 @@ class DeltaSession:
 
     # -- solves ------------------------------------------------------------
 
-    def _brownian(self, start: float) -> PathEnsemble:
+    def _brownian(self, start: float) -> _ShiftedDraw:
         if self._draw is None:
             self._draw = sample_brownian(self.grid, self.n_paths, 0.0,
                                          self.seed)
-        return PathEnsemble(grid=self.grid, values=self._draw.values + start,
-                            kind="brownian", seed=self.seed)
+        return _ShiftedDraw(self._draw, start)
 
     def _run(self, start: float) -> tuple[MeasureFlow, np.ndarray]:
         """Flow and terminal values of the solve at start, solved on first

@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .drift import DriftSpec
-from .grid import PathEnsemble, SeedSpec, TimeGrid, sample_brownian
+from .grid import (PathEnsemble, SeedSpec, TimeGrid, _ShiftedDraw,
+                   sample_brownian)
 from .measures import (EmpiricalMeasure, MeasureFlow, _sort_rows, _w1_sorted,
                        dirac)
 from .numerics import loglog_slope, mean_and_se
@@ -83,12 +84,15 @@ class SolveResult:
     `flow` is the empirical law of `ensemble` at every node. For a Picard
     solve, `flow` replaced, node by node, the flow the final Euler pass ran
     under, which is not kept; `residual_history` ends with the sup-W1
-    distance between the two.
+    distance between the two. `brownian` is the driving ensemble; for a
+    solve driven by a shifted draw (grid._ShiftedDraw) it is that view,
+    which reads as the ensemble at the start bit for bit and builds its
+    values only when they are read.
     """
 
     spec: DriftSpec
     ensemble: PathEnsemble
-    brownian: PathEnsemble
+    brownian: PathEnsemble | _ShiftedDraw
     flow: MeasureFlow
     residual_history: tuple[float, ...]
 
@@ -102,7 +106,7 @@ class SolveResult:
 
 
 def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
-                 brownian: PathEnsemble, out: np.ndarray,
+                 brownian: PathEnsemble | _ShiftedDraw, out: np.ndarray,
                  flow: Optional[np.ndarray] = None) -> float:
     """The one Euler loop: writes row k + 1 of out from row k.
 
@@ -116,9 +120,12 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
     """
     grid = brownian.grid
     dt = grid.dt
-    bv = brownian.values
+    # the driver is read row by row, so a shifted draw is never copied
+    # whole; step k holds rows k and k + 1 of it
+    rows = brownian._rows()
+    b_k = next(rows)
     # the solution starts where its driver starts: row 0 is x
-    np.copyto(out[0], bv[0])
+    np.copyto(out[0], b_k)
     limit = BLOWUP_FACTOR * (1.0 + abs(brownian.start))
     # the new row k goes through a one-row scratch, as frozen[k] must stay
     # whole until the distance between the two is taken
@@ -137,7 +144,8 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
         np.copyto(flow[k], scratch)
         return d
 
-    for k in range(grid.steps):
+    # rows has given row 0, so the k-th row it gives now is row k + 1
+    for k, b_next in enumerate(rows):
         state = out[k]
         if frozen is None:
             settle(k)
@@ -145,11 +153,12 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
         else:
             mu = EmpiricalMeasure(frozen[k])
         b = spec.fn(float(grid.nodes[k]), state, mu)
-        # dB_k = bv[k + 1] - bv[k] has the bits of np.diff, and since
+        # dB_k = b_next - b_k has the bits of np.diff, and since
         # addition commutes, dB_k + (state + b dt) has those of
         # state + b dt + dB_k
-        row = np.subtract(bv[k + 1], bv[k], out=out[k + 1])
+        row = np.subtract(b_next, b_k, out=out[k + 1])
         row += state + b * dt
+        b_k = b_next
         # NaN or inf when a state is non-finite, and both fail the test
         worst = float(np.abs(row).max())
         if not worst < limit:
@@ -179,7 +188,7 @@ def euler_under_flow(spec: DriftSpec, flow: MeasureFlow,
                          f"'{brownian.kind}'")
     if flow.grid != brownian.grid:
         raise ValueError("flow and driving ensemble are on different grids")
-    values = np.empty_like(brownian.values)
+    values = np.empty((brownian.grid.steps + 1, brownian.n_paths))
     _euler_sweep(spec, flow.atoms, brownian, values)
     return PathEnsemble(grid=brownian.grid, values=values, kind="solution",
                         seed=brownian.seed)
@@ -187,7 +196,8 @@ def euler_under_flow(spec: DriftSpec, flow: MeasureFlow,
 
 def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
                  seed: SeedSpec, config: PicardConfig = PicardConfig(),
-                 brownian: Optional[PathEnsemble] = None) -> SolveResult:
+                 brownian: PathEnsemble | _ShiftedDraw | None = None
+                 ) -> SolveResult:
     """Construct the solution law by fixed-point iteration on measure flows.
 
     Each iteration runs Euler under the previous flow (same Brownian
@@ -196,8 +206,11 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
     flows drops below config.tolerance.
 
     The driving ensemble is sampled from the seed unless passed in to share
-    work; a passed ensemble must be the one sample_brownian gives for
-    (grid, n_paths, start, seed), its start being its row 0.
+    work. A passed driver must match (grid, n_paths, start, seed), its
+    start being its row 0, and is either the PathEnsemble sample_brownian
+    gives for them, read as it is, or a grid._ShiftedDraw of the draw at 0
+    read at start, whose rows the solve reads one at a time, so that no
+    shifted copy of the draw is held.
 
     A solve allocates two path arrays besides the driving ensemble and
     reuses them in every sweep: the solution and one row-sorted flow
@@ -216,12 +229,12 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
           or brownian.start != start or brownian.seed != seed):
         raise ValueError("driving ensemble does not match the requested "
                          "grid, particle count, start and seed")
-    values = np.empty_like(brownian.values)
+    values = np.empty((grid.steps + 1, n_paths))
     flow = np.empty_like(values)
     if config.initial_flow == "dirac":
         frozen = MeasureFlow.constant(grid, dirac(start)).atoms
     else:
-        frozen = _sort_rows(brownian.values, flow)
+        frozen = _sort_rows(brownian._rows(), flow)
 
     residuals: list[float] = []
     for _ in range(config.max_iterations):

@@ -572,6 +572,29 @@ def test_memory_check_counts_one_chunk_of_a_block(tmp_path, capsys,
     assert "physical memory" in capsys.readouterr().err
 
 
+def test_delta_peak_stays_within_its_memory_estimate(tmp_path, capsys):
+    # PEAK_ARRAYS["delta"] counts the interpreter too; the arrays alone, as
+    # tracemalloc sees them, must stay below it
+    import tracemalloc
+
+    import mfsde.cli as cli
+
+    n, steps = 4096, 200
+    cfg = deep(BASE, run__particles=n, run__steps=steps,
+               delta__payoff="call", delta__strike=1.0)
+    cfg["model"] = {"name": "sign"}
+    cfg["output"] = {"directory": str(tmp_path / "out")}
+    path = write_config(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        assert main(["delta", "--config", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * n * (steps + 1))
+    assert arrays < cli.PEAK_ARRAYS["delta"], f"peak {arrays:.2f} arrays"
+
+
 def test_readme_outputs_table_matches_csv_headers(tmp_path, capsys):
     readme = Path(__file__).resolve().parent.parent / "README.md"
     documented = dict(re.findall(r"^\| `(\w+\.csv)` \| `([^`]+)` \|",

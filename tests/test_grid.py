@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfsde import BLOCK_SIZE, PathEnsemble, SeedSpec, TimeGrid, make_grid, sample_brownian
-from mfsde.grid import chunk_rows
+from mfsde.grid import _ShiftedDraw, chunk_rows
 from oracles import particle_major_brownian
 
 
@@ -155,6 +155,22 @@ def test_path_ensemble_validation():
             PathEnsemble(grid, bad, "brownian")
     with pytest.raises(ValueError, match="row 0"):
         PathEnsemble(grid, np.zeros((5, 0)), "solution")
+
+
+def test_shifted_draw_reads_a_draw_from_zero_only():
+    # row k of the view is row k of the draw plus x, which is the draw at x
+    # only when the draw starts at 0
+    grid = make_grid(1.0, 6)
+    for start in (1.0, -0.5):
+        with pytest.raises(ValueError, match="row 0 is 0"):
+            _ShiftedDraw(sample_brownian(grid, 4, start, SeedSpec(1)), 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        _ShiftedDraw(sample_brownian(grid, 4, 0.0, SeedSpec(1)), np.nan)
+    view = _ShiftedDraw(sample_brownian(grid, 4, 0.0, SeedSpec(1)), 2.0)
+    want = sample_brownian(grid, 4, 2.0, SeedSpec(1)).values
+    assert np.array_equal(np.array([r.copy() for r in view._rows()]), want)
+    assert np.array_equal(view.values, want)
+    assert (view.start, view.n_paths, view.kind) == (2.0, 4, "brownian")
 
 
 def test_path_values_read_only():

@@ -12,6 +12,8 @@ from mfsde import (BlowUpError, DeltaSession, MeasureFlow, PathEnsemble,
                    flow_distance, make_grid, mean_and_se, mean_field_ou,
                    moment_diagnostics, picard_solve, sample_brownian,
                    sign_drift, zero_drift)
+from mfsde.grid import _ShiftedDraw
+from mfsde.localtime import drift_cumulants
 from oracles import ou_mean_ode, reference_solve
 
 SEED = SeedSpec(314159)
@@ -251,6 +253,47 @@ def test_picard_refuses_a_driver_that_starts_elsewhere():
     solved = picard_solve(zero_drift(), 1.0, grid, 50, SEED,
                           brownian=rewrapped)
     assert np.array_equal(solved.ensemble.values, draw.values)
+
+
+@pytest.mark.parametrize("spec", [sign_drift(), convolution_drift()],
+                         ids=["sign", "convolution"])
+@pytest.mark.parametrize("start", [1.0, 1.02, 0.98, -3.7, 1e-9])
+def test_solve_on_a_shifted_draw_is_the_solve_drawn_at_its_start(spec,
+                                                                 start):
+    # the delta session drives each solve with its draw at 0 read at the
+    # solve's start, row by row: every output keeps the bits of the solve
+    # that draws at that start, and its driver reads as that draw
+    grid = make_grid(1.0, 200)
+    n = 300
+    view = _ShiftedDraw(sample_brownian(grid, n, 0.0, SEED), start)
+    got = picard_solve(spec, start, grid, n, SEED, brownian=view)
+    want = picard_solve(spec, start, grid, n, SEED)
+    assert np.array_equal(got.ensemble.values, want.ensemble.values)
+    assert np.array_equal(got.flow.atoms, want.flow.atoms)
+    assert got.residual_history == want.residual_history
+    assert np.array_equal(got.brownian.values,
+                          sample_brownian(grid, n, start, SEED).values)
+    assert np.array_equal(drift_cumulants(got), drift_cumulants(want))
+    got_m, want_m = moment_diagnostics(got), moment_diagnostics(want)
+    assert np.array_equal(got_m.node_moments, want_m.node_moments)
+    assert got_m.envelope_ratio == want_m.envelope_ratio
+
+
+def test_picard_refuses_a_shifted_draw_that_does_not_match():
+    grid = make_grid(1.0, 10)
+    draw = sample_brownian(grid, 50, 0.0, SEED)
+    for view, n in ((_ShiftedDraw(draw, 1.5), 50),
+                    (_ShiftedDraw(sample_brownian(grid, 50, 0.0,
+                                                  SEED.child(1)), 1.0), 50),
+                    (_ShiftedDraw(draw, 1.0), 49),
+                    (_ShiftedDraw(sample_brownian(make_grid(1.0, 20), 50,
+                                                  0.0, SEED), 1.0), 50)):
+        with pytest.raises(ValueError, match="driving ensemble"):
+            picard_solve(zero_drift(), 1.0, grid, n, SEED, brownian=view)
+    solved = picard_solve(zero_drift(), 1.0, grid, 50, SEED,
+                          brownian=_ShiftedDraw(draw, 1.0))
+    assert np.array_equal(solved.ensemble.values,
+                          sample_brownian(grid, 50, 1.0, SEED).values)
 
 
 def test_residual_history_shrinks_and_converges():
