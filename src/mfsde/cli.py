@@ -64,19 +64,22 @@ MAX_START = 1e300
 # seed 11, median of 6 runs for simulate, 10 for delta and 10 for
 # convergence), rounded up. simulate 50 000 x 200, which holds three path
 # arrays (Brownian, solution, one flow buffer): 283.1 MB / 80.4 MB = 3.52;
-# delta 10 000 x 200, which holds the draw, the two buffers of a solve
-# and the flows of two earlier solves (each solve reads the draw at its
-# start row by row, with no shifted copy): 118.8 MB / 16.08 MB = 7.39;
-# convergence, whose largest array is the 4000 x 1600 local-time ensemble
-# (the study holds that one ensemble and O(N) state, so the peak sits in
-# se_vs_n's 16 000 x 200 draw and solve): 144.1 MB / 51.23 MB = 2.81. It
-# stays 5 because se_vs_n alone, at counts 12 500 to 200 000 x 200, peaks
-# at 1269.6 MiB = 4.14 of its arrays, and a config dominated by that study
-# must not pass the check and then run out of memory.
+# delta 10 000 x 200, which holds the draw and the two buffers of the
+# solve running (each solve reads the draw at its start row by row, and of
+# the solves before it the session keeps node law summaries and terminal
+# values only): 88.4 MB / 16.08 MB = 5.50; convergence, whose largest
+# array is the 4000 x 1600 local-time ensemble (the study holds that one
+# ensemble and O(N) state, so the peak sits in se_vs_n's 16 000 x 200
+# draw and solve): 118.5 MB / 51.23 MB = 2.31. It is 4 because a config
+# dominated by one study must not pass the check and then run out of
+# memory: se_vs_n alone, at counts 12 500 to 200 000 x 200, peaks at
+# 1009.7 MB = 3.14 of its arrays (median of 3), and mollify alone at
+# 100 000 x 200 at 527.7 MB = 3.28 (median of 3); each holds the draw and
+# the two buffers of the solve running.
 # The interpreter's own 36 MB is included, so the counts overstate large
 # runs a little. check_memory adds the one chunk of normals drawn at a
 # time, min(N, chunk_rows(steps)) x steps.
-PEAK_ARRAYS = {"simulate": 4, "delta": 8, "convergence": 5}
+PEAK_ARRAYS = {"simulate": 4, "delta": 6, "convergence": 4}
 
 
 class ConfigError(ValueError):

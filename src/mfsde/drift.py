@@ -1,11 +1,23 @@
 """Drift specifications b(t, y, mu) for mean-field dynamics.
 
 A drift consumes the current time, the state (vectorized over particles) and
-the current empirical law, and decomposes as b = b_hat + b_tilde where b_hat
-is merely measurable and bounded and b_tilde is Lipschitz in y with linear
-growth. Each spec carries declared regularity metadata (growth constant,
-sup bound of the bounded part, Lipschitz constant in the measure argument)
-which check_regularity audits by sampling; the engine trusts but verifies.
+the current law, and decomposes as b = b_hat + b_tilde where b_hat is merely
+measurable and bounded and b_tilde is Lipschitz in y with linear growth.
+Each spec carries declared regularity metadata (growth constant, sup bound
+of the bounded part, Lipschitz constant in the measure argument) which
+check_regularity audits by sampling; the engine trusts but verifies.
+
+A drift reads the law through one declared summary: `law` maps the sorted
+atoms of the empirical law at a node to what `fn`, `bounded_part` and
+`lipschitz_part` read as their third argument, and every caller (the Euler
+sweep, the walks of localtime, the delta session, check_regularity) passes
+spec.law(row), never anything else. The default is EmpiricalMeasure, so a
+drift written against mu (mu.mean(), mu.expect(phi), mu.atoms) runs as it
+is. The built-ins declare the statistic they read: the mean for OU and
+sign, the means of cos and sin for the convolution, E[functional] for
+expectation_drift and nothing (None) for zero and constant drifts. A node
+summary of a built-in is a few floats, so a caller that keeps the law of
+every node keeps O(M) numbers, not the (M+1, N) flow.
 
 Mollification replaces only the irregular bounded part by a discrete
 convolution with a bump kernel of bandwidth 1/n: the weighted average of its
@@ -21,16 +33,19 @@ translates at every call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from .measures import EmpiricalMeasure, dirac, kantorovich
 
 # Evaluators are numpy-broadcasting in y: they accept scalar t, an array of
-# states of any shape, and an EmpiricalMeasure, and return an array of the
-# same shape.
-Evaluator = Callable[[float, np.ndarray, EmpiricalMeasure], np.ndarray]
+# states of any shape, and the law summary of their spec, and return an
+# array of the same shape.
+Evaluator = Callable[[float, np.ndarray, Any], np.ndarray]
+# A law summary: the sorted atoms of the law at a node -> what the
+# evaluators read
+Law = Callable[[np.ndarray], Any]
 
 
 @dataclass(frozen=True)
@@ -46,6 +61,9 @@ class DriftSpec:
     growth_const : C with |b(t, y, mu)| <= C (1 + |y| + W1(mu, dirac(0)))
     bounded_sup : declared sup norm of the bounded part, None if undeclared
     law_lipschitz_const : C with |b(t,y,mu) - b(t,y,nu)| <= C W1(mu, nu)
+    law : the summary the evaluators read, from the ascending, finite atoms
+        of the law at a node; EmpiricalMeasure (the measure itself) unless
+        declared
     """
 
     name: str
@@ -55,6 +73,7 @@ class DriftSpec:
     bounded_part: Optional[Evaluator] = None
     lipschitz_part: Optional[Evaluator] = None
     bounded_sup: Optional[float] = None
+    law: Law = EmpiricalMeasure
 
     @property
     def decomposed(self) -> bool:
@@ -67,10 +86,12 @@ class StepFunction:
 
     H is the Heaviside step with H(0) = 1/2, so a breakpoint takes the mean
     of the values on either side, as sign(0) = 0 does. Called like any
-    bounded part, (t, y, mu) -> array shaped like y; t and mu are ignored.
-    The value is left + (C[lo] + C[hi]) / 2, where C is the running sum of
-    the jumps in breakpoint order (C[0] = 0) and lo / hi count the
-    breakpoints below / at or below y.
+    bounded part, (t, y, law) -> array shaped like y; t and the law are
+    ignored. The value is left + (C[lo] + C[hi]) / 2, where C is the
+    running sum of the jumps in breakpoint order (C[0] = 0) and lo / hi
+    count the breakpoints below / at or below y. One search finds hi for
+    every state; lo differs from it only where y is a breakpoint, which is
+    then the one below hi, and only those states are searched again.
     """
 
     left: float
@@ -97,19 +118,27 @@ class StepFunction:
         object.__setattr__(self, "_sorted", a[order])
         object.__setattr__(self, "_cumulative", cumulative)
 
-    def __call__(self, t: float, y: np.ndarray,
-                 mu: EmpiricalMeasure) -> np.ndarray:
+    def __call__(self, t: float, y: np.ndarray, law: Any) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        lo = np.searchsorted(self._sorted, y, side="left")
-        hi = np.searchsorted(self._sorted, y, side="right")
+        a = self._sorted
+        hi = np.searchsorted(a, y, side="right")
+        lo = hi
+        if a.size:
+            # a[hi - 1] wraps to the largest breakpoint where hi = 0, which
+            # then lies above y; NaN equals nothing and sorts last in both
+            tie = a[hi - 1] == y
+            if tie.any():
+                lo = np.array(hi)
+                lo[tie] = np.searchsorted(a, y[tie], side="left")
         return self.left + 0.5 * (self._cumulative[lo] + self._cumulative[hi])
 
 
 def eval_drift(spec: DriftSpec, t: float, y: np.ndarray,
-               mu: EmpiricalMeasure) -> np.ndarray:
-    """Evaluate the drift and reject non-finite output."""
+               law: Any) -> np.ndarray:
+    """Evaluate the drift under the law summary spec.law(atoms) and reject
+    non-finite output."""
     y = np.asarray(y, dtype=float)
-    out = np.asarray(spec.fn(t, y, mu), dtype=float)
+    out = np.asarray(spec.fn(t, y, law), dtype=float)
     out = np.broadcast_to(out, y.shape).copy() if out.shape != y.shape else out
     if not np.isfinite(out).all():
         bad = np.argwhere(~np.isfinite(out))[0]
@@ -124,26 +153,37 @@ def eval_drift(spec: DriftSpec, t: float, y: np.ndarray,
 # built-in model library
 # ---------------------------------------------------------------------------
 
+def _no_law(atoms: np.ndarray) -> None:
+    """The summary of a drift that reads nothing of the law."""
+    return None
+
+
+def _mean(atoms: np.ndarray) -> float:
+    """The mean of the law; the bits of EmpiricalMeasure.mean()."""
+    return float(atoms.mean())
+
+
 def zero_drift() -> DriftSpec:
     """b = 0; the solution is the driving Brownian motion."""
-    def fn(t, y, mu):
+    def fn(t, y, law):
         return np.zeros_like(y)
     return DriftSpec(
         name="zero", fn=fn, growth_const=0.0, law_lipschitz_const=0.0,
         bounded_part=StepFunction(0.0), lipschitz_part=fn, bounded_sup=0.0,
+        law=_no_law,
     )
 
 
 def constant_drift(value: float = 1.0) -> DriftSpec:
     """b = value; useful for exact Girsanov and local time checks."""
-    def fn(t, y, mu):
+    def fn(t, y, law):
         return np.full_like(y, value)
-    def zero(t, y, mu):
+    def zero(t, y, law):
         return np.zeros_like(y)
     return DriftSpec(
         name=f"constant({value})", fn=fn, growth_const=abs(value),
         law_lipschitz_const=0.0, bounded_part=StepFunction(value),
-        lipschitz_part=zero, bounded_sup=abs(value),
+        lipschitz_part=zero, bounded_sup=abs(value), law=_no_law,
     )
 
 
@@ -152,32 +192,34 @@ def mean_field_ou(theta: float = 1.0, kappa: float = 0.5) -> DriftSpec:
 
     The mean curve solves m'(t) = (kappa - theta) m(t), so
     m(t) = x exp((kappa - theta) t); this is the main closed-form oracle.
+    The law summary is the mean.
     """
-    def fn(t, y, mu):
-        return -theta * y + kappa * mu.mean()
+    def fn(t, y, mean):
+        return -theta * y + kappa * mean
     c = max(abs(theta), abs(kappa))
     return DriftSpec(
         name="mean_field_ou", fn=fn, growth_const=c,
         law_lipschitz_const=abs(kappa), bounded_part=StepFunction(0.0),
-        lipschitz_part=fn, bounded_sup=0.0,
+        lipschitz_part=fn, bounded_sup=0.0, law=_mean,
     )
 
 
 def convolution_drift() -> DriftSpec:
     """Convolution drift b(t, y, mu) = integral of sin(y - z) mu(dz).
 
-    The sine kernel separates, so the cost per evaluation is O(atoms) once
-    per node rather than O(particles * atoms).
+    The sine kernel separates, so the law summary is the pair of means of
+    cos and sin, O(atoms) once per node rather than O(particles * atoms).
     """
-    def fn(t, y, mu):
-        cos_m = float(np.cos(mu.atoms).mean())
-        sin_m = float(np.sin(mu.atoms).mean())
+    def law(atoms):
+        return float(np.cos(atoms).mean()), float(np.sin(atoms).mean())
+    def fn(t, y, moments):
+        cos_m, sin_m = moments
         return np.sin(y) * cos_m - np.cos(y) * sin_m
     return DriftSpec(
         name="convolution_sin", fn=fn, growth_const=1.0,
         # z -> sin(y - z) is 1-Lipschitz, so the law dependence is too
         law_lipschitz_const=1.0, bounded_part=StepFunction(0.0),
-        lipschitz_part=fn, bounded_sup=0.0,
+        lipschitz_part=fn, bounded_sup=0.0, law=law,
     )
 
 
@@ -187,19 +229,19 @@ def sign_drift(alpha: float = 0.5, theta: float = 1.0,
 
     The sign part is the merely measurable bounded component; the linear
     part is Lipschitz. This is the reference model with a genuine
-    discontinuity in the state variable.
+    discontinuity in the state variable. The law summary is the mean.
     """
-    def lipschitz(t, y, mu):
-        return -theta * y + kappa * mu.mean()
-    def fn(t, y, mu):
-        return alpha * np.sign(y) - theta * y + kappa * mu.mean()
+    def lipschitz(t, y, mean):
+        return -theta * y + kappa * mean
+    def fn(t, y, mean):
+        return alpha * np.sign(y) - theta * y + kappa * mean
     return DriftSpec(
         name="sign_linear", fn=fn,
         growth_const=max(abs(alpha), abs(theta), abs(kappa)),
         law_lipschitz_const=abs(kappa),
         # alpha sign(y) as a step function, bit for bit
         bounded_part=StepFunction(-alpha, (0.0,), (2.0 * alpha,)),
-        lipschitz_part=lipschitz, bounded_sup=abs(alpha),
+        lipschitz_part=lipschitz, bounded_sup=abs(alpha), law=_mean,
     )
 
 
@@ -210,15 +252,18 @@ def expectation_drift(bbar: Callable[[float, np.ndarray, float], np.ndarray],
                       name: str = "expectation_functional") -> DriftSpec:
     """Drift of the form b(t, y, mu) = bbar(t, y, E[functional(Z)]), Z ~ mu.
 
-    The declared law Lipschitz constant must account for the composition
-    with the functional; check_regularity can audit the claim.
+    The law summary is E[functional(Z)], with the bits of
+    EmpiricalMeasure.expect. The declared law Lipschitz constant must
+    account for the composition with the functional; check_regularity can
+    audit the claim.
     """
-    def fn(t, y, mu):
-        v = mu.expect(functional)
+    def law(atoms):
+        return float(np.mean(functional(atoms)))
+    def fn(t, y, v):
         return bbar(t, y, v)
     return DriftSpec(
         name=name, fn=fn, growth_const=growth_const,
-        law_lipschitz_const=law_lipschitz_const,
+        law_lipschitz_const=law_lipschitz_const, law=law,
     )
 
 
@@ -268,7 +313,8 @@ def mollify(spec: DriftSpec, n: int) -> DriftSpec:
     lookup per call, and mollifying again composes); any other bounded part
     is evaluated at all 64 translates per call. Constants are unchanged: the
     smoothed part is a convex combination of translates, so its sup norm
-    cannot grow, and the measure argument is untouched.
+    cannot grow, and the measure argument is untouched: the new spec keeps
+    the law summary of the old one.
     """
     if n < 1:
         raise ValueError(f"bandwidth parameter n must be >= 1, got {n}")
@@ -287,14 +333,14 @@ def mollify(spec: DriftSpec, n: int) -> DriftSpec:
             np.add.outer(base_bounded.breakpoints, offsets).ravel(),
             np.multiply.outer(base_bounded.jumps, weights).ravel())
     else:
-        def smoothed(t, y, mu):
+        def smoothed(t, y, law):
             y = np.atleast_1d(np.asarray(y, dtype=float))
             shifted = y[None, ...] - offsets.reshape((-1,) + (1,) * y.ndim)
-            vals = base_bounded(t, shifted, mu)
+            vals = base_bounded(t, shifted, law)
             return np.tensordot(weights, vals, axes=(0, 0))
 
-    def fn(t, y, mu):
-        return smoothed(t, y, mu) + base_lipschitz(t, y, mu)
+    def fn(t, y, law):
+        return smoothed(t, y, law) + base_lipschitz(t, y, law)
 
     return replace(spec, name=f"{spec.name}_mollified{n}", fn=fn,
                    bounded_part=smoothed)
@@ -333,7 +379,8 @@ def check_regularity(spec: DriftSpec, samples: int = 200,
     approach equality in the law-Lipschitz bound) from Philox keyed by
     `seed`, and reports the worst observed ratio of each bound and the
     largest observed |bounded part|. A value above the declared constant
-    plus slack means the constant is violated.
+    plus slack means the constant is violated. The evaluators read
+    spec.law of the atoms of each measure, as they do in a solve.
     """
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     slack = 1e-9
@@ -358,18 +405,20 @@ def check_regularity(spec: DriftSpec, samples: int = 200,
                 + float(rng.uniform(0.1, 2.0)) * rng.standard_normal(n_atoms)
             )
 
-        b_mu = eval_drift(spec, t, y, mu)
+        law_mu = spec.law(mu.atoms)
+        b_mu = eval_drift(spec, t, y, law_mu)
         envelope = 1.0 + np.abs(y) + kantorovich(mu, zero)
         growth_worst = max(growth_worst, float(np.max(np.abs(b_mu) / envelope)))
 
         d = kantorovich(mu, nu)
         if d > 1e-12:
-            gap = float(np.max(np.abs(b_mu - eval_drift(spec, t, y, nu))))
+            b_nu = eval_drift(spec, t, y, spec.law(nu.atoms))
+            gap = float(np.max(np.abs(b_mu - b_nu)))
             law_worst = max(law_worst, gap / d)
 
         if spec.decomposed:
-            bounded = spec.bounded_part(t, y, mu)
-            parts = bounded + spec.lipschitz_part(t, y, mu)
+            bounded = spec.bounded_part(t, y, law_mu)
+            parts = bounded + spec.lipschitz_part(t, y, law_mu)
             decomp_worst = max(decomp_worst, float(np.max(np.abs(b_mu - parts))))
             bounded_worst = max(bounded_worst, float(np.max(np.abs(bounded))))
 

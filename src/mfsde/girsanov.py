@@ -21,7 +21,7 @@ import numpy as np
 
 from .drift import DriftSpec
 from .grid import PathEnsemble
-from .localtime import _drift, _walk
+from .localtime import _drift, _laws, _walk
 from .measures import MeasureFlow
 from .numerics import mean_and_se
 
@@ -42,7 +42,7 @@ def drift_along_paths(spec: DriftSpec, flow: MeasureFlow,
 
     Not exported: perfbench/traced.py reads this name, and ROADMAP item 1b
     deletes it."""
-    fn, out = _drift(spec, flow), np.empty_like(paths.values)
+    fn, out = _drift(spec, _laws(spec, flow)), np.empty_like(paths.values)
     for k in range(paths.grid.steps + 1):
         out[k] = fn(k, float(paths.grid.nodes[k]), paths.values[k])
     return out
@@ -61,7 +61,7 @@ def doleans_weights(spec: DriftSpec, flow: MeasureFlow,
         raise ValueError("weights are defined along Brownian ensembles")
     if flow.grid != paths.grid:
         raise ValueError("flow and paths are on different grids")
-    for node in _walk(paths, _drift(spec, flow), girsanov=True):
+    for node in _walk(paths, _drift(spec, _laws(spec, flow)), girsanov=True):
         pass
     return node.weights
 

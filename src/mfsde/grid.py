@@ -167,12 +167,13 @@ class PathEnsemble:
 class _ShiftedDraw:
     """A Brownian draw started at 0, read as the ensemble started at x.
 
-    sample_brownian adds the start to the cumulative sums, so row k of the
-    draw plus x has the bits of row k of the ensemble sample_brownian gives
-    at x. `_rows` adds x one row at a time into two row buffers, so a
-    reader that holds at most two consecutive rows needs no shifted copy;
-    `values` builds that copy on first read, for a caller that wants the
-    whole ensemble at x.
+    sample_brownian writes row 0 as the start and adds the start to the
+    cumulative sums, so row 0 read as x itself and row k >= 1 of the draw
+    plus x have the bits of the ensemble sample_brownian gives at x (row 0
+    is not 0.0 + x, which turns x = -0.0 into +0.0). `_rows` writes x one
+    row at a time into two row buffers, so a reader that holds at most two
+    consecutive rows needs no shifted copy; `values` builds that copy on
+    first read, for a caller that wants the whole ensemble at x.
     """
 
     draw: PathEnsemble
@@ -202,6 +203,7 @@ class _ShiftedDraw:
     @cached_property
     def values(self) -> np.ndarray:
         values = self.draw.values + self.start
+        values[0] = self.start
         values.setflags(write=False)
         return values
 
@@ -212,8 +214,11 @@ class _ShiftedDraw:
         """Rows 0..M of draw + x, in order; each is overwritten when the
         row two after it is read."""
         buffers = np.empty((2, self.n_paths))
-        for k, row in enumerate(self.draw.values):
-            yield np.add(row, self.start, out=buffers[k % 2])
+        buffers[0] = self.start
+        yield buffers[0]
+        for k in range(1, self.draw.values.shape[0]):
+            yield np.add(self.draw.values[k], self.start,
+                         out=buffers[k % 2])
 
 
 def _normal_increments(out: np.ndarray, seed: SeedSpec) -> None:

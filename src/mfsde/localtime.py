@@ -91,6 +91,9 @@ def _walk(paths: PathEnsemble, f: NodeFn, stop: Optional[int] = None,
           ) -> Iterator[_Node]:
     """Walk the nodes k = 0..stop (M by default) of the paths, each row
     shifted by `shift` when given, under the integrand f, with O(N) state.
+    A shift reads a draw started at 0 as the paths started at `shift`, so
+    row 0 is then `shift` itself, as sample_brownian writes it (0.0 + x
+    would turn x = -0.0 into +0.0).
 
     Every node carries C_k = -sum_{j < k} (f_{j+1} - f_j)(y_{j+1} - y_j).
     With variation, it also carries the law row (zeros when law is None)
@@ -107,7 +110,9 @@ def _walk(paths: PathEnsemble, f: NodeFn, stop: Optional[int] = None,
     n = paths.n_paths
 
     def row(k: int) -> np.ndarray:
-        return values[k] if shift is None else values[k] + shift
+        if shift is None:
+            return values[k]
+        return np.full(n, shift) if k == 0 else values[k] + shift
 
     covar = np.full(n, -0.0)
     response, no_law = np.zeros(n), np.zeros(n)
@@ -144,9 +149,15 @@ def _walk(paths: PathEnsemble, f: NodeFn, stop: Optional[int] = None,
 _cumulative_pieces = _walk
 
 
-def _drift(spec: DriftSpec, flow: MeasureFlow) -> NodeFn:
-    """b(t_k, y, flow_k) as an integrand of the walk."""
-    return lambda k, t, y: eval_drift(spec, t, y, flow[k])
+def _laws(spec: DriftSpec, flow: MeasureFlow) -> list:
+    """What the drift reads of the flow at each node: spec.law of row k."""
+    return [spec.law(row) for row in flow.atoms]
+
+
+def _drift(spec: DriftSpec, laws: Sequence) -> NodeFn:
+    """b(t_k, y, laws[k]) as an integrand of the walk, laws[k] being the
+    law summary at node k (as _laws gives them)."""
+    return lambda k, t, y: eval_drift(spec, t, y, laws[k])
 
 
 def _check_nodes(steps: int, s: int, t: int) -> None:
@@ -227,7 +238,8 @@ def drift_cumulants(result: SolveResult) -> np.ndarray:
     are exactly multiplicative.
     """
     c = np.empty_like(result.brownian.values)
-    for node in _walk(result.brownian, _drift(result.spec, result.flow)):
+    drift = _drift(result.spec, _laws(result.spec, result.flow))
+    for node in _walk(result.brownian, drift):
         c[node.k] = node.c
     return c
 
@@ -261,8 +273,8 @@ def first_variation(result: SolveResult,
     variation equals D_0 X_t exactly).
     """
     v = np.empty_like(result.brownian.values)
-    for node in _walk(result.brownian, _drift(result.spec, result.flow),
-                      law=dxb, variation=True):
+    drift = _drift(result.spec, _laws(result.spec, result.flow))
+    for node in _walk(result.brownian, drift, law=dxb, variation=True):
         v[node.k] = node.v
     return v
 
@@ -293,8 +305,9 @@ def check_chain_identity(result: SolveResult, s: int, u: int, t: int,
     dt = result.brownian.grid.dt
     # the cumulants and law rows of the window [s, t], with dX/dx at s
     rows, laws = [], []
-    for node in _walk(result.brownian, _drift(result.spec, result.flow),
-                      stop=t, law=dxb, variation=True):
+    drift = _drift(result.spec, _laws(result.spec, result.flow))
+    for node in _walk(result.brownian, drift, stop=t, law=dxb,
+                      variation=True):
         if node.k == s:
             v_s = node.v
         if node.k >= s:

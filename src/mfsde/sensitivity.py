@@ -43,8 +43,8 @@ from .drift import DriftSpec, mollify
 from .girsanov import EstimatorResult
 from .grid import (PathEnsemble, SeedSpec, TimeGrid, _ShiftedDraw,
                    sample_brownian)
-from .localtime import SpaceTimeFn, _drift, _Node, _walk
-from .measures import MeasureFlow, kantorovich
+from .localtime import SpaceTimeFn, _drift, _laws, _Node, _walk
+from .measures import EmpiricalMeasure, kantorovich
 from .numerics import loglog_slope, mean_and_se
 from .solver import PicardConfig, picard_solve
 
@@ -170,13 +170,17 @@ class DeltaSession:
     when the law derivative is supplied or the drift ignores the law.
 
     All solves ride one Philox draw started at 0: sample_brownian adds the
-    start to the cumulative sums, so that draw read at any start, row k as
-    draw[k] + x, is the ensemble of that start bit for bit. Each solve
-    reads it so, one row at a time, and no shifted copy is made. Of each
-    solve the session keeps the flow and the terminal values, so besides
-    the draw it holds one path-sized array per solve; its peak, in the
-    third solve, is the draw, that solve's two buffers and the two earlier
-    flows.
+    start to the cumulative sums, so that draw read at any start, row 0 as
+    x and row k as draw[k] + x, is the ensemble of that start bit for bit.
+    Each solve reads it so, one row at a time, and no shifted copy is made.
+    Of each solve the session keeps the law summary of every node,
+    spec.law of each row of its flow, and the terminal values, and drops
+    the rest: the estimators read the law only through those summaries.
+    For a drift that declares its summary (every built-in) that is O(M)
+    numbers and one (N,) row per solve, so the peak is the draw and the two
+    buffers of the solve running. A drift on the default law,
+    EmpiricalMeasure, gets views of the flow rows as its summaries, which
+    keep each flow alive as before.
 
     BEL and pathwise read one pass over the nodes along the driving paths
     under the flow of the solve at x: the walk of localtime, which holds
@@ -208,8 +212,9 @@ class DeltaSession:
         self._dxb = dxb
         self._law_bump = self._bump(law_bump, "law_bump")
         self._draw: Optional[PathEnsemble] = None
-        # flow and terminal values of each solve, keyed by its start
-        self._runs: dict[float, tuple[MeasureFlow, np.ndarray]] = {}
+        # node law summaries and terminal values of each solve, keyed by
+        # its start
+        self._runs: dict[float, tuple[list, np.ndarray]] = {}
         # weights, Brownian terminal values and dX_T/dx of the last pass
         self._terminal: Optional[tuple[np.ndarray, np.ndarray,
                                        np.ndarray]] = None
@@ -222,15 +227,15 @@ class DeltaSession:
                                          self.seed)
         return _ShiftedDraw(self._draw, start)
 
-    def _run(self, start: float) -> tuple[MeasureFlow, np.ndarray]:
-        """Flow and terminal values of the solve at start, solved on first
-        use."""
+    def _run(self, start: float) -> tuple[list, np.ndarray]:
+        """Node law summaries and terminal values of the solve at start,
+        solved on first use; the solve itself is dropped."""
         if start not in self._runs:
             result = picard_solve(self.spec, start, self.grid, self.n_paths,
                                   self.seed, self.config,
                                   brownian=self._brownian(start))
             # terminal() is a view that would pin the whole path array
-            self._runs[start] = (result.flow,
+            self._runs[start] = (_laws(self.spec, result.flow),
                                  result.ensemble.terminal().copy())
         return self._runs[start]
 
@@ -246,26 +251,27 @@ class DeltaSession:
         point, as an (s, y) -> array closure that snaps s to the nearest
         node.
 
-        Reads the solves at x + h and x - h, h = law_bump, which ride the
-        same Brownian ensemble, so the difference isolates the response of
-        the law to the initial point:
+        Reads the node law summaries of the solves at x + h and x - h,
+        h = law_bump, which ride the same Brownian ensemble, so the
+        difference isolates the response of the law to the initial point:
 
             dxb(s, y) ~= ( b(s, y, law^+_s) - b(s, y, law^-_s) ) / (2 h).
 
         Drifts with no law dependence give exactly zero by cancellation.
         """
         h = self._law_bump
-        # the closure holds the two flows only, not the session's arrays
-        flow_p = self._run(self.start + h)[0]
-        flow_m = self._run(self.start - h)[0]
+        # the closure holds the two lists of summaries only, not the
+        # session's arrays
+        laws_p = self._run(self.start + h)[0]
+        laws_m = self._run(self.start - h)[0]
         spec, grid = self.spec, self.grid
 
         def call(s: float, y: np.ndarray) -> np.ndarray:
             k = grid.index_of(float(s))
             t_k = float(grid.nodes[k])
             y = np.asarray(y, dtype=float)
-            return (spec.fn(t_k, y, flow_p[k])
-                    - spec.fn(t_k, y, flow_m[k])) / (2 * h)
+            return (spec.fn(t_k, y, laws_p[k])
+                    - spec.fn(t_k, y, laws_m[k])) / (2 * h)
 
         return call
 
@@ -282,8 +288,8 @@ class DeltaSession:
         keeps the weights, the terminal values and dX_T/dx of its last
         node, which pathwise reuses."""
         dxb = self._law_feedback()
-        flow = self._run(self.start)[0]
-        for node in _walk(self._draw, _drift(self.spec, flow),
+        laws = self._run(self.start)[0]
+        for node in _walk(self._draw, _drift(self.spec, laws),
                           shift=self.start, law=dxb, variation=True,
                           girsanov=True):
             yield node
@@ -398,16 +404,23 @@ def mollified_convergence_study(spec: DriftSpec, start: float, grid: TimeGrid,
     if len(levels) < 2 or any(n < 1 for n in levels):
         raise ValueError("levels must be at least two bandwidth parameters")
     base = picard_solve(spec, start, grid, n_paths, seed, config)
-    x_t = base.ensemble.terminal()
+    # the study reads of the base its terminal values, its terminal law
+    # and its draw: copies of the first two, and the base is dropped
+    x_t = base.ensemble.terminal().copy()
+    law_t = EmpiricalMeasure(base.flow.atoms[-1].copy())
+    draw = base.brownian
+    del base
     msd, ses, w1s = [], [], []
     for n in levels:
         res = picard_solve(mollify(spec, int(n)), start, grid, n_paths, seed,
-                           config, brownian=base.brownian)
+                           config, brownian=draw)
         gap = (res.ensemble.terminal() - x_t) ** 2
         m, se = mean_and_se(gap)
         msd.append(m)
         ses.append(se)
-        w1s.append(kantorovich(res.flow[grid.steps], base.flow[grid.steps]))
+        w1s.append(kantorovich(res.flow[grid.steps], law_t))
+        # dropped before the next level solves beside the draw
+        del res
     monotone = all(
         msd[j + 1] <= msd[j] + 3.0 * (ses[j] + ses[j + 1])
         for j in range(len(levels) - 1)

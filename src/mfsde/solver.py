@@ -23,8 +23,7 @@ import numpy as np
 from .drift import DriftSpec
 from .grid import (PathEnsemble, SeedSpec, TimeGrid, _ShiftedDraw,
                    sample_brownian)
-from .measures import (EmpiricalMeasure, MeasureFlow, _sort_rows, _w1_sorted,
-                       dirac)
+from .measures import MeasureFlow, _sort_rows, _w1_sorted, dirac
 from .numerics import loglog_slope, mean_and_se
 
 # Hard abort threshold for the Euler state, relative to 1 + |x|.
@@ -110,7 +109,8 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
                  flow: Optional[np.ndarray] = None) -> float:
     """The one Euler loop: writes row k + 1 of out from row k.
 
-    Step k reads row k of the row-sorted `frozen` as the law at node k.
+    Step k reads row k of the row-sorted `frozen` as the law at node k,
+    through spec.law.
     With `flow` given, the sweep sorts row k of out into flow[k] once step
     k has read frozen[k], so flow may be frozen itself and is then updated
     in place, and it returns the sup over nodes of W1 between the new and
@@ -149,10 +149,10 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
         state = out[k]
         if frozen is None:
             settle(k)
-            mu = EmpiricalMeasure(flow[k])
+            law = spec.law(flow[k])
         else:
-            mu = EmpiricalMeasure(frozen[k])
-        b = spec.fn(float(grid.nodes[k]), state, mu)
+            law = spec.law(frozen[k])
+        b = spec.fn(float(grid.nodes[k]), state, law)
         # dB_k = b_next - b_k has the bits of np.diff, and since
         # addition commutes, dB_k + (state + b dt) has those of
         # state + b dt + dB_k
@@ -286,15 +286,18 @@ def se_rate_study(spec: DriftSpec, start: float, grid: TimeGrid,
 
     The paths are drawn once at the largest count; each solve runs on the
     first n of them, which are the paths sample_brownian gives for n (the
-    particle blocks make every draw a prefix of a longer one)."""
+    particle blocks make every draw a prefix of a longer one). Of each
+    solve the study keeps only the standard error, so the next solve runs
+    beside the draw alone."""
     draw = sample_brownian(grid, max(particle_counts), start, seed)
     ses = []
     for n in particle_counts:
         prefix = PathEnsemble(grid=grid, values=draw.values[:, :n],
                               kind="brownian", seed=seed)
-        result = picard_solve(spec, start, grid, n, seed, config,
-                              brownian=prefix)
-        ses.append(mean_and_se(result.ensemble.terminal())[1])
+        solve = picard_solve(spec, start, grid, n, seed, config,
+                             brownian=prefix)
+        ses.append(mean_and_se(solve.ensemble.terminal())[1])
+        del solve
     return ses, loglog_slope(particle_counts, ses)
 
 

@@ -4,11 +4,13 @@ Everything here is computed by a route that shares no code with the
 package: brute-force ODE integration, closed-form Gaussian moment
 identities, and the dual (Lipschitz-witness) characterization of the
 Kantorovich distance. Tests compare package output against these. The
-three references at the end are the exceptions: the particle-major layout and
+four references at the end are the exceptions: the particle-major layout and
 the whole-table delta route built on it share the Philox blocks, the drift
 evaluators and the law derivatives with the package, but none of its code
 over the nodes; the two-flow Picard iteration is built from the package's
-public one-sweep functions, and checks only how picard_solve chains them.
+public one-sweep functions, and checks only how picard_solve chains them;
+the two-search step function is the earlier evaluation of a StepFunction,
+which the one-search evaluation must match bit for bit.
 """
 
 from __future__ import annotations
@@ -170,8 +172,7 @@ def particle_major_euler(spec, flow, brownian_values: np.ndarray, grid,
     values[:, 0] = x
     state = values[:, 0].copy()
     for k in range(grid.steps):
-        mu = flow[k]
-        b = spec.fn(float(grid.nodes[k]), state, mu)
+        b = spec.fn(float(grid.nodes[k]), state, spec.law(flow.atoms[k]))
         state = state + b * dt + db[:, k]
         values[:, k + 1] = state
     return values
@@ -239,11 +240,12 @@ def particle_major_variation(c: np.ndarray, table: np.ndarray,
 
 def drift_table(spec, flow, paths) -> np.ndarray:
     """b(t_k, path value, flow_k) at every node and path, (M+1, N), one
-    spec.fn call per node."""
+    spec.fn call per node under the law summary of the flow's row."""
     grid = paths.grid
     out = np.empty_like(paths.values)
     for k in range(grid.steps + 1):
-        out[k] = spec.fn(float(grid.nodes[k]), paths.values[k], flow[k])
+        out[k] = spec.fn(float(grid.nodes[k]), paths.values[k],
+                         spec.law(flow.atoms[k]))
     return out
 
 
@@ -324,3 +326,22 @@ def reference_solve(spec, start: float, grid, n_paths: int, seed, config):
             return ensemble, flow, frozen, tuple(residuals)
         assert len(residuals) < config.max_iterations, residuals
         frozen = flow
+
+
+# ---------------------------------------------------------------------------
+# a step function by two searches over every state
+# ---------------------------------------------------------------------------
+
+def two_search_step(step, y) -> np.ndarray:
+    """The value of a StepFunction at y by a left and a right search over
+    every state: left + (C[lo] + C[hi]) / 2, C the running sum of the
+    jumps in breakpoint order, lo / hi the breakpoints below / at or below
+    y. Built from the step's public fields."""
+    a = np.asarray(step.breakpoints, dtype=float)
+    order = np.argsort(a, kind="stable")
+    cumulative = np.zeros(a.size + 1)
+    np.cumsum(np.asarray(step.jumps, dtype=float)[order], out=cumulative[1:])
+    y = np.asarray(y, dtype=float)
+    lo = np.searchsorted(a[order], y, side="left")
+    hi = np.searchsorted(a[order], y, side="right")
+    return step.left + 0.5 * (cumulative[lo] + cumulative[hi])

@@ -595,6 +595,32 @@ def test_delta_peak_stays_within_its_memory_estimate(tmp_path, capsys):
     assert arrays < cli.PEAK_ARRAYS["delta"], f"peak {arrays:.2f} arrays"
 
 
+def test_mollify_peak_stays_within_the_convergence_estimate(tmp_path,
+                                                            capsys):
+    # check_memory counts a convergence run whose largest study is mollify
+    # at PEAK_ARRAYS["convergence"]; the arrays of that study alone, as
+    # tracemalloc sees them, must stay below it
+    import tracemalloc
+
+    import mfsde.cli as cli
+
+    n, steps = 4096, 200
+    cfg = deep(BASE, run__particles=n, run__steps=steps,
+               convergence__studies=["mollify"])
+    cfg["model"] = {"name": "sign"}
+    cfg["output"] = {"directory": str(tmp_path / "out")}
+    path = write_config(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        assert main(["convergence", "--config", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out" / "convergence_mollify.csv").exists()
+    arrays = peak / (8 * n * (steps + 1))
+    assert arrays < cli.PEAK_ARRAYS["convergence"], f"peak {arrays:.2f} arrays"
+
+
 def test_readme_outputs_table_matches_csv_headers(tmp_path, capsys):
     readme = Path(__file__).resolve().parent.parent / "README.md"
     documented = dict(re.findall(r"^\| `(\w+\.csv)` \| `([^`]+)` \|",

@@ -19,18 +19,26 @@ def cloud(seed=0, n=200, loc=0.0, scale=1.0):
     return EmpiricalMeasure(rng.normal(loc, scale, n))
 
 
+def law_of(spec, mu):
+    """What the evaluators of spec read of mu: its declared summary."""
+    return spec.law(mu.atoms)
+
+
 def test_zero_and_constant_drift_values():
     mu = cloud()
     y = np.linspace(-3, 3, 7)
-    assert np.array_equal(zero_drift().fn(0.3, y, mu), np.zeros(7))
-    assert np.array_equal(constant_drift(2.5).fn(0.3, y, mu), np.full(7, 2.5))
+    for spec, want in ((zero_drift(), np.zeros(7)),
+                       (constant_drift(2.5), np.full(7, 2.5))):
+        assert law_of(spec, mu) is None
+        assert np.array_equal(spec.fn(0.3, y, law_of(spec, mu)), want)
 
 
 def test_mean_field_ou_values():
     spec = mean_field_ou(theta=1.0, kappa=0.5)
     mu = EmpiricalMeasure(np.array([1.0, 3.0]))  # mean 2
     y = np.array([0.0, 1.0, -2.0])
-    assert np.allclose(spec.fn(0.0, y, mu), -y + 0.5 * 2.0)
+    assert law_of(spec, mu) == mu.mean() == 2.0
+    assert np.allclose(spec.fn(0.0, y, law_of(spec, mu)), -y + 0.5 * 2.0)
 
 
 def test_sign_drift_values_and_decomposition():
@@ -38,11 +46,13 @@ def test_sign_drift_values_and_decomposition():
     mu = dirac(2.0)
     y = np.array([-1.0, 0.0, 3.0])
     want = 0.5 * np.sign(y) - y + 0.5 * 2.0
-    assert np.allclose(spec.fn(0.2, y, mu), want)
+    law = law_of(spec, mu)
+    assert np.allclose(spec.fn(0.2, y, law), want)
     assert spec.decomposed
     bounded, lipschitz = spec.bounded_part, spec.lipschitz_part
-    assert np.allclose(bounded(0.2, y, mu) + lipschitz(0.2, y, mu), want)
-    assert np.max(np.abs(bounded(0.2, np.linspace(-50, 50, 101), mu))) <= 0.5
+    assert np.allclose(bounded(0.2, y, law) + lipschitz(0.2, y, law), want)
+    assert np.max(np.abs(bounded(0.2, np.linspace(-50, 50, 101), law))) \
+        <= 0.5
     assert spec.bounded_sup == 0.5
 
 
@@ -52,16 +62,16 @@ def test_convolution_drift_matches_direct_sum():
     mu = cloud(3, n=40)
     y = np.linspace(-2, 2, 9)
     direct = np.array([np.mean(np.sin(v - mu.atoms)) for v in y])
-    assert np.allclose(spec.fn(0.0, y, mu), direct, atol=1e-12)
+    assert np.allclose(spec.fn(0.0, y, law_of(spec, mu)), direct, atol=1e-12)
 
 
 def test_drift_broadcasting_scalar_and_array():
     for builder in ALL_BUILDERS:
         spec = builder()
-        mu = cloud(1)
-        out = eval_drift(spec, 0.1, np.array([0.5]), mu)
+        law = law_of(spec, cloud(1))
+        out = eval_drift(spec, 0.1, np.array([0.5]), law)
         assert out.shape == (1,)
-        out2 = eval_drift(spec, 0.1, np.linspace(-1, 1, 11), mu)
+        out2 = eval_drift(spec, 0.1, np.linspace(-1, 1, 11), law)
         assert out2.shape == (11,)
         assert np.all(np.isfinite(out2))
 
@@ -72,7 +82,7 @@ def test_eval_drift_rejects_nonfinite_output():
         functional=lambda z: z,
         growth_const=1.0, law_lipschitz_const=1.0, name="bad")
     with pytest.raises(FloatingPointError):
-        eval_drift(bad, 0.0, np.array([1.0]), cloud())
+        eval_drift(bad, 0.0, np.array([1.0]), law_of(bad, cloud()))
 
 
 def test_declared_constants_hold_on_samples():
@@ -109,7 +119,8 @@ def test_law_lipschitz_translation_bound():
     mu = cloud(7)
     nu = EmpiricalMeasure(mu.atoms + 0.3)
     y = np.linspace(-2, 2, 5)
-    gap = np.max(np.abs(spec.fn(0.5, y, mu) - spec.fn(0.5, y, nu)))
+    gap = np.max(np.abs(spec.fn(0.5, y, law_of(spec, mu))
+                        - spec.fn(0.5, y, law_of(spec, nu))))
     assert gap <= spec.law_lipschitz_const * 0.3 + 1e-12
 
 
@@ -154,10 +165,11 @@ def test_mollify_keeps_declared_constants_valid():
 def test_mollify_leaves_lipschitz_part_alone():
     spec = sign_drift(alpha=0.5, theta=1.0, kappa=0.5)
     smooth = mollify(spec, 8)
-    mu = dirac(1.0)
+    assert smooth.law is spec.law
+    law = law_of(spec, dirac(1.0))
     y = np.linspace(-2, 2, 9)
     lip, lip_smooth = spec.lipschitz_part, smooth.lipschitz_part
-    assert np.allclose(lip(0.1, y, mu), lip_smooth(0.1, y, mu))
+    assert np.allclose(lip(0.1, y, law), lip_smooth(0.1, y, law))
 
 
 def _heaviside_sum(left, breakpoints, jumps):
@@ -262,6 +274,36 @@ def test_sign_bounded_part_is_alpha_sign_bit_for_bit():
                           np.zeros_like(y))
 
 
+ONE_SEARCH_CASES = {
+    "sign": sign_drift().bounded_part,
+    "constant": constant_drift(1.3).bounded_part,
+    "mollified_sign_4": mollify(sign_drift(), 4).bounded_part,
+    "mollified_sign_256": mollify(sign_drift(), 256).bounded_part,
+    # unsorted, with -0.37 and 1.1 each twice
+    "unsorted_repeated": StepFunction(
+        0.2, (1.1, -0.37, 0.0, 1.1, -0.37), (0.8, -1.3, 0.5, 0.25, 0.4)),
+}
+
+
+@pytest.mark.parametrize("name", ONE_SEARCH_CASES)
+def test_one_search_step_function_has_the_bits_of_two_searches(name):
+    from oracles import two_search_step
+    step = ONE_SEARCH_CASES[name]
+    rng = np.random.default_rng(17)
+    y = np.concatenate([rng.normal(size=100_000), step.breakpoints,
+                        [0.0, -0.0]])
+    rng.shuffle(y)
+    for points in (y, y.reshape(-1, 1), y[:6].reshape(2, 3)):
+        got = step(0.3, points, None)
+        want = two_search_step(step, points)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for scalar in (*step.breakpoints[:3], 0.0, -0.0, 0.7):
+        got = np.asarray(step(0.3, scalar, None))
+        want = np.asarray(two_search_step(step, scalar))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), scalar
+
+
 def test_step_function_rejects_bad_input():
     with pytest.raises(ValueError):
         StepFunction(0.0, (0.0, 1.0), (1.0,))
@@ -291,7 +333,7 @@ def test_expectation_square_model_is_built_once():
     mu = cloud(seed=4)
     y = np.linspace(-3, 3, 13)
     want = -theta * y + kappa * float(np.mean(mu.atoms * mu.atoms))
-    assert np.array_equal(spec.fn(0.2, y, mu), want)
-    assert np.array_equal(cli_spec.fn(0.2, y, mu), want)
+    assert np.array_equal(spec.fn(0.2, y, law_of(spec, mu)), want)
+    assert np.array_equal(cli_spec.fn(0.2, y, law_of(cli_spec, mu)), want)
     assert (spec.name, spec.growth_const, spec.law_lipschitz_const) == (
         cli_spec.name, cli_spec.growth_const, cli_spec.law_lipschitz_const)

@@ -55,7 +55,8 @@ def layout_mismatches(spec, config=PicardConfig()):
     flow = sorted_flow(grid, values)
     fvals = np.empty_like(brownian)
     for k in range(STEPS + 1):
-        fvals[:, k] = spec.fn(float(grid.nodes[k]), brownian[:, k], flow[k])
+        fvals[:, k] = spec.fn(float(grid.nodes[k]), brownian[:, k],
+                              spec.law(flow.atoms[k]))
     cumulants = particle_major_covariation(fvals, brownian)
     table = np.empty((N_PATHS, STEPS))
     for j in range(STEPS):
@@ -108,8 +109,7 @@ def euler_reading_the_next_increment(spec, frozen, brownian, out,
     db = np.diff(bv, axis=0)
     out[0] = brownian.start
     for k in range(grid.steps):
-        mu = EmpiricalMeasure(frozen[k])
-        b = spec.fn(float(grid.nodes[k]), out[k], mu)
+        b = spec.fn(float(grid.nodes[k]), out[k], spec.law(frozen[k]))
         out[k + 1] = out[k] + b * grid.dt + db[(k + 1) % grid.steps]
     if flow is None:
         return 0.0
@@ -134,8 +134,7 @@ def sweep_sorting_before_the_step(spec, frozen, brownian, out, flow=None):
                                                  EmpiricalMeasure(frozen[k])))
             flow[k] = new
         if k < grid.steps:
-            mu = EmpiricalMeasure(frozen[k])
-            b = spec.fn(float(grid.nodes[k]), out[k], mu)
+            b = spec.fn(float(grid.nodes[k]), out[k], spec.law(frozen[k]))
             out[k + 1] = out[k] + b * grid.dt + (bv[k + 1] - bv[k])
     return residual
 

@@ -11,7 +11,7 @@ from mfsde import (ExponentOverflowError, PathEnsemble, SeedSpec,
                    local_time_integral, make_grid, malliavin_derivative,
                    mean_and_se, mean_field_ou, picard_solve, sample_brownian,
                    sign_drift)
-from mfsde.localtime import localtime_rate_study
+from mfsde.localtime import _walk, localtime_rate_study
 from oracles import drift_table, particle_major_cumulative_pieces
 
 SEED = SeedSpec(1_618_033)
@@ -19,6 +19,17 @@ SEED = SeedSpec(1_618_033)
 
 def brownian(steps=200, n=2000, start=0.0, horizon=1.0):
     return sample_brownian(make_grid(horizon, steps), n, start, SEED)
+
+
+def test_shifted_walk_reads_the_draw_at_its_start_bit_for_bit():
+    # the delta session walks its draw at 0 shifted to x: every row, the
+    # sign bit of row 0 at x = -0.0 included, is the draw at x
+    draw = brownian(steps=20, n=50)
+    for x in (-0.0, 0.0, 1.3, -2.7):
+        drawn = brownian(steps=20, n=50, start=x).values
+        rows = np.array([node.y for node in _walk(
+            draw, lambda k, t, y: np.zeros_like(y), shift=x)])
+        assert np.array_equal(rows.view(np.int64), drawn.view(np.int64)), x
 
 
 def test_constant_integrand_vanishes():

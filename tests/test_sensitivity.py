@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import mfsde.sensitivity as sensitivity
-from mfsde import (DeltaSession, ExponentOverflowError, Payoff, PicardConfig,
-                   SeedSpec, call_payoff, constant_drift, constant_payoff,
-                   convolution_drift, default_bump, doleans_weights,
+from mfsde import (DeltaSession, DriftSpec, EmpiricalMeasure,
+                   ExponentOverflowError, Payoff, PicardConfig, SeedSpec,
+                   call_payoff, check_regularity, constant_drift,
+                   constant_payoff, convolution_drift, default_bump,
+                   doleans_weights, expectation_drift,
                    expectation_square_drift, first_variation,
                    front_loaded_weight, identity_payoff, make_grid,
                    mean_and_se, mean_field_ou, mollified_convergence_study,
@@ -284,8 +286,8 @@ def test_law_derivative_is_the_one_bel_reads(counted):
     y = np.linspace(-2.0, 3.0, 11)
     for k in (0, 13, 40):
         t = float(grid.nodes[k])
-        want = (spec.fn(t, y, up.flow[k])
-                - spec.fn(t, y, down.flow[k])) / (2 * h)
+        want = (spec.fn(t, y, spec.law(up.flow.atoms[k]))
+                - spec.fn(t, y, spec.law(down.flow.atoms[k]))) / (2 * h)
         assert np.array_equal(dxb(t, y), want), k
     solve = picard_solve(spec, x, grid, n, SEED)
     terms = table_path_terms(spec, solve.flow, solve.brownian, dxb)
@@ -391,29 +393,71 @@ def test_session_pass_has_the_bits_of_the_table_route(spec, feedback):
                                                    uniform_weight(1.0))
 
 
-@pytest.mark.parametrize("spec", [sign_drift(), mean_field_ou()],
-                         ids=["sign", "ou"])
-def test_session_peak_memory_in_path_arrays(spec):
-    # the draw, the two buffers (solution, flow) of the third solve and the
-    # flows of the two before it: each solve reads the draw at its start
-    # row by row, with no shifted copy, and the pass adds O(N), so a copy
-    # of the draw or a table of the drift, cumulants or variation held
-    # alongside would show here
+@pytest.mark.parametrize("spec", [sign_drift(), mean_field_ou(),
+                                  convolution_drift()],
+                         ids=["sign", "ou", "convolution"])
+def test_session_peak_memory_in_path_arrays(spec, counted):
+    # the draw and the two buffers (solution, flow) of the solve running:
+    # of the solves before it the session keeps each node's law summary and
+    # the terminal values only, so a flow kept for the law derivative, a
+    # copy of the draw or a table of the drift, cumulants or variation
+    # held alongside would show here. With a finite-difference bump apart
+    # from the law bump, 5 solves run and the peak stays the same
     grid = make_grid(1.0, 200)
     n = 4096
     payoff = call_payoff(1.0)
-    tracemalloc.start()
-    try:
-        session = DeltaSession(spec, 1.0, grid, n, SEED)
-        session.bel(payoff)
-        session.pathwise(payoff)
-        session.finite_difference(payoff)
-        session.bel(payoff, front_loaded_weight(1.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    arrays = peak / (8 * n * (grid.steps + 1))
-    assert arrays <= 5.5, f"peak {arrays:.2f} path arrays"
+    for fd_bump, solves in ((None, 3), (0.05, 5)):
+        counted.update(solves=0, draws=0)
+        tracemalloc.start()
+        try:
+            session = DeltaSession(spec, 1.0, grid, n, SEED)
+            session.bel(payoff)
+            session.pathwise(payoff)
+            session.finite_difference(payoff, fd_bump)
+            session.bel(payoff, front_loaded_weight(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del session
+        assert counted == {"solves": solves, "draws": 1}
+        arrays = peak / (8 * n * (grid.steps + 1))
+        assert arrays <= 3.5, f"{solves} solves: peak {arrays:.2f} arrays"
+
+
+def test_session_reads_a_user_drift_through_its_default_law(counted):
+    # drifts written against the measure, on the default law: one reads
+    # E[functional] as expectation_drift did before it declared a summary,
+    # one the median of mu.atoms. Each runs through a solve, the session
+    # and the regularity audit with the bits of its declared-summary twin
+    bbar = lambda t, y, v: -y + 0.25 * v
+    functional = np.cos
+    by_hand = DriftSpec(
+        name="expectation_by_hand", growth_const=1.0,
+        law_lipschitz_const=0.25,
+        fn=lambda t, y, mu: bbar(t, y, mu.expect(functional)))
+    declared = expectation_drift(bbar, functional, growth_const=1.0,
+                                 law_lipschitz_const=0.25)
+    median = DriftSpec(
+        name="median", growth_const=1.0, law_lipschitz_const=0.5,
+        fn=lambda t, y, mu: -y + 0.5 * np.median(mu.atoms))
+    median_declared = replace(median, fn=lambda t, y, m: -y + 0.5 * m,
+                              law=lambda atoms: float(np.median(atoms)))
+    assert by_hand.law is median.law is EmpiricalMeasure
+    grid, n, x = make_grid(1.0, 40), 2000, 0.7
+    payoff = call_payoff(0.5)
+    for user, twin in ((by_hand, declared), (median, median_declared)):
+        got = picard_solve(user, x, grid, n, SEED)
+        want = picard_solve(twin, x, grid, n, SEED)
+        assert np.array_equal(got.ensemble.values, want.ensemble.values)
+        assert got.residual_history == want.residual_history
+        bel_got = DeltaSession(user, x, grid, n, SEED).bel(payoff)
+        bel_want = DeltaSession(twin, x, grid, n, SEED).bel(payoff)
+        assert (bel_got.estimate, bel_got.stderr) == (bel_want.estimate,
+                                                      bel_want.stderr)
+        assert (check_regularity(user, samples=50, seed=3)
+                == check_regularity(twin, samples=50, seed=3))
+    # each session solved at x and x +/- h
+    assert counted == {"solves": 4 * 3, "draws": 4}
 
 
 def test_weight_overflow_fails_through_the_pass():
@@ -471,6 +515,22 @@ def test_mollified_study_draws_the_brownian_paths_once(monkeypatch):
                                         500, SEED, levels=(4, 16, 64))
     assert len(study.mean_square_gap) == 3
     assert len(draws) == 1
+
+
+def test_mollified_study_peak_memory_in_path_arrays():
+    # the draw and the two buffers of the level solving, with the base's
+    # terminal values and terminal law: a base result or a level's result
+    # kept while the next level solves would show here
+    grid, n = make_grid(1.0, 200), 4096
+    tracemalloc.start()
+    try:
+        mollified_convergence_study(sign_drift(), 0.1, grid, n, SEED,
+                                    levels=(4, 16, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * n * (grid.steps + 1))
+    assert arrays < 3.5, f"peak {arrays:.2f} path arrays"
 
 
 def test_mollified_study_requires_two_levels():

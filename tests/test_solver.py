@@ -14,6 +14,7 @@ from mfsde import (BlowUpError, DeltaSession, MeasureFlow, PathEnsemble,
                    sign_drift, zero_drift)
 from mfsde.grid import _ShiftedDraw
 from mfsde.localtime import drift_cumulants
+from mfsde.solver import se_rate_study
 from oracles import ou_mean_ode, reference_solve
 
 SEED = SeedSpec(314159)
@@ -257,7 +258,7 @@ def test_picard_refuses_a_driver_that_starts_elsewhere():
 
 @pytest.mark.parametrize("spec", [sign_drift(), convolution_drift()],
                          ids=["sign", "convolution"])
-@pytest.mark.parametrize("start", [1.0, 1.02, 0.98, -3.7, 1e-9])
+@pytest.mark.parametrize("start", [1.0, 1.02, 0.98, -3.7, 1e-9, -0.0])
 def test_solve_on_a_shifted_draw_is_the_solve_drawn_at_its_start(spec,
                                                                  start):
     # the delta session drives each solve with its draw at 0 read at the
@@ -271,8 +272,15 @@ def test_solve_on_a_shifted_draw_is_the_solve_drawn_at_its_start(spec,
     assert np.array_equal(got.ensemble.values, want.ensemble.values)
     assert np.array_equal(got.flow.atoms, want.flow.atoms)
     assert got.residual_history == want.residual_history
-    assert np.array_equal(got.brownian.values,
-                          sample_brownian(grid, n, start, SEED).values)
+    drawn = sample_brownian(grid, n, start, SEED).values
+    assert np.array_equal(got.brownian.values, drawn)
+    # array_equal reads -0.0 == +0.0: row 0 must also keep the sign bit
+    # of the start, as sample_brownian writes it
+    for rows in ((got.ensemble.values, want.ensemble.values),
+                 (got.flow.atoms, want.flow.atoms),
+                 (got.brownian.values, drawn)):
+        assert np.array_equal(np.signbit(rows[0][0]), np.signbit(rows[1][0]))
+    assert (np.signbit(got.ensemble.values[0]) == np.signbit(start)).all()
     assert np.array_equal(drift_cumulants(got), drift_cumulants(want))
     got_m, want_m = moment_diagnostics(got), moment_diagnostics(want)
     assert np.array_equal(got_m.node_moments, want_m.node_moments)
@@ -402,6 +410,20 @@ def test_direct_solve_result_shape():
     assert result.iterations == 1
     assert result.ensemble.values.shape == (21, 300)
     assert np.all(result.ensemble.values[0] == 0.1)
+
+
+def test_se_rate_study_peak_memory_in_path_arrays():
+    # the draw at the largest count and the two buffers of the solve
+    # running: a result kept while the next count solves would show here
+    grid, counts = make_grid(1.0, 200), (1024, 2048, 4096)
+    tracemalloc.start()
+    try:
+        se_rate_study(sign_drift(), 1.0, grid, counts, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * max(counts) * (grid.steps + 1))
+    assert arrays < 3.5, f"peak {arrays:.2f} path arrays"
 
 
 def test_se_rate_study_draws_once_and_matches_separate_solves(monkeypatch):

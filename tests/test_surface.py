@@ -15,7 +15,7 @@ import mfsde
 from mfsde.cli import RunConfig
 
 MAX_PARAMETERS = 108
-MAX_FIELDS = 67
+MAX_FIELDS = 68
 EXPORTS = 58
 CONFIG_KEYS = 22
 
