@@ -7,7 +7,8 @@ than silent no-ops. Every command hands its tables to one writer,
 output directory exists, then writes each table as a CSV file with fixed
 columns, full-precision floats, UTF-8 and LF line endings. For a fixed
 config and seed the CSV bytes are identical across runs and --workers
-values; volatile run facts (wall time, package version) go to meta.json.
+values; volatile run facts (wall time, peak RSS, package version) go to
+meta.json.
 
 Exit codes: 0 success, 2 malformed config, usage error or a run estimated
 to need more than physical memory, 3 numerical failure (non-convergence,
@@ -23,6 +24,7 @@ import inspect
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -61,25 +63,25 @@ MAX_START = 1e300
 # Peak resident memory of a command, counted in its largest (M+1) x N
 # float64 path array: peak ru_maxrss over that array's size, both in MB of
 # 10^6 bytes (ru_maxrss is in KiB), on the benchmark configs (sign model,
-# seed 11, median of 6 runs for simulate, 10 for delta and 10 for
-# convergence), rounded up. simulate 50 000 x 200, which holds three path
-# arrays (Brownian, solution, one flow buffer): 283.1 MB / 80.4 MB = 3.52;
-# delta 10 000 x 200, which holds the draw and the two buffers of the
-# solve running (each solve reads the draw at its start row by row, and of
-# the solves before it the session keeps node law summaries and terminal
-# values only): 88.4 MB / 16.08 MB = 5.50; convergence, whose largest
+# seed 11, median of 10 runs each), rounded up. simulate 50 000 x 200,
+# which holds two path arrays (the draw and the one buffer of the solve,
+# which becomes the solution): 203.3 MB / 80.4 MB = 2.53; delta
+# 10 000 x 200, which holds the draw and the one buffer of the solve
+# running (each solve reads the draw at its start row by row, and of the
+# solves before it the session keeps node law summaries and terminal
+# values only): 72.3 MB / 16.08 MB = 4.50; convergence, whose largest
 # array is the 4000 x 1600 local-time ensemble (the study holds that one
 # ensemble and O(N) state, so the peak sits in se_vs_n's 16 000 x 200
-# draw and solve): 118.5 MB / 51.23 MB = 2.31. It is 4 because a config
-# dominated by one study must not pass the check and then run out of
-# memory: se_vs_n alone, at counts 12 500 to 200 000 x 200, peaks at
-# 1009.7 MB = 3.14 of its arrays (median of 3), and mollify alone at
-# 100 000 x 200 at 527.7 MB = 3.28 (median of 3); each holds the draw and
-# the two buffers of the solve running.
+# draw and solve): 118.2 MB / 51.23 MB = 2.31. A config dominated by one
+# study must not pass the check and then run out of memory, and stays
+# under 3 too: se_vs_n alone, at counts 12 500 to 200 000 x 200, peaks at
+# 691.5 MB = 2.15 of its arrays (median of 3), and mollify alone at
+# 100 000 x 200 at 368.7 MB = 2.29 (median of 3); each holds the draw and
+# the one buffer of the solve running.
 # The interpreter's own 36 MB is included, so the counts overstate large
 # runs a little. check_memory adds the one chunk of normals drawn at a
 # time, min(N, chunk_rows(steps)) x steps.
-PEAK_ARRAYS = {"simulate": 4, "delta": 6, "convergence": 4}
+PEAK_ARRAYS = {"simulate": 3, "delta": 5, "convergence": 3}
 
 
 class ConfigError(ValueError):
@@ -434,6 +436,9 @@ def _write_meta(out: Path, command: str, cfg: RunConfig,
         "command": command,
         "config": cfg.raw,
         "config_hash": cfg.config_hash(),
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mib": resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024,
         "wall_time_seconds": wall,
         "version": __version__,
     }
@@ -475,11 +480,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
                                        seed)
     values = result.ensemble.values
     node_rows = []
+    # each node is sorted in one row buffer, so the quantiles select from
+    # a presorted row, with the bits of that row of result.flow, and no
+    # flow is built
+    row = np.empty(values.shape[1])
     for k in range(grid.steps + 1):
-        # the flow holds each node's values sorted, so the quantiles select
-        # from a presorted row; taken a row at a time, they copy one row,
-        # not the whole flow
-        qs = np.quantile(result.flow.atoms[k], [0.05, 0.25, 0.5, 0.75, 0.95])
+        np.copyto(row, values[k])
+        row.sort()
+        qs = np.quantile(row, [0.05, 0.25, 0.5, 0.75, 0.95])
         node_rows.append([k, float(grid.nodes[k]),
                           float(values[k].mean()),
                           float(values[k].var(ddof=1)),

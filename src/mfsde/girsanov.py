@@ -42,7 +42,8 @@ def drift_along_paths(spec: DriftSpec, flow: MeasureFlow,
 
     Not exported: perfbench/traced.py reads this name, and ROADMAP item 1b
     deletes it."""
-    fn, out = _drift(spec, _laws(spec, flow)), np.empty_like(paths.values)
+    fn = _drift(spec, _laws(spec, flow.atoms))
+    out = np.empty_like(paths.values)
     for k in range(paths.grid.steps + 1):
         out[k] = fn(k, float(paths.grid.nodes[k]), paths.values[k])
     return out
@@ -61,7 +62,8 @@ def doleans_weights(spec: DriftSpec, flow: MeasureFlow,
         raise ValueError("weights are defined along Brownian ensembles")
     if flow.grid != paths.grid:
         raise ValueError("flow and paths are on different grids")
-    for node in _walk(paths, _drift(spec, _laws(spec, flow)), girsanov=True):
+    for node in _walk(paths, _drift(spec, _laws(spec, flow.atoms)),
+                      girsanov=True):
         pass
     return node.weights
 

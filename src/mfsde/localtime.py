@@ -55,13 +55,13 @@ expectation-level estimators need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 import numpy as np
 
 from .drift import DriftSpec, eval_drift
 from .grid import PathEnsemble, SeedSpec, make_grid, sample_brownian
-from .measures import MeasureFlow
 from .numerics import guarded_exp, loglog_slope
 from .solver import SolveResult
 
@@ -149,9 +149,18 @@ def _walk(paths: PathEnsemble, f: NodeFn, stop: Optional[int] = None,
 _cumulative_pieces = _walk
 
 
-def _laws(spec: DriftSpec, flow: MeasureFlow) -> list:
-    """What the drift reads of the flow at each node: spec.law of row k."""
-    return [spec.law(row) for row in flow.atoms]
+def _laws(spec: DriftSpec, rows: Iterable[np.ndarray]) -> list:
+    """What the drift reads of the law at each node: spec.law of row k of
+    the ascending atom rows."""
+    return [spec.law(row) for row in rows]
+
+
+def _solution_laws(result: SolveResult) -> list:
+    """_laws of the solution: each node's row is sorted on its own, which
+    gives the bits of that row of result.flow, so only the summaries are
+    kept (a drift on the default law, EmpiricalMeasure, keeps each sorted
+    row)."""
+    return _laws(result.spec, map(np.sort, result.ensemble.values))
 
 
 def _drift(spec: DriftSpec, laws: Sequence) -> NodeFn:
@@ -238,7 +247,7 @@ def drift_cumulants(result: SolveResult) -> np.ndarray:
     are exactly multiplicative.
     """
     c = np.empty_like(result.brownian.values)
-    drift = _drift(result.spec, _laws(result.spec, result.flow))
+    drift = _drift(result.spec, _solution_laws(result))
     for node in _walk(result.brownian, drift):
         c[node.k] = node.c
     return c
@@ -273,7 +282,7 @@ def first_variation(result: SolveResult,
     variation equals D_0 X_t exactly).
     """
     v = np.empty_like(result.brownian.values)
-    drift = _drift(result.spec, _laws(result.spec, result.flow))
+    drift = _drift(result.spec, _solution_laws(result))
     for node in _walk(result.brownian, drift, law=dxb, variation=True):
         v[node.k] = node.v
     return v
@@ -305,7 +314,7 @@ def check_chain_identity(result: SolveResult, s: int, u: int, t: int,
     dt = result.brownian.grid.dt
     # the cumulants and law rows of the window [s, t], with dX/dx at s
     rows, laws = [], []
-    drift = _drift(result.spec, _laws(result.spec, result.flow))
+    drift = _drift(result.spec, _solution_laws(result))
     for node in _walk(result.brownian, drift, stop=t, law=dxb,
                       variation=True):
         if node.k == s:

@@ -43,7 +43,7 @@ from .drift import DriftSpec, mollify
 from .girsanov import EstimatorResult
 from .grid import (PathEnsemble, SeedSpec, TimeGrid, _ShiftedDraw,
                    sample_brownian)
-from .localtime import SpaceTimeFn, _drift, _laws, _Node, _walk
+from .localtime import SpaceTimeFn, _drift, _Node, _solution_laws, _walk
 from .measures import EmpiricalMeasure, kantorovich
 from .numerics import loglog_slope, mean_and_se
 from .solver import PicardConfig, picard_solve
@@ -174,13 +174,13 @@ class DeltaSession:
     x and row k as draw[k] + x, is the ensemble of that start bit for bit.
     Each solve reads it so, one row at a time, and no shifted copy is made.
     Of each solve the session keeps the law summary of every node,
-    spec.law of each row of its flow, and the terminal values, and drops
-    the rest: the estimators read the law only through those summaries.
-    For a drift that declares its summary (every built-in) that is O(M)
-    numbers and one (N,) row per solve, so the peak is the draw and the two
-    buffers of the solve running. A drift on the default law,
-    EmpiricalMeasure, gets views of the flow rows as its summaries, which
-    keep each flow alive as before.
+    spec.law of each solution row sorted on its own, and the terminal
+    values, and drops the rest: the estimators read the law only through
+    those summaries. For a drift that declares its summary (every
+    built-in) that is O(M) numbers and one (N,) row per solve, so the peak
+    is the draw and the one buffer of the solve running. A drift on the
+    default law, EmpiricalMeasure, keeps the sorted rows as its summaries,
+    one path array per solve.
 
     BEL and pathwise read one pass over the nodes along the driving paths
     under the flow of the solve at x: the walk of localtime, which holds
@@ -235,7 +235,7 @@ class DeltaSession:
                                   self.seed, self.config,
                                   brownian=self._brownian(start))
             # terminal() is a view that would pin the whole path array
-            self._runs[start] = (_laws(self.spec, result.flow),
+            self._runs[start] = (_solution_laws(result),
                                  result.ensemble.terminal().copy())
         return self._runs[start]
 
@@ -407,7 +407,7 @@ def mollified_convergence_study(spec: DriftSpec, start: float, grid: TimeGrid,
     # the study reads of the base its terminal values, its terminal law
     # and its draw: copies of the first two, and the base is dropped
     x_t = base.ensemble.terminal().copy()
-    law_t = EmpiricalMeasure(base.flow.atoms[-1].copy())
+    law_t = EmpiricalMeasure(x_t)
     draw = base.brownian
     del base
     msd, ses, w1s = [], [], []
@@ -418,7 +418,8 @@ def mollified_convergence_study(spec: DriftSpec, start: float, grid: TimeGrid,
         m, se = mean_and_se(gap)
         msd.append(m)
         ses.append(se)
-        w1s.append(kantorovich(res.flow[grid.steps], law_t))
+        w1s.append(kantorovich(EmpiricalMeasure(res.ensemble.terminal()),
+                               law_t))
         # dropped before the next level solves beside the draw
         del res
     monotone = all(

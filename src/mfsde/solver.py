@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,12 +79,14 @@ class PicardConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Solution ensemble with its law flow and iteration diagnostics.
+    """Solution ensemble with its iteration diagnostics.
 
-    `flow` is the empirical law of `ensemble` at every node. For a Picard
-    solve, `flow` replaced, node by node, the flow the final Euler pass ran
-    under, which is not kept; `residual_history` ends with the sup-W1
-    distance between the two. `brownian` is the driving ensemble; for a
+    `flow`, the empirical law of `ensemble` at every node, is derived on
+    first read (MeasureFlow.from_ensemble) and then kept; it is one more
+    path array, so the library's own readers sort the solution a row at a
+    time instead. For a Picard solve, `residual_history` ends with the
+    sup-W1 distance between `flow` and the flow the final Euler pass ran
+    under, which is not kept. `brownian` is the driving ensemble; for a
     solve driven by a shifted draw (grid._ShiftedDraw) it is that view,
     which reads as the ensemble at the start bit for bit and builds its
     values only when they are read.
@@ -92,8 +95,11 @@ class SolveResult:
     spec: DriftSpec
     ensemble: PathEnsemble
     brownian: PathEnsemble | _ShiftedDraw
-    flow: MeasureFlow
     residual_history: tuple[float, ...]
+
+    @cached_property
+    def flow(self) -> MeasureFlow:
+        return MeasureFlow.from_ensemble(self.ensemble)
 
     @property
     def iterations(self) -> int:
@@ -106,17 +112,24 @@ class SolveResult:
 
 def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
                  brownian: PathEnsemble | _ShiftedDraw, out: np.ndarray,
-                 flow: Optional[np.ndarray] = None) -> float:
-    """The one Euler loop: writes row k + 1 of out from row k.
+                 unsorted: int = 0, tolerance: Optional[float] = None
+                 ) -> tuple[float, int]:
+    """The one Euler loop: the states of node k + 1 from those of node k,
+    in a two-row ring, and node k written to out[k] once step k is done.
 
-    Step k reads row k of the row-sorted `frozen` as the law at node k,
-    through spec.law.
-    With `flow` given, the sweep sorts row k of out into flow[k] once step
-    k has read frozen[k], so flow may be frozen itself and is then updated
-    in place, and it returns the sup over nodes of W1 between the new and
-    the frozen rows. With frozen None, row k is sorted into flow[k] before
-    step k, which reads that empirical law of the live states. A sweep
-    without flow or without frozen returns 0.0.
+    Step k reads spec.law(frozen[k]) as the law at node k, frozen being
+    row-sorted except for its first `unsorted` rows, which hold states in
+    path order and are sorted in place just before node k reads them. With
+    frozen None, step k reads the law of the live states, sorted into a
+    one-row scratch.
+
+    With a tolerance, node k is sorted into the scratch, and its W1 to
+    frozen[k] updates the running sup residual. out[k], which may be frozen
+    itself, receives the states in path order while that residual is below
+    the tolerance and the sorted scratch after, so a sweep that converges
+    leaves the solution in out. Without a tolerance, every row of out
+    receives the states in path order. Returns the residual (0.0 without a
+    tolerance) and the number of leading rows of out left in path order.
     """
     grid = brownian.grid
     dt = grid.dt
@@ -124,52 +137,54 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
     # whole; step k holds rows k and k + 1 of it
     rows = brownian._rows()
     b_k = next(rows)
+    ring = np.empty((2, out.shape[1]))
     # the solution starts where its driver starts: row 0 is x
-    np.copyto(out[0], b_k)
+    np.copyto(ring[0], b_k)
     limit = BLOWUP_FACTOR * (1.0 + abs(brownian.start))
-    # the new row k goes through a one-row scratch, as frozen[k] must stay
-    # whole until the distance between the two is taken
     scratch = np.empty(out.shape[1])
     residual = 0.0
+    in_order = 0
 
-    def settle(k: int) -> float:
-        """Sort row k of out into flow[k]; its W1 to frozen[k], if any."""
-        if frozen is None:
-            np.copyto(flow[k], out[k])
-            flow[k].sort()
-            return 0.0
-        np.copyto(scratch, out[k])
-        scratch.sort()
-        d = _w1_sorted(scratch, frozen[k])
-        np.copyto(flow[k], scratch)
-        return d
-
-    # rows has given row 0, so the k-th row it gives now is row k + 1
-    for k, b_next in enumerate(rows):
-        state = out[k]
-        if frozen is None:
-            settle(k)
-            law = spec.law(flow[k])
-        else:
-            law = spec.law(frozen[k])
-        b = spec.fn(float(grid.nodes[k]), state, law)
-        # dB_k = b_next - b_k has the bits of np.diff, and since
-        # addition commutes, dB_k + (state + b dt) has those of
-        # state + b dt + dB_k
-        row = np.subtract(b_next, b_k, out=out[k + 1])
-        row += state + b * dt
-        b_k = b_next
-        # NaN or inf when a state is non-finite, and both fail the test
-        worst = float(np.abs(row).max())
-        if not worst < limit:
-            raise BlowUpError(step=k + 1,
-                              worst=math.inf if math.isnan(worst) else worst,
-                              limit=limit)
-        if frozen is not None and flow is not None:
-            residual = max(residual, settle(k))
-    if flow is not None:
-        residual = max(residual, settle(grid.steps))
-    return residual
+    for k in range(grid.steps + 1):
+        state = ring[k % 2]
+        if k < unsorted:
+            # sorting is deterministic: the row gets back the bits it had
+            # in the flow of the sweep before
+            frozen[k].sort()
+        if k < grid.steps:
+            if frozen is None:
+                np.copyto(scratch, state)
+                scratch.sort()
+                law = spec.law(scratch)
+            else:
+                law = spec.law(frozen[k])
+            b = spec.fn(float(grid.nodes[k]), state, law)
+            # dB_k = b_next - b_k has the bits of np.diff, and since
+            # addition commutes, dB_k + (state + b dt) has those of
+            # state + b dt + dB_k
+            b_next = next(rows)
+            row = np.subtract(b_next, b_k, out=ring[(k + 1) % 2])
+            row += state + b * dt
+            b_k = b_next
+            # NaN or inf when a state is non-finite, and both fail the test
+            worst = float(np.abs(row).max())
+            if not worst < limit:
+                raise BlowUpError(step=k + 1,
+                                  worst=math.inf if math.isnan(worst)
+                                  else worst,
+                                  limit=limit)
+        if tolerance is not None:
+            # frozen[k] is read for the last time: out[k] may overwrite it
+            np.copyto(scratch, state)
+            scratch.sort()
+            residual = max(residual, _w1_sorted(scratch, frozen[k]))
+            if not residual < tolerance:
+                # this sweep is not the last: the next reads the flow
+                np.copyto(out[k], scratch)
+                continue
+        np.copyto(out[k], state)
+        in_order += 1
+    return residual, in_order
 
 
 def euler_under_flow(spec: DriftSpec, flow: MeasureFlow,
@@ -212,13 +227,16 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
     read at start, whose rows the solve reads one at a time, so that no
     shifted copy of the draw is held.
 
-    A solve allocates two path arrays besides the driving ensemble and
-    reuses them in every sweep: the solution and one row-sorted flow
-    buffer. Inside the sweep, once step k has read row k of the frozen
-    flow, the sorted row k of the solution overwrites it, so the buffer
-    ends each sweep holding the new flow. A Dirac start's flow is a
-    read-only one-atom view, so the buffer is allocated before sweep 1.
-    Only the converged sweep is wrapped in the read-only result.
+    A solve allocates one path array besides the driving ensemble and
+    reuses it in every sweep: the flow buffer. Inside the sweep, once step
+    k has read row k of the frozen flow, node k of the new states
+    overwrites it: in path order while the sweep's running residual is
+    below the tolerance, sorted after. The next sweep sorts the rows left
+    in path order in place before it reads them, which gives back the bits
+    of the sorted rows. The sweep that converges leaves every row in path
+    order, so the buffer is then the solution, wrapped read-only as the
+    result's ensemble. A Dirac start's flow is a read-only one-atom view,
+    which sweep 1 reads while it fills the buffer.
 
     Raises PicardConvergenceError (with the residual history attached) if
     the tolerance is not reached within config.max_iterations.
@@ -229,25 +247,25 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
           or brownian.start != start or brownian.seed != seed):
         raise ValueError("driving ensemble does not match the requested "
                          "grid, particle count, start and seed")
-    values = np.empty((grid.steps + 1, n_paths))
-    flow = np.empty_like(values)
+    buffer = np.empty((grid.steps + 1, n_paths))
     if config.initial_flow == "dirac":
         frozen = MeasureFlow.constant(grid, dirac(start)).atoms
     else:
-        frozen = _sort_rows(brownian._rows(), flow)
+        frozen = _sort_rows(brownian._rows(), buffer)
 
     residuals: list[float] = []
+    unsorted = 0
     for _ in range(config.max_iterations):
-        residuals.append(_euler_sweep(spec, frozen, brownian, values, flow))
-        if residuals[-1] < config.tolerance:
-            ensemble = PathEnsemble(grid=grid, values=values, kind="solution",
-                                    seed=brownian.seed)
-            return SolveResult(
-                spec=spec, ensemble=ensemble, brownian=brownian,
-                flow=MeasureFlow(grid, flow),
-                residual_history=tuple(residuals),
-            )
-        frozen = flow
+        residual, unsorted = _euler_sweep(spec, frozen, brownian, buffer,
+                                          unsorted, config.tolerance)
+        residuals.append(residual)
+        if residual < config.tolerance:
+            ensemble = PathEnsemble(grid=grid, values=buffer,
+                                    kind="solution", seed=brownian.seed)
+            return SolveResult(spec=spec, ensemble=ensemble,
+                               brownian=brownian,
+                               residual_history=tuple(residuals))
+        frozen = buffer
     raise PicardConvergenceError(residuals, config.tolerance)
 
 
@@ -257,23 +275,19 @@ def direct_particle_solve(spec: DriftSpec, start: float, grid: TimeGrid,
     """Interacting-particle scheme: the law is that of the live states.
 
     Single Euler pass where step k reads the empirical measure of the
-    current states, sorted into row k of the flow. Same driving noise as
-    picard_solve for equal seeds, so the two routes can be compared
-    pathwise.
+    current states. Same driving noise as picard_solve for equal seeds, so
+    the two routes can be compared pathwise.
 
     `workers` has no effect: the paths are drawn on one thread. It is kept
     because perfbench/make_reference.py passes it.
     """
     brownian = sample_brownian(grid, n_paths, start, seed)
     values = np.empty_like(brownian.values)
-    flow = np.empty_like(values)
-    _euler_sweep(spec, None, brownian, values, flow)
+    _euler_sweep(spec, None, brownian, values)
     ensemble = PathEnsemble(grid=grid, values=values, kind="solution",
                             seed=seed)
-    return SolveResult(
-        spec=spec, ensemble=ensemble, brownian=brownian,
-        flow=MeasureFlow(grid, flow), residual_history=(0.0,),
-    )
+    return SolveResult(spec=spec, ensemble=ensemble, brownian=brownian,
+                       residual_history=(0.0,))
 
 
 def se_rate_study(spec: DriftSpec, start: float, grid: TimeGrid,

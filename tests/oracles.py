@@ -300,11 +300,13 @@ def table_pathwise(terms, payoff) -> tuple[float, float]:
 # the Picard iteration by the public API, with a new flow every sweep
 # ---------------------------------------------------------------------------
 #
-# picard_solve keeps one flow buffer and sorts each node of the solution into
+# picard_solve keeps one buffer and writes each node of the new states into
 # it inside the Euler sweep, once the sweep has read that node of the frozen
-# flow. This reference keeps the frozen and the new flow apart, so it also
-# hands back the flow the last sweep ran under; picard_solve must give its
-# ensemble, flow and residual history bit for bit.
+# flow: sorted, or in path order while the sweep may be the last, to be
+# sorted in place by the next. This reference keeps the frozen flow, the
+# solution and the new flow apart, so it also hands back the flow the last
+# sweep ran under; picard_solve must give its ensemble, flow and residual
+# history bit for bit.
 
 def reference_solve(spec, start: float, grid, n_paths: int, seed, config):
     """Solution ensemble, its flow, the frozen flow of the last sweep and

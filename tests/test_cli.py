@@ -250,6 +250,15 @@ def test_simulate_summary_has_provenance(tmp_path, capsys):
         assert r.split(",")[6] == meta["config_hash"]
 
 
+def test_meta_records_the_peak_rss(tmp_path, capsys):
+    payload = deep(BASE, run__particles=500, run__steps=20)
+    payload["output"] = {"directory": str(tmp_path / "out")}
+    assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 0
+    meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+    peak = meta["peak_rss_mib"]
+    assert isinstance(peak, float) and math.isfinite(peak) and peak > 0
+
+
 def test_csv_floats_round_trip_exactly(tmp_path, capsys):
     payload = deep(BASE, run__particles=1000, run__steps=20)
     payload["output"] = {"directory": str(tmp_path / "out")}
@@ -265,7 +274,7 @@ def test_csv_floats_round_trip_exactly(tmp_path, capsys):
 
 
 def test_node_quantiles_equal_the_whole_flow_quantiles(tmp_path, capsys):
-    # simulate reads each node's quantiles from one flow row at a time;
+    # simulate sorts one solution row at a time and reads its quantiles;
     # they must be the bits of one np.quantile call over the whole flow
     payload = deep(BASE, run__particles=1001, run__steps=20)
     payload["model"] = {"name": "sign"}

@@ -5,7 +5,8 @@ transpose of the particle-major reference bit for bit, with the same
 iterations and residual history. The iteration is replayed by the
 two-flow reference_solve of oracles.py, and the particle-major Euler pass
 runs under the flow its last sweep was frozen under, so the check also
-covers the solver's in-place flow buffer.
+covers the solver's one buffer: its rows are sorted in place, left in path
+order by a sweep that may be the last, and sorted again by the next.
 """
 
 import numpy as np
@@ -86,10 +87,10 @@ def test_time_major_arrays_are_the_particle_major_transposes(builder):
 
 
 @pytest.mark.parametrize("builder, config, min_sweeps", [
-    # sweep 1 reads a one-atom flow and sorts into the flow buffer, which
-    # later sweeps read and overwrite in place
+    # sweep 1 reads a one-atom flow and writes the buffer, which later
+    # sweeps read and overwrite in place
     (sign_drift, PicardConfig(initial_flow="dirac"), 2),
-    # the flow buffer is overwritten in place at least four times
+    # the buffer is overwritten in place at least four times
     (mean_field_ou, PicardConfig(tolerance=1e-5), 4),
 ], ids=["dirac", "ou-tight"])
 def test_reused_sweep_buffers_match_the_reference(builder, config,
@@ -100,43 +101,73 @@ def test_reused_sweep_buffers_match_the_reference(builder, config,
     assert result.iterations >= min_sweeps
 
 
+def settle(states, frozen_row, out_row, tolerance, residual):
+    """Write one node's states into out_row as a sweep must: in path order
+    while the running sup-W1 residual to the frozen rows is below the
+    tolerance, sorted after. Returns the new residual and whether the row
+    was left in path order."""
+    new = np.sort(states)
+    if tolerance is not None:
+        residual = max(residual, kantorovich(EmpiricalMeasure(new),
+                                             EmpiricalMeasure(frozen_row)))
+        if not residual < tolerance:
+            out_row[:] = new
+            return residual, False
+    out_row[:] = states
+    return residual, True
+
+
 def euler_reading_the_next_increment(spec, frozen, brownian, out,
-                                     flow=None):
+                                     unsorted=0, tolerance=None):
     """An off-by-one Euler sweep: step k adds the increment of step k + 1
-    (the last step wraps to the first). The flow is sorted after the pass,
-    by whole rows."""
+    (the last step wraps to the first). The rows are written after the
+    pass, whole."""
     bv, grid = brownian.values, brownian.grid
     db = np.diff(bv, axis=0)
-    out[0] = brownian.start
+    for k in range(unsorted):
+        frozen[k].sort()
+    nodes = np.empty_like(out)
+    nodes[0] = brownian.start
     for k in range(grid.steps):
-        b = spec.fn(float(grid.nodes[k]), out[k], spec.law(frozen[k]))
-        out[k + 1] = out[k] + b * grid.dt + db[(k + 1) % grid.steps]
-    if flow is None:
-        return 0.0
-    new = np.sort(out, axis=1)
-    residual = max(kantorovich(EmpiricalMeasure(a), EmpiricalMeasure(b))
-                   for a, b in zip(new, frozen))
-    np.copyto(flow, new)
-    return residual
-
-
-def sweep_sorting_before_the_step(spec, frozen, brownian, out, flow=None):
-    """An in-place sweep in the wrong order: node k of the solution is
-    sorted into flow[k] before step k reads frozen[k], so where the two are
-    one buffer, step k reads the new law at node k, not the frozen one."""
-    bv, grid = brownian.values, brownian.grid
-    out[0] = brownian.start
-    residual = 0.0
+        b = spec.fn(float(grid.nodes[k]), nodes[k], spec.law(frozen[k]))
+        nodes[k + 1] = nodes[k] + b * grid.dt + db[(k + 1) % grid.steps]
+    residual, in_order = 0.0, 0
     for k in range(grid.steps + 1):
-        if flow is not None:
-            new = np.sort(out[k])
-            residual = max(residual, kantorovich(EmpiricalMeasure(new),
-                                                 EmpiricalMeasure(frozen[k])))
-            flow[k] = new
+        residual, kept = settle(nodes[k], frozen[k], out[k], tolerance,
+                                residual)
+        in_order += kept
+    return residual, in_order
+
+
+def sweep_settling_before_the_step(spec, frozen, brownian, out, unsorted=0,
+                                   tolerance=None):
+    """An in-place sweep in the wrong order: node k is written to out[k]
+    before step k reads frozen[k], so where the two are one buffer, step k
+    reads the new states at node k, not the frozen law."""
+    bv, grid = brownian.values, brownian.grid
+    state = np.full(out.shape[1], brownian.start)
+    residual, in_order = 0.0, 0
+    for k in range(grid.steps + 1):
+        if k < unsorted:
+            frozen[k].sort()
+        residual, kept = settle(state, frozen[k], out[k], tolerance,
+                                residual)
+        in_order += kept
         if k < grid.steps:
-            b = spec.fn(float(grid.nodes[k]), out[k], spec.law(frozen[k]))
-            out[k + 1] = out[k] + b * grid.dt + (bv[k + 1] - bv[k])
-    return residual
+            b = spec.fn(float(grid.nodes[k]), state, spec.law(frozen[k]))
+            state = state + b * grid.dt + (bv[k + 1] - bv[k])
+    return residual, in_order
+
+
+SWEEP = solver._euler_sweep
+
+
+def sweep_skipping_the_resort(spec, frozen, brownian, out, unsorted=0,
+                              tolerance=None):
+    """The real sweep told that no row of frozen is in path order, so it
+    reads the rows a sweep that did not converge left unsorted as they
+    are."""
+    return SWEEP(spec, frozen, brownian, out, 0, tolerance)
 
 
 def test_an_euler_pass_reading_the_next_increment_is_caught(monkeypatch):
@@ -148,7 +179,18 @@ def test_an_euler_pass_reading_the_next_increment_is_caught(monkeypatch):
 
 
 def test_a_sweep_sorting_a_node_before_its_step_is_caught(monkeypatch):
-    monkeypatch.setattr(solver, "_euler_sweep", sweep_sorting_before_the_step)
+    monkeypatch.setattr(solver, "_euler_sweep",
+                        sweep_settling_before_the_step)
     bad = layout_mismatches(sign_drift())
     assert "solution" in bad
+    assert "brownian" not in bad
+
+
+@pytest.mark.parametrize("builder", [mean_field_ou, sign_drift],
+                         ids=["ou", "sign"])
+def test_a_sweep_skipping_the_resort_is_caught(monkeypatch, builder):
+    # the W1 to a row in path order is not the W1 between the laws
+    monkeypatch.setattr(solver, "_euler_sweep", sweep_skipping_the_resort)
+    bad = layout_mismatches(builder())
+    assert "residuals" in bad
     assert "brownian" not in bad

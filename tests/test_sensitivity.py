@@ -397,8 +397,8 @@ def test_session_pass_has_the_bits_of_the_table_route(spec, feedback):
                                   convolution_drift()],
                          ids=["sign", "ou", "convolution"])
 def test_session_peak_memory_in_path_arrays(spec, counted):
-    # the draw and the two buffers (solution, flow) of the solve running:
-    # of the solves before it the session keeps each node's law summary and
+    # the draw and the one buffer of the solve running: of the solves
+    # before it the session keeps each node's law summary and
     # the terminal values only, so a flow kept for the law derivative, a
     # copy of the draw or a table of the drift, cumulants or variation
     # held alongside would show here. With a finite-difference bump apart
@@ -421,7 +421,7 @@ def test_session_peak_memory_in_path_arrays(spec, counted):
         del session
         assert counted == {"solves": solves, "draws": 1}
         arrays = peak / (8 * n * (grid.steps + 1))
-        assert arrays <= 3.5, f"{solves} solves: peak {arrays:.2f} arrays"
+        assert arrays <= 2.5, f"{solves} solves: peak {arrays:.2f} arrays"
 
 
 def test_session_reads_a_user_drift_through_its_default_law(counted):
@@ -518,7 +518,7 @@ def test_mollified_study_draws_the_brownian_paths_once(monkeypatch):
 
 
 def test_mollified_study_peak_memory_in_path_arrays():
-    # the draw and the two buffers of the level solving, with the base's
+    # the draw and the one buffer of the level solving, with the base's
     # terminal values and terminal law: a base result or a level's result
     # kept while the next level solves would show here
     grid, n = make_grid(1.0, 200), 4096
@@ -530,7 +530,7 @@ def test_mollified_study_peak_memory_in_path_arrays():
     finally:
         tracemalloc.stop()
     arrays = peak / (8 * n * (grid.steps + 1))
-    assert arrays < 3.5, f"peak {arrays:.2f} path arrays"
+    assert arrays < 2.5, f"peak {arrays:.2f} path arrays"
 
 
 def test_mollified_study_requires_two_levels():

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mfsde import (BlowUpError, DeltaSession, MeasureFlow, PathEnsemble,
+from mfsde import (BlowUpError, DeltaSession, DriftSpec, MeasureFlow,
+                   PathEnsemble,
                    PicardConfig, PicardConvergenceError, SeedSpec,
                    call_payoff, constant_drift, convolution_drift, dirac,
                    direct_particle_solve, euler_under_flow, expectation_drift,
@@ -96,21 +97,49 @@ def test_frozen_flow_reproduces_the_ensemble_bit_for_bit():
         assert result.residual == flow_distance(flow, frozen)
 
 
+def default_law_drift():
+    """A user drift on the default law: mu is an EmpiricalMeasure view of
+    the row of the solve's buffer that the step reads."""
+    return DriftSpec(
+        name="default_law",
+        fn=lambda t, y, mu: 0.5 * np.sign(y) - y + 0.5 * mu.mean(),
+        growth_const=1.5, law_lipschitz_const=0.5)
+
+
+def spy_on_sweeps(monkeypatch):
+    """Record the rows in path order each sweep of a solve is handed."""
+    import mfsde.solver as solver
+    handed, sweep = [], solver._euler_sweep
+
+    def spied(spec, frozen, brownian, out, unsorted=0, tolerance=None):
+        handed.append(unsorted)
+        return sweep(spec, frozen, brownian, out, unsorted, tolerance)
+
+    monkeypatch.setattr(solver, "_euler_sweep", spied)
+    return handed
+
+
 @pytest.mark.parametrize("config", [
     PicardConfig(), PicardConfig(initial_flow="dirac"),
     PicardConfig(tolerance=1e-5),
 ], ids=["brownian", "dirac", "tight"])
 @pytest.mark.parametrize("builder", [mean_field_ou, sign_drift,
-                                     convolution_drift],
-                         ids=["ou", "sign", "convolution"])
-def test_picard_solve_is_the_two_flow_reference_bit_for_bit(builder, config):
-    # the solve keeps one flow buffer, overwritten node by node inside the
-    # sweep; the reference builds a new flow after every sweep
+                                     convolution_drift, default_law_drift],
+                         ids=["ou", "sign", "convolution", "default-law"])
+def test_picard_solve_is_the_two_flow_reference_bit_for_bit(builder, config,
+                                                            monkeypatch):
+    # the solve keeps one buffer, overwritten node by node inside the
+    # sweep, whose rows a sweep that may be the last leaves in path order;
+    # the reference builds a new flow after every sweep
     grid, n, spec = make_grid(1.0, 40), 3000, builder()
+    handed = spy_on_sweeps(monkeypatch)
     result = picard_solve(spec, 1.0, grid, n, SEED, config)
     ensemble, flow, _, residuals = reference_solve(spec, 1.0, grid, n, SEED,
                                                    config)
     assert result.iterations >= 2
+    # a sweep re-sorted rows past row 0, which holds x alone and so reads
+    # the same in any order
+    assert max(handed[:result.iterations]) >= 2, handed
     assert np.array_equal(result.ensemble.values.view(np.int64),
                           ensemble.values.view(np.int64))
     assert np.array_equal(result.flow.atoms.view(np.int64),
@@ -118,22 +147,25 @@ def test_picard_solve_is_the_two_flow_reference_bit_for_bit(builder, config):
     assert result.residual_history == residuals
 
 
-@pytest.mark.parametrize("initial_flow", ["brownian", "dirac"])
-def test_solve_peak_memory_in_path_arrays(initial_flow):
-    # the draw, the solution and one flow buffer, plus the normal block of
-    # the draw; a second flow buffer or a whole copy of the solution held
-    # alongside would show here
+@pytest.mark.parametrize("solve", [
+    lambda spec, grid, n: picard_solve(spec, 1.0, grid, n, SEED),
+    lambda spec, grid, n: picard_solve(spec, 1.0, grid, n, SEED,
+                                       PicardConfig(initial_flow="dirac")),
+    lambda spec, grid, n: direct_particle_solve(spec, 1.0, grid, n, SEED),
+], ids=["brownian", "dirac", "direct"])
+def test_solve_peak_memory_in_path_arrays(solve):
+    # the draw and one buffer, plus the normal block of the draw; a
+    # solution array beside the buffer, or a flow built from it, would
+    # show here
     grid, n = make_grid(1.0, 200), 4096
-    config = PicardConfig(initial_flow=initial_flow)
     tracemalloc.start()
     try:
-        result = picard_solve(sign_drift(), 1.0, grid, n, SEED, config)
+        solve(sign_drift(), grid, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.iterations >= 2
     arrays = peak / (8 * n * (grid.steps + 1))
-    assert arrays <= 3.5, f"peak {arrays:.2f} path arrays"
+    assert arrays <= 2.5, f"peak {arrays:.2f} path arrays"
 
 
 def test_direct_solve_flow_is_the_sorted_ensemble():
@@ -142,6 +174,23 @@ def test_direct_solve_flow_is_the_sorted_ensemble():
     want = MeasureFlow.from_ensemble(result.ensemble)
     assert np.array_equal(result.flow.atoms.view(np.int64),
                           want.atoms.view(np.int64))
+
+
+@pytest.mark.parametrize("builder", [sign_drift, convolution_drift,
+                                     default_law_drift],
+                         ids=["sign", "convolution", "default-law"])
+def test_direct_solve_reads_the_law_of_the_live_states(builder):
+    # step k reads spec.law of the states at node k, sorted
+    spec, grid, n = builder(), make_grid(1.0, 40), 3000
+    result = direct_particle_solve(spec, 1.0, grid, n, SEED)
+    bv = sample_brownian(grid, n, 1.0, SEED).values
+    want = np.empty_like(bv)
+    want[0] = bv[0]
+    for k in range(grid.steps):
+        b = spec.fn(float(grid.nodes[k]), want[k], spec.law(np.sort(want[k])))
+        want[k + 1] = (bv[k + 1] - bv[k]) + (want[k] + b * grid.dt)
+    assert np.array_equal(result.ensemble.values.view(np.int64),
+                          want.view(np.int64))
 
 
 def result_arrays(result):
@@ -413,7 +462,7 @@ def test_direct_solve_result_shape():
 
 
 def test_se_rate_study_peak_memory_in_path_arrays():
-    # the draw at the largest count and the two buffers of the solve
+    # the draw at the largest count and the one buffer of the solve
     # running: a result kept while the next count solves would show here
     grid, counts = make_grid(1.0, 200), (1024, 2048, 4096)
     tracemalloc.start()
@@ -423,7 +472,7 @@ def test_se_rate_study_peak_memory_in_path_arrays():
     finally:
         tracemalloc.stop()
     arrays = peak / (8 * max(counts) * (grid.steps + 1))
-    assert arrays < 3.5, f"peak {arrays:.2f} path arrays"
+    assert arrays < 2.5, f"peak {arrays:.2f} path arrays"
 
 
 def test_se_rate_study_draws_once_and_matches_separate_solves(monkeypatch):
