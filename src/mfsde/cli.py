@@ -436,9 +436,9 @@ def _write_meta(out: Path, command: str, cfg: RunConfig,
         "command": command,
         "config": cfg.raw,
         "config_hash": cfg.config_hash(),
-        # ru_maxrss is in KiB on Linux
-        "peak_rss_mib": resource.getrusage(
-            resource.RUSAGE_SELF).ru_maxrss / 1024,
+        # ru_maxrss counts bytes on macOS and KiB on Linux
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / (2**20 if sys.platform == "darwin" else 1024),
         "wall_time_seconds": wall,
         "version": __version__,
     }

@@ -55,8 +55,7 @@ expectation-level estimators need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence)
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -149,23 +148,17 @@ def _walk(paths: PathEnsemble, f: NodeFn, stop: Optional[int] = None,
 _cumulative_pieces = _walk
 
 
-def _laws(spec: DriftSpec, rows: Iterable[np.ndarray]) -> list:
-    """What the drift reads of the law at each node: spec.law of row k of
-    the ascending atom rows."""
-    return [spec.law(row) for row in rows]
-
-
 def _solution_laws(result: SolveResult) -> list:
-    """_laws of the solution: each node's row is sorted on its own, which
-    gives the bits of that row of result.flow, so only the summaries are
-    kept (a drift on the default law, EmpiricalMeasure, keeps each sorted
-    row)."""
-    return _laws(result.spec, map(np.sort, result.ensemble.values))
+    """What the drift reads of the solution's law at each node: spec.law of
+    that node's row, sorted on its own. That gives the bits of the row of
+    result.flow, so only the summaries are kept (a drift on the default
+    law, EmpiricalMeasure, keeps each sorted row)."""
+    return [result.spec.law(np.sort(row)) for row in result.ensemble.values]
 
 
 def _drift(spec: DriftSpec, laws: Sequence) -> NodeFn:
     """b(t_k, y, laws[k]) as an integrand of the walk, laws[k] being the
-    law summary at node k (as _laws gives them)."""
+    law summary at node k (as _solution_laws gives them)."""
     return lambda k, t, y: eval_drift(spec, t, y, laws[k])
 
 
