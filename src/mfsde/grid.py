@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -170,10 +169,9 @@ class _ShiftedDraw:
     sample_brownian writes row 0 as the start and adds the start to the
     cumulative sums, so row 0 read as x itself and row k >= 1 of the draw
     plus x have the bits of the ensemble sample_brownian gives at x (row 0
-    is not 0.0 + x, which turns x = -0.0 into +0.0). `_rows` writes x one
-    row at a time into two row buffers, so a reader that holds at most two
-    consecutive rows needs no shifted copy; `values` builds that copy on
-    first read, for a caller that wants the whole ensemble at x.
+    is not 0.0 + x, which turns x = -0.0 into +0.0). `_rows` is the one
+    place a start is added to a draw: every reader of a driving ensemble
+    takes its rows there, so no shifted copy is ever held.
     """
 
     draw: PathEnsemble
@@ -200,25 +198,12 @@ class _ShiftedDraw:
     def n_paths(self) -> int:
         return self.draw.n_paths
 
-    @cached_property
-    def values(self) -> np.ndarray:
-        values = self.draw.values + self.start
-        values[0] = self.start
-        values.setflags(write=False)
-        return values
-
-    def terminal(self) -> np.ndarray:
-        return self.draw.values[-1] + self.start
-
     def _rows(self) -> Iterator[np.ndarray]:
-        """Rows 0..M of draw + x, in order; each is overwritten when the
-        row two after it is read."""
-        buffers = np.empty((2, self.n_paths))
-        buffers[0] = self.start
-        yield buffers[0]
-        for k in range(1, self.draw.values.shape[0]):
-            yield np.add(self.draw.values[k], self.start,
-                         out=buffers[k % 2])
+        """Rows 0..M of draw + x, in order, each a new array that is
+        never written after, so a reader may keep it."""
+        yield np.full(self.n_paths, self.start)
+        for row in self.draw.values[1:]:
+            yield row + self.start
 
 
 def _normal_increments(out: np.ndarray, seed: SeedSpec) -> None:

@@ -60,7 +60,8 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .drift import DriftSpec, eval_drift
-from .grid import PathEnsemble, SeedSpec, make_grid, sample_brownian
+from .grid import (PathEnsemble, SeedSpec, _ShiftedDraw, make_grid,
+                   sample_brownian)
 from .numerics import guarded_exp, loglog_slope
 from .solver import SolveResult
 
@@ -79,23 +80,22 @@ class _Node(NamedTuple):
     f: np.ndarray                  # integrand f_k
     c: np.ndarray                  # covariation C_k
     db: Optional[np.ndarray]       # y_{k+1} - y_k; None at the last node
-    law: Optional[np.ndarray]      # dxb(t_k, y_k); None at the last node
+    dxb: Optional[np.ndarray]      # dxb(t_k, y_k); None at the last node
     v: Optional[np.ndarray]        # first variation V_k
     weights: Optional[np.ndarray]  # Girsanov weights, at the last node
 
 
-def _walk(paths: PathEnsemble, f: NodeFn, stop: Optional[int] = None,
-          shift: Optional[float] = None, law: Optional[SpaceTimeFn] = None,
+def _walk(paths: PathEnsemble | _ShiftedDraw, f: NodeFn,
+          stop: Optional[int] = None, dxb: Optional[SpaceTimeFn] = None,
           variation: bool = False, girsanov: bool = False
           ) -> Iterator[_Node]:
-    """Walk the nodes k = 0..stop (M by default) of the paths, each row
-    shifted by `shift` when given, under the integrand f, with O(N) state.
-    A shift reads a draw started at 0 as the paths started at `shift`, so
-    row 0 is then `shift` itself, as sample_brownian writes it (0.0 + x
-    would turn x = -0.0 into +0.0).
+    """Walk the nodes k = 0..stop (M by default) of the paths under the
+    integrand f, with O(N) state. The rows are read one at a time from
+    paths._rows(), so a shifted draw is walked at its start without a
+    shifted copy.
 
     Every node carries C_k = -sum_{j < k} (f_{j+1} - f_j)(y_{j+1} - y_j).
-    With variation, it also carries the law row (zeros when law is None)
+    With variation, it also carries the dxb row (zeros when dxb is None)
     and V_k = (S_k + 1) exp(-C_k), S_k = sum_{j < k} exp(C_j) dxb_j dt;
     with girsanov, the last node carries the weights
     exp(sum_k f_k db_k - 1/2 sum_k f_k^2 dt). Only these two exponentiate.
@@ -105,38 +105,32 @@ def _walk(paths: PathEnsemble, f: NodeFn, stop: Optional[int] = None,
     copies it, and C_0 = +0.0.
     """
     stop = paths.grid.steps if stop is None else stop
-    nodes, dt, values = paths.grid.nodes, paths.grid.dt, paths.values
-    n = paths.n_paths
-
-    def row(k: int) -> np.ndarray:
-        if shift is None:
-            return values[k]
-        return np.full(n, shift) if k == 0 else values[k] + shift
-
+    nodes, dt, n = paths.grid.nodes, paths.grid.dt, paths.n_paths
+    rows = paths._rows()
     covar = np.full(n, -0.0)
-    response, no_law = np.zeros(n), np.zeros(n)
+    response, no_dxb = np.zeros(n), np.zeros(n)
     s1, s2 = np.zeros(n), np.zeros(n)
-    y = row(0)
+    y = next(rows)
     fk = f(0, float(nodes[0]), y)
     for k in range(stop + 1):
         t = float(nodes[k])
         c = -covar
         last = k == stop
-        y_next = None if last else row(k + 1)
+        y_next = None if last else next(rows)
         db = None if last else y_next - y
-        lk = v = weights = None
+        dxb_k = v = weights = None
         if variation:
             v = (response + 1.0) * guarded_exp(-c)
             if not last:
-                lk = no_law if law is None else law(t, y)
-                response += guarded_exp(c) * lk * dt
+                dxb_k = no_dxb if dxb is None else dxb(t, y)
+                response += guarded_exp(c) * dxb_k * dt
         if girsanov:
             if last:
                 weights = guarded_exp(s1 - 0.5 * dt * s2)
             else:
                 s1 += fk * db
                 s2 += fk * fk
-        yield _Node(k, y, fk, c, db, lk, v, weights)
+        yield _Node(k, y, fk, c, db, dxb_k, v, weights)
         if last:
             return
         f_next = f(k + 1, float(nodes[k + 1]), y_next)
@@ -239,7 +233,7 @@ def drift_cumulants(result: SolveResult) -> np.ndarray:
     subinterval, so the exponentials malliavin_derivative takes of them
     are exactly multiplicative.
     """
-    c = np.empty_like(result.brownian.values)
+    c = np.empty_like(result.ensemble.values)
     drift = _drift(result.spec, _solution_laws(result))
     for node in _walk(result.brownian, drift):
         c[node.k] = node.c
@@ -274,9 +268,9 @@ def first_variation(result: SolveResult,
     law derivative (None means no law feedback, in which case the first
     variation equals D_0 X_t exactly).
     """
-    v = np.empty_like(result.brownian.values)
+    v = np.empty_like(result.ensemble.values)
     drift = _drift(result.spec, _solution_laws(result))
-    for node in _walk(result.brownian, drift, law=dxb, variation=True):
+    for node in _walk(result.brownian, drift, dxb=dxb, variation=True):
         v[node.k] = node.v
     return v
 
@@ -305,16 +299,16 @@ def check_chain_identity(result: SolveResult, s: int, u: int, t: int,
     if not (0 <= s <= u <= t <= result.brownian.grid.steps):
         raise ValueError(f"need 0 <= s <= u <= t, got ({s}, {u}, {t})")
     dt = result.brownian.grid.dt
-    # the cumulants and law rows of the window [s, t], with dX/dx at s
-    rows, laws = [], []
+    # the cumulants and dxb rows of the window [s, t], with dX/dx at s
+    rows, dxbs = [], []
     drift = _drift(result.spec, _solution_laws(result))
-    for node in _walk(result.brownian, drift, stop=t, law=dxb,
+    for node in _walk(result.brownian, drift, stop=t, dxb=dxb,
                       variation=True):
         if node.k == s:
             v_s = node.v
         if node.k >= s:
             rows.append(node.c)
-            laws.append(node.law)
+            dxbs.append(node.dxb)
     c = np.array(rows)
     width = t - s
 
@@ -325,7 +319,7 @@ def check_chain_identity(result: SolveResult, s: int, u: int, t: int,
     integral = np.zeros(c.shape[1])
     for j in range(width):
         integral = (integral
-                    + malliavin_derivative(c, j, width) * laws[j] * dt)
+                    + malliavin_derivative(c, j, width) * dxbs[j] * dt)
     chain_res = node.v - (d_st * v_s + integral)
 
     return ChainIdentityReport(

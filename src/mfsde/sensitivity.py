@@ -172,7 +172,8 @@ class DeltaSession:
     All solves ride one Philox draw started at 0: sample_brownian adds the
     start to the cumulative sums, so that draw read at any start, row 0 as
     x and row k as draw[k] + x, is the ensemble of that start bit for bit.
-    Each solve reads it so, one row at a time, and no shifted copy is made.
+    Each solve and the pass over time read it so, through the rows of a
+    grid._ShiftedDraw, one at a time, and no shifted copy is made.
     Of each solve the session keeps the law summary of every node,
     spec.law of each solution row sorted on its own, and the terminal
     values, and drops the rest: the estimators read the law only through
@@ -283,14 +284,14 @@ class DeltaSession:
     # -- the pass over time ------------------------------------------------
 
     def _pass(self) -> Iterator[_Node]:
-        """The walk over the driving paths draw_k + x under the flow of the
-        solve at x, with the first variation and the Girsanov weights. It
-        keeps the weights, the terminal values and dX_T/dx of its last
-        node, which pathwise reuses."""
+        """The walk over the driver of the solve at x under its flow, with
+        the first variation and the Girsanov weights. It keeps the weights,
+        the terminal values and dX_T/dx of its last node, which pathwise
+        reuses."""
         dxb = self._law_feedback()
         laws = self._run(self.start)[0]
-        for node in _walk(self._draw, _drift(self.spec, laws),
-                          shift=self.start, law=dxb, variation=True,
+        for node in _walk(self._brownian(self.start),
+                          _drift(self.spec, laws), dxb=dxb, variation=True,
                           girsanov=True):
             yield node
         self._terminal = (node.weights, node.y, node.v)
@@ -317,7 +318,7 @@ class DeltaSession:
         ito = np.zeros(self.n_paths)
         for node in self._pass():
             if node.db is not None:
-                ito += ((a_vals[node.k] * node.v + node.law * big_a[node.k])
+                ito += ((a_vals[node.k] * node.v + node.dxb * big_a[node.k])
                         * (node.db - node.f * dt))
         weights, terminal, _ = self._terminal
         samples = (weights * np.asarray(payoff.fn(terminal), dtype=float)

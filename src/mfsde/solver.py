@@ -24,7 +24,7 @@ import numpy as np
 from .drift import DriftSpec
 from .grid import (PathEnsemble, SeedSpec, TimeGrid, _ShiftedDraw,
                    sample_brownian)
-from .measures import MeasureFlow, _sort_rows, _w1_sorted, dirac
+from .measures import MeasureFlow, _sort_rows, _w1_sorted
 from .numerics import loglog_slope, mean_and_se
 
 # Hard abort threshold for the Euler state, relative to 1 + |x|.
@@ -88,8 +88,9 @@ class SolveResult:
     sup-W1 distance between `flow` and the flow the final Euler pass ran
     under, which is not kept. `brownian` is the driving ensemble; for a
     solve driven by a shifted draw (grid._ShiftedDraw) it is that view,
-    which reads as the ensemble at the start bit for bit and builds its
-    values only when they are read.
+    whose rows, read through its `_rows()` as every reader of a driver
+    reads them, are the ensemble at the start bit for bit. It has no
+    `values`.
     """
 
     spec: DriftSpec
@@ -134,7 +135,7 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
     grid = brownian.grid
     dt = grid.dt
     # the driver is read row by row, so a shifted draw is never copied
-    # whole; step k holds rows k and k + 1 of it
+    # whole
     rows = brownian._rows()
     b_k = next(rows)
     ring = np.empty((2, out.shape[1]))
@@ -223,9 +224,9 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
     The driving ensemble is sampled from the seed unless passed in to share
     work. A passed driver must match (grid, n_paths, start, seed), its
     start being its row 0, and is either the PathEnsemble sample_brownian
-    gives for them, read as it is, or a grid._ShiftedDraw of the draw at 0
-    read at start, whose rows the solve reads one at a time, so that no
-    shifted copy of the draw is held.
+    gives for them or a grid._ShiftedDraw of the draw at 0 read at start.
+    Either is read one row at a time through its `_rows()`, so no shifted
+    copy of the draw is held.
 
     A solve allocates one path array besides the driving ensemble and
     reuses it in every sweep: the flow buffer. Inside the sweep, once step
@@ -235,8 +236,8 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
     in path order in place before it reads them, which gives back the bits
     of the sorted rows. The sweep that converges leaves every row in path
     order, so the buffer is then the solution, wrapped read-only as the
-    result's ensemble. A Dirac start's flow is a read-only one-atom view,
-    which sweep 1 reads while it fills the buffer.
+    result's ensemble. A Dirac start's flow is a read-only (M+1, 1)
+    broadcast of the start, which sweep 1 reads while it fills the buffer.
 
     Raises PicardConvergenceError (with the residual history attached) if
     the tolerance is not reached within config.max_iterations.
@@ -249,7 +250,8 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
                          "grid, particle count, start and seed")
     buffer = np.empty((grid.steps + 1, n_paths))
     if config.initial_flow == "dirac":
-        frozen = MeasureFlow.constant(grid, dirac(start)).atoms
+        # the driver starts at this finite start, checked above
+        frozen = np.broadcast_to(float(start), (grid.steps + 1, 1))
     else:
         frozen = _sort_rows(brownian._rows(), buffer)
 
@@ -327,11 +329,6 @@ class MomentReport:
     flagged: bool
 
 
-def _sup_abs(v: np.ndarray) -> np.ndarray:
-    """max_k |v[k]| per path without an |v| temporary (exactly equal)."""
-    return np.maximum(v.max(axis=0), -v.min(axis=0))
-
-
 def moment_diagnostics(result: SolveResult,
                        orders: tuple[float, ...] = (2.0,)) -> MomentReport:
     """Audit moments and the pathwise linear-growth envelope.
@@ -357,9 +354,14 @@ def moment_diagnostics(result: SolveResult,
             node_moments[i, k] = row.mean()
     max_moments = tuple(float(m.max()) for m in node_moments)
 
-    sup_driver = _sup_abs(result.brownian.values)
+    # sup_k |v_k| per path of the solution and of its driver, in one pass
+    # over the rows
+    sup_x, sup_driver = np.zeros((2, values.shape[1]))
+    for v, b in zip(values, result.brownian._rows()):
+        np.maximum(sup_x, np.abs(v, out=row), out=sup_x)
+        np.maximum(sup_driver, np.abs(b, out=row), out=sup_driver)
     denom = 1.0 + abs(result.ensemble.start) + sup_driver
-    ratio = float(np.max(_sup_abs(values) / denom))
+    ratio = float(np.max(sup_x / denom))
 
     c = result.spec.growth_const
     horizon = result.ensemble.grid.horizon

@@ -9,8 +9,10 @@ from mfsde import (ExponentOverflowError, PathEnsemble, SeedSpec,
                    convolution_drift, doleans_weights,
                    drift_cumulants, euler_under_flow, first_variation,
                    local_time_integral, make_grid, malliavin_derivative,
-                   mean_and_se, mean_field_ou, picard_solve, sample_brownian,
+                   mean_and_se, mean_field_ou, moment_diagnostics,
+                   picard_solve, sample_brownian,
                    sign_drift)
+from mfsde.grid import _ShiftedDraw
 from mfsde.localtime import _walk, localtime_rate_study
 from oracles import drift_table, particle_major_cumulative_pieces
 
@@ -28,7 +30,7 @@ def test_shifted_walk_reads_the_draw_at_its_start_bit_for_bit():
     for x in (-0.0, 0.0, 1.3, -2.7):
         drawn = brownian(steps=20, n=50, start=x).values
         rows = np.array([node.y for node in _walk(
-            draw, lambda k, t, y: np.zeros_like(y), shift=x)])
+            _ShiftedDraw(draw, x), lambda k, t, y: np.zeros_like(y))])
         assert np.array_equal(rows.view(np.int64), drawn.view(np.int64)), x
 
 
@@ -202,6 +204,23 @@ def test_integrals_hold_no_table_beside_their_output():
     variation = peak_in_path_arrays(lambda: first_variation(result, dxb),
                                     paths)
     assert variation < 1.5, f"peak {variation:.2f} path arrays"
+
+
+def test_readers_of_a_shifted_driver_hold_no_shifted_copy():
+    # a solve driven by a draw at 0 read at its start, as the delta session
+    # drives its solves: the readers take the driver's rows one at a time,
+    # so none builds a shifted copy of the draw (1 path array more)
+    grid, n = make_grid(1.0, 200), 4096
+    draw = sample_brownian(grid, n, 0.0, SEED)
+    dxb = lambda s, y: 0.1 * np.cos(y) + s
+    for name, run, bound in (
+            ("first_variation", lambda r: first_variation(r, dxb), 1.5),
+            ("drift_cumulants", drift_cumulants, 1.5),
+            ("moment_diagnostics", moment_diagnostics, 0.5)):
+        result = picard_solve(sign_drift(), 1.0, grid, n, SEED,
+                              brownian=_ShiftedDraw(draw, 1.0))
+        peak = peak_in_path_arrays(lambda: run(result), draw)
+        assert peak < bound, f"{name}: peak {peak:.2f} path arrays"
 
 
 def test_rate_study_holds_one_ensemble():
