@@ -70,14 +70,18 @@ MAX_START = 1e300
 # running (each solve reads the draw at its start row by row, and of the
 # solves before it the session keeps node law summaries and terminal
 # values only): 72.3 MB / 16.08 MB = 4.50; convergence, whose largest
-# array is the 4000 x 1600 local-time ensemble (the study holds that one
-# ensemble and O(N) state, so the peak sits in se_vs_n's 16 000 x 200
-# draw and solve): 118.2 MB / 51.23 MB = 2.31. A config dominated by one
-# study must not pass the check and then run out of memory, and stays
-# under 3 too: se_vs_n alone, at counts 12 500 to 200 000 x 200, peaks at
-# 691.5 MB = 2.15 of its arrays (median of 3), and mollify alone at
-# 100 000 x 200 at 368.7 MB = 2.29 (median of 3); each holds the draw and
-# the one buffer of the solve running.
+# array is the 4000 x 1600 local-time ensemble: 92.6 MB / 51.23 MB = 1.81.
+# The local-time study draws every level into one buffer sized for its
+# finest grid, because glibc keeps a freed block below its mmap threshold
+# resident, and freeing se_vs_n's 16 000 x 201 draw lifts that threshold
+# above the 800-step level (a draw per level read 118.1 MB = 2.31); the
+# two studies peak at 92.0 MB (se_vs_n's draw and solve) and 93.2 MB
+# (that buffer). A config dominated by one study must not pass the check
+# and then run out of memory, and stays under 3 too: se_vs_n alone, at
+# counts 12 500 to 200 000 x 200, peaks at 691.5 MB = 2.15 of its arrays
+# (median of 3), and mollify alone at 100 000 x 200 at 368.7 MB = 2.29
+# (median of 3); each holds the draw and the one buffer of the solve
+# running.
 # The interpreter's own 36 MB is included, so the counts overstate large
 # runs a little. check_memory adds the one chunk of normals drawn at a
 # time, min(N, chunk_rows(steps)) x steps.

@@ -60,8 +60,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .drift import DriftSpec, eval_drift
-from .grid import (PathEnsemble, SeedSpec, _ShiftedDraw, make_grid,
-                   sample_brownian)
+from .grid import PathEnsemble, SeedSpec, _ShiftedDraw, _draw_into, make_grid
 from .numerics import guarded_exp, loglog_slope
 from .solver import SolveResult
 
@@ -199,17 +198,21 @@ def localtime_rate_study(horizon: float, step_counts: Sequence[int],
 
     The oracle is the trapezoid rule taken a row at a time, the terms
     dt (cos y_{k+1} + cos y_k) / 2 summed from the first, which has the
-    bits of np.trapezoid over the (M+1, N) table of cos. With each level's
-    ensemble dropped before the next is drawn, the study holds one path
-    array and O(N) state.
+    bits of np.trapezoid over the (M+1, N) table of cos. Every level is
+    drawn into a row prefix of one buffer sized for the finest grid,
+    allocated before the first draw, so the study makes one path-sized
+    allocation and holds O(N) state besides; a level's ensemble is a
+    read-only view of memory the next draw rewrites, so it is dropped
+    before that draw. Each level has the bits of sample_brownian.
 
     Returns the step sizes, the errors and the fitted log-log slope of
     error against step size (about 0.5).
     """
     dts, errors = [], []
+    buffer = np.empty((max(step_counts) + 1, n_paths))
     for steps in step_counts:
         grid = make_grid(horizon, steps)
-        paths = sample_brownian(grid, n_paths, start, seed)
+        paths = _draw_into(buffer[:steps + 1], grid, start, seed)
         got = local_time_integral(lambda t, y: np.sin(y), paths, 0, steps)
         # trapezoid in time of cos along each path
         cos_k = np.cos(paths.values[0])

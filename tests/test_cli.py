@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -628,6 +631,43 @@ def test_mollify_peak_stays_within_the_convergence_estimate(tmp_path,
     assert (tmp_path / "out" / "convergence_mollify.csv").exists()
     arrays = peak / (8 * n * (steps + 1))
     assert arrays < cli.PEAK_ARRAYS["convergence"], f"peak {arrays:.2f} arrays"
+
+
+def _child_peak_kib(code):
+    """Peak ru_maxrss, in KiB, of a fresh interpreter running `code`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport resource\n"
+         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="glibc heap retention; ru_maxrss in KiB")
+def test_rate_study_after_se_vs_n_adds_one_resident_array(tmp_path):
+    # se_vs_n frees a 16 000 x 201 draw first, which lifts glibc's mmap
+    # threshold above the 4000 x 801 local-time level; a level freed below
+    # that threshold stays resident under the 1600-step level. Drawn into
+    # one buffer, the study adds about one 4000 x 1601 array to the
+    # interpreter, not 1.6
+    n, top = 4000, 1600
+    cfg = deep(BASE, run__steps=200, run__seed=11,
+               convergence__studies=["se_vs_n", "localtime_rate"],
+               convergence__particle_counts=[1000, 16_000],
+               convergence__step_counts=[800, top],
+               convergence__rate_paths=n)
+    cfg["model"] = {"name": "sign"}
+    cfg["output"] = {"directory": str(tmp_path / "out")}
+    path = write_config(tmp_path, cfg)
+    base = _child_peak_kib("import mfsde.cli")
+    peak = _child_peak_kib("import mfsde.cli\n"
+                           "assert mfsde.cli.main(['convergence', "
+                           f"'--config', {path!r}]) == 0")
+    arrays = (peak - base) * 1024 / (8 * n * (top + 1))
+    assert arrays < 1.3, f"peak {arrays:.2f} arrays above the interpreter"
 
 
 def test_readme_outputs_table_matches_csv_headers(tmp_path, capsys):

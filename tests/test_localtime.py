@@ -101,18 +101,21 @@ def test_smooth_oracle_error_decays_at_half_order():
 
 def test_rate_study_errors_are_the_trapezoid_errors_bit_for_bit():
     # the study takes the trapezoid a row at a time; its errors must be
-    # those of np.trapezoid over the whole table of cos
-    counts = (50, 100, 200)
-    dts, errors, _ = localtime_rate_study(1.0, counts, 700, 0.4, SEED)
-    want = []
-    for steps in counts:
-        grid = make_grid(1.0, steps)
-        paths = sample_brownian(grid, 700, 0.4, SEED)
-        r = local_time_integral(lambda t, y: np.sin(y), paths, 0, steps)
-        oracle = -np.trapezoid(np.cos(paths.values), dx=grid.dt, axis=0)
-        want.append(float(np.sqrt(np.mean((r - oracle) ** 2))))
-    assert dts == [1.0 / steps for steps in counts]
-    assert errors == want
+    # those of np.trapezoid over the whole table of cos, on separate
+    # draws. The study draws every level into one buffer: in the
+    # shrinking order a level drawn after a larger one must read its own
+    # rows only, not the rows the larger level left below them
+    for counts in ((50, 100, 200), (200, 50, 100)):
+        dts, errors, _ = localtime_rate_study(1.0, counts, 700, 0.4, SEED)
+        want = []
+        for steps in counts:
+            grid = make_grid(1.0, steps)
+            paths = sample_brownian(grid, 700, 0.4, SEED)
+            r = local_time_integral(lambda t, y: np.sin(y), paths, 0, steps)
+            oracle = -np.trapezoid(np.cos(paths.values), dx=grid.dt, axis=0)
+            want.append(float(np.sqrt(np.mean((r - oracle) ** 2))))
+        assert dts == [1.0 / steps for steps in counts]
+        assert errors == want, counts
 
 
 def test_node_window_validation():
