@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -71,13 +72,10 @@ MAX_START = 1e300
 # solves before it the session keeps node law summaries and terminal
 # values only): 72.3 MB / 16.08 MB = 4.50; convergence, whose largest
 # array is the 4000 x 1600 local-time ensemble: 92.6 MB / 51.23 MB = 1.81.
-# The local-time study draws every level into one buffer sized for its
-# finest grid, because glibc keeps a freed block below its mmap threshold
-# resident, and freeing se_vs_n's 16 000 x 201 draw lifts that threshold
-# above the 800-step level (a draw per level read 118.1 MB = 2.31); the
-# two studies peak at 92.0 MB (se_vs_n's draw and solve) and 93.2 MB
-# (that buffer). A config dominated by one study must not pass the check
-# and then run out of memory, and stays under 3 too: se_vs_n alone, at
+# The local-time study reads every level from one draw at its finest
+# grid; the two studies peak at 92.0 MB (se_vs_n's draw and solve) and
+# 93.2 MB (that draw). A config dominated by one study must not pass the
+# check and then run out of memory, and stays under 3 too: se_vs_n alone, at
 # counts 12 500 to 200 000 x 200, peaks at 691.5 MB = 2.15 of its arrays
 # (median of 3), and mollify alone at 100 000 x 200 at 368.7 MB = 2.29
 # (median of 3); each holds the draw and the one buffer of the solve
@@ -523,17 +521,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def _agreement_rows(results: dict[str, EstimatorResult]) -> list[list]:
     rows = []
-    names = list(results)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            a, b = results[names[i]], results[names[j]]
-            tol = 3.0 * (a.stderr + b.stderr)
-            if "finite_difference" in (names[i], names[j]):
-                h = results["finite_difference"].extra["h"]
-                tol += h * h
-            diff = abs(a.estimate - b.estimate)
-            rows.append([f"{names[i]}|{names[j]}", float(diff), float(tol),
-                         int(diff <= tol)])
+    for x, y in itertools.combinations(results, 2):
+        a, b = results[x], results[y]
+        tol = 3.0 * (a.stderr + b.stderr)
+        if "finite_difference" in (x, y):
+            h = results["finite_difference"].extra["h"]
+            tol += h * h
+        diff = abs(a.estimate - b.estimate)
+        rows.append([f"{x}|{y}", float(diff), float(tol), int(diff <= tol)])
     return rows
 
 
@@ -545,6 +540,9 @@ def cmd_delta(cfg: RunConfig) -> int:
     seed = cfg.seed_spec()
     payoff = cfg.build_payoff()
     weight = cfg.build_weight()
+    for name, h in (("fd_bump", cfg.fd_bump), ("law_bump", cfg.law_bump)):
+        _require(h is None or cfg.start - h != cfg.start != cfg.start + h,
+                 f"'delta.{name}' {h} is lost to rounding at {cfg.start}")
     session = DeltaSession(spec, cfg.start, grid, cfg.particles, seed,
                            cfg.picard, law_bump=cfg.law_bump)
     results: dict[str, EstimatorResult] = {}
@@ -576,6 +574,10 @@ def cmd_convergence(cfg: RunConfig) -> int:
              f"'convergence.studies' includes mollify, which smooths the "
              f"bounded part of a bounded/Lipschitz split that model "
              f"'{cfg.model['name']}' does not declare")
+    _require("localtime_rate" not in cfg.studies
+             or all(max(cfg.step_counts) % m == 0 for m in cfg.step_counts),
+             "'convergence.step_counts' must each divide the largest, which "
+             "localtime_rate draws once")
     tables: dict[str, tuple[list[str], list]] = {}
     fit_rows = []
     notes = []

@@ -245,14 +245,7 @@ def sample_brownian(grid: TimeGrid, n_paths: int, start: float,
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    return _draw_into(np.empty((grid.steps + 1, n_paths)), grid, start, seed)
-
-
-def _draw_into(values: np.ndarray, grid: TimeGrid, start: float,
-               seed: SeedSpec) -> PathEnsemble:
-    """Write the draw sample_brownian gives into `values`, a C-contiguous
-    (steps + 1, N) array or row prefix of one, and wrap it read-only: the
-    ensemble holds no memory of its own."""
+    values = np.empty((grid.steps + 1, n_paths))
     values[0] = start
     # the increments are drawn, scaled and summed in place in rows 1..M
     dw = values[1:]

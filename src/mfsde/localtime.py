@@ -60,7 +60,8 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .drift import DriftSpec, eval_drift
-from .grid import PathEnsemble, SeedSpec, _ShiftedDraw, _draw_into, make_grid
+from .grid import (PathEnsemble, SeedSpec, _ShiftedDraw, make_grid,
+                   sample_brownian)
 from .numerics import guarded_exp, loglog_slope
 from .solver import SolveResult
 
@@ -198,21 +199,24 @@ def localtime_rate_study(horizon: float, step_counts: Sequence[int],
 
     The oracle is the trapezoid rule taken a row at a time, the terms
     dt (cos y_{k+1} + cos y_k) / 2 summed from the first, which has the
-    bits of np.trapezoid over the (M+1, N) table of cos. Every level is
-    drawn into a row prefix of one buffer sized for the finest grid,
-    allocated before the first draw, so the study makes one path-sized
-    allocation and holds O(N) state besides; a level's ensemble is a
-    read-only view of memory the next draw rewrites, so it is dropped
-    before that draw. Each level has the bits of sample_brownian.
+    bits of np.trapezoid over the (M+1, N) table of cos. The study draws
+    once, at the largest step count, and reads each level as every r-th
+    row of that draw, r = largest // steps, so the levels are coupled as in
+    multilevel Monte Carlo and the study holds one path array and O(N)
+    state. A step count that does not divide the largest raises ValueError.
 
     Returns the step sizes, the errors and the fitted log-log slope of
     error against step size (about 0.5).
     """
+    finest = max(step_counts)
+    if not all(steps >= 1 and finest % steps == 0 for steps in step_counts):
+        raise ValueError(f"step counts must be positive divisors of {finest}")
+    draw = sample_brownian(make_grid(horizon, finest), n_paths, start, seed)
     dts, errors = [], []
-    buffer = np.empty((max(step_counts) + 1, n_paths))
     for steps in step_counts:
         grid = make_grid(horizon, steps)
-        paths = _draw_into(buffer[:steps + 1], grid, start, seed)
+        paths = PathEnsemble(grid, draw.values[::finest // steps], "brownian",
+                             seed)
         got = local_time_integral(lambda t, y: np.sin(y), paths, 0, steps)
         # trapezoid in time of cos along each path
         cos_k = np.cos(paths.values[0])
@@ -221,7 +225,6 @@ def localtime_rate_study(horizon: float, step_counts: Sequence[int],
             term = grid.dt * (cos_next + cos_k) / 2.0
             integral = term if k == 0 else integral + term
             cos_k = cos_next
-        del paths
         oracle = -integral
         dts.append(grid.dt)
         errors.append(float(np.sqrt(np.mean((got - oracle) ** 2))))

@@ -196,7 +196,7 @@ class DeltaSession:
     `dxb` is the law derivative BEL and pathwise use, any (s, y) -> array
     callable; left None it is law_derivative() unless the drift ignores
     the law. `law_bump` (default_bump(start) when None) is checked here to
-    be positive and finite.
+    be positive and finite and to move the start both ways.
     """
 
     def __init__(self, spec: DriftSpec, start: float, grid: TimeGrid,
@@ -242,9 +242,10 @@ class DeltaSession:
 
     def _bump(self, h: Optional[float], name: str) -> float:
         h = default_bump(self.start) if h is None else float(h)
-        if not 0 < h < np.inf:
-            raise ValueError(f"bump {name} must be positive and finite, "
-                             f"got {h}")
+        x = self.start
+        if not (0 < h < np.inf and x - h != x != x + h):
+            raise ValueError(f"bump {name} must be positive, finite and not "
+                             f"lost to rounding at start {x}, got {h}")
         return h
 
     def law_derivative(self) -> SpaceTimeFn:

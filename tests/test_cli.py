@@ -343,6 +343,38 @@ def test_convergence_command_fits(tmp_path, capsys):
     assert (tmp_path / "out" / "convergence_localtime.csv").exists()
 
 
+def test_convergence_refuses_step_counts_that_do_not_divide_the_finest(
+        tmp_path, capsys):
+    # the local-time study reads each coarser level as every r-th row of
+    # one draw at the largest count; without that study the counts are
+    # not read, and any are accepted
+    uneven = deep(BASE, run__particles=500, run__steps=20,
+                  convergence__step_counts=[100, 150],
+                  convergence__particle_counts=[100, 200])
+    uneven["output"] = {"directory": str(tmp_path / "out")}
+    path = write_config(tmp_path, uneven)
+    assert main(["convergence", "--config", path]) == 2
+    assert "convergence.step_counts" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    without = deep(uneven, convergence__studies=["se_vs_n"])
+    assert main(["convergence", "--config",
+                 write_config(tmp_path, without, "without.json")]) == 0
+    assert (tmp_path / "out" / "convergence_se_vs_n.csv").exists()
+
+
+def test_delta_refuses_a_bump_lost_to_rounding(tmp_path, capsys):
+    # at x = 1e20 a bump of 0.5 gives x + h == x == x - h: the bumped
+    # solves would be the solve at x and the difference a silent 0
+    for key in ("fd_bump", "law_bump"):
+        lost = {"run": {"start": 1e20, "steps": 5, "particles": 50},
+                "delta": {key: 0.5},
+                "output": {"directory": str(tmp_path / key)}}
+        assert main(["delta", "--config",
+                     write_config(tmp_path, lost, f"{key}.json")]) == 2
+        assert f"delta.{key}" in capsys.readouterr().err
+        assert not (tmp_path / key).exists()
+
+
 def test_every_payoff_has_a_derivative():
     # cmd_delta runs pathwise for every configurable payoff, which needs
     # its derivative
@@ -649,9 +681,10 @@ def _child_peak_kib(code):
                     reason="glibc heap retention; ru_maxrss in KiB")
 def test_rate_study_after_se_vs_n_adds_one_resident_array(tmp_path):
     # se_vs_n frees a 16 000 x 201 draw first, which lifts glibc's mmap
-    # threshold above the 4000 x 801 local-time level; a level freed below
-    # that threshold stays resident under the 1600-step level. Drawn into
-    # one buffer, the study adds about one 4000 x 1601 array to the
+    # threshold above a 4000 x 801 array; a level drawn on its own and
+    # freed below that threshold would stay resident under the 1600-step
+    # level. Drawn once at 1600 steps, with the 800-step level a view of
+    # that draw, the study adds about one 4000 x 1601 array to the
     # interpreter, not 1.6
     n, top = 4000, 1600
     cfg = deep(BASE, run__steps=200, run__seed=11,

@@ -12,6 +12,7 @@ from mfsde import (ExponentOverflowError, PathEnsemble, SeedSpec,
                    mean_and_se, mean_field_ou, moment_diagnostics,
                    picard_solve, sample_brownian,
                    sign_drift)
+from mfsde import localtime
 from mfsde.grid import _ShiftedDraw
 from mfsde.localtime import _walk, localtime_rate_study
 from oracles import drift_table, particle_major_cumulative_pieces
@@ -101,21 +102,40 @@ def test_smooth_oracle_error_decays_at_half_order():
 
 def test_rate_study_errors_are_the_trapezoid_errors_bit_for_bit():
     # the study takes the trapezoid a row at a time; its errors must be
-    # those of np.trapezoid over the whole table of cos, on separate
-    # draws. The study draws every level into one buffer: in the
-    # shrinking order a level drawn after a larger one must read its own
-    # rows only, not the rows the larger level left below them
+    # those of np.trapezoid over the whole table of cos, each level read
+    # as every (finest // steps)-th row of one draw at the finest count,
+    # whatever the order of the counts
     for counts in ((50, 100, 200), (200, 50, 100)):
         dts, errors, _ = localtime_rate_study(1.0, counts, 700, 0.4, SEED)
+        draw = sample_brownian(make_grid(1.0, 200), 700, 0.4, SEED)
         want = []
         for steps in counts:
             grid = make_grid(1.0, steps)
-            paths = sample_brownian(grid, 700, 0.4, SEED)
+            paths = PathEnsemble(grid, draw.values[::200 // steps],
+                                 "brownian", SEED)
             r = local_time_integral(lambda t, y: np.sin(y), paths, 0, steps)
             oracle = -np.trapezoid(np.cos(paths.values), dx=grid.dt, axis=0)
             want.append(float(np.sqrt(np.mean((r - oracle) ** 2))))
         assert dts == [1.0 / steps for steps in counts]
         assert errors == want, counts
+
+
+def test_rate_study_draws_once_at_the_finest_count(monkeypatch):
+    draws = []
+
+    def counted_draw(grid, *args):
+        draws.append(grid.steps)
+        return sample_brownian(grid, *args)
+
+    monkeypatch.setattr(localtime, "sample_brownian", counted_draw)
+    localtime_rate_study(1.0, (200, 50, 100), 100, 0.0, SEED)
+    assert draws == [200]
+
+
+def test_rate_study_refuses_a_count_that_does_not_divide_the_finest():
+    for counts in ((100, 150), (150, 100, 300, 200), (0, 100)):
+        with pytest.raises(ValueError, match="positive divisors of"):
+            localtime_rate_study(1.0, counts, 50, 0.0, SEED)
 
 
 def test_node_window_validation():
@@ -227,8 +247,8 @@ def test_readers_of_a_shifted_driver_hold_no_shifted_copy():
 
 
 def test_rate_study_holds_one_ensemble():
-    # a table of cos beside the ensemble, or the previous level's ensemble
-    # held while the next is drawn, would read 2 or 1.5
+    # a table of cos beside the draw would read 2, and a contiguous copy
+    # of a coarse level (the 800-step one is half the draw) 1.5
     counts, n = (100, 200, 400, 800, 1600), 4000
     tracemalloc.start()
     try:

@@ -485,6 +485,19 @@ def test_session_rejects_a_nonpositive_bump(counted):
     assert counted == {"solves": 0, "draws": 0}
 
 
+def test_session_rejects_a_bump_lost_to_rounding(counted):
+    # at x = 1e20, x + h == x == x - h for h = 0.5: the bumped solves would
+    # be the solve at x. At x = 2**53, h = 1 is lost upward only
+    grid = make_grid(1.0, 10)
+    for x, h in ((1e20, 0.5), (2.0 ** 53, 1.0)):
+        session = DeltaSession(mean_field_ou(), x, grid, 100, SEED)
+        with pytest.raises(ValueError, match="lost to rounding"):
+            session.finite_difference(identity_payoff(), h=h)
+        with pytest.raises(ValueError, match="bump law_bump"):
+            DeltaSession(mean_field_ou(), x, grid, 100, SEED, law_bump=h)
+    assert counted == {"solves": 0, "draws": 0}
+
+
 # ---------------------------------------------------------------------------
 # mollified drift convergence
 # ---------------------------------------------------------------------------
