@@ -142,17 +142,9 @@ def _walk(paths: PathEnsemble | _ShiftedDraw, f: NodeFn,
 _cumulative_pieces = _walk
 
 
-def _solution_laws(result: SolveResult) -> list:
-    """What the drift reads of the solution's law at each node: spec.law of
-    that node's row, sorted on its own. That gives the bits of the row of
-    result.flow, so only the summaries are kept (a drift on the default
-    law, EmpiricalMeasure, keeps each sorted row)."""
-    return [result.spec.law(np.sort(row)) for row in result.ensemble.values]
-
-
 def _drift(spec: DriftSpec, laws: Sequence) -> NodeFn:
     """b(t_k, y, laws[k]) as an integrand of the walk, laws[k] being the
-    law summary at node k (as _solution_laws gives them)."""
+    law summary at node k (as SolveResult.laws holds them)."""
     return lambda k, t, y: eval_drift(spec, t, y, laws[k])
 
 
@@ -240,8 +232,7 @@ def drift_cumulants(result: SolveResult) -> np.ndarray:
     are exactly multiplicative.
     """
     c = np.empty_like(result.ensemble.values)
-    drift = _drift(result.spec, _solution_laws(result))
-    for node in _walk(result.brownian, drift):
+    for node in _walk(result.brownian, _drift(result.spec, result.laws)):
         c[node.k] = node.c
     return c
 
@@ -275,8 +266,8 @@ def first_variation(result: SolveResult,
     variation equals D_0 X_t exactly).
     """
     v = np.empty_like(result.ensemble.values)
-    drift = _drift(result.spec, _solution_laws(result))
-    for node in _walk(result.brownian, drift, dxb=dxb, variation=True):
+    for node in _walk(result.brownian, _drift(result.spec, result.laws),
+                      dxb=dxb, variation=True):
         v[node.k] = node.v
     return v
 
@@ -307,9 +298,8 @@ def check_chain_identity(result: SolveResult, s: int, u: int, t: int,
     dt = result.brownian.grid.dt
     # the cumulants and dxb rows of the window [s, t], with dX/dx at s
     rows, dxbs = [], []
-    drift = _drift(result.spec, _solution_laws(result))
-    for node in _walk(result.brownian, drift, stop=t, dxb=dxb,
-                      variation=True):
+    for node in _walk(result.brownian, _drift(result.spec, result.laws),
+                      stop=t, dxb=dxb, variation=True):
         if node.k == s:
             v_s = node.v
         if node.k >= s:

@@ -91,16 +91,6 @@ def _sort_rows(rows: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sup_w1(a: np.ndarray, b: np.ndarray) -> float:
-    """Sup over rows of W1 between two row-sorted atom arrays."""
-    worst = 0.0
-    for xs, ys in zip(a, b):
-        d = _w1_sorted(xs, ys)
-        if d > worst:
-            worst = d
-    return worst
-
-
 def kantorovich(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Kantorovich (Wasserstein-1) distance between two empirical measures.
 
@@ -116,9 +106,9 @@ class MeasureFlow:
 
     `atoms` is one read-only (steps + 1, n_atoms) array whose row k holds
     the atoms of the law at node k, sorted ascending; construction rejects
-    a row that is not ascending or not finite. Build it with from_ensemble
-    or constant, which guarantee the ordering; node access returns a
-    zero-copy EmpiricalMeasure view of one row.
+    a row that is not ascending or not finite. Build it with from_ensemble,
+    which guarantees the ordering; node access returns a zero-copy
+    EmpiricalMeasure view of one row.
     """
 
     grid: TimeGrid
@@ -156,12 +146,6 @@ class MeasureFlow:
         return MeasureFlow(grid=ensemble.grid,
                            atoms=_sort_rows(values, np.empty_like(values)))
 
-    @staticmethod
-    def constant(grid: TimeGrid, mu: EmpiricalMeasure) -> "MeasureFlow":
-        """Flow equal to mu at every node (a broadcast view, no copy)."""
-        atoms = np.broadcast_to(mu.atoms, (grid.steps + 1, mu.size))
-        return MeasureFlow(grid=grid, atoms=atoms)
-
     def means(self) -> np.ndarray:
         return self.atoms.mean(axis=1)
 
@@ -170,4 +154,9 @@ def flow_distance(a: MeasureFlow, b: MeasureFlow) -> float:
     """Uniform Kantorovich distance: sup over nodes of W1 between the laws."""
     if a.grid != b.grid:
         raise ValueError("flows live on different grids")
-    return _sup_w1(a.atoms, b.atoms)
+    worst = 0.0
+    for xs, ys in zip(a.atoms, b.atoms):
+        d = _w1_sorted(xs, ys)
+        if d > worst:
+            worst = d
+    return worst

@@ -43,7 +43,7 @@ from .drift import DriftSpec, mollify
 from .girsanov import EstimatorResult
 from .grid import (PathEnsemble, SeedSpec, TimeGrid, _ShiftedDraw,
                    sample_brownian)
-from .localtime import SpaceTimeFn, _drift, _Node, _solution_laws, _walk
+from .localtime import SpaceTimeFn, _drift, _Node, _walk
 from .measures import EmpiricalMeasure, kantorovich
 from .numerics import loglog_slope, mean_and_se
 from .solver import PicardConfig, picard_solve
@@ -174,14 +174,13 @@ class DeltaSession:
     x and row k as draw[k] + x, is the ensemble of that start bit for bit.
     Each solve and the pass over time read it so, through the rows of a
     grid._ShiftedDraw, one at a time, and no shifted copy is made.
-    Of each solve the session keeps the law summary of every node,
-    spec.law of each solution row sorted on its own, and the terminal
-    values, and drops the rest: the estimators read the law only through
-    those summaries. For a drift that declares its summary (every
+    Of each solve the session keeps its laws (SolveResult.laws) and
+    terminal values, and drops the rest: the estimators read the law only
+    through those summaries. For a drift that declares its summary (every
     built-in) that is O(M) numbers and one (N,) row per solve, so the peak
     is the draw and the one buffer of the solve running. A drift on the
-    default law, EmpiricalMeasure, keeps the sorted rows as its summaries,
-    one path array per solve.
+    default law, EmpiricalMeasure, keeps its sorted rows as its laws on
+    every result, so one path array per solve.
 
     BEL and pathwise read one pass over the nodes along the driving paths
     under the flow of the solve at x: the walk of localtime, which holds
@@ -215,7 +214,7 @@ class DeltaSession:
         self._draw: Optional[PathEnsemble] = None
         # node law summaries and terminal values of each solve, keyed by
         # its start
-        self._runs: dict[float, tuple[list, np.ndarray]] = {}
+        self._runs: dict[float, tuple[tuple, np.ndarray]] = {}
         # weights, Brownian terminal values and dX_T/dx of the last pass
         self._terminal: Optional[tuple[np.ndarray, np.ndarray,
                                        np.ndarray]] = None
@@ -228,7 +227,7 @@ class DeltaSession:
                                          self.seed)
         return _ShiftedDraw(self._draw, start)
 
-    def _run(self, start: float) -> tuple[list, np.ndarray]:
+    def _run(self, start: float) -> tuple[tuple, np.ndarray]:
         """Node law summaries and terminal values of the solve at start,
         solved on first use; the solve itself is dropped."""
         if start not in self._runs:
@@ -236,7 +235,7 @@ class DeltaSession:
                                   self.seed, self.config,
                                   brownian=self._brownian(start))
             # terminal() is a view that would pin the whole path array
-            self._runs[start] = (_solution_laws(result),
+            self._runs[start] = (result.laws,
                                  result.ensemble.terminal().copy())
         return self._runs[start]
 

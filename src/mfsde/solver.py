@@ -81,22 +81,24 @@ class PicardConfig:
 class SolveResult:
     """Solution ensemble with its iteration diagnostics.
 
-    `flow`, the empirical law of `ensemble` at every node, is derived on
-    first read (MeasureFlow.from_ensemble) and then kept; it is one more
-    path array, so the library's own readers sort the solution a row at a
-    time instead. For a Picard solve, `residual_history` ends with the
-    sup-W1 distance between `flow` and the flow the final Euler pass ran
-    under, which is not kept. `brownian` is the driving ensemble; for a
-    solve driven by a shifted draw (grid._ShiftedDraw) it is that view,
-    whose rows, read through its `_rows()` as every reader of a driver
-    reads them, are the ensemble at the start bit for bit. It has no
-    `values`.
+    `laws[k]` is spec.law(np.sort(ensemble.values[k])), the law the drift
+    reads at node k, as the sweep that sorted the node took it; a drift on
+    the default law, EmpiricalMeasure, keeps its sorted rows there, one
+    more path array. `flow`, the empirical law at every node, is derived on
+    first read (MeasureFlow.from_ensemble) and kept, one more path array.
+    For a Picard solve, `residual_history` ends with the sup-W1 distance
+    between `flow` and the flow the final Euler pass ran under. `brownian`
+    is the driving ensemble; for a solve driven by a shifted draw
+    (grid._ShiftedDraw) it is that view, whose rows, read through its
+    `_rows()` as every reader of a driver reads them, are the ensemble at
+    the start bit for bit. It has no `values`.
     """
 
     spec: DriftSpec
     ensemble: PathEnsemble
     brownian: PathEnsemble | _ShiftedDraw
     residual_history: tuple[float, ...]
+    laws: tuple
 
     @cached_property
     def flow(self) -> MeasureFlow:
@@ -114,23 +116,23 @@ class SolveResult:
 def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
                  brownian: PathEnsemble | _ShiftedDraw, out: np.ndarray,
                  unsorted: int = 0, tolerance: Optional[float] = None
-                 ) -> tuple[float, int]:
+                 ) -> tuple[float, list]:
     """The one Euler loop: the states of node k + 1 from those of node k,
     in a two-row ring, and node k written to out[k] once step k is done.
 
     Step k reads spec.law(frozen[k]) as the law at node k, frozen being
     row-sorted except for its first `unsorted` rows, which hold states in
     path order and are sorted in place just before node k reads them. With
-    frozen None, step k reads the law of the live states, sorted into a
-    one-row scratch.
+    frozen None, step k reads the law of the live states.
 
-    With a tolerance, node k is sorted into the scratch, and its W1 to
-    frozen[k] updates the running sup residual. out[k], which may be frozen
-    itself, receives the states in path order while that residual is below
-    the tolerance and the sorted scratch after, so a sweep that converges
-    leaves the solution in out. Without a tolerance, every row of out
-    receives the states in path order. Returns the residual (0.0 without a
-    tolerance) and the number of leading rows of out left in path order.
+    With frozen None or a tolerance, the sweep sorts node k of the new
+    states once, into a fresh array, and takes their law; with a
+    tolerance, their W1 to frozen[k] updates the running sup residual.
+    out[k], which may be frozen itself, receives the states in path order
+    while that residual is below the tolerance and the sorted states
+    after, so a sweep that converges leaves the solution in out; without a
+    tolerance, always in path order. Returns the residual (0.0 without a
+    tolerance) and the law of each sorted node left in path order.
     """
     grid = brownian.grid
     dt = grid.dt
@@ -142,9 +144,9 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
     # the solution starts where its driver starts: row 0 is x
     np.copyto(ring[0], b_k)
     limit = BLOWUP_FACTOR * (1.0 + abs(brownian.start))
-    scratch = np.empty(out.shape[1])
+    sorts = frozen is None or tolerance is not None
     residual = 0.0
-    in_order = 0
+    laws: list = []
 
     for k in range(grid.steps + 1):
         state = ring[k % 2]
@@ -152,14 +154,12 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
             # sorting is deterministic: the row gets back the bits it had
             # in the flow of the sweep before
             frozen[k].sort()
+        if sorts:
+            ordered = np.sort(state)
+            law = spec.law(ordered)
         if k < grid.steps:
-            if frozen is None:
-                np.copyto(scratch, state)
-                scratch.sort()
-                law = spec.law(scratch)
-            else:
-                law = spec.law(frozen[k])
-            b = spec.fn(float(grid.nodes[k]), state, law)
+            b = spec.fn(float(grid.nodes[k]), state,
+                        law if frozen is None else spec.law(frozen[k]))
             # dB_k = b_next - b_k has the bits of np.diff, and since
             # addition commutes, dB_k + (state + b dt) has those of
             # state + b dt + dB_k
@@ -176,16 +176,15 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
                                   limit=limit)
         if tolerance is not None:
             # frozen[k] is read for the last time: out[k] may overwrite it
-            np.copyto(scratch, state)
-            scratch.sort()
-            residual = max(residual, _w1_sorted(scratch, frozen[k]))
+            residual = max(residual, _w1_sorted(ordered, frozen[k]))
             if not residual < tolerance:
                 # this sweep is not the last: the next reads the flow
-                np.copyto(out[k], scratch)
+                np.copyto(out[k], ordered)
                 continue
         np.copyto(out[k], state)
-        in_order += 1
-    return residual, in_order
+        if sorts:
+            laws.append(law)
+    return residual, laws
 
 
 def euler_under_flow(spec: DriftSpec, flow: MeasureFlow,
@@ -236,8 +235,10 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
     in path order in place before it reads them, which gives back the bits
     of the sorted rows. The sweep that converges leaves every row in path
     order, so the buffer is then the solution, wrapped read-only as the
-    result's ensemble. A Dirac start's flow is a read-only (M+1, 1)
-    broadcast of the start, which sweep 1 reads while it fills the buffer.
+    result's ensemble, with that sweep's node laws as its laws (an earlier
+    sweep's are dropped before the next runs). A Dirac start's flow is a
+    read-only (M+1, 1) broadcast of the start, which sweep 1 reads while
+    it fills the buffer.
 
     Raises PicardConvergenceError (with the residual history attached) if
     the tolerance is not reached within config.max_iterations.
@@ -258,15 +259,17 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
     residuals: list[float] = []
     unsorted = 0
     for _ in range(config.max_iterations):
-        residual, unsorted = _euler_sweep(spec, frozen, brownian, buffer,
-                                          unsorted, config.tolerance)
+        residual, laws = _euler_sweep(spec, frozen, brownian, buffer,
+                                      unsorted, config.tolerance)
         residuals.append(residual)
         if residual < config.tolerance:
             ensemble = PathEnsemble(grid=grid, values=buffer,
                                     kind="solution", seed=brownian.seed)
             return SolveResult(spec=spec, ensemble=ensemble,
                                brownian=brownian,
-                               residual_history=tuple(residuals))
+                               residual_history=tuple(residuals),
+                               laws=tuple(laws))
+        unsorted, laws = len(laws), None  # dropped before the next sweep
         frozen = buffer
     raise PicardConvergenceError(residuals, config.tolerance)
 
@@ -276,20 +279,21 @@ def direct_particle_solve(spec: DriftSpec, start: float, grid: TimeGrid,
                           workers: int = 1) -> SolveResult:
     """Interacting-particle scheme: the law is that of the live states.
 
-    Single Euler pass where step k reads the empirical measure of the
-    current states. Same driving noise as picard_solve for equal seeds, so
-    the two routes can be compared pathwise.
+    Single Euler pass where step k reads the law of the current states,
+    which with node M's are the result's laws. Same driving noise as
+    picard_solve for equal seeds, so the two routes can be compared
+    pathwise.
 
     `workers` has no effect: the paths are drawn on one thread. It is kept
     because perfbench/make_reference.py passes it.
     """
     brownian = sample_brownian(grid, n_paths, start, seed)
     values = np.empty_like(brownian.values)
-    _euler_sweep(spec, None, brownian, values)
+    _, laws = _euler_sweep(spec, None, brownian, values)
     ensemble = PathEnsemble(grid=grid, values=values, kind="solution",
                             seed=seed)
     return SolveResult(spec=spec, ensemble=ensemble, brownian=brownian,
-                       residual_history=(0.0,))
+                       residual_history=(0.0,), laws=tuple(laws))
 
 
 def se_rate_study(spec: DriftSpec, start: float, grid: TimeGrid,

@@ -316,7 +316,7 @@ def reference_solve(spec, start: float, grid, n_paths: int, seed, config):
     config.tolerance."""
     brownian = sample_brownian(grid, n_paths, start, seed)
     if config.initial_flow == "dirac":
-        frozen = MeasureFlow.constant(grid, dirac(start))
+        frozen = constant_flow(grid, dirac(start))
     else:
         frozen = MeasureFlow.from_ensemble(brownian)
     residuals = []
@@ -328,6 +328,14 @@ def reference_solve(spec, start: float, grid, n_paths: int, seed, config):
             return ensemble, flow, frozen, tuple(residuals)
         assert len(residuals) < config.max_iterations, residuals
         frozen = flow
+
+
+def constant_flow(grid, mu) -> MeasureFlow:
+    """The flow equal to the EmpiricalMeasure mu at every node, as a
+    read-only broadcast of its atoms (a Dirac start has one atom per
+    row)."""
+    return MeasureFlow(grid=grid, atoms=np.broadcast_to(
+        mu.atoms, (grid.steps + 1, mu.size)))
 
 
 # ---------------------------------------------------------------------------

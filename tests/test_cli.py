@@ -363,16 +363,55 @@ def test_convergence_refuses_step_counts_that_do_not_divide_the_finest(
 
 
 def test_delta_refuses_a_bump_lost_to_rounding(tmp_path, capsys):
-    # at x = 1e20 a bump of 0.5 gives x + h == x == x - h: the bumped
-    # solves would be the solve at x and the difference a silent 0
+    # at x = 1e12 the spacing of doubles is 1.2e-4, so a bump of 1e-5 gives
+    # x + h == x == x - h: the bumped solves would be the solve at x and
+    # the difference a silent 0. The driving noise, of sd sqrt(0.2), is
+    # kept there
     for key in ("fd_bump", "law_bump"):
-        lost = {"run": {"start": 1e20, "steps": 5, "particles": 50},
-                "delta": {key: 0.5},
+        lost = {"run": {"start": 1e12, "steps": 5, "particles": 50},
+                "delta": {key: 1e-5},
                 "output": {"directory": str(tmp_path / key)}}
         assert main(["delta", "--config",
                      write_config(tmp_path, lost, f"{key}.json")]) == 2
         assert f"delta.{key}" in capsys.readouterr().err
         assert not (tmp_path / key).exists()
+
+
+def test_a_start_whose_noise_rounds_away_is_refused(tmp_path, capsys):
+    # at x = 1e17 the spacing of doubles is 16, so x + dB == x for almost
+    # every increment of sd sqrt(0.2): simulate reported a terminal mean
+    # with stderr 0.0. The start is refused before any numerical work
+    ou17 = {"model": {"name": "ou"},
+            "run": {"start": 1e17, "steps": 5, "particles": 50}}
+    refused = [("simulate", ou17), ("delta", ou17),
+               ("convergence", deep(ou17, convergence__studies=["se_vs_n"])),
+               # a start so large that squares of its states overflow
+               ("simulate", {"model": {"name": "sign"},
+                             "run": {"start": 1e200, "steps": 5,
+                                     "particles": 50}}),
+               # 1e12 keeps the noise at 5 steps; the local-time study
+               # draws at its finest count, 100 000 steps
+               ("convergence",
+                {"model": {"name": "ou"},
+                 "run": {"start": 1e12, "steps": 5, "particles": 50},
+                 "convergence": {"studies": ["localtime_rate"],
+                                 "step_counts": [50_000, 100_000],
+                                 "rate_paths": 2}})]
+    for i, (command, payload) in enumerate(refused):
+        payload = {**payload, "output": {"directory": str(tmp_path / "out")}}
+        assert main([command, "--config",
+                     write_config(tmp_path, payload, f"c{i}.json")]) == 2
+        err = capsys.readouterr().err
+        assert "'run.start'" in err and "noise" in err, (command, err)
+        assert not (tmp_path / "out").exists()
+    kept = {"model": {"name": "ou"},
+            "run": {"start": 1e12, "steps": 5, "particles": 50},
+            "output": {"directory": str(tmp_path / "out")}}
+    assert main(["simulate", "--config",
+                 write_config(tmp_path, kept, "kept.json")]) == 0
+    rows = (tmp_path / "out" / "simulate_summary.csv").read_text()
+    terminal = rows.splitlines()[1].split(",")
+    assert terminal[0] == "terminal_mean" and float(terminal[2]) > 0.0
 
 
 def test_every_payoff_has_a_derivative():
@@ -493,30 +532,22 @@ def test_exit_codes(tmp_path, capsys):
                  write_config(tmp_path, huge, "huge.json")]) == 2
     assert "run.start" in capsys.readouterr().err
     assert not (tmp_path / "o5").exists()
-    # 3: states finite but their squares or spreads not; nothing is written
-    for name, model, start in (("inf1", "ou", 1e300), ("inf2", "sign", 1e200)):
-        overflow = {"model": {"name": model},
-                    "run": {"start": start, "steps": 5, "particles": 50},
-                    "output": {"directory": str(tmp_path / name)}}
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["simulate", "--config",
-                         write_config(tmp_path, overflow, f"{name}.json")])
-        assert code == 3
-        assert "variance of node 0 is inf" in capsys.readouterr().err
-        assert not (tmp_path / name).exists()
-    # 3: the same for delta and convergence, whose tables would hold nan
-    # and inf
+    # 3: states finite but their squares not; nothing is written. A start
+    # of 1e160 keeps its driving noise only on a long horizon, where
+    # sqrt(dt) is about 4e149 against a spacing of doubles of about 2e144
     far = {"model": {"name": "zero"},
-           "run": {"start": 1e200, "steps": 5, "particles": 50}}
+           "run": {"start": 1e160, "horizon": 1e300, "steps": 5,
+                   "particles": 50}}
     for name, command, section, quantity in (
+            ("inf1", "simulate", {}, "terminal_second_moment is inf"),
             ("inf3", "delta",
              {"delta": {"payoff": "square",
                         "methods": ["finite_difference"]}},
              "delta_finite_difference is nan"),
             ("inf4", "convergence",
-             {"convergence": {"studies": ["se_vs_n"],
-                              "particle_counts": [10, 20]}},
-             "stderr of n_paths")):
+             {"convergence": {"studies": ["localtime_rate"],
+                              "step_counts": [1, 5], "rate_paths": 10}},
+             "rms_error of steps 1 is inf")):
         overflow = {**far, **section,
                     "output": {"directory": str(tmp_path / name)}}
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -10,7 +10,8 @@ from mfsde import (MeasureFlow, PicardConfig, SeedSpec, constant_drift,
                    reweighted_expectation, sample_brownian, sign_drift,
                    zero_drift)
 from mfsde.girsanov import drift_along_paths
-from oracles import drift_table, gaussian_weight_moment, reference_solve
+from oracles import (constant_flow, drift_table, gaussian_weight_moment,
+                     reference_solve)
 
 SEED = SeedSpec(2_718_281)
 
@@ -18,7 +19,7 @@ SEED = SeedSpec(2_718_281)
 def constant_setup(c=0.8, steps=100, n=20_000):
     grid = make_grid(1.0, steps)
     paths = sample_brownian(grid, n, 0.0, SEED)
-    flow = MeasureFlow.constant(grid, dirac(0.0))
+    flow = constant_flow(grid, dirac(0.0))
     return grid, paths, flow
 
 

@@ -131,12 +131,13 @@ def euler_reading_the_next_increment(spec, frozen, brownian, out,
     for k in range(grid.steps):
         b = spec.fn(float(grid.nodes[k]), nodes[k], spec.law(frozen[k]))
         nodes[k + 1] = nodes[k] + b * grid.dt + db[(k + 1) % grid.steps]
-    residual, in_order = 0.0, 0
+    residual, laws = 0.0, []
     for k in range(grid.steps + 1):
         residual, kept = settle(nodes[k], frozen[k], out[k], tolerance,
                                 residual)
-        in_order += kept
-    return residual, in_order
+        if kept:
+            laws.append(spec.law(np.sort(nodes[k])))
+    return residual, laws
 
 
 def sweep_settling_before_the_step(spec, frozen, brownian, out, unsorted=0,
@@ -146,17 +147,18 @@ def sweep_settling_before_the_step(spec, frozen, brownian, out, unsorted=0,
     reads the new states at node k, not the frozen law."""
     bv, grid = brownian.values, brownian.grid
     state = np.full(out.shape[1], brownian.start)
-    residual, in_order = 0.0, 0
+    residual, laws = 0.0, []
     for k in range(grid.steps + 1):
         if k < unsorted:
             frozen[k].sort()
         residual, kept = settle(state, frozen[k], out[k], tolerance,
                                 residual)
-        in_order += kept
+        if kept:
+            laws.append(spec.law(np.sort(state)))
         if k < grid.steps:
             b = spec.fn(float(grid.nodes[k]), state, spec.law(frozen[k]))
             state = state + b * grid.dt + (bv[k + 1] - bv[k])
-    return residual, in_order
+    return residual, laws
 
 
 SWEEP = solver._euler_sweep

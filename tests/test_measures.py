@@ -4,7 +4,7 @@ from scipy import stats
 
 from mfsde import (EmpiricalMeasure, MeasureFlow, SeedSpec, dirac,
                    flow_distance, kantorovich, make_grid, sample_brownian)
-from oracles import dual_w1
+from oracles import constant_flow, dual_w1
 
 
 def test_empirical_measure_basics():
@@ -152,12 +152,12 @@ def test_measure_flow_rejects_unsorted_and_non_finite_rows():
 def test_constant_flow_and_flow_distance():
     grid = make_grid(1.0, 4)
     mu = EmpiricalMeasure(np.array([-1.0, 0.5, 2.0]))
-    flow = MeasureFlow.constant(grid, mu)
+    flow = constant_flow(grid, mu)
     # a constant flow is a view of the one measure, not a copy
     assert flow.atoms.shape == (5, 3)
     assert np.shares_memory(flow.atoms, mu.atoms)
     assert all(np.array_equal(flow[k].atoms, mu.atoms) for k in range(5))
-    base = MeasureFlow.constant(grid, dirac(0.0))
+    base = constant_flow(grid, dirac(0.0))
     other = MeasureFlow(grid, atoms=np.array([[0.0], [0.0], [0.0], [0.4],
                                               [0.1]]))
     # sup over nodes picks the worst node
@@ -170,15 +170,15 @@ def test_flow_distance_is_the_worst_node_kantorovich():
     a = MeasureFlow.from_ensemble(sample_brownian(grid, 300, 0.0, SeedSpec(3)))
     b = MeasureFlow.from_ensemble(sample_brownian(grid, 300, 0.2, SeedSpec(4)))
     # equal atom counts, and an ensemble against a one-atom Dirac flow
-    for other in (b, MeasureFlow.constant(grid, dirac(0.3))):
+    for other in (b, constant_flow(grid, dirac(0.3))):
         want = max(kantorovich(a[k], other[k]) for k in range(9))
         assert flow_distance(a, other) == want
         assert flow_distance(other, a) == want
 
 
 def test_flow_distance_requires_same_grid():
-    a = MeasureFlow.constant(make_grid(1.0, 4), dirac(0.0))
-    b = MeasureFlow.constant(make_grid(1.0, 5), dirac(0.0))
+    a = constant_flow(make_grid(1.0, 4), dirac(0.0))
+    b = constant_flow(make_grid(1.0, 5), dirac(0.0))
     with pytest.raises(ValueError):
         flow_distance(a, b)
 

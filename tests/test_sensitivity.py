@@ -9,9 +9,10 @@ import pytest
 import mfsde.sensitivity as sensitivity
 from mfsde import (DeltaSession, DriftSpec, EmpiricalMeasure,
                    ExponentOverflowError, Payoff, PicardConfig, SeedSpec,
-                   call_payoff, check_regularity, constant_drift,
-                   constant_payoff, convolution_drift, default_bump,
-                   doleans_weights, expectation_drift,
+                   call_payoff, check_chain_identity, check_regularity,
+                   constant_drift, constant_payoff, convolution_drift,
+                   default_bump, doleans_weights, drift_cumulants,
+                   expectation_drift,
                    expectation_square_drift, first_variation,
                    front_loaded_weight, identity_payoff, make_grid,
                    mean_and_se, mean_field_ou, mollified_convergence_study,
@@ -422,6 +423,43 @@ def test_session_peak_memory_in_path_arrays(spec, counted):
         assert counted == {"solves": solves, "draws": 1}
         arrays = peak / (8 * n * (grid.steps + 1))
         assert arrays <= 2.5, f"{solves} solves: peak {arrays:.2f} arrays"
+
+
+def test_no_reader_takes_the_law_of_a_row_after_its_solve(monkeypatch):
+    # the solves hand out the laws their sweeps took; the local-time
+    # readers and the session read those and call spec.law on no row
+    calls = {"inside": 0, "outside": 0}
+    solving = []
+    base = sign_drift()
+
+    def law(atoms):
+        calls["inside" if solving else "outside"] += 1
+        return base.law(atoms)
+
+    solve = sensitivity.picard_solve
+
+    def spied_solve(*args, **kwargs):
+        solving.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(sensitivity, "picard_solve", spied_solve)
+    spec, grid = replace(base, law=law), make_grid(1.0, 30)
+    result = spied_solve(spec, 1.0, grid, 1000, SEED)
+    assert calls["outside"] == 0
+    inside = calls["inside"]
+    drift_cumulants(result)
+    first_variation(result, lambda s, y: 0.1 * y)
+    check_chain_identity(result, 5, 10, 20)
+    session = DeltaSession(spec, 1.0, grid, 1000, SEED)
+    session.bel(call_payoff(1.0))
+    session.pathwise(call_payoff(1.0))
+    session.finite_difference(call_payoff(1.0))
+    # the session solved, and took its laws inside its solves only
+    assert calls["inside"] > inside
+    assert calls["outside"] == 0
 
 
 def test_session_reads_a_user_drift_through_its_default_law(counted):

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mfsde import (BlowUpError, DeltaSession, DriftSpec, MeasureFlow,
-                   PathEnsemble,
-                   PicardConfig, PicardConvergenceError, SeedSpec,
+from mfsde import (BlowUpError, DeltaSession, DriftSpec, EmpiricalMeasure,
+                   MeasureFlow, PathEnsemble, PicardConfig,
+                   PicardConvergenceError, SeedSpec,
                    call_payoff, constant_drift, convolution_drift, dirac,
                    direct_particle_solve, euler_under_flow, expectation_drift,
                    flow_distance, make_grid, mean_and_se, mean_field_ou,
@@ -16,7 +16,7 @@ from mfsde import (BlowUpError, DeltaSession, DriftSpec, MeasureFlow,
 from mfsde.grid import _ShiftedDraw
 from mfsde.localtime import drift_cumulants
 from mfsde.solver import se_rate_study
-from oracles import ou_mean_ode, reference_solve
+from oracles import constant_flow, ou_mean_ode, reference_solve
 
 SEED = SeedSpec(314159)
 
@@ -87,7 +87,7 @@ def test_frozen_flow_reproduces_the_ensemble_bit_for_bit():
     for config, frozen in (
             (PicardConfig(tolerance=10.0), MeasureFlow.from_ensemble(brownian)),
             (PicardConfig(tolerance=10.0, initial_flow="dirac"),
-             MeasureFlow.constant(grid, dirac(1.0)))):
+             constant_flow(grid, dirac(1.0)))):
         result = picard_solve(spec, 1.0, grid, n, SEED, config)
         assert result.iterations == 1
         replay = euler_under_flow(spec, frozen, result.brownian)
@@ -147,15 +147,28 @@ def test_picard_solve_is_the_two_flow_reference_bit_for_bit(builder, config,
     assert result.residual_history == residuals
 
 
-@pytest.mark.parametrize("solve, min_sweeps", [
-    (lambda spec, grid, n: picard_solve(spec, 1.0, grid, n, SEED), 2),
+def picard_brownian(spec, grid, n):
+    return picard_solve(spec, 1.0, grid, n, SEED)
+
+
+def direct(spec, grid, n):
+    return direct_particle_solve(spec, 1.0, grid, n, SEED)
+
+
+@pytest.mark.parametrize("solve, min_sweeps, builder, bound", [
+    (picard_brownian, 2, sign_drift, 2.5),
     (lambda spec, grid, n: picard_solve(spec, 1.0, grid, n, SEED,
                                         PicardConfig(initial_flow="dirac")),
-     2),
-    (lambda spec, grid, n: direct_particle_solve(spec, 1.0, grid, n, SEED),
-     1),
-], ids=["brownian", "dirac", "direct"])
-def test_solve_peak_memory_in_path_arrays(solve, min_sweeps):
+     2, sign_drift, 2.5),
+    (direct, 1, sign_drift, 2.5),
+    # a drift on the default law keeps the sorted rows of every node as
+    # its laws, one more path array (3.03); the summaries of a sweep that
+    # is not the last, kept alive into the next sweep, would add the rows
+    # that sweep left in path order (3.77)
+    (picard_brownian, 2, default_law_drift, 3.1),
+    (direct, 1, default_law_drift, 3.1),
+], ids=["brownian", "dirac", "direct", "default-law", "default-law-direct"])
+def test_solve_peak_memory_in_path_arrays(solve, min_sweeps, builder, bound):
     # the draw and one buffer, plus the normal block of the draw; a
     # solution array beside the buffer, or a flow built from it, would
     # show here. A Picard solve must take a second sweep, which re-sorts
@@ -164,13 +177,13 @@ def test_solve_peak_memory_in_path_arrays(solve, min_sweeps):
     grid, n = make_grid(1.0, 200), 4096
     tracemalloc.start()
     try:
-        result = solve(sign_drift(), grid, n)
+        result = solve(builder(), grid, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.iterations >= min_sweeps
     arrays = peak / (8 * n * (grid.steps + 1))
-    assert arrays <= 2.5, f"peak {arrays:.2f} path arrays"
+    assert arrays <= bound, f"peak {arrays:.2f} path arrays"
 
 
 def test_direct_solve_flow_is_the_sorted_ensemble():
@@ -196,6 +209,44 @@ def test_direct_solve_reads_the_law_of_the_live_states(builder):
         want[k + 1] = (bv[k + 1] - bv[k]) + (want[k] + b * grid.dt)
     assert np.array_equal(result.ensemble.values.view(np.int64),
                           want.view(np.int64))
+
+
+def law_bits(law):
+    """The bits of a law summary: the atoms of an EmpiricalMeasure, else
+    the float or floats it holds."""
+    if isinstance(law, EmpiricalMeasure):
+        law = law.atoms
+    return np.asarray(law, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda spec, grid: picard_solve(spec, 1.0, grid, 3000, SEED),
+    lambda spec, grid: picard_solve(spec, 1.0, grid, 3000, SEED,
+                                    PicardConfig(initial_flow="dirac")),
+    # several sweeps, each leaving rows in path order for the next
+    lambda spec, grid: picard_solve(spec, 1.0, grid, 3000, SEED,
+                                    PicardConfig(tolerance=1e-5)),
+    lambda spec, grid: direct_particle_solve(spec, 1.0, grid, 3000, SEED),
+], ids=["brownian", "dirac", "tight", "direct"])
+@pytest.mark.parametrize("builder", [mean_field_ou, sign_drift,
+                                     convolution_drift, default_law_drift],
+                         ids=["ou", "sign", "convolution", "default-law"])
+def test_solve_laws_are_the_law_of_each_sorted_row(solve, builder):
+    # the laws the sweep took as it sorted each node are those a reader
+    # would take of the solution, sorted again, bit for bit
+    spec, grid = builder(), make_grid(1.0, 40)
+    result = solve(spec, grid)
+    assert len(result.laws) == grid.steps + 1
+    for k, law in enumerate(result.laws):
+        want = spec.law(np.sort(result.ensemble.values[k]))
+        assert np.array_equal(law_bits(law), law_bits(want)), k
+    if builder is default_law_drift:
+        # each summary holds its own sorted row
+        atoms = [law.atoms for law in result.laws]
+        for a in atoms:
+            assert not np.shares_memory(a, result.ensemble.values)
+        for a, b in itertools.combinations(atoms, 2):
+            assert not np.shares_memory(a, b)
 
 
 def result_arrays(result):
@@ -250,7 +301,7 @@ def test_later_solves_leave_an_earlier_result_unchanged(monkeypatch):
 def test_euler_reuses_supplied_brownian():
     grid = make_grid(1.0, 20)
     paths = sample_brownian(grid, 100, 0.0, SEED)
-    flow = MeasureFlow.constant(grid, dirac(0.0))
+    flow = constant_flow(grid, dirac(0.0))
     # the driver is the pass's one source of x, the grid and the seed; a
     # shifted draw, which no seed gives, starts where it starts
     moved = PathEnsemble(grid=grid, values=paths.values + 1.5,
@@ -271,7 +322,7 @@ def test_euler_rejects_a_flow_on_another_grid_and_a_solution_driver():
     spec = mean_field_ou()
     for other in (make_grid(2.0, 20), make_grid(1.0, 40)):
         with pytest.raises(ValueError, match="grid"):
-            euler_under_flow(spec, MeasureFlow.constant(other, dirac(1.0)),
+            euler_under_flow(spec, constant_flow(other, dirac(1.0)),
                              paths)
     solution = euler_under_flow(spec, flow, paths)
     with pytest.raises(ValueError, match="Brownian"):
@@ -417,7 +468,7 @@ def test_non_finite_state_is_reported_as_an_infinite_blow_up():
         bbar=lambda t, y, v: np.full_like(y, np.nan if t > 0.15 else 0.0),
         functional=lambda z: z, growth_const=1.0, law_lipschitz_const=0.0,
         name="poisoned")
-    flow = MeasureFlow.constant(grid, dirac(0.0))
+    flow = constant_flow(grid, dirac(0.0))
     with pytest.raises(BlowUpError) as err:
         euler_under_flow(poisoned, flow, sample_brownian(grid, 50, 0.0, SEED))
     assert err.value.step == 3

@@ -1,11 +1,11 @@
 """The size of the public API, counted so that it cannot grow unseen.
 
-Public parameters are counted by inspect.signature, without self, over
-every function in mfsde.__all__, every method defined with def in the body
-of a class in __all__ whose name has no leading underscore, and
-DeltaSession.__init__. Fields are counted by dataclasses.fields over the
-dataclasses in __all__. A change that adds to the API edits the budget
-here.
+Public parameters are counted by inspect.signature, without self or cls,
+over every function in mfsde.__all__, every method defined with def in the
+body of a class in __all__ whose name has no leading underscore (static
+and class methods included), and DeltaSession.__init__. Fields are counted
+by dataclasses.fields over the dataclasses in __all__. A change that adds
+to the API edits the budget here.
 """
 
 import dataclasses
@@ -14,7 +14,7 @@ import inspect
 import mfsde
 from mfsde.cli import RunConfig
 
-MAX_PARAMETERS = 108
+MAX_PARAMETERS = 109
 MAX_FIELDS = 68
 EXPORTS = 58
 CONFIG_KEYS = 22
@@ -22,7 +22,7 @@ CONFIG_KEYS = 22
 
 def parameter_count(fn) -> int:
     return sum(1 for name in inspect.signature(fn).parameters
-               if name != "self")
+               if name not in ("self", "cls"))
 
 
 def public_parameters() -> int:
@@ -32,10 +32,12 @@ def public_parameters() -> int:
         if inspect.isfunction(obj):
             total += parameter_count(obj)
         elif inspect.isclass(obj):
-            total += sum(parameter_count(member)
-                         for attr, member in vars(obj).items()
-                         if not attr.startswith("_")
-                         and inspect.isfunction(member))
+            # a static or class method wraps its function in __func__
+            members = (getattr(member, "__func__", member)
+                       for attr, member in vars(obj).items()
+                       if not attr.startswith("_"))
+            total += sum(parameter_count(member) for member in members
+                         if inspect.isfunction(member))
     return total
 
 
