@@ -2,7 +2,8 @@
 
 Once the law flow of the solution is known, expectations under the solution
 law can be estimated on plain Brownian paths: weight each path by the
-stochastic exponential of the drift along it. The demo does this for the
+stochastic exponential of the drift along it, which reads the node laws
+the solve hands out (`res.laws`). The demo does this for the
 discontinuous sign model
 
     b(t, y, mu) = alpha * sign(y) - theta * y + kappa * mean(mu),
@@ -42,7 +43,7 @@ def main() -> None:
     print("== exponential weights on fresh Brownian paths ==")
     paths = sample_brownian(grid, n_paths=50_000, start=START,
                             seed=seed.child(7))
-    w = doleans_weights(spec, res.flow, paths)
+    w = doleans_weights(spec, res.laws, paths)
     w_mean, w_se = mean_and_se(w)
     print(f"weight mean = {w_mean:.5f} +- {w_se:.5f}   (martingale target 1)")
     print(f"weight range [{w.min():.4f}, {w.max():.4f}], "
@@ -56,7 +57,7 @@ def main() -> None:
     print("== reweighted expectations vs the direct estimator ==")
     for label, payoff in (("identity", lambda y: y),
                           ("call at 0", lambda y: np.maximum(y, 0.0))):
-        rw = reweighted_expectation(spec, res.flow, paths, payoff,
+        rw = reweighted_expectation(spec, res.laws, paths, payoff,
                                     label=label)
         dr = np.asarray(payoff(res.ensemble.terminal()), dtype=float)
         dr_mean = dr.mean()

@@ -11,9 +11,10 @@ values; volatile run facts (wall time, peak RSS, package version) go to
 meta.json.
 
 Exit codes: 0 success, 2 malformed config, usage error, a run estimated to
-need more than physical memory or a start that rounds its noise away, 3
-numerical failure (non-convergence, blow-up, overflow guard, a non-finite
-number in a table), 4 self-check failure.
+need more than physical memory, a start that rounds its noise away or an
+output directory holding a CSV the run does not write, 3 numerical failure
+(non-convergence, blow-up, overflow guard, a non-finite number in a
+table), 4 self-check failure.
 """
 
 from __future__ import annotations
@@ -434,6 +435,35 @@ def _require_finite(header: list[str], rows: list[list]) -> None:
                     f"{name} of {header[0]} {row[0]} is {v!r}")
 
 
+# The CSVs a run of each command writes; convergence also writes that of
+# each study it runs. A run refuses a directory holding any other CSV.
+_CSV_FILES = {
+    "simulate": ("simulate_nodes.csv", "simulate_residuals.csv",
+                 "simulate_summary.csv"),
+    "delta": ("delta_results.csv", "delta_agreement.csv"),
+    "convergence": ("convergence_fits.csv",),
+    "selfcheck": ("selfcheck.csv",),
+    "se_vs_n": ("convergence_se_vs_n.csv",),
+    "localtime_rate": ("convergence_localtime.csv",),
+    "mollify": ("convergence_mollify.csv",),
+}
+
+
+def _csv_names(command: str, cfg: RunConfig) -> set[str]:
+    studies = cfg.studies if command == "convergence" else ()
+    return {name for key in (command, *studies) for name in _CSV_FILES[key]}
+
+
+def check_outputs(command: str, cfg: RunConfig) -> None:
+    """Refuse an output directory that holds a CSV the run will not write,
+    which its meta.json would then not describe."""
+    names = _csv_names(command, cfg)
+    for path in sorted(Path(cfg.out_dir).glob("*.csv")):
+        _require(path.name in names,
+                 f"output directory '{cfg.out_dir}' holds {path.name}, which "
+                 f"'{command}' does not write")
+
+
 SUMMARY_HEADER = ["quantity", "estimate", "stderr", "n_paths", "steps",
                   "seed", "config_hash"]
 
@@ -469,7 +499,11 @@ def _write_outputs(cfg: RunConfig, command: str,
                    t0: float) -> Path:
     """Check that every {file name: (header, rows)} table is finite, then
     create the output directory, write the tables as CSVs in insertion
-    order and meta.json (wall time since t0), and return the directory."""
+    order and meta.json (wall time since t0), and return the directory.
+    The tables are named by exactly the CSVs _csv_names gives."""
+    if set(tables) != _csv_names(command, cfg):
+        raise RuntimeError(f"'{command}' writes {sorted(tables)}, not "
+                           f"{sorted(_csv_names(command, cfg))}")
     for header, rows in tables.values():
         _require_finite(header, rows)
     out = Path(cfg.out_dir)
@@ -500,7 +534,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     node_rows = []
     # each node is sorted in one row buffer first: np.quantile partitions
     # at 12 indices, about four times as slow on an unsorted row of 50 000
-    # as sorting it; the bits are those of that row of result.flow
+    # as sorting it; the bits are those of np.sort of that row
     row = np.empty(values.shape[1])
     for k in range(grid.steps + 1):
         np.copyto(row, values[k])
@@ -659,7 +693,7 @@ def cmd_selfcheck(cfg: Optional[RunConfig]) -> int:
     record("ou_terminal_mean", err, 4 * se, err <= 4 * se)
 
     # Girsanov weights average to one
-    w = doleans_weights(mean_field_ou(), res.flow, res.brownian)
+    w = doleans_weights(mean_field_ou(), res.laws, res.brownian)
     wm, wse = mean_and_se(w)
     record("weight_mean_one", abs(wm - 1.0), 4 * wse, abs(wm - 1.0) <= 4 * wse)
 
@@ -739,6 +773,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if cfg is not None and args.command in PEAK_ARRAYS:
             check_memory(args.command, cfg)
             check_start(args.command, cfg)
+        if cfg is not None:
+            check_outputs(args.command, cfg)
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "delta":

@@ -15,14 +15,13 @@ weight tail is before trusting a reweighted estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .drift import DriftSpec
 from .grid import PathEnsemble
 from .localtime import _drift, _walk
-from .measures import MeasureFlow
 from .numerics import mean_and_se
 
 
@@ -36,50 +35,58 @@ class EstimatorResult:
     extra: dict = field(default_factory=dict, compare=False)
 
 
-def drift_along_paths(spec: DriftSpec, flow: MeasureFlow,
+def _check_laws(laws: Sequence, paths: PathEnsemble) -> None:
+    if len(laws) != paths.grid.steps + 1:
+        raise ValueError(f"{len(laws)} node laws for paths on "
+                         f"{paths.grid.steps + 1} nodes")
+
+
+def drift_along_paths(spec: DriftSpec, laws: Sequence,
                       paths: PathEnsemble) -> np.ndarray:
-    """b(t_k, path value, flow_k) for every node and path, shape (M+1, N).
+    """b(t_k, path value, laws[k]) for every node and path, shape (M+1, N).
 
     Not exported: perfbench/traced.py reads this name, and ROADMAP item 1b
     deletes it."""
-    fn = _drift(spec, [spec.law(row) for row in flow.atoms])
+    _check_laws(laws, paths)
+    fn = _drift(spec, laws)
     out = np.empty_like(paths.values)
     for k in range(paths.grid.steps + 1):
         out[k] = fn(k, float(paths.grid.nodes[k]), paths.values[k])
     return out
 
 
-def doleans_weights(spec: DriftSpec, flow: MeasureFlow,
+def doleans_weights(spec: DriftSpec, laws: Sequence,
                     paths: PathEnsemble) -> np.ndarray:
     """Stochastic exponential of the drift along a Brownian ensemble, (N,).
 
     Left-point discretization of exp( int b dB - 1/2 int b^2 dt ) over the
-    whole horizon, summed in one walk over the nodes. Exponents are
-    guarded (|exponent| <= 700), so the weights are finite and strictly
-    positive. The flow must be on the grid of the paths.
+    whole horizon, summed in one walk over the nodes, with the drift at
+    node k reading laws[k]. `laws` holds one law summary per node of the
+    paths, as SolveResult.laws holds them: spec.law of the sorted atoms.
+    Exponents are guarded (|exponent| <= 700), so the weights are finite
+    and strictly positive.
     """
     if paths.kind != "brownian":
         raise ValueError("weights are defined along Brownian ensembles")
-    if flow.grid != paths.grid:
-        raise ValueError("flow and paths are on different grids")
-    laws = [spec.law(row) for row in flow.atoms]
+    _check_laws(laws, paths)
     for node in _walk(paths, _drift(spec, laws), girsanov=True):
         pass
     return node.weights
 
 
-def reweighted_expectation(spec: DriftSpec, flow: MeasureFlow,
+def reweighted_expectation(spec: DriftSpec, laws: Sequence,
                            paths: PathEnsemble,
                            payoff: Callable[[np.ndarray], np.ndarray],
                            label: str = "reweighted") -> EstimatorResult:
-    """E[payoff(X_T)] estimated as mean of w * payoff(B_T) on Brownian paths.
+    """E[payoff(X_T)] estimated as mean of w * payoff(B_T) on Brownian paths,
+    w the weights doleans_weights gives for the node laws `laws`.
 
     The raw (unnormalized) weighted mean is the faithful estimator of the
     change-of-measure identity and is what gets reported; the
     self-normalized variant (divide by the realized weight mean) is attached
     under extra["self_normalized"] as a variance-reduced cross-check.
     """
-    w = doleans_weights(spec, flow, paths)
+    w = doleans_weights(spec, laws, paths)
     g = np.asarray(payoff(paths.terminal()), dtype=float)
     est, se = mean_and_se(w * g)
     w_mean, w_se = mean_and_se(w)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -80,17 +79,6 @@ def _w1_sorted(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(np.sum(np.abs(cdf_x - cdf_y) * deltas))
 
 
-def _sort_rows(rows: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """Copy row k of rows into out[k] and sort each row of out in place,
-    in one batched sort; row k of the returned out equals np.sort(rows[k]).
-    The rows may be a 2-D array or an iterator whose rows are read once,
-    in order."""
-    for dst, row in zip(out, rows):
-        np.copyto(dst, row)
-    out.sort(axis=1)
-    return out
-
-
 def kantorovich(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Kantorovich (Wasserstein-1) distance between two empirical measures.
 
@@ -139,12 +127,11 @@ class MeasureFlow:
     def from_ensemble(ensemble: PathEnsemble) -> "MeasureFlow":
         """Empirical law of the ensemble at every node.
 
-        One copy of the paths, sorted in place along rows; row k equals
+        One sorted copy of the paths; row k equals
         np.sort(ensemble.values[k]).
         """
-        values = ensemble.values
         return MeasureFlow(grid=ensemble.grid,
-                           atoms=_sort_rows(values, np.empty_like(values)))
+                           atoms=np.sort(ensemble.values, axis=1))
 
     def means(self) -> np.ndarray:
         return self.atoms.mean(axis=1)

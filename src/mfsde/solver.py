@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .drift import DriftSpec
 from .grid import (PathEnsemble, SeedSpec, TimeGrid, _ShiftedDraw,
                    sample_brownian)
-from .measures import MeasureFlow, _sort_rows, _w1_sorted
+from .measures import MeasureFlow, _w1_sorted
 from .numerics import loglog_slope, mean_and_se
 
 # Hard abort threshold for the Euler state, relative to 1 + |x|.
@@ -84,12 +83,13 @@ class SolveResult:
     `laws[k]` is spec.law(np.sort(ensemble.values[k])), the law the drift
     reads at node k, as the sweep that sorted the node took it; a drift on
     the default law, EmpiricalMeasure, keeps its sorted rows there, one
-    more path array. `flow`, the empirical law at every node, is derived on
-    first read (MeasureFlow.from_ensemble) and kept, one more path array.
-    For a Picard solve, `residual_history` ends with the sup-W1 distance
-    between `flow` and the flow the final Euler pass ran under. `brownian`
-    is the driving ensemble; for a solve driven by a shifted draw
-    (grid._ShiftedDraw) it is that view, whose rows, read through its
+    more path array. doleans_weights and the local-time readers take the
+    laws; a caller that needs the atoms builds
+    MeasureFlow.from_ensemble(ensemble). For a Picard solve,
+    `residual_history` ends with the sup-W1 distance between the empirical
+    law of the solution and the flow the final Euler pass ran under.
+    `brownian` is the driving ensemble; for a solve driven by a shifted
+    draw (grid._ShiftedDraw) it is that view, whose rows, read through its
     `_rows()` as every reader of a driver reads them, are the ensemble at
     the start bit for bit. It has no `values`.
     """
@@ -99,10 +99,6 @@ class SolveResult:
     brownian: PathEnsemble | _ShiftedDraw
     residual_history: tuple[float, ...]
     laws: tuple
-
-    @cached_property
-    def flow(self) -> MeasureFlow:
-        return MeasureFlow.from_ensemble(self.ensemble)
 
     @property
     def iterations(self) -> int:
@@ -231,14 +227,15 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
     reuses it in every sweep: the flow buffer. Inside the sweep, once step
     k has read row k of the frozen flow, node k of the new states
     overwrites it: in path order while the sweep's running residual is
-    below the tolerance, sorted after. The next sweep sorts the rows left
-    in path order in place before it reads them, which gives back the bits
-    of the sorted rows. The sweep that converges leaves every row in path
-    order, so the buffer is then the solution, wrapped read-only as the
-    result's ensemble, with that sweep's node laws as its laws (an earlier
-    sweep's are dropped before the next runs). A Dirac start's flow is a
-    read-only (M+1, 1) broadcast of the start, which sweep 1 reads while
-    it fills the buffer.
+    below the tolerance, sorted after. Each sweep sorts the rows left in
+    path order in place just before it reads them, which gives back the
+    bits of the sorted rows; from the Brownian start, the buffer first
+    holds the driver's rows in path order, and sweep 1 sorts them so. The
+    sweep that converges leaves every row in path order, so the buffer is
+    then the solution, wrapped read-only as the result's ensemble, with
+    that sweep's node laws as its laws (an earlier sweep's are dropped
+    before the next runs). A Dirac start's flow is a read-only (M+1, 1)
+    broadcast of the start, which sweep 1 reads while it fills the buffer.
 
     Raises PicardConvergenceError (with the residual history attached) if
     the tolerance is not reached within config.max_iterations.
@@ -250,14 +247,18 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
         raise ValueError("driving ensemble does not match the requested "
                          "grid, particle count, start and seed")
     buffer = np.empty((grid.steps + 1, n_paths))
+    unsorted = 0
     if config.initial_flow == "dirac":
         # the driver starts at this finite start, checked above
         frozen = np.broadcast_to(float(start), (grid.steps + 1, 1))
     else:
-        frozen = _sort_rows(brownian._rows(), buffer)
+        # the driver's rows in path order, which sweep 1 sorts in place as
+        # every later sweep sorts the rows left in path order
+        for dst, row in zip(buffer, brownian._rows()):
+            np.copyto(dst, row)
+        frozen, unsorted = buffer, grid.steps + 1
 
     residuals: list[float] = []
-    unsorted = 0
     for _ in range(config.max_iterations):
         residual, laws = _euler_sweep(spec, frozen, brownian, buffer,
                                       unsorted, config.tolerance)

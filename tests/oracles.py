@@ -330,6 +330,17 @@ def reference_solve(spec, start: float, grid, n_paths: int, seed, config):
         frozen = flow
 
 
+def flow_of(result) -> MeasureFlow:
+    """The empirical law of a solve's solution at every node."""
+    return MeasureFlow.from_ensemble(result.ensemble)
+
+
+def flow_laws(spec, flow) -> list:
+    """The law summary of every node of a flow, as SolveResult.laws holds
+    them for the flow of a solve."""
+    return [spec.law(row) for row in flow.atoms]
+
+
 def constant_flow(grid, mu) -> MeasureFlow:
     """The flow equal to the EmpiricalMeasure mu at every node, as a
     read-only broadcast of its atoms (a Dirac start has one atom per

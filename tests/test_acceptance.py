@@ -24,7 +24,7 @@ from mfsde import (DeltaSession, SeedSpec, call_payoff, check_chain_identity,
                    PicardConfig, reweighted_expectation, sample_brownian,
                    sign_drift, uniform_weight, zero_drift)
 from mfsde.cli import main as cli_main
-from oracles import ou_mean_ode, reference_solve
+from oracles import flow_laws, flow_of, ou_mean_ode, reference_solve
 
 PIN = SeedSpec(20260816)
 TARGET = math.exp(-0.5)
@@ -183,7 +183,7 @@ def test_first_variation_against_crn_difference(report):
     minus = picard_solve(spec, 1.0 - h, grid, n, PIN)
     lines, ok = [], True
     solve = picard_solve(spec, 1.0, grid, n, PIN)
-    weights = doleans_weights(spec, solve.flow, solve.brownian)
+    weights = doleans_weights(spec, solve.laws, solve.brownian)
     variation = first_variation(solve, session.law_derivative())
     for k in (50, 100, 150, 200):
         crn, crn_se = mean_and_se((plus.ensemble.values[k]
@@ -218,7 +218,8 @@ def test_criterion_07_change_of_measure_triangle(report):
         paths = sample_brownian(grid, n, 1.0, PIN)
         for payoff, pname in ((lambda y: y, "id"),
                               (lambda y: np.maximum(y, 0.0), "call")):
-            rw = reweighted_expectation(spec, frozen, paths, payoff)
+            rw = reweighted_expectation(spec, flow_laws(spec, frozen), paths,
+                                        payoff)
             wm, wse = rw.extra["weight_mean"], rw.extra["weight_mean_se"]
             ok = ok and abs(wm - 1.0) <= 3 * wse
             ests = [rw.estimate,
@@ -250,7 +251,7 @@ def test_criterion_08_fixed_point_uniqueness_probe(report):
                                        initial_flow="brownian"))
         rb = picard_solve(spec, 1.0, grid, 20_000, PIN,
                           PicardConfig(tolerance=1e-3, initial_flow="dirac"))
-        worst = max(worst, flow_distance(ra.flow, rb.flow))
+        worst = max(worst, flow_distance(flow_of(ra), flow_of(rb)))
     ok = worst <= 2e-3
     report(f"criterion 08 {'PASS' if ok else 'FAIL'}  "
            f"sup-Kantorovich gap between initial-flow choices "

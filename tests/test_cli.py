@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from mfsde import PicardConfig
-from mfsde.cli import (_PAYOFFS, ConfigError, load_config, main,
-                       parse_config, serialize_config)
+from mfsde.cli import (_PAYOFFS, ConfigError, _write_outputs, load_config,
+                       main, parse_config, serialize_config)
 from oracles import ou_mean_ode
 from test_traced import TINY
 
@@ -286,7 +286,7 @@ def test_node_quantiles_equal_the_whole_flow_quantiles(tmp_path, capsys):
     from mfsde import SeedSpec, make_grid, picard_solve, sign_drift
     result = picard_solve(sign_drift(), 1.0, make_grid(1.0, 20), 1001,
                           SeedSpec(424242))
-    want = np.quantile(result.flow.atoms, [0.05, 0.25, 0.5, 0.75, 0.95],
+    want = np.quantile(np.sort(result.ensemble.values, axis=1), [0.05, 0.25, 0.5, 0.75, 0.95],
                        axis=1)
     rows = (tmp_path / "out" / "simulate_nodes.csv").read_text().splitlines()
     got = np.array([[float(c) for c in r.split(",")[4:]] for r in rows[1:]])
@@ -412,6 +412,83 @@ def test_a_start_whose_noise_rounds_away_is_refused(tmp_path, capsys):
     rows = (tmp_path / "out" / "simulate_summary.csv").read_text()
     terminal = rows.splitlines()[1].split(",")
     assert terminal[0] == "terminal_mean" and float(terminal[2]) > 0.0
+
+
+def test_a_directory_holding_another_commands_csv_is_refused(
+        tmp_path, capsys, monkeypatch):
+    # simulate then delta into one directory left simulate's CSVs beside
+    # delta's, under a meta.json that said "command": "delta". A run now
+    # refuses, before any numerical work, a directory holding a CSV it
+    # will not write, and leaves every file as it was
+    import mfsde.cli as cli
+    payload = {"model": {"name": "sign"},
+               "run": {"start": 1.0, "steps": 20, "particles": 500,
+                       "seed": 5},
+               "output": {"directory": str(tmp_path / "out")}}
+    path = write_config(tmp_path, payload)
+    assert main(["simulate", "--config", path]) == 0
+    out = tmp_path / "out"
+
+    def listing():
+        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in out.iterdir()}
+
+    before = listing()
+    assert len(before) == 4, sorted(before)
+    capsys.readouterr()
+
+    def no_run(cfg):
+        raise AssertionError("a refused run reached its command")
+
+    for command in ("delta", "convergence", "selfcheck"):
+        monkeypatch.setattr(cli, f"cmd_{command}", no_run)
+        assert main([command, "--config", path]) == 2, command
+        err = capsys.readouterr().err
+        assert "simulate_nodes.csv" in err and command in err, err
+        assert listing() == before, command
+    # the same command again writes over its own files
+    assert main(["simulate", "--config", path]) == 0
+    assert {k: v[0] for k, v in listing().items() if k.endswith(".csv")} \
+        == {k: v[0] for k, v in before.items() if k.endswith(".csv")}
+
+
+def test_a_command_writes_exactly_its_csvs(tmp_path):
+    # the names the directory check reads are the names written: a command
+    # whose tables miss one of its CSVs or add another is refused before
+    # the directory is made
+    cfg = parse_config({"output": {"directory": str(tmp_path / "out")}})
+    table = (["a"], [[1.0]])
+    for names in (["delta_results.csv"],
+                  ["delta_results.csv", "delta_agreement.csv",
+                   "simulate_nodes.csv"]):
+        with pytest.raises(RuntimeError, match="'delta' writes"):
+            _write_outputs(cfg, "delta", dict.fromkeys(names, table), 0.0)
+    assert not (tmp_path / "out").exists()
+
+
+def test_convergence_with_fewer_studies_is_refused_over_more(tmp_path,
+                                                              capsys):
+    studies = deep(BASE, run__particles=300, run__steps=10,
+                   convergence__particle_counts=[100, 200],
+                   convergence__step_counts=[10, 20],
+                   convergence__rate_paths=50)
+    studies["output"] = {"directory": str(tmp_path / "out")}
+    both = write_config(tmp_path, studies, "both.json")
+    one = write_config(
+        tmp_path, deep(studies, convergence__studies=["se_vs_n"]), "one.json")
+    # a run may write over a subset of its own CSVs, and rerun over all
+    assert main(["convergence", "--config", one]) == 0
+    assert main(["convergence", "--config", both]) == 0
+    assert main(["convergence", "--config", both]) == 0
+    written = sorted(p.name for p in (tmp_path / "out").glob("*.csv"))
+    assert written == ["convergence_fits.csv", "convergence_localtime.csv",
+                       "convergence_se_vs_n.csv"]
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    assert main(["convergence", "--config", one]) == 2
+    assert "convergence_localtime.csv" in capsys.readouterr().err
+    assert {p.name: p.read_bytes()
+            for p in (tmp_path / "out").iterdir()} == before
 
 
 def test_every_payoff_has_a_derivative():
@@ -744,11 +821,14 @@ def test_readme_outputs_table_matches_csv_headers(tmp_path, capsys):
         "run": {"start": 1.0, "steps": 10, "particles": 300, "seed": 5},
         "convergence": {"particle_counts": [100, 200], "step_counts": [10, 20],
                         "mollify_levels": [2, 4], "rate_paths": 50},
-        "output": {"directory": str(tmp_path / "out")},
     }
     path = write_config(tmp_path, payload)
-    for command in ("simulate", "delta", "convergence", "selfcheck"):
-        assert main([command, "--config", path]) == 0
+    # one directory per command: a directory holds one command's CSVs
+    commands = ("simulate", "delta", "convergence", "selfcheck")
+    for command in commands:
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / command)]) == 0
     written = {p.name: p.read_text(encoding="utf-8").splitlines()[0]
-               for p in (tmp_path / "out").glob("*.csv")}
+               for command in commands
+               for p in (tmp_path / command).glob("*.csv")}
     assert written == documented

@@ -10,8 +10,8 @@ from mfsde import (MeasureFlow, PicardConfig, SeedSpec, constant_drift,
                    reweighted_expectation, sample_brownian, sign_drift,
                    zero_drift)
 from mfsde.girsanov import drift_along_paths
-from oracles import (constant_flow, drift_table, gaussian_weight_moment,
-                     reference_solve)
+from oracles import (constant_flow, drift_table, flow_laws,
+                     gaussian_weight_moment, reference_solve)
 
 SEED = SeedSpec(2_718_281)
 
@@ -27,7 +27,8 @@ def test_weights_for_constant_drift_match_closed_form():
     # log w = c B_T - c^2 T / 2 exactly for a left-point scheme
     c = 0.8
     grid, paths, flow = constant_setup(c)
-    w = doleans_weights(constant_drift(c), flow, paths)
+    spec = constant_drift(c)
+    w = doleans_weights(spec, flow_laws(spec, flow), paths)
     want = np.exp(c * (paths.terminal() - paths.values[0])
                   - 0.5 * c * c * grid.horizon)
     assert w.shape == (paths.n_paths,)
@@ -37,7 +38,8 @@ def test_weights_for_constant_drift_match_closed_form():
 def test_weight_moments_match_gaussian_identities():
     c = 0.8
     grid, paths, flow = constant_setup(c)
-    w = doleans_weights(constant_drift(c), flow, paths)
+    spec = constant_drift(c)
+    w = doleans_weights(spec, flow_laws(spec, flow), paths)
     m, se = mean_and_se(w)
     assert abs(m - 1.0) <= 3 * se
     m2 = (w ** 2).mean()
@@ -54,7 +56,7 @@ def test_weights_mean_one_for_all_models():
         # the flow the last Picard sweep ran under
         frozen = reference_solve(spec, 1.0, grid, 20_000, SEED,
                                  PicardConfig())[2]
-        w = doleans_weights(spec, frozen, paths)
+        w = doleans_weights(spec, flow_laws(spec, frozen), paths)
         m, se = mean_and_se(w)
         assert abs(m - 1.0) <= 3 * se + 1e-12, spec.name
         assert np.all(w > 0)
@@ -62,29 +64,35 @@ def test_weights_mean_one_for_all_models():
 
 def test_zero_drift_weights_are_exactly_one():
     grid, paths, flow = constant_setup()
-    w = doleans_weights(zero_drift(), flow, paths)
+    spec = zero_drift()
+    w = doleans_weights(spec, flow_laws(spec, flow), paths)
     assert np.array_equal(w, np.ones(paths.n_paths))
 
 
 def test_weights_reject_a_flow_on_another_grid():
-    # a 40-step or horizon-2 flow would be read at the wrong times
+    # the laws of a 40-step or 10-step solve would be read at the wrong
+    # nodes; laws carry no grid, so only their count is checked
     grid = make_grid(1.0, 20)
     paths = sample_brownian(grid, 500, 1.0, SEED)
     spec = mean_field_ou()
-    for other in (make_grid(1.0, 40), make_grid(2.0, 20)):
-        flow = MeasureFlow.from_ensemble(sample_brownian(other, 500, 1.0,
-                                                         SEED))
-        with pytest.raises(ValueError, match="grid"):
-            doleans_weights(spec, flow, paths)
-        with pytest.raises(ValueError, match="grid"):
-            reweighted_expectation(spec, flow, paths, lambda y: y)
+    for steps in (40, 10):
+        laws = picard_solve(spec, 1.0, make_grid(1.0, steps), 500,
+                            SEED).laws
+        with pytest.raises(ValueError, match="node laws"):
+            doleans_weights(spec, laws, paths)
+        with pytest.raises(ValueError, match="node laws"):
+            reweighted_expectation(spec, laws, paths, lambda y: y)
+        with pytest.raises(ValueError, match="node laws"):
+            drift_along_paths(spec, laws, paths)
 
 
 def test_reweighted_expectation_transports_the_mean():
     # E[w Phi(x + B_T)] = E[Phi(X_T)]; for constant drift X_T = x + cT + B_T
     c, x = 0.8, 0.0
     grid, paths, flow = constant_setup(c)
-    r = reweighted_expectation(constant_drift(c), flow, paths, lambda y: y)
+    spec = constant_drift(c)
+    r = reweighted_expectation(spec, flow_laws(spec, flow), paths,
+                               lambda y: y)
     assert abs(r.estimate - (x + c)) <= 3 * r.stderr
     assert "self_normalized" in r.extra
     assert abs(r.extra["self_normalized"] - r.estimate) <= 3 * r.stderr
@@ -99,7 +107,8 @@ def test_reweighted_expectation_on_mean_field_model():
     result = picard_solve(spec, x, grid, 20_000, SEED)
     frozen = reference_solve(spec, x, grid, 20_000, SEED, PicardConfig())[2]
     paths = sample_brownian(grid, 20_000, x, SEED.child(5))
-    r = reweighted_expectation(spec, frozen, paths, lambda y: y)
+    r = reweighted_expectation(spec, flow_laws(spec, frozen), paths,
+                               lambda y: y)
     direct = result.ensemble.terminal().mean()
     assert abs(r.estimate - direct) <= 3 * (r.stderr + 0.01)
 
@@ -107,7 +116,8 @@ def test_reweighted_expectation_on_mean_field_model():
 def test_epsilon_moment_probe_matches_oracle():
     c = 0.8
     grid, paths, flow = constant_setup(c)
-    w = doleans_weights(constant_drift(c), flow, paths)
+    spec = constant_drift(c)
+    w = doleans_weights(spec, flow_laws(spec, flow), paths)
     probe = epsilon_moment_probe(w, eps=0.5)
     want = gaussian_weight_moment(c, 1.0, 1.5)
     assert abs(probe.estimate - want) <= 3 * probe.stderr
@@ -117,7 +127,7 @@ def test_doleans_weights_demand_brownian_paths():
     grid = make_grid(1.0, 20)
     result = picard_solve(mean_field_ou(), 1.0, grid, 100, SEED)
     with pytest.raises(ValueError):
-        doleans_weights(mean_field_ou(), result.flow, result.ensemble)
+        doleans_weights(mean_field_ou(), result.laws, result.ensemble)
 
 
 def test_drift_along_paths_shape_and_values():
@@ -128,6 +138,8 @@ def test_drift_along_paths_shape_and_values():
     # the unexported package table has the oracle's bits on a model that
     # reads the law
     result = picard_solve(sign_drift(), 1.0, make_grid(1.0, 30), 500, SEED)
-    want = drift_table(result.spec, result.flow, result.brownian)
-    got = drift_along_paths(result.spec, result.flow, result.brownian)
+    want = drift_table(result.spec,
+                       MeasureFlow.from_ensemble(result.ensemble),
+                       result.brownian)
+    got = drift_along_paths(result.spec, result.laws, result.brownian)
     assert np.array_equal(got, want)

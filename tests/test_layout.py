@@ -68,7 +68,8 @@ def layout_mismatches(spec, config=PicardConfig()):
         "brownian": (result.brownian.values, brownian),
         "solution": (result.ensemble.values, values),
         # flows are time-major in both layouts
-        "flow": (result.flow.atoms, flow.atoms.T),
+        "flow": (MeasureFlow.from_ensemble(result.ensemble).atoms,
+                 flow.atoms.T),
         "cumulants": (drift_cumulants(result), cumulants),
         "variation": (first_variation(result, dxb), variation),
     }

@@ -15,7 +15,7 @@ from mfsde import (ExponentOverflowError, PathEnsemble, SeedSpec,
 from mfsde import localtime
 from mfsde.grid import _ShiftedDraw
 from mfsde.localtime import _walk, localtime_rate_study
-from oracles import drift_table, particle_major_cumulative_pieces
+from oracles import drift_table, flow_of, particle_major_cumulative_pieces
 
 SEED = SeedSpec(1_618_033)
 
@@ -161,7 +161,7 @@ def test_window_from_node_zero_is_the_cumulant_row():
     result = picard_solve(sign_drift(), 1.0, make_grid(1.0, 120), 300, SEED)
     paths = result.brownian
     cumulants = drift_cumulants(result)
-    f = node_integrand(drift_table(result.spec, result.flow, paths),
+    f = node_integrand(drift_table(result.spec, flow_of(result), paths),
                        paths.grid)
     for t in (0, 1, 57, 120):
         got = local_time_integral(f, paths, 0, t)
@@ -180,7 +180,7 @@ def drift_table_and_pieces(builder):
     reference, time-major."""
     result = picard_solve(builder(), 1.0, make_grid(1.0, 200), 2000, SEED)
     paths = result.brownian
-    fvals = drift_table(result.spec, result.flow, paths)
+    fvals = drift_table(result.spec, flow_of(result), paths)
     pieces = particle_major_cumulative_pieces(fvals.T, paths.values.T,
                                               paths.start, paths.grid)
     return drift_cumulants(result), fvals, paths, [p.T for p in pieces]
@@ -395,8 +395,8 @@ def malliavin_windows(builder, paths):
     grid, steps = paths.grid, paths.grid.steps
     result = picard_solve(builder(), 1.0, grid, ORACLE_PATHS, SEED,
                           brownian=paths)
-    spec, flow = result.spec, result.flow
-    weights = doleans_weights(spec, flow, paths)
+    spec, flow = result.spec, flow_of(result)
+    weights = doleans_weights(spec, result.laws, paths)
     c = drift_cumulants(result)
     rows = []
     for fs, ft in WINDOWS:

@@ -16,11 +16,13 @@ from mfsde import (DeltaSession, DriftSpec, EmpiricalMeasure,
                    expectation_square_drift, first_variation,
                    front_loaded_weight, identity_payoff, make_grid,
                    mean_and_se, mean_field_ou, mollified_convergence_study,
-                   picard_solve, sample_brownian, sign_drift, square_payoff,
-                   uniform_weight, zero_drift)
+                   picard_solve, reweighted_expectation, sample_brownian,
+                   sign_drift, square_payoff, uniform_weight, zero_drift)
 from mfsde.cli import main as cli_main
+from mfsde.girsanov import drift_along_paths
+from mfsde.grid import _ShiftedDraw
 from oracles import (discrete_ou_mean, expectation_square_law_derivative,
-                     ou_mean_ode, table_bel, table_path_terms,
+                     flow_of, ou_mean_ode, table_bel, table_path_terms,
                      table_pathwise)
 
 SEED = SeedSpec(9_462_371)
@@ -216,6 +218,49 @@ def test_bel_accepts_supplied_law_derivative():
     assert abs(ra.estimate - rb.estimate) <= 3 * (ra.stderr + rb.stderr)
 
 
+@pytest.mark.parametrize("builder", [sign_drift, mean_field_ou],
+                         ids=["sign", "ou"])
+def test_delta_integrates_to_the_change_in_value(builder):
+    # x -> E[payoff(X_T^x)] is differentiable (the paper's Sobolev
+    # differentiability in x), so F(1.5) - F(0.5) is the integral of the
+    # delta over [0.5, 1.5]: a check of BEL on the irregular model that
+    # needs no closed form. The difference comes from two solves on one
+    # draw at 0 with its paired SE; the integral is a 4-node Gauss-Legendre
+    # sum of bel. The nodes share a draw, so their errors are correlated
+    # and the sum's SE is bounded by sum |w_i| se_i. Tolerance: 3 of the
+    # two SEs added, plus dt for the weak error of the Euler scheme (the
+    # sqrt(dt) of criterion 07 is 0.1, above the OU gap with the law
+    # feedback removed, 0.064). At seed 11 the gaps read 0.0011 (sign) and
+    # 0.0024 (OU) against tolerances 0.025 and 0.020; removing the law
+    # feedback moves them to 0.12 and 0.064, negating it to 0.25 and 0.13
+    grid, n, seed = make_grid(1.0, 100), 20_000, SeedSpec(11)
+    spec, payoff, (a, b) = builder(), call_payoff(1.0), (0.5, 1.5)
+    draw = sample_brownian(grid, n, 0.0, seed)
+    low, high = (payoff.fn(picard_solve(
+        spec, x, grid, n, seed, brownian=_ShiftedDraw(draw, x)
+    ).ensemble.terminal()) for x in (a, b))
+    change, change_se = mean_and_se(high - low)
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    xs, ws = (a + b) / 2 + (b - a) / 2 * nodes, (b - a) / 2 * weights
+    # each node's session solves at x once and reads the bumped law
+    # derivative, scaled by 1, 0 (no law feedback) and -1 (negated)
+    sums = {1.0: [0.0, 0.0], 0.0: [0.0, 0.0], -1.0: [0.0, 0.0]}
+    for x, w in zip(xs, ws):
+        law = DeltaSession(spec, x, grid, n, seed).law_derivative()
+        scale = [1.0]
+        session = DeltaSession(spec, x, grid, n, seed,
+                               dxb=lambda s, y: scale[0] * law(s, y))
+        for c, total in sums.items():
+            scale[0] = c
+            r = session.bel(payoff)
+            total[0] += w * r.estimate
+            total[1] += abs(w) * r.stderr
+    for c, (integral, se) in sums.items():
+        gap = abs(integral - change)
+        tolerance = 3.0 * (change_se + se) + grid.dt
+        assert (gap <= tolerance) == (c == 1.0), (c, gap, tolerance)
+
+
 # ---------------------------------------------------------------------------
 # delta session: solve counts and bit identity with one-shot sessions
 # ---------------------------------------------------------------------------
@@ -287,11 +332,11 @@ def test_law_derivative_is_the_one_bel_reads(counted):
     y = np.linspace(-2.0, 3.0, 11)
     for k in (0, 13, 40):
         t = float(grid.nodes[k])
-        want = (spec.fn(t, y, spec.law(up.flow.atoms[k]))
-                - spec.fn(t, y, spec.law(down.flow.atoms[k]))) / (2 * h)
+        want = (spec.fn(t, y, spec.law(flow_of(up).atoms[k]))
+                - spec.fn(t, y, spec.law(flow_of(down).atoms[k]))) / (2 * h)
         assert np.array_equal(dxb(t, y), want), k
     solve = picard_solve(spec, x, grid, n, SEED)
-    terms = table_path_terms(spec, solve.flow, solve.brownian, dxb)
+    terms = table_path_terms(spec, flow_of(solve), solve.brownian, dxb)
     assert (got.estimate, got.stderr) == table_bel(terms, grid, payoff,
                                                    uniform_weight(1.0))
 
@@ -352,7 +397,7 @@ def test_session_path_terms_are_the_localtime_and_girsanov_bits(spec):
     payoff = square_payoff()
     session = DeltaSession(spec, x, grid, n, SEED)
     solve = picard_solve(spec, x, grid, n, SEED)
-    weights = doleans_weights(spec, solve.flow, solve.brownian)
+    weights = doleans_weights(spec, solve.laws, solve.brownian)
     variation = first_variation(solve, session.law_derivative())
     want = mean_and_se(weights * payoff.derivative(solve.brownian.terminal())
                        * variation[-1])
@@ -375,19 +420,19 @@ def test_session_pass_has_the_bits_of_the_table_route(spec, feedback):
     session = DeltaSession(spec, x, grid, n, SEED)
     solve = picard_solve(spec, x, grid, n, SEED)
     dxb = session.law_derivative() if feedback else None
-    terms = table_path_terms(spec, solve.flow, solve.brownian, dxb)
+    terms = table_path_terms(spec, flow_of(solve), solve.brownian, dxb)
     for weight in (uniform_weight(1.0), front_loaded_weight(1.0)):
         got = session.bel(payoff, weight)
         assert (got.estimate, got.stderr) == table_bel(terms, grid, payoff,
                                                        weight), weight.name
     got = session.pathwise(payoff)
     assert (got.estimate, got.stderr) == table_pathwise(terms, payoff)
-    weights = doleans_weights(spec, solve.flow, solve.brownian)
+    weights = doleans_weights(spec, solve.laws, solve.brownian)
     assert np.array_equal(weights.view(np.int64), terms[0].view(np.int64))
     assert np.array_equal(first_variation(solve, dxb).view(np.int64),
                           terms[2].view(np.int64))
     # a drive without the -b dt term is a different estimator
-    broken = table_path_terms(spec, solve.flow, solve.brownian, dxb,
+    broken = table_path_terms(spec, flow_of(solve), solve.brownian, dxb,
                               drift_in_drive=False)
     got = session.bel(payoff)
     assert (got.estimate, got.stderr) != table_bel(broken, grid, payoff,
@@ -427,7 +472,8 @@ def test_session_peak_memory_in_path_arrays(spec, counted):
 
 def test_no_reader_takes_the_law_of_a_row_after_its_solve(monkeypatch):
     # the solves hand out the laws their sweeps took; the local-time
-    # readers and the session read those and call spec.law on no row
+    # readers, the Girsanov weights and the session read those and call
+    # spec.law on no row
     calls = {"inside": 0, "outside": 0}
     solving = []
     base = sign_drift()
@@ -453,6 +499,14 @@ def test_no_reader_takes_the_law_of_a_row_after_its_solve(monkeypatch):
     drift_cumulants(result)
     first_variation(result, lambda s, y: 0.1 * y)
     check_chain_identity(result, 5, 10, 20)
+    # the weights and the drift along paths read the laws of the solve
+    doleans_weights(spec, result.laws, result.brownian)
+    reweighted_expectation(spec, result.laws, result.brownian, np.cos)
+    drift_along_paths(spec, result.laws, result.brownian)
+    for reader in (doleans_weights, drift_along_paths,
+                   lambda *a: reweighted_expectation(*a, np.cos)):
+        with pytest.raises(ValueError, match="node laws"):
+            reader(spec, result.laws[:-1], result.brownian)
     session = DeltaSession(spec, 1.0, grid, 1000, SEED)
     session.bel(call_payoff(1.0))
     session.pathwise(call_payoff(1.0))

@@ -16,7 +16,7 @@ from mfsde import (BlowUpError, DeltaSession, DriftSpec, EmpiricalMeasure,
 from mfsde.grid import _ShiftedDraw
 from mfsde.localtime import drift_cumulants
 from mfsde.solver import se_rate_study
-from oracles import constant_flow, ou_mean_ode, reference_solve
+from oracles import constant_flow, flow_of, ou_mean_ode, reference_solve
 
 SEED = SeedSpec(314159)
 
@@ -93,7 +93,7 @@ def test_frozen_flow_reproduces_the_ensemble_bit_for_bit():
         replay = euler_under_flow(spec, frozen, result.brownian)
         assert np.array_equal(replay.values, result.ensemble.values)
         flow = MeasureFlow.from_ensemble(replay)
-        assert np.array_equal(flow.atoms, result.flow.atoms)
+        assert np.array_equal(flow.atoms, flow_of(result).atoms)
         assert result.residual == flow_distance(flow, frozen)
 
 
@@ -142,7 +142,7 @@ def test_picard_solve_is_the_two_flow_reference_bit_for_bit(builder, config,
     assert max(handed[:result.iterations]) >= 2, handed
     assert np.array_equal(result.ensemble.values.view(np.int64),
                           ensemble.values.view(np.int64))
-    assert np.array_equal(result.flow.atoms.view(np.int64),
+    assert np.array_equal(flow_of(result).atoms.view(np.int64),
                           flow.atoms.view(np.int64))
     assert result.residual_history == residuals
 
@@ -189,9 +189,10 @@ def test_solve_peak_memory_in_path_arrays(solve, min_sweeps, builder, bound):
 def test_direct_solve_flow_is_the_sorted_ensemble():
     result = direct_particle_solve(sign_drift(), 1.0, make_grid(1.0, 40),
                                    3000, SEED)
-    want = MeasureFlow.from_ensemble(result.ensemble)
-    assert np.array_equal(result.flow.atoms.view(np.int64),
-                          want.atoms.view(np.int64))
+    got = MeasureFlow.from_ensemble(result.ensemble)
+    for k, row in enumerate(result.ensemble.values):
+        assert np.array_equal(got.atoms[k].view(np.int64),
+                              np.sort(row).view(np.int64)), k
 
 
 @pytest.mark.parametrize("builder", [sign_drift, convolution_drift,
@@ -250,7 +251,7 @@ def test_solve_laws_are_the_law_of_each_sorted_row(solve, builder):
 
 
 def result_arrays(result):
-    return {"ensemble": result.ensemble.values, "flow": result.flow.atoms,
+    return {"ensemble": result.ensemble.values,
             "brownian": result.brownian.values}
 
 
@@ -259,7 +260,7 @@ def result_arrays(result):
     PicardConfig(tolerance=1e-5),
 ], ids=["brownian", "dirac", "tight"])
 def test_solve_arrays_are_read_only_and_share_no_memory(config):
-    # the sweeps reuse their buffers; the result must still hand out three
+    # the sweeps reuse their buffers; the result must still hand out two
     # separate, frozen arrays
     result = picard_solve(mean_field_ou(), 1.0, make_grid(1.0, 30), 2000,
                           SEED, config)
@@ -375,7 +376,7 @@ def test_solve_on_a_shifted_draw_is_the_solve_drawn_at_its_start(spec,
     got = picard_solve(spec, start, grid, n, SEED, brownian=view)
     want = picard_solve(spec, start, grid, n, SEED)
     assert np.array_equal(got.ensemble.values, want.ensemble.values)
-    assert np.array_equal(got.flow.atoms, want.flow.atoms)
+    assert np.array_equal(flow_of(got).atoms, flow_of(want).atoms)
     assert got.residual_history == want.residual_history
     driver = np.array(list(got.brownian._rows()))
     drawn = sample_brownian(grid, n, start, SEED).values
@@ -383,7 +384,7 @@ def test_solve_on_a_shifted_draw_is_the_solve_drawn_at_its_start(spec,
     # array_equal reads -0.0 == +0.0: row 0 must also keep the sign bit
     # of the start, as sample_brownian writes it
     for rows in ((got.ensemble.values, want.ensemble.values),
-                 (got.flow.atoms, want.flow.atoms),
+                 (flow_of(got).atoms, flow_of(want).atoms),
                  (driver, drawn)):
         assert np.array_equal(np.signbit(rows[0][0]), np.signbit(rows[1][0]))
     assert (np.signbit(got.ensemble.values[0]) == np.signbit(start)).all()
@@ -430,7 +431,7 @@ def test_initial_flow_choice_lands_on_the_same_fixed_point():
         cfg_d = PicardConfig(tolerance=1e-3, initial_flow="dirac")
         ra = picard_solve(spec, 1.0, grid, 10_000, SEED, cfg_b)
         rb = picard_solve(spec, 1.0, grid, 10_000, SEED, cfg_d)
-        assert flow_distance(ra.flow, rb.flow) <= 2e-3, spec.name
+        assert flow_distance(flow_of(ra), flow_of(rb)) <= 2e-3, spec.name
 
 
 def test_picard_convergence_error_carries_history():
