@@ -5,10 +5,10 @@ README); parsing is strict, so unknown sections or keys are errors rather
 than silent no-ops. Every command hands its tables to one writer,
 `_write_outputs`, which checks that every number is finite before the
 output directory exists, then writes each table as a CSV file with fixed
-columns, full-precision floats, UTF-8 and LF line endings. For a fixed
-config and seed the CSV bytes are identical across runs and --workers
-values; volatile run facts (wall time, peak RSS, package version) go to
-meta.json.
+columns, full-precision floats, UTF-8 and LF line endings, moved into place
+whole. For a fixed config and seed the CSV bytes are identical across runs
+and --workers values; their SHA-256 digests and the volatile run facts
+(wall time, peak RSS, package version) go to meta.json.
 
 Exit codes: 0 success, 2 malformed config, usage error, a run estimated to
 need more than physical memory, a start that rounds its noise away or an
@@ -163,25 +163,18 @@ def _one_of(choices) -> Callable[[Any, str], str]:
     return rule
 
 
-def _list_of(choices) -> Callable[[Any, str], tuple]:
+def _list_of(least: int, item: Callable[[Any, str], Any]
+             ) -> Callable[[Any, str], tuple]:
+    """A list of >= `least` distinct entries, each passing the rule `item`
+    before set() hashes it, so an entry that is a dict or a list fails as
+    a config error."""
     def rule(v, name):
-        _require(isinstance(v, list) and v
-                 and all(isinstance(c, str) and c in choices for c in v),
-                 f"{name} must list {', '.join(choices)}")
-        return tuple(v)
-    return rule
-
-
-def _fit_counts(lo, hi) -> Callable[[Any, str], tuple]:
-    """Abscissae of a log-log fit: >= 2 distinct integers in [lo, hi]."""
-    def rule(v, name):
-        _require(isinstance(v, list) and len(v) >= 2
-                 and all(isinstance(x, int) and not isinstance(x, bool)
-                         and lo <= x <= hi for x in v)
-                 and len(set(v)) == len(v),
-                 f"{name} must be a list of >= 2 distinct integers in "
-                 f"[{lo}, {hi}]")
-        return tuple(v)
+        _require(isinstance(v, list) and len(v) >= least,
+                 f"{name} must be a list of >= {least} entries")
+        entries = tuple(item(x, f"{name} entry {x!r}") for x in v)
+        _require(len(set(entries)) == len(entries),
+                 f"{name} must not repeat an entry")
+        return entries
     return rule
 
 
@@ -247,18 +240,22 @@ class RunConfig:
     strike: float = _key("delta", 0.0, _number())
     weight_name: str = _key("delta", "uniform", _one_of(_WEIGHTS),
                             key="weight")
-    methods: tuple[str, ...] = _key("delta", _METHODS, _list_of(_METHODS))
+    methods: tuple[str, ...] = _key("delta", _METHODS,
+                                   _list_of(1, _one_of(_METHODS)))
     fd_bump: Optional[float] = _key("delta", None, _bump)
     law_bump: Optional[float] = _key("delta", None, _bump)
     studies: tuple[str, ...] = _key("convergence", _STUDIES,
-                                    _list_of(_STUDIES))
+                                    _list_of(1, _one_of(_STUDIES)))
+    # the abscissae of a log-log fit: at least two, all distinct
     particle_counts: tuple[int, ...] = _key(
         "convergence", (1000, 2000, 4000, 8000, 16000),
-        _fit_counts(2, MAX_PARTICLES))
+        _list_of(2, _number(2, MAX_PARTICLES, integer=True)))
     step_counts: tuple[int, ...] = _key(
-        "convergence", (100, 200, 400, 800), _fit_counts(1, MAX_STEPS))
+        "convergence", (100, 200, 400, 800),
+        _list_of(2, _number(1, MAX_STEPS, integer=True)))
     mollify_levels: tuple[int, ...] = _key(
-        "convergence", (4, 16, 64, 256), _fit_counts(1, 100_000))
+        "convergence", (4, 16, 64, 256),
+        _list_of(2, _number(1, 100_000, integer=True)))
     rate_paths: int = _key("convergence", 1000,
                            _number(2, MAX_PARTICLES, integer=True))
     out_dir: str = _key("output", "out", _path, key="directory",
@@ -417,11 +414,19 @@ def _fmt(x: Any) -> str:
     return str(x)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Fixed columns, full-precision floats, UTF-8, LF; deterministic."""
+def write_csv(path: Path, header: list[str], rows: list[list]) -> str:
+    """Fixed columns, full-precision floats, UTF-8, LF; deterministic.
+
+    The bytes go to <name>.tmp, which os.replace then moves to `path`, so
+    a write that fails midway leaves no truncated CSV under its name.
+    Returns the SHA-256 hex digest of the bytes."""
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _require_finite(header: list[str], rows: list[list]) -> None:
@@ -477,13 +482,14 @@ def _summary_rows(cfg: RunConfig, triples) -> list[list]:
             for quantity, estimate, stderr in triples]
 
 
-def _write_meta(out: Path, command: str, cfg: RunConfig,
+def _write_meta(out: Path, command: str, cfg: RunConfig, files: dict,
                 wall: float) -> None:
     from . import __version__
     meta = {
         "command": command,
         "config": cfg.raw,
         "config_hash": cfg.config_hash(),
+        "files": files,
         # ru_maxrss counts bytes on macOS and KiB on Linux
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / (2**20 if sys.platform == "darwin" else 1024),
@@ -499,7 +505,8 @@ def _write_outputs(cfg: RunConfig, command: str,
                    t0: float) -> Path:
     """Check that every {file name: (header, rows)} table is finite, then
     create the output directory, write the tables as CSVs in insertion
-    order and meta.json (wall time since t0), and return the directory.
+    order and meta.json (the SHA-256 of each CSV under "files", wall time
+    since t0), and return the directory.
     The tables are named by exactly the CSVs _csv_names gives."""
     if set(tables) != _csv_names(command, cfg):
         raise RuntimeError(f"'{command}' writes {sorted(tables)}, not "
@@ -508,9 +515,9 @@ def _write_outputs(cfg: RunConfig, command: str,
         _require_finite(header, rows)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        write_csv(out / name, header, rows)
-    _write_meta(out, command, cfg, time.perf_counter() - t0)
+    files = {name: write_csv(out / name, header, rows)
+             for name, (header, rows) in tables.items()}
+    _write_meta(out, command, cfg, files, time.perf_counter() - t0)
     return out
 
 

@@ -66,8 +66,6 @@ def doleans_weights(spec: DriftSpec, laws: Sequence,
     Exponents are guarded (|exponent| <= 700), so the weights are finite
     and strictly positive.
     """
-    if paths.kind != "brownian":
-        raise ValueError("weights are defined along Brownian ensembles")
     _check_laws(laws, paths)
     for node in _walk(paths, _drift(spec, laws), girsanov=True):
         pass

@@ -158,7 +158,12 @@ class PathEnsemble:
         return self.values[-1]
 
     def _rows(self) -> Iterator[np.ndarray]:
-        """Rows 0..M of the values, in order, as views."""
+        """Rows 0..M of the values, in order, as views. Every pass over a
+        driver takes its rows here first: the one gate that refuses a
+        solution ensemble as a driver."""
+        if self.kind != "brownian":
+            raise ValueError("the driving ensemble must be Brownian, got "
+                             f"kind '{self.kind}'")
         return iter(self.values)
 
 
@@ -176,7 +181,6 @@ class _ShiftedDraw:
 
     draw: PathEnsemble
     start: float
-    kind = "brownian"
 
     def __post_init__(self) -> None:
         if self.draw.kind != "brownian" or self.draw.start != 0.0:

@@ -167,8 +167,6 @@ def local_time_integral(f: SpaceTimeFn, paths: PathEnsemble, s: int,
     -------
     The (N,) integral C_t - C_s; at s = 0 it equals C_t bit for bit.
     """
-    if paths.kind != "brownian":
-        raise ValueError("local-time integrals need a Brownian ensemble")
     _check_nodes(paths.grid.steps, s, t)
 
     def integrand(k: int, u: float, y: np.ndarray) -> np.ndarray:

@@ -88,10 +88,11 @@ class SolveResult:
     MeasureFlow.from_ensemble(ensemble). For a Picard solve,
     `residual_history` ends with the sup-W1 distance between the empirical
     law of the solution and the flow the final Euler pass ran under.
-    `brownian` is the driving ensemble; for a solve driven by a shifted
-    draw (grid._ShiftedDraw) it is that view, whose rows, read through its
-    `_rows()` as every reader of a driver reads them, are the ensemble at
-    the start bit for bit. It has no `values`.
+    `brownian` is the driving ensemble, Brownian by construction; for a
+    solve driven by a shifted draw (grid._ShiftedDraw) it is that view,
+    whose rows, read through its `_rows()` as every reader of a driver
+    reads them, are the ensemble at the start bit for bit. It has no
+    `values`.
     """
 
     spec: DriftSpec
@@ -194,9 +195,6 @@ def euler_under_flow(spec: DriftSpec, flow: MeasureFlow,
     Raises BlowUpError when any state leaves [-L, L] with
     L = 1e6 (1 + |x|).
     """
-    if brownian.kind != "brownian":
-        raise ValueError("the driving ensemble must be Brownian, got kind "
-                         f"'{brownian.kind}'")
     if flow.grid != brownian.grid:
         raise ValueError("flow and driving ensemble are on different grids")
     values = np.empty((brownian.grid.steps + 1, brownian.n_paths))
@@ -221,7 +219,8 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
     start being its row 0, and is either the PathEnsemble sample_brownian
     gives for them or a grid._ShiftedDraw of the draw at 0 read at start.
     Either is read one row at a time through its `_rows()`, so no shifted
-    copy of the draw is held.
+    copy of the draw is held, and `_rows()` refuses a solution ensemble
+    with ValueError before the first Euler step, from either start.
 
     A solve allocates one path array besides the driving ensemble and
     reuses it in every sweep: the flow buffer. Inside the sweep, once step

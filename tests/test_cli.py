@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -102,9 +103,19 @@ def test_type_and_range_validation():
         parse_config({"convergence": {"particle_counts": [1, 2, 4]}})
     for key, repeated in (("particle_counts", [100, 100]),
                           ("step_counts", [50, 100, 50]),
-                          ("mollify_levels", [4, 4])):
+                          ("mollify_levels", [4, 4]),
+                          ("studies", ["mollify", "mollify"])):
         with pytest.raises(ConfigError, match=f"convergence.{key}"):
             parse_config({"convergence": {key: repeated}})
+    with pytest.raises(ConfigError, match="delta.methods"):
+        parse_config({"delta": {"methods": ["bel", "bel"]}})
+    # an entry that cannot be hashed fails its item rule before set() runs
+    for section, key, entries in (("delta", "methods", [{"a": 1}, "bel"]),
+                                  ("delta", "methods", [["bel"]]),
+                                  ("convergence", "studies", [[], "mollify"]),
+                                  ("convergence", "step_counts", [[10], 20])):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            parse_config({section: {key: entries}})
 
 
 def test_boolean_is_not_a_number():
@@ -489,6 +500,86 @@ def test_convergence_with_fewer_studies_is_refused_over_more(tmp_path,
     assert "convergence_localtime.csv" in capsys.readouterr().err
     assert {p.name: p.read_bytes()
             for p in (tmp_path / "out").iterdir()} == before
+
+
+def test_repeated_methods_and_studies_are_refused(tmp_path, capsys):
+    # a repeated name ran its pass twice and moved the config hash with no
+    # change to the science
+    small = deep(BASE, run__particles=300, run__steps=10)
+    for command, section, key, names in (
+            ("delta", "delta", "methods", ["bel", "pathwise", "bel"]),
+            ("convergence", "convergence", "studies",
+             ["mollify", "se_vs_n", "mollify"])):
+        payload = deep(small, **{f"{section}__{key}": names})
+        payload["output"] = {"directory": str(tmp_path / command)}
+        path = write_config(tmp_path, payload, f"{command}.json")
+        assert main([command, "--config", path]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+
+
+def failing_writes(monkeypatch, fail_at):
+    """Make the fail_at-th file write of pathlib write half its data and
+    raise, as a full disk would."""
+    real = {name: getattr(Path, name) for name in ("write_bytes",
+                                                    "write_text")}
+    count = itertools.count(1)
+
+    def make(name):
+        def write(self, data, *args, **kwargs):
+            if next(count) == fail_at:
+                real[name](self, data[:len(data) // 2], *args, **kwargs)
+                raise OSError(28, "No space left on device")
+            return real[name](self, data, *args, **kwargs)
+        return write
+
+    for name in real:
+        monkeypatch.setattr(Path, name, make(name))
+
+
+def test_a_write_that_fails_midway_leaves_no_truncated_csv(tmp_path,
+                                                           monkeypatch):
+    payload = deep(BASE, run__particles=300, run__steps=10)
+    payload["output"] = {"directory": str(tmp_path / "out")}
+    path = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    # a fresh directory: the first CSV fails midway and none is left under
+    # its name
+    with monkeypatch.context() as patch:
+        failing_writes(patch, 1)
+        with pytest.raises(OSError):
+            main(["simulate", "--config", path])
+    assert list(out.glob("*.csv")) == []
+    assert [p.name for p in out.glob("*.tmp")] == ["simulate_nodes.csv.tmp"]
+    # the leftover .tmp is not a CSV the run refuses; the next run writes
+    # over it
+    assert main(["simulate", "--config", path]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["meta.json", "simulate_nodes.csv",
+                              "simulate_residuals.csv",
+                              "simulate_summary.csv"]
+    # a rerun whose second CSV fails midway leaves every CSV as it was
+    with monkeypatch.context() as patch:
+        failing_writes(patch, 2)
+        with pytest.raises(OSError):
+            main(["simulate", "--config", path])
+    after = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    assert after == {k: v for k, v in before.items() if k.endswith(".csv")}
+
+
+def test_meta_lists_the_sha256_of_each_csv(tmp_path):
+    # the SHA-256 of each file's bytes, the digest perfbench/workloads.py
+    # (fingerprint) takes of every output
+    path = write_config(tmp_path, TINY)
+    for command, count in (("simulate", 3), ("delta", 2),
+                           ("convergence", 4)):
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        files = json.loads((out / "meta.json").read_text())["files"]
+        assert sorted(files) == sorted(p.name for p in out.glob("*.csv"))
+        assert len(files) == count
+        assert files == {name: hashlib.sha256((out / name).read_bytes())
+                         .hexdigest() for name in files}
 
 
 def test_every_payoff_has_a_derivative():

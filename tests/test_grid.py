@@ -169,7 +169,7 @@ def test_shifted_draw_reads_a_draw_from_zero_only():
     view = _ShiftedDraw(sample_brownian(grid, 4, 0.0, SeedSpec(1)), 2.0)
     want = sample_brownian(grid, 4, 2.0, SeedSpec(1)).values
     assert np.array_equal(np.array([r.copy() for r in view._rows()]), want)
-    assert (view.start, view.n_paths, view.kind) == (2.0, 4, "brownian")
+    assert (view.start, view.n_paths) == (2.0, 4)
 
 
 def test_path_values_read_only():
