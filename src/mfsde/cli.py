@@ -414,19 +414,25 @@ def _fmt(x: Any) -> str:
     return str(x)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> str:
-    """Fixed columns, full-precision floats, UTF-8, LF; deterministic.
-
-    The bytes go to <name>.tmp, which os.replace then moves to `path`, so
-    a write that fails midway leaves no truncated CSV under its name.
-    Returns the SHA-256 hex digest of the bytes."""
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+def _write_atomic(path: Path, data: bytes) -> str:
+    """Write `data` to <name>.tmp and move it to `path` with os.replace,
+    so a write that fails midway leaves no truncated file under its name
+    and an earlier file there whole. Returns the SHA-256 hex digest of
+    the bytes."""
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)
     os.replace(tmp, path)
     return hashlib.sha256(data).hexdigest()
+
+
+def write_csv(path: Path, header: list[str], rows: list[list]) -> str:
+    """Fixed columns, full-precision floats, UTF-8, LF; deterministic.
+
+    Written by _write_atomic; returns the SHA-256 hex digest of the
+    bytes."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _require_finite(header: list[str], rows: list[list]) -> None:
@@ -496,8 +502,8 @@ def _write_meta(out: Path, command: str, cfg: RunConfig, files: dict,
         "wall_time_seconds": wall,
         "version": __version__,
     }
-    (out / "meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_atomic(out / "meta.json", (json.dumps(
+        meta, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def _write_outputs(cfg: RunConfig, command: str,

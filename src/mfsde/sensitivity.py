@@ -4,8 +4,9 @@ Three estimators of the same delta, each a method of DeltaSession:
 
 * bel: integration-by-parts (Bismut-Elworthy-Li) weight. The delta is
   E[ payoff(X_T) int_0^T ( a(s) dX_s/dx + dxb(s, X_s) A(s) ) dW_s ] for any
-  bounded a with integral one (A is its running integral), where dxb is the
-  derivative of the drift in the initial point through the law argument.
+  bounded a with integral one (A is its running integral, the cumulative
+  trapezoid of a on the grid), where dxb is the derivative of the drift in
+  the initial point through the law argument.
   The integrand is adapted, so a plain Ito sum against the increments of the
   driving Brownian motion does the job. No derivative of the payoff and no
   derivative of the drift in the state variable are needed; the first
@@ -55,58 +56,48 @@ from .solver import PicardConfig, picard_solve
 
 @dataclass(frozen=True)
 class WeightFunctionA:
-    """Bounded weight a on [0, T] with int_0^T a = 1 and exact running
-    integral A(t); the delta must not depend on the choice."""
+    """Bounded weight density a on [0, T] with int_0^T a = 1; the delta
+    must not depend on the choice. Its running integral A is the
+    cumulative trapezoid of a over the grid, which validate returns."""
 
     name: str
-    horizon: float
     fn: Callable[[np.ndarray], np.ndarray]
-    integral: Callable[[np.ndarray], np.ndarray]
 
-    def validate(self, grid: TimeGrid) -> None:
-        """Reject weights whose grid quadrature misses integral one, or
-        whose running integral misses the cumulative trapezoid of a at a
-        node."""
-        tol = 1e-10
-        if grid.horizon != self.horizon:
-            raise ValueError("weight horizon does not match the grid")
+    def validate(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+        """a and its cumulative trapezoid A at the grid's nodes; reject a
+        weight whose A misses one at the horizon (or is NaN)."""
         nodes = grid.nodes
         a = np.asarray(self.fn(nodes), dtype=float)
-        # the cumulative trapezoid of a, which ends at its integral
-        running = np.zeros_like(nodes)
-        np.cumsum(0.5 * (a[1:] + a[:-1]) * np.diff(nodes), out=running[1:])
-        total = float(running[-1])
-        if abs(total - 1.0) > tol:
+        # the running sum of the trapezoid pieces, plus the exact rounding
+        # error of each of its additions (TwoSum), so that A is rounded
+        # about once rather than once per node
+        pieces = 0.5 * (a[1:] + a[:-1]) * np.diff(nodes)
+        sums = np.cumsum(pieces)
+        prev = np.concatenate(([0.0], sums[:-1]))
+        added = sums - prev
+        big_a = np.concatenate(([0.0], sums + np.cumsum(
+            (prev - (sums - added)) + (pieces - added))))
+        total = float(big_a[-1])
+        # NaN fails the comparison
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(
                 f"weight '{self.name}' integrates to {total!r}, not 1")
-        gap = np.abs(np.asarray(self.integral(nodes), dtype=float) - running)
-        # NaN fails the comparison
-        missed = ~(gap <= tol)
-        if missed.any():
-            k = int(missed.argmax())
-            raise ValueError(
-                f"weight '{self.name}' running integral misses the "
-                f"trapezoid of a by {float(gap[k])!r} at node {k}")
+        return a, big_a
 
 
 def uniform_weight(horizon: float) -> WeightFunctionA:
     """a = 1/T; the flat default."""
     return WeightFunctionA(
-        name="uniform", horizon=horizon,
-        fn=lambda s: np.full_like(np.asarray(s, dtype=float), 1.0 / horizon),
-        integral=lambda t: np.asarray(t, dtype=float) / horizon,
-    )
+        name="uniform",
+        fn=lambda s: np.full_like(np.asarray(s, dtype=float), 1.0 / horizon))
 
 
 def front_loaded_weight(horizon: float) -> WeightFunctionA:
     """a(s) = 2 (T - s) / T^2; puts its mass early on the horizon."""
     t_ = horizon
     return WeightFunctionA(
-        name="front_loaded", horizon=t_,
-        fn=lambda s: 2.0 * (t_ - np.asarray(s, dtype=float)) / (t_ * t_),
-        integral=lambda t: np.asarray(t, dtype=float)
-        * (2.0 * t_ - np.asarray(t, dtype=float)) / (t_ * t_),
-    )
+        name="front_loaded",
+        fn=lambda s: 2.0 * (t_ - np.asarray(s, dtype=float)) / (t_ * t_))
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +296,21 @@ class DeltaSession:
         Needs no payoff derivative. The law derivative is bump estimated
         from the two common-random-number solves at x +/- law_bump unless
         the session was given one or the drift ignores the law. `weight`
-        defaults to the uniform a = 1/T; estimates must agree across
+        is a density a, the uniform a = 1/T by default; its running
+        integral A is the cumulative trapezoid of a, and both come from one
+        weight.validate, which refuses a weight that does not integrate to
+        one on this grid before any solve. Estimates must agree across
         admissible weights within statistical error.
         """
         weight = uniform_weight(self.grid.horizon) if weight is None \
             else weight
-        weight.validate(self.grid)
-        nodes, dt = self.grid.nodes[:-1], self.grid.dt
-        a_vals = np.asarray(weight.fn(nodes), dtype=float)
-        big_a = np.asarray(weight.integral(nodes), dtype=float)
+        a_vals, big_a = weight.validate(self.grid)
         # the Ito sum of (a_k V_k + dxb_k A_k)(dB_k - f_k dt)
         ito = np.zeros(self.n_paths)
         for node in self._pass():
             if node.db is not None:
                 ito += ((a_vals[node.k] * node.v + node.dxb * big_a[node.k])
-                        * (node.db - node.f * dt))
+                        * (node.db - node.f * self.grid.dt))
         weights, terminal, _ = self._terminal
         samples = (weights * np.asarray(payoff.fn(terminal), dtype=float)
                    * ito)

@@ -4,13 +4,15 @@ Everything here is computed by a route that shares no code with the
 package: brute-force ODE integration, closed-form Gaussian moment
 identities, and the dual (Lipschitz-witness) characterization of the
 Kantorovich distance. Tests compare package output against these. The
-four references at the end are the exceptions: the particle-major layout and
+five references at the end are the exceptions: the particle-major layout and
 the whole-table delta route built on it share the Philox blocks, the drift
 evaluators and the law derivatives with the package, but none of its code
-over the nodes; the two-flow Picard iteration is built from the package's
-public one-sweep functions, and checks only how picard_solve chains them;
-the two-search step function is the earlier evaluation of a StepFunction,
-which the one-search evaluation must match bit for bit.
+over the nodes; the forward-substitution law gradient reads a solve's node
+laws and draw, and none of the package's code over the nodes either; the
+two-flow Picard iteration is built from the package's public one-sweep
+functions, and checks only how picard_solve chains them; the two-search
+step function is the earlier evaluation of a StepFunction, which the
+one-search evaluation must match bit for bit.
 """
 
 from __future__ import annotations
@@ -277,11 +279,14 @@ def table_path_terms(spec, flow, brownian, dxb, drift_in_drive=True):
 
 def table_bel(terms, grid, payoff, weight) -> tuple[float, float]:
     """Mean and SE of the BEL samples: the Ito sum of the whole integrand
-    table against the drive by np.einsum."""
+    table against the drive by np.einsum. A is the trapezoid sum of the
+    density a up to each node, each rounded once by math.fsum, rather than
+    read from weight.validate."""
     weights, terminal, variation, table, drive = terms
-    nodes = grid.nodes[:-1]
-    a_vals = np.asarray(weight.fn(nodes), dtype=float)
-    big_a = np.asarray(weight.integral(nodes), dtype=float)
+    a_nodes = np.asarray(weight.fn(grid.nodes), dtype=float)
+    pieces = 0.5 * (a_nodes[1:] + a_nodes[:-1]) * np.diff(grid.nodes)
+    a_vals = a_nodes[:-1]
+    big_a = np.array([math.fsum(pieces[:k]) for k in range(grid.steps)])
     integrand = (a_vals[:, None] * variation[:-1]
                  + table * big_a[:, None])
     ito = np.einsum("kj,kj->j", integrand, drive)
@@ -294,6 +299,42 @@ def table_pathwise(terms, payoff) -> tuple[float, float]:
     weights, terminal, variation = terms[:3]
     dphi = np.asarray(payoff.derivative(terminal), dtype=float)
     return mean_and_se(weights * dphi * variation[-1])
+
+
+def forward_law_gradient(result, phi_primes) -> tuple[np.ndarray,
+                                                      np.ndarray]:
+    """g[k, i] = E[phi_i'(X_k) dX_k/dx] and its SE at every node k < M of
+    a solve whose drift reads m_i = E[phi_i(X)], by forward substitution
+    in one pass along its driving paths under its flow, with no bumped
+    solve: g_k is the mean of w_k phi'(Y_k) V_k, w_k the running Girsanov
+    weight, and
+
+        V_k = exp(-C_k) (1 + sum_{j<k} exp(C_j) dxb_j dt),
+        dxb_j(y) = sum_i d b / d m_i (t_j, y) g[j, i],
+
+    so V_k needs g only at nodes before k. The partial derivatives of the
+    drift in the m_i are written by hand per model, as the second entry of
+    each (phi_i', d b / d m_i) pair of phi_primes."""
+    spec, laws, paths = result.spec, result.laws, result.brownian.values
+    grid = result.brownian.grid
+    dt, nodes, n = grid.dt, grid.nodes, paths.shape[1]
+    covar, logw, response = np.zeros(n), np.zeros(n), np.zeros(n)
+    g = np.empty((grid.steps, len(phi_primes)))
+    se = np.empty_like(g)
+    f = spec.fn(float(nodes[0]), paths[0], laws[0])
+    for k in range(grid.steps):
+        y, db = paths[k], paths[k + 1] - paths[k]
+        v = np.exp(covar) * (1.0 + response)
+        w = np.exp(logw)
+        for i, (dphi, _) in enumerate(phi_primes):
+            g[k, i], se[k, i] = mean_and_se(w * dphi(y) * v)
+        dxb = sum(dmb(y) * g[k, i] for i, (_, dmb) in enumerate(phi_primes))
+        response += np.exp(-covar) * dxb * dt
+        logw += f * db - 0.5 * f * f * dt
+        f_next = spec.fn(float(nodes[k + 1]), paths[k + 1], laws[k + 1])
+        covar += (f_next - f) * db
+        f = f_next
+    return g, se
 
 
 # ---------------------------------------------------------------------------

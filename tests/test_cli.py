@@ -324,6 +324,41 @@ def test_outputs_are_deterministic_across_runs_and_workers(tmp_path, capsys):
         assert blobs["a"] == blobs["c"], command
 
 
+def test_simulate_runs_the_direct_particle_scheme(tmp_path, capsys):
+    from mfsde import direct_particle_solve, mean_and_se
+    payload = deep(BASE, run__particles=2000, run__steps=40,
+                   run__method="direct")
+    payload["model"] = dict(TINY["model"])
+    path = write_config(tmp_path, payload)
+    blobs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(["simulate", "--config", path, "--out", str(out),
+                     "--workers", workers]) == 0
+        blobs[workers] = {p.name: p.read_bytes()
+                          for p in sorted(out.glob("*.csv"))}
+    assert blobs["1"] == blobs["2"]
+    assert (blobs["1"]["simulate_residuals.csv"]
+            == b"iteration,residual\n1,0.0\n")
+    rows = {r.split(",")[0]: r.split(",")[1:] for r in
+            blobs["1"]["simulate_summary.csv"].decode().splitlines()}
+    assert float(rows["picard_iterations"][0]) == 1
+    cfg = parse_config(payload)
+    want = direct_particle_solve(cfg.build_drift(), cfg.start, cfg.grid(),
+                                 cfg.particles, cfg.seed_spec())
+    m, se = mean_and_se(want.ensemble.terminal())
+    assert rows["terminal_mean"][:2] == [repr(m), repr(se)]
+
+
+def test_a_config_that_is_not_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"run": {"steps": 10,}}', encoding="utf-8")
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"config '{path}' is not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_delta_command_agreement_flags(tmp_path, capsys):
     payload = deep(BASE, run__particles=5000)
     payload["output"] = {"directory": str(tmp_path / "out")}
@@ -565,6 +600,25 @@ def test_a_write_that_fails_midway_leaves_no_truncated_csv(tmp_path,
             main(["simulate", "--config", path])
     after = {p.name: p.read_bytes() for p in out.glob("*.csv")}
     assert after == {k: v for k, v in before.items() if k.endswith(".csv")}
+
+
+def test_a_meta_write_that_fails_midway_leaves_no_truncated_meta(
+        tmp_path, monkeypatch):
+    # simulate writes its three CSVs, then meta.json: the fourth write
+    payload = deep(BASE, run__particles=300, run__steps=10)
+    path = write_config(tmp_path, payload)
+    fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+    assert main(["simulate", "--config", path, "--out", str(rerun)]) == 0
+    before = (rerun / "meta.json").read_bytes()
+    for out in (fresh, rerun):
+        with monkeypatch.context() as patch:
+            failing_writes(patch, 4)
+            with pytest.raises(OSError):
+                main(["simulate", "--config", path, "--out", str(out)])
+        assert len(list(out.glob("*.csv"))) == 3
+    assert not (fresh / "meta.json").exists()
+    assert (rerun / "meta.json").read_bytes() == before
+    json.loads(before)
 
 
 def test_meta_lists_the_sha256_of_each_csv(tmp_path):

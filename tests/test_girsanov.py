@@ -113,6 +113,12 @@ def test_reweighted_expectation_on_mean_field_model():
     assert abs(r.estimate - direct) <= 3 * (r.stderr + 0.01)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.5])
+def test_epsilon_moment_probe_refuses_an_order_not_above_one(eps):
+    with pytest.raises(ValueError, match=f"eps must be positive, got {eps}"):
+        epsilon_moment_probe(np.ones(10), eps=eps)
+
+
 def test_epsilon_moment_probe_matches_oracle():
     c = 0.8
     grid, paths, flow = constant_setup(c)

@@ -32,6 +32,15 @@ def test_grid_rejects_bad_parameters():
         make_grid(1.0, 0)
 
 
+@pytest.mark.parametrize("seed, stream, match", [
+    (-1, 0, "seed must fit"), (2**64, 0, "seed must fit"),
+    (1, -1, "stream must fit"), (1, 2**64, "stream must fit"),
+])
+def test_seed_spec_refuses_values_outside_64_bits(seed, stream, match):
+    with pytest.raises(ValueError, match=match):
+        SeedSpec(seed, stream=stream)
+
+
 def test_index_of_snaps_to_nearest_node():
     grid = make_grid(1.0, 10)
     assert grid.index_of(0.0) == 0

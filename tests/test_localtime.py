@@ -304,6 +304,19 @@ def test_malliavin_window_must_lie_in_the_table():
             malliavin_derivative(c, s, t)
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: local_time_integral(lambda t, y: np.full_like(y, np.nan),
+                                 brownian(steps=10, n=20), 0, 10),
+     FloatingPointError, "integrand non-finite along paths"),
+    (lambda: check_chain_identity(picard_solve(
+        mean_field_ou(), 1.0, make_grid(1.0, 10), 50, SEED), 5, 4, 10),
+     ValueError, r"need 0 <= s <= u <= t, got \(5, 4, 10\)"),
+], ids=["nan_integrand", "s_after_u"])
+def test_local_time_readers_refuse_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_malliavin_cocycle_and_positivity():
     for builder in (mean_field_ou, sign_drift):
         grid = make_grid(1.0, 200)

@@ -22,8 +22,8 @@ from mfsde.cli import main as cli_main
 from mfsde.girsanov import drift_along_paths
 from mfsde.grid import _ShiftedDraw
 from oracles import (discrete_ou_mean, expectation_square_law_derivative,
-                     flow_of, ou_mean_ode, table_bel, table_path_terms,
-                     table_pathwise)
+                     flow_of, forward_law_gradient, ou_mean_ode, table_bel,
+                     table_path_terms, table_pathwise)
 
 SEED = SeedSpec(9_462_371)
 
@@ -35,36 +35,31 @@ SEED = SeedSpec(9_462_371)
 def test_weight_functions_validate():
     grid = make_grid(2.0, 50)
     for builder in (uniform_weight, front_loaded_weight):
-        w = builder(2.0)
-        w.validate(grid)
-        a = w.fn(grid.nodes)
-        big = w.integral(np.array([2.0]))[0]
-        assert big == pytest.approx(1.0, abs=1e-12)
+        a, big = builder(2.0).validate(grid)
+        assert a.shape == big.shape == grid.nodes.shape
+        assert big[0] == 0.0
+        assert big[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.isfinite(a))
 
 
 def test_weight_function_must_integrate_to_one():
     from mfsde import WeightFunctionA
-    bad = WeightFunctionA("half", horizon=1.0,
-                          fn=lambda s: np.full_like(s, 0.5),
-                          integral=lambda t: 0.5 * t)
-    with pytest.raises(ValueError):
+    bad = WeightFunctionA("half", fn=lambda s: np.full_like(s, 0.5))
+    with pytest.raises(ValueError, match="integrates to 0.5"):
         bad.validate(make_grid(1.0, 20))
 
 
-def test_weight_running_integral_must_match_its_density(counted):
-    # a = 1 integrates to one, and A(T) = T^2 = 1 at T = 1, but A is not
-    # the running integral of a: bel would weigh the law term by t^2, not t
+def test_bel_refuses_a_weight_that_misses_one_before_any_solve(counted):
+    # a NaN total fails the integral-one check, and a built-in weight made
+    # for T = 2 integrates to 0.5 (uniform) or 0.75 (front loaded) on T = 1
     from mfsde import WeightFunctionA
     grid = make_grid(1.0, 40)
-    lying = WeightFunctionA("lying", horizon=1.0,
-                            fn=lambda s: np.ones_like(s),
-                            integral=lambda t: np.asarray(t) ** 2)
-    with pytest.raises(ValueError, match="running integral"):
-        lying.validate(grid)
     session = DeltaSession(mean_field_ou(), 1.0, grid, 100, SEED)
-    with pytest.raises(ValueError, match="running integral"):
-        session.bel(identity_payoff(), lying)
+    nan = WeightFunctionA("nan", fn=lambda s: np.full_like(s, np.nan))
+    for weight, total in ((nan, "nan"), (uniform_weight(2.0), "0.5"),
+                          (front_loaded_weight(2.0), "0.75")):
+        with pytest.raises(ValueError, match=f"integrates to {total}"):
+            session.bel(identity_payoff(), weight)
     assert counted == {"solves": 0, "draws": 0}
 
 
@@ -204,6 +199,47 @@ def test_law_derivative_matches_moment_ode_oracle():
         want = expectation_square_law_derivative(theta, kappa, x, s)
         # bump bias O(h^2) plus CRN noise of the difference quotient
         assert abs(got - want) <= 5e-3, s
+
+
+# (phi', d b / d m) per law moment m = E[phi(X)] of each model, by hand:
+# kappa E[X] for OU and sign, sin(y) E[cos X] - cos(y) E[sin X] for the
+# convolution
+KAPPA = [(np.ones_like, lambda y: np.full_like(y, 0.5))]
+LAW_PARTIALS = {
+    "ou": (mean_field_ou, KAPPA),
+    "sign": (sign_drift, KAPPA),
+    "convolution": (convolution_drift, [(lambda y: -np.sin(y), np.sin),
+                                        (np.cos, lambda y: -np.cos(y))]),
+}
+
+
+@pytest.mark.parametrize("model", list(LAW_PARTIALS))
+def test_law_derivative_matches_a_pass_without_bumped_solves(model):
+    # the bumped law derivative against forward substitution in one pass
+    # under the flow at x, at every node k < M and at five states; the
+    # tolerance is 4 SEs of the pass's mean plus h^2, the order of the
+    # central difference's bias. Over seeds 3-47 the gap read at most
+    # 3.7 SEs (sign), and a negated law derivative, or one divided by h
+    # instead of 2h, missed it by at least 1.0 and 0.5 (at node 0, g = 1)
+    builder, partials = LAW_PARTIALS[model]
+    grid, seed = make_grid(1.0, 100), SeedSpec(11)
+    session = DeltaSession(builder(), 1.0, grid, 10_000, seed)
+    h, bumped = default_bump(1.0), session.law_derivative()
+    g, se = forward_law_gradient(
+        picard_solve(builder(), 1.0, grid, 10_000, seed), partials)
+    ys = np.array([-1.0, 0.0, 0.5, math.pi / 2, 2.0])
+    # d b / d m_i at the states, (moments, states)
+    dmb = np.array([partial(ys) for _, partial in partials])
+    want, tol = g @ dmb, 4.0 * se @ np.abs(dmb) + h * h
+
+    def excess(dxb):
+        """The largest amount by which dxb misses the pass at a node."""
+        got = np.array([dxb(float(t), ys) for t in grid.nodes[:-1]])
+        return float(np.max(np.abs(got - want) - tol))
+
+    assert excess(bumped) <= 0.0
+    assert excess(lambda s, y: -bumped(s, y)) > 0.25
+    assert excess(lambda s, y: 2.0 * bumped(s, y)) > 0.25
 
 
 def test_bel_accepts_supplied_law_derivative():

@@ -475,6 +475,22 @@ def test_picard_config_rejects_a_tolerance_that_is_not_positive():
             PicardConfig(tolerance=tolerance)
 
 
+def small_solve():
+    return picard_solve(mean_field_ou(), 1.0, make_grid(1.0, 10), 50, SEED)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: PicardConfig(max_iterations=0), "max_iterations must be >= 1"),
+    (lambda: PicardConfig(initial_flow="cauchy"),
+     "unknown initial flow 'cauchy'"),
+    (lambda: moment_diagnostics(small_solve(), orders=(0.0,)),
+     "moment orders must be positive, got 0.0"),
+], ids=["max_iterations", "initial_flow", "moment_order"])
+def test_solver_inputs_are_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_blow_up_raises_with_step_context():
     # growth far beyond the declared constant: paths explode quickly
     rocket = expectation_drift(

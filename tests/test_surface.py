@@ -15,7 +15,7 @@ import mfsde
 from mfsde.cli import RunConfig
 
 MAX_PARAMETERS = 109
-MAX_FIELDS = 68
+MAX_FIELDS = 66
 EXPORTS = 58
 CONFIG_KEYS = 22
 
