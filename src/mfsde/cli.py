@@ -20,6 +20,7 @@ table), 4 self-check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import inspect
 import itertools
@@ -29,7 +30,7 @@ import os
 import resource
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -39,6 +40,7 @@ from .drift import (DriftSpec, constant_drift, convolution_drift,
                     expectation_square_drift, mean_field_ou, sign_drift,
                     zero_drift)
 from .girsanov import EstimatorResult, doleans_weights
+from . import grid as _grid
 from .grid import (BLOCK_SIZE, SeedSpec, TimeGrid, chunk_rows, make_grid,
                    sample_brownian)
 from .localtime import (drift_cumulants, localtime_rate_study,
@@ -91,6 +93,9 @@ PEAK_ARRAYS = {"simulate": 3, "delta": 5, "convergence": 3}
 # against the noise's sqrt(M dt), a ratio ulp(x) / sqrt(12 dt) free of M.
 # Near 1, increments round away whole (x + dB == x); every spread reads 0.
 NOISE_ROUNDING = 1e-3
+
+# The probabilities of the node quantile columns of simulate_nodes.csv.
+_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
 class ConfigError(ValueError):
@@ -531,10 +536,55 @@ def _write_outputs(cfg: RunConfig, command: str,
 # commands
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4)
+def _quantile_points(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the order statistics that np.quantile's linear method
+    (Hyndman and Fan's type 7) reads for _QUANTILES from n ascending atoms,
+    the lower ones then the upper ones, and the weight of each upper one.
+
+    Virtual index v = (n - 1) q falls between atoms floor(v) and
+    floor(v) + 1, with weight v - floor(v); at or past the last atom numpy
+    reads that atom twice, as index -1, and takes the weight v + 1."""
+    v = (n - 1) * np.array(_QUANTILES)
+    lo = np.floor(v)
+    hi = lo + 1
+    last = v >= n - 1
+    lo[last] = hi[last] = -1
+    return np.concatenate((lo, hi)).astype(np.intp), v - lo
+
+
+def _interpolate(stats: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """The quantiles from the order statistics _quantile_points names, by
+    np.quantile's own arithmetic: a + (b - a) g, or b - (b - a)(1 - g) when
+    g >= 0.5. Equal to np.quantile of the sorted atoms bit for bit, except
+    that where the atoms hold both -0.0 and +0.0 the sign of a zero may
+    differ, since np.quantile's partition may swap equal atoms."""
+    a, b = stats[:len(_QUANTILES)], stats[len(_QUANTILES):]
+    diff = b - a
+    q = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=q, where=gamma >= 0.5)
+    return q
+
+
+def _with_order_statistics(spec: DriftSpec) -> DriftSpec:
+    """The drift whose node law also carries the order statistics of its
+    atoms that _interpolate reads, so that a solve's laws give its node
+    quantiles from the sort the sweep already made; fn reads the drift's
+    own law, the first element."""
+    def law(atoms: np.ndarray) -> tuple:
+        return spec.law(atoms), atoms[_quantile_points(atoms.size)[0]]
+
+    return replace(spec, law=law, fn=lambda t, y, s: spec.fn(t, y, s[0]))
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
-    """Solve the configured model; write node stats, residuals, summary."""
+    """Solve the configured model; write node stats, residuals, summary.
+
+    The quantile columns come from the node laws of the solve, whose drift
+    carries the order statistics they need; the mean and variance read the
+    solution rows in path order."""
     t0 = time.perf_counter()
-    spec = cfg.build_drift()
+    spec = _with_order_statistics(cfg.build_drift())
     grid = cfg.grid()
     seed = cfg.seed_spec()
     if cfg.method == "picard":
@@ -544,19 +594,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
         result = direct_particle_solve(spec, cfg.start, grid, cfg.particles,
                                        seed)
     values = result.ensemble.values
-    node_rows = []
-    # each node is sorted in one row buffer first: np.quantile partitions
-    # at 12 indices, about four times as slow on an unsorted row of 50 000
-    # as sorting it; the bits are those of np.sort of that row
-    row = np.empty(values.shape[1])
-    for k in range(grid.steps + 1):
-        np.copyto(row, values[k])
-        row.sort()
-        qs = np.quantile(row, [0.05, 0.25, 0.5, 0.75, 0.95])
-        node_rows.append([k, float(grid.nodes[k]),
-                          float(values[k].mean()),
-                          float(values[k].var(ddof=1)),
-                          *(float(q) for q in qs)])
+    _, gamma = _quantile_points(cfg.particles)
+    node_rows = [[k, float(grid.nodes[k]), float(values[k].mean()),
+                  float(values[k].var(ddof=1)),
+                  *(float(q) for q in _interpolate(stats, gamma))]
+                 for k, (_, stats) in enumerate(result.laws)]
     residual_rows = [[i + 1, float(r)]
                      for i, r in enumerate(result.residual_history)]
 
@@ -761,8 +803,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override run.seed")
         p.add_argument("--workers", type=int, default=1,
-                       help="thread cap, N >= 1; the engine draws and solves "
-                            "on one thread, which honours every cap")
+                       help="thread cap, N >= 1: the Brownian draw spreads "
+                            "its particle blocks over at most N threads; "
+                            "the output bits do not depend on N")
         p.add_argument("--out", default=None,
                        help="override output.directory")
     return parser
@@ -770,6 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    draw_threads = _grid._draw_threads
     try:
         cfg = None
         if args.config is not None:
@@ -788,6 +832,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             check_start(args.command, cfg)
         if cfg is not None:
             check_outputs(args.command, cfg)
+        _grid._draw_threads = args.workers
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "delta":
@@ -802,6 +847,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        # an in-process caller's next draw runs as it did before this run
+        _grid._draw_threads = draw_threads
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ the first n paths of a larger ensemble are the ensemble of n paths.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -28,6 +30,13 @@ _BLOCK_COUNTER_STRIDE = 1 << 80
 # A block is drawn in consecutive chunks of about this many normals, so the
 # draw holds one chunk beside its output, not a whole block.
 _CHUNK_NORMALS = 1 << 18
+
+
+# The most threads one draw's blocks are spread over; the block partition
+# fixes the bits, so they do not depend on it. The command line sets it
+# from --workers for the length of a run, and every other caller draws on
+# its own thread.
+_draw_threads = 1
 
 
 def chunk_rows(steps: int) -> int:
@@ -84,6 +93,14 @@ class SeedSpec:
     stream: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("seed", "stream"):
+            value = getattr(self, name)
+            # a bool is an int, and a float would fail only in Philox
+            if isinstance(value, bool) or not isinstance(value,
+                                                         (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            # a NumPy integer would overflow in the key's shift
+            object.__setattr__(self, name, int(value))
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not (0 <= self.stream < 2**64):
@@ -212,23 +229,51 @@ class _ShiftedDraw:
 
 def _normal_increments(out: np.ndarray, seed: SeedSpec) -> None:
     """Fill out, shape (steps, n_paths), with standard normal draws from
-    fixed particle blocks; each block is drawn particle-major, in chunks of
-    chunk_rows(steps) particles, and each chunk written transposed into its
-    columns."""
+    fixed particle blocks; each block is drawn particle-major, in chunks,
+    and each chunk written transposed into its columns.
+
+    The blocks go round-robin to min(_draw_threads, blocks, CPUs) threads,
+    the caller one of them. Each thread draws into its own rows of one
+    scratch chunk of min(N, chunk_rows(steps)) particles, so the draw holds
+    one chunk beside its output however many threads share it. An error in
+    any thread is raised here once all have stopped."""
     steps, n_paths = out.shape
-    rows = chunk_rows(steps)
-    for j in range((n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        hi = min((j + 1) * BLOCK_SIZE, n_paths)
-        # particle-major order puts each path's draws before the next
-        # path's, so a path's draws do not depend on how many paths follow
-        # it: a partial tail block is the prefix of the full block, and a
-        # draw the prefix of any longer draw with the same seed. A
-        # Generator fills standard_normal in order, so consecutive chunks
-        # from one generator are the rows of the one-call block
-        gen = seed.block_generator(j)
-        for lo in range(j * BLOCK_SIZE, hi, rows):
-            width = min(rows, hi - lo)
-            out[:, lo:lo + width] = gen.standard_normal((width, steps)).T
+    blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
+    threads = min(_draw_threads, blocks)
+    if threads > 1:
+        threads = min(threads, len(os.sched_getaffinity(0)))
+    rows = max(1, min(n_paths, chunk_rows(steps)) // threads)
+    scratch = np.empty((threads, rows, steps))
+    errors: list[BaseException] = []
+
+    def draw(t: int) -> None:
+        try:
+            for j in range(t, blocks, threads):
+                hi = min((j + 1) * BLOCK_SIZE, n_paths)
+                # particle-major order puts each path's draws before the
+                # next path's, so a path's draws do not depend on how many
+                # paths follow it: a partial tail block is the prefix of
+                # the full block, and a draw the prefix of any longer draw
+                # with the same seed. A Generator fills standard_normal in
+                # order, so consecutive chunks from one generator are the
+                # rows of the one-call block, whatever the chunk size
+                gen = seed.block_generator(j)
+                for lo in range(j * BLOCK_SIZE, hi, rows):
+                    width = min(rows, hi - lo)
+                    chunk = gen.standard_normal(out=scratch[t, :width])
+                    out[:, lo:lo + width] = chunk.T
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=draw, args=(t,))
+               for t in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    draw(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
 
 
 def sample_brownian(grid: TimeGrid, n_paths: int, start: float,

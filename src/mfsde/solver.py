@@ -284,8 +284,10 @@ def direct_particle_solve(spec: DriftSpec, start: float, grid: TimeGrid,
     picard_solve for equal seeds, so the two routes can be compared
     pathwise.
 
-    `workers` has no effect: the paths are drawn on one thread. It is kept
-    because perfbench/make_reference.py passes it.
+    `workers` has no effect: the draw's thread cap is the one the command
+    line sets from --workers (one thread otherwise), and the bits do not
+    depend on it. It is kept because perfbench/make_reference.py passes
+    it.
     """
     brownian = sample_brownian(grid, n_paths, start, seed)
     values = np.empty_like(brownian.values)

@@ -63,6 +63,15 @@ def ou_run():
     return result, wall
 
 
+@pytest.fixture(scope="module")
+def ou_session():
+    """The OU delta session of criteria 02 and 03, so that its three solves
+    run once for both; criterion 03's uniform-weight BEL is criterion 02's
+    bel bit for bit."""
+    return DeltaSession(mean_field_ou(), 1.0, make_grid(1.0, 200), 100_000,
+                        PIN)
+
+
 def test_criterion_01_linear_model_oracle(ou_run, report):
     # the closed-form target is independently confirmed by a brute-force
     # sub-stepped ODE integration before the Monte Carlo comparison
@@ -79,12 +88,10 @@ def test_criterion_01_linear_model_oracle(ou_run, report):
     assert wall < 30.0
 
 
-def test_criterion_02_delta_reproduction(report):
-    grid = make_grid(1.0, 200)
-    n = 100_000
+def test_criterion_02_delta_reproduction(ou_session, report):
     # one session: x and x +/- default_bump(1) for bel and pathwise, and
     # x +/- h for the finite difference, since h differs from that bump
-    session = DeltaSession(mean_field_ou(), 1.0, grid, n, PIN)
+    session = ou_session
     b = session.bel(identity_payoff())
     p = session.pathwise(identity_payoff())
     h = 1e-2
@@ -105,14 +112,13 @@ def test_criterion_02_delta_reproduction(report):
     assert gap_f <= tol_f
 
 
-def test_criterion_03_weight_function_invariance(report):
-    grid = make_grid(1.0, 200)
-    n = 100_000
+def test_criterion_03_weight_function_invariance(ou_session, report):
     lines = []
     ok = True
-    for spec, payoff, tag in ((mean_field_ou(), identity_payoff(), "linear"),
-                              (sign_drift(), call_payoff(0.0), "irregular")):
-        session = DeltaSession(spec, 1.0, grid, n, PIN)
+    irregular = DeltaSession(sign_drift(), 1.0, make_grid(1.0, 200), 100_000,
+                             PIN)
+    for session, payoff, tag in ((ou_session, identity_payoff(), "linear"),
+                                 (irregular, call_payoff(0.0), "irregular")):
         ru = session.bel(payoff, uniform_weight(1.0))
         rf = session.bel(payoff, front_loaded_weight(1.0))
         gap = abs(ru.estimate - rf.estimate)

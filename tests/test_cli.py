@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from mfsde import PicardConfig
-from mfsde.cli import (_PAYOFFS, ConfigError, _write_outputs, load_config,
-                       main, parse_config, serialize_config)
+from mfsde.cli import (_PAYOFFS, ConfigError, _interpolate, _quantile_points,
+                       _write_outputs, load_config, main, parse_config,
+                       serialize_config, write_csv)
 from oracles import ou_mean_ode
 from test_traced import TINY
 
@@ -302,6 +303,73 @@ def test_node_quantiles_equal_the_whole_flow_quantiles(tmp_path, capsys):
     rows = (tmp_path / "out" / "simulate_nodes.csv").read_text().splitlines()
     got = np.array([[float(c) for c in r.split(",")[4:]] for r in rows[1:]])
     assert np.array_equal(got, want.T)
+
+
+def _signed_zero_rows(rng, n):
+    """Sorted rows of n atoms: normals, heavy ties, one zero of each sign
+    alone and both together among other values."""
+    yield np.sort(rng.standard_normal(n))
+    yield np.sort(rng.integers(-2, 3, n).astype(float))
+    yield np.sort(rng.choice([-1.0, 0.5, 0.5, 2.0], n))
+    yield np.full(n, -0.0)
+    yield np.sort(rng.choice([-0.0, -1.0, 1e-300, 3.0], n))
+    yield np.sort(rng.choice([0.0, -1.0, -1e-300, 3.0], n))
+    yield np.sort(rng.choice([-0.0, 0.0, -1.0, 1.0], n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 4096, 50_000])
+def test_quantile_interpolation_has_the_bits_of_np_quantile(n):
+    # simulate reads its quantile columns from the order statistics the
+    # solve's sort left, interpolated as numpy does; a numpy that changes
+    # its linear method fails here, not in the CSVs
+    q = [0.05, 0.25, 0.5, 0.75, 0.95]
+    idx, gamma = _quantile_points(n)
+    for row in _signed_zero_rows(np.random.default_rng(n), n):
+        got = _interpolate(row[idx], gamma)
+        want = np.quantile(row, q)
+        negative = np.signbit(row[row == 0])
+        if negative.any() and not negative.all():
+            # both zeros: np.quantile partitions the row again and may
+            # swap equal atoms, so a zero may come out of either sign
+            assert np.array_equal(got, want)
+            same = want != 0
+            assert np.array_equal(got[same].view(np.int64),
+                                  want[same].view(np.int64))
+        else:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("method, initial_flow", [
+    ("picard", "brownian"), ("picard", "dirac"), ("direct", "brownian")])
+def test_simulate_nodes_csv_is_that_of_np_quantile_on_sorted_rows(
+        tmp_path, capsys, method, initial_flow):
+    # the nodes table as simulate wrote it before its quantiles came from
+    # the solve's sort: each solution row copied, sorted and passed to
+    # np.quantile; the solve's own drift never sees the order statistics
+    from mfsde import direct_particle_solve, picard_solve
+    payload = deep(BASE, run__particles=5000, run__steps=40,
+                   run__method=method, picard__initial_flow=initial_flow)
+    payload["model"] = {"name": "sign"}
+    cfg = parse_config(payload)
+    grid = cfg.grid()
+    if method == "picard":
+        result = picard_solve(cfg.build_drift(), cfg.start, grid,
+                              cfg.particles, cfg.seed_spec(), cfg.picard)
+    else:
+        result = direct_particle_solve(cfg.build_drift(), cfg.start, grid,
+                                       cfg.particles, cfg.seed_spec())
+    rows = []
+    for k, v in enumerate(result.ensemble.values):
+        qs = np.quantile(np.sort(v), [0.05, 0.25, 0.5, 0.75, 0.95])
+        rows.append([k, float(grid.nodes[k]), float(v.mean()),
+                     float(v.var(ddof=1)), *(float(x) for x in qs)])
+    want = tmp_path / "want.csv"
+    write_csv(want, ["node", "time", "mean", "variance", "q05", "q25", "q50",
+                     "q75", "q95"], rows)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 0
+    assert (out / "simulate_nodes.csv").read_bytes() == want.read_bytes()
 
 
 def test_outputs_are_deterministic_across_runs_and_workers(tmp_path, capsys):

@@ -1,9 +1,14 @@
+import hashlib
+import json
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import mfsde.grid as grid_module
 from mfsde import BLOCK_SIZE, PathEnsemble, SeedSpec, TimeGrid, make_grid, sample_brownian
+from mfsde.cli import main as cli_main
 from mfsde.grid import _ShiftedDraw, chunk_rows
 from oracles import particle_major_brownian
 
@@ -39,6 +44,22 @@ def test_grid_rejects_bad_parameters():
 def test_seed_spec_refuses_values_outside_64_bits(seed, stream, match):
     with pytest.raises(ValueError, match=match):
         SeedSpec(seed, stream=stream)
+
+
+@pytest.mark.parametrize("field", ["seed", "stream"])
+@pytest.mark.parametrize("value", [1.5, 2.0, True, float("nan"), "3"],
+                         ids=["fraction", "whole-float", "bool", "nan", "str"])
+def test_seed_spec_refuses_a_value_that_is_not_an_integer(field, value):
+    # refused where it is made, not later inside a draw's Philox key
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        SeedSpec(**{"seed": 1, field: value})
+
+
+def test_seed_spec_takes_a_numpy_integer_as_the_int():
+    spec = SeedSpec(np.uint64(2**64 - 1), stream=np.int64(3))
+    assert spec == SeedSpec(2**64 - 1, 3)
+    assert type(spec.seed) is int and type(spec.stream) is int
+    assert spec._key() == SeedSpec(2**64 - 1, 3)._key()
 
 
 def test_index_of_snaps_to_nearest_node():
@@ -186,3 +207,73 @@ def test_path_values_read_only():
     paths = sample_brownian(grid, 8, 0.0, SeedSpec(1))
     with pytest.raises(ValueError):
         paths.values[0, 0] = 99.0
+
+
+def _increment_digests(n, steps, caps):
+    """SHA-256 of the increments _normal_increments draws for n paths at
+    each thread cap, into one buffer filled with NaN before each draw, so
+    that a column no thread writes cannot keep the last cap's bits."""
+    out = np.empty((steps, n))
+    digests = []
+    try:
+        for cap in caps:
+            grid_module._draw_threads = cap
+            out.fill(np.nan)
+            grid_module._normal_increments(out, SeedSpec(29, 4))
+            digests.append(hashlib.sha256(out).hexdigest())
+    finally:
+        grid_module._draw_threads = 1
+    return digests
+
+
+@pytest.mark.parametrize("steps", [1, 200, 1600])
+@pytest.mark.parametrize("n", [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1,
+                               3 * BLOCK_SIZE + 17, 50_000])
+def test_threaded_draw_has_the_bits_of_one_thread(n, steps):
+    # more threads than blocks, a partial tail block, and at 1600 steps
+    # chunks that split a block raggedly in every thread's share of one
+    # chunk; sample_brownian scales and sums these increments on the
+    # calling thread, so its bits follow from theirs
+    one, *threaded = _increment_digests(n, steps, (1, 2, 3, 4))
+    assert threaded == [one] * 3
+
+
+def test_threaded_draw_raises_a_worker_error_in_the_caller(monkeypatch):
+    # block 1 goes to the second thread; without the re-raise its columns
+    # would go out as whatever np.empty held
+    seen = []
+    block_generator = SeedSpec.block_generator
+
+    def fail_on_block_1(self, j):
+        if j == 1:
+            seen.append(threading.current_thread())
+            raise RuntimeError("block 1 failed")
+        return block_generator(self, j)
+
+    monkeypatch.setattr(SeedSpec, "block_generator", fail_on_block_1)
+    monkeypatch.setattr(grid_module.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    monkeypatch.setattr(grid_module, "_draw_threads", 2)
+    with pytest.raises(RuntimeError, match="block 1 failed"):
+        sample_brownian(make_grid(1.0, 20), 2 * BLOCK_SIZE, 0.0, SeedSpec(1))
+    assert seen and seen[0] is not threading.main_thread()
+
+
+def test_the_cli_sets_the_draw_cap_for_its_run_only(tmp_path, monkeypatch):
+    caps = []
+    draw = grid_module._normal_increments
+
+    def record(out, seed):
+        caps.append(grid_module._draw_threads)
+        draw(out, seed)
+
+    monkeypatch.setattr(grid_module, "_normal_increments", record)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "model": {"name": "sign"},
+        "run": {"particles": 500, "steps": 20, "seed": 5},
+        "output": {"directory": str(tmp_path / "out")}}))
+    assert cli_main(["simulate", "--config", str(config),
+                     "--workers", "4"]) == 0
+    assert caps == [4]
+    assert grid_module._draw_threads == 1
