@@ -289,8 +289,9 @@ def test_csv_floats_round_trip_exactly(tmp_path, capsys):
 
 
 def test_node_quantiles_equal_the_whole_flow_quantiles(tmp_path, capsys):
-    # simulate sorts one solution row at a time and reads its quantiles;
-    # they must be the bits of one np.quantile call over the whole flow
+    # simulate reads its quantiles from the order statistics of each node
+    # its solve sorted; they must equal one np.quantile call over the whole
+    # flow
     payload = deep(BASE, run__particles=1001, run__steps=20)
     payload["model"] = {"name": "sign"}
     payload["output"] = {"directory": str(tmp_path / "out")}
