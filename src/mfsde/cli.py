@@ -45,6 +45,7 @@ from .grid import (BLOCK_SIZE, SeedSpec, TimeGrid, chunk_rows, make_grid,
                    sample_brownian)
 from .localtime import (drift_cumulants, localtime_rate_study,
                         malliavin_derivative)
+from . import numerics as _numerics
 from .numerics import ExponentOverflowError, mean_and_se
 from .sensitivity import (DeltaSession, Payoff, WeightFunctionA, call_payoff,
                           constant_payoff, front_loaded_weight,
@@ -141,23 +142,22 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _config(check: Callable, *args, **kwargs) -> Any:
+    """check(*args, **kwargs), its TypeError or ValueError raised as a
+    ConfigError with the same text."""
+    try:
+        return check(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 # A rule validates one given value, named in its messages, and returns the
 # value the RunConfig field holds.
 
 def _number(lo=None, hi=None, integer=False) -> Callable[[Any, str], Any]:
-    kind = "an integer" if integer else "a number"
-
-    def rule(v, name):
-        _require(isinstance(v, int if integer else (int, float))
-                 and not isinstance(v, bool), f"{name} must be {kind}")
-        # compared before float(), which overflows on a huge integer
-        _require(integer or abs(v) <= sys.float_info.max,
-                 f"{name} must be finite")
-        v = int(v) if integer else float(v)
-        _require(lo is None or v >= lo, f"{name} must be >= {lo}")
-        _require(hi is None or v <= hi, f"{name} must be <= {hi}")
-        return v
-    return rule
+    """The library's one number rule (numerics._number) as a config rule."""
+    return functools.partial(_config, _numerics._number, lo=lo, hi=hi,
+                             integer=integer)
 
 
 def _one_of(choices) -> Callable[[Any, str], str]:
@@ -171,15 +171,12 @@ def _one_of(choices) -> Callable[[Any, str], str]:
 def _list_of(least: int, item: Callable[[Any, str], Any]
              ) -> Callable[[Any, str], tuple]:
     """A list of >= `least` distinct entries, each passing the rule `item`
-    before set() hashes it, so an entry that is a dict or a list fails as
-    a config error."""
+    before set() hashes it (numerics._entries), so an entry that is a dict
+    or a list fails as a config error."""
     def rule(v, name):
-        _require(isinstance(v, list) and len(v) >= least,
+        _require(isinstance(v, list),
                  f"{name} must be a list of >= {least} entries")
-        entries = tuple(item(x, f"{name} entry {x!r}") for x in v)
-        _require(len(set(entries)) == len(entries),
-                 f"{name} must not repeat an entry")
-        return entries
+        return _config(_numerics._entries, v, name, least, item)
     return rule
 
 
@@ -825,8 +822,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             for flag, value in (("--seed", args.seed), ("--out", args.out)):
                 if value is not None:
                     raise ConfigError(f"{flag} needs --config")
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
+        _number(1, integer=True)(args.workers, "--workers")
         if cfg is not None and args.command in PEAK_ARRAYS:
             check_memory(args.command, cfg)
             check_start(args.command, cfg)

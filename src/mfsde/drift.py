@@ -38,6 +38,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .measures import EmpiricalMeasure, dirac, kantorovich
+from .numerics import _number
 
 # Evaluators are numpy-broadcasting in y: they accept scalar t, an array of
 # states of any shape, and the law summary of their spec, and return an
@@ -314,10 +315,9 @@ def mollify(spec: DriftSpec, n: int) -> DriftSpec:
     is evaluated at all 64 translates per call. Constants are unchanged: the
     smoothed part is a convex combination of translates, so its sup norm
     cannot grow, and the measure argument is untouched: the new spec keeps
-    the law summary of the old one.
+    the law summary of the old one. `n` must be an integer >= 1.
     """
-    if n < 1:
-        raise ValueError(f"bandwidth parameter n must be >= 1, got {n}")
+    _number(n, "n", lo=1, integer=True)
     if not spec.decomposed:
         raise ValueError(f"drift '{spec.name}' has no declared decomposition")
     nodes, weights = _bump_nodes()
@@ -380,8 +380,10 @@ def check_regularity(spec: DriftSpec, samples: int = 200,
     `seed`, and reports the worst observed ratio of each bound and the
     largest observed |bounded part|. A value above the declared constant
     plus slack means the constant is violated. The evaluators read
-    spec.law of the atoms of each measure, as they do in a solve.
+    spec.law of the atoms of each measure, as they do in a solve. `samples`
+    must be an integer >= 1: an audit of no sample would pass any drift.
     """
+    _number(samples, "samples", lo=1, integer=True)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     slack = 1e-9
     zero = dirac(0.0)

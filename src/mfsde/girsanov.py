@@ -20,9 +20,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .drift import DriftSpec
-from .grid import PathEnsemble
+from .grid import PathEnsemble, _ShiftedDraw
 from .localtime import _drift, _walk
-from .numerics import mean_and_se
+from .numerics import _number, mean_and_se
 
 
 @dataclass(frozen=True)
@@ -42,16 +42,18 @@ def _check_laws(laws: Sequence, paths: PathEnsemble) -> None:
 
 
 def drift_along_paths(spec: DriftSpec, laws: Sequence,
-                      paths: PathEnsemble) -> np.ndarray:
-    """b(t_k, path value, laws[k]) for every node and path, shape (M+1, N).
+                      paths: PathEnsemble | _ShiftedDraw) -> np.ndarray:
+    """b(t_k, path value, laws[k]) for every node and path, shape (M+1, N),
+    along a driving ensemble read through its `_rows()`, which refuses a
+    solution ensemble and reads a shifted draw at its start.
 
     Not exported: perfbench/traced.py reads this name, and ROADMAP item 1b
     deletes it."""
     _check_laws(laws, paths)
     fn = _drift(spec, laws)
-    out = np.empty_like(paths.values)
-    for k in range(paths.grid.steps + 1):
-        out[k] = fn(k, float(paths.grid.nodes[k]), paths.values[k])
+    out = np.empty((paths.grid.steps + 1, paths.n_paths))
+    for k, row in enumerate(paths._rows()):
+        out[k] = fn(k, float(paths.grid.nodes[k]), row)
     return out
 
 
@@ -102,10 +104,10 @@ def epsilon_moment_probe(weights: np.ndarray,
 
     A finite, stable value across runs supports the integrability of the
     stochastic exponential that the reweighting rests on; a value that grows
-    with N signals an unusable tail.
+    with N signals an unusable tail. `eps` must be a finite positive
+    number.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _number(eps, "eps", positive=True)
     est, se = mean_and_se(weights ** (1.0 + eps))
     return EstimatorResult(label=f"weight_moment_{1 + eps:g}", estimate=est,
                            stderr=se, extra={"eps": eps})

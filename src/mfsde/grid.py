@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .numerics import running_sum
+from .numerics import _number, running_sum
 
 # Particles are generated in fixed blocks of this size; the partition is part
 # of the reproducibility contract (changing it changes the draws).
@@ -46,17 +46,16 @@ def chunk_rows(steps: int) -> int:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform partition of [0, T] into `steps` intervals of width dt."""
+    """Uniform partition of [0, T] into `steps` intervals of width dt; T is
+    a finite number > 0 and steps an integer >= 1."""
 
     horizon: float
     steps: int
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
-            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        _number(self.horizon, "horizon", positive=True)
+        _number(self.steps, "steps", lo=1, integer=True)
         nodes = np.linspace(0.0, self.horizon, self.steps + 1)
         # exact endpoints, no float drift from repeated addition
         nodes[0] = 0.0
@@ -93,18 +92,12 @@ class SeedSpec:
     stream: int = 0
 
     def __post_init__(self) -> None:
+        # each an unsigned 64-bit integer, held as an int: a float would
+        # fail only in Philox, and a NumPy integer overflow in the key's
+        # shift
         for name in ("seed", "stream"):
-            value = getattr(self, name)
-            # a bool is an int, and a float would fail only in Philox
-            if isinstance(value, bool) or not isinstance(value,
-                                                         (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            # a NumPy integer would overflow in the key's shift
-            object.__setattr__(self, name, int(value))
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if not (0 <= self.stream < 2**64):
-            raise ValueError("stream must fit in an unsigned 64-bit integer")
+            object.__setattr__(self, name, _number(
+                getattr(self, name), name, 0, 2**64 - 1, integer=True))
 
     def child(self, offset: int) -> "SeedSpec":
         """Independent substream, e.g. for an auxiliary ensemble."""
@@ -204,8 +197,7 @@ class _ShiftedDraw:
             raise ValueError("a shifted draw reads a Brownian draw whose "
                              f"row 0 is 0, got a {self.draw.kind} ensemble "
                              f"starting at {self.draw.start!r}")
-        if not math.isfinite(self.start):
-            raise ValueError("path values must be finite")
+        object.__setattr__(self, "start", _number(self.start, "start"))
 
     @property
     def grid(self) -> TimeGrid:
@@ -283,8 +275,8 @@ def sample_brownian(grid: TimeGrid, n_paths: int, start: float,
     Parameters
     ----------
     grid : time grid for the ensemble
-    n_paths : number of paths N
-    start : common initial value x
+    n_paths : number of paths N, an integer >= 1
+    start : common initial value x, a finite number
     seed : stream specification; same spec gives bit-identical output
 
     Returns
@@ -292,8 +284,8 @@ def sample_brownian(grid: TimeGrid, n_paths: int, start: float,
     PathEnsemble of kind "brownian" with values[k, i] = x + B_{t_k} of
     path i; row 0 holds x, which is the ensemble's start.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    _number(n_paths, "n_paths", lo=1, integer=True)
+    _number(start, "start")
     values = np.empty((grid.steps + 1, n_paths))
     values[0] = start
     # the increments are drawn, scaled and summed in place in rows 1..M

@@ -62,7 +62,7 @@ import numpy as np
 from .drift import DriftSpec, eval_drift
 from .grid import (PathEnsemble, SeedSpec, _ShiftedDraw, make_grid,
                    sample_brownian)
-from .numerics import guarded_exp, loglog_slope
+from .numerics import _entries, _number, guarded_exp, loglog_slope
 from .solver import SolveResult
 
 # integrands and law derivatives along paths: (time, states) -> values
@@ -149,8 +149,8 @@ def _drift(spec: DriftSpec, laws: Sequence) -> NodeFn:
 
 
 def _check_nodes(steps: int, s: int, t: int) -> None:
-    if not (0 <= s <= t <= steps):
-        raise ValueError(f"need 0 <= s <= t <= {steps}, got s={s}, t={t}")
+    _number(s, "s", 0, steps, integer=True)
+    _number(t, "t", s, steps, integer=True)
 
 
 def local_time_integral(f: SpaceTimeFn, paths: PathEnsemble, s: int,
@@ -193,13 +193,15 @@ def localtime_rate_study(horizon: float, step_counts: Sequence[int],
     once, at the largest step count, and reads each level as every r-th
     row of that draw, r = largest // steps, so the levels are coupled as in
     multilevel Monte Carlo and the study holds one path array and O(N)
-    state. A step count that does not divide the largest raises ValueError.
+    state. The step counts are two or more distinct integers >= 1, each
+    dividing the largest, or ValueError is raised before the draw.
 
     Returns the step sizes, the errors and the fitted log-log slope of
     error against step size (about 0.5).
     """
+    step_counts = _entries(step_counts, "step_counts", lo=1, integer=True)
     finest = max(step_counts)
-    if not all(steps >= 1 and finest % steps == 0 for steps in step_counts):
+    if not all(finest % steps == 0 for steps in step_counts):
         raise ValueError(f"step counts must be positive divisors of {finest}")
     draw = sample_brownian(make_grid(horizon, finest), n_paths, start, seed)
     dts, errors = [], []
@@ -291,8 +293,8 @@ def check_chain_identity(result: SolveResult, s: int, u: int, t: int,
     scheme used here the residuals are at float roundoff level, which the
     closed-form oracles in the tests complement with genuine numerics).
     """
-    if not (0 <= s <= u <= t <= result.brownian.grid.steps):
-        raise ValueError(f"need 0 <= s <= u <= t, got ({s}, {u}, {t})")
+    _check_nodes(result.brownian.grid.steps, s, t)
+    _number(u, "u", s, t, integer=True)
     dt = result.brownian.grid.dt
     # the cumulants and dxb rows of the window [s, t], with dX/dx at s
     rows, dxbs = [], []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 # exp(710) overflows float64; abort a little below that
@@ -17,6 +19,53 @@ class ExponentOverflowError(FloatingPointError):
             f"exponent magnitude {worst:.3e} exceeds guard {EXP_GUARD:.0f}; "
             "refusing to exponentiate"
         )
+
+
+def _number(value, name: str, lo=None, hi=None, integer: bool = False,
+            positive: bool = False):
+    """The one rule for a numeric input, named `name` in its messages.
+
+    TypeError for a bool, and for a value that is not an int or NumPy
+    integer (nor, unless `integer`, a float or NumPy float); then
+    ValueError for a non-finite number, a value not above 0 when
+    `positive`, or one outside [lo, hi]. Returns the value as a Python int
+    or float. Every entry point checks its scalar inputs here, before any
+    draw, and the command line's number rule is this one, so both refuse
+    the same values in the same words.
+    """
+    kinds = (int, np.integer) if integer else (int, float, np.integer,
+                                               np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(
+            f"{name} must be {'an integer' if integer else 'a number'}")
+    # compared before float(), which overflows on a huge integer; NaN and
+    # an infinity fail it
+    if not (integer or abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be finite")
+    value = int(value) if integer else float(value)
+    if positive and not value > 0:
+        raise ValueError(f"{name} must be positive")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{name} must be <= {hi}")
+    return value
+
+
+def _entries(values, name: str, least: int = 2, rule=_number,
+             **bounds) -> tuple:
+    """At least `least` entries, none repeated, each passing
+    rule(entry, "<name> entry <entry>", **bounds) before set() hashes it;
+    returns what the rule returns for each, as a tuple. The abscissae of a
+    log-log fit are two such entries at least, and the command line's list
+    keys are checked here too.
+    """
+    if len(values) < least:
+        raise ValueError(f"{name} must be a list of >= {least} entries")
+    entries = tuple(rule(x, f"{name} entry {x!r}", **bounds) for x in values)
+    if len(set(entries)) != len(entries):
+        raise ValueError(f"{name} must not repeat an entry")
+    return entries
 
 
 def guarded_exp(exponents: np.ndarray) -> np.ndarray:
@@ -48,13 +97,15 @@ def running_sum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def mean_and_se(samples: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error.
+    """Sample mean and its standard error; ValueError for no samples.
 
     numpy sums contiguous float64 arrays pairwise in a fixed order, so the
     result is reproducible for identical inputs.
     """
     samples = np.ascontiguousarray(samples, dtype=float)
     n = samples.size
+    if n == 0:
+        raise ValueError("samples must hold at least one value")
     m = float(samples.mean())
     if n < 2:
         return m, float("inf")

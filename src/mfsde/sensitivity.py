@@ -46,7 +46,7 @@ from .grid import (PathEnsemble, SeedSpec, TimeGrid, _ShiftedDraw,
                    sample_brownian)
 from .localtime import SpaceTimeFn, _drift, _Node, _walk
 from .measures import EmpiricalMeasure, kantorovich
-from .numerics import loglog_slope, mean_and_se
+from .numerics import _entries, _number, loglog_slope, mean_and_se
 from .solver import PicardConfig, picard_solve
 
 
@@ -186,7 +186,8 @@ class DeltaSession:
     `dxb` is the law derivative BEL and pathwise use, any (s, y) -> array
     callable; left None it is law_derivative() unless the drift ignores
     the law. `law_bump` (default_bump(start) when None) is checked here to
-    be positive and finite and to move the start both ways.
+    be positive and finite and to move the start both ways, as are a
+    finite start and an integer n_paths >= 1, before any draw.
     """
 
     def __init__(self, spec: DriftSpec, start: float, grid: TimeGrid,
@@ -195,9 +196,9 @@ class DeltaSession:
                  dxb: Optional[SpaceTimeFn] = None,
                  law_bump: Optional[float] = None):
         self.spec = spec
-        self.start = start
+        self.start = _number(start, "start")
         self.grid = grid
-        self.n_paths = n_paths
+        self.n_paths = _number(n_paths, "n_paths", lo=1, integer=True)
         self.seed = seed
         self.config = config
         self._dxb = dxb
@@ -231,11 +232,12 @@ class DeltaSession:
         return self._runs[start]
 
     def _bump(self, h: Optional[float], name: str) -> float:
-        h = default_bump(self.start) if h is None else float(h)
         x = self.start
-        if not (0 < h < np.inf and x - h != x != x + h):
-            raise ValueError(f"bump {name} must be positive, finite and not "
-                             f"lost to rounding at start {x}, got {h}")
+        h = default_bump(x) if h is None else _number(h, f"bump {name}",
+                                                      positive=True)
+        if not x - h != x != x + h:
+            raise ValueError(f"bump {name} {h!r} is lost to rounding at "
+                             f"start {x!r}")
         return h
 
     def law_derivative(self) -> SpaceTimeFn:
@@ -392,9 +394,10 @@ def mollified_convergence_study(spec: DriftSpec, start: float, grid: TimeGrid,
     distance per level, whether the mean-square gap is nonincreasing within
     Monte Carlo noise, and a fitted convergence slope (diagnostic only; the
     square-root law it is compared against is a bound, not an asymptote).
+    The levels are two or more distinct integers >= 1, checked before any
+    solve.
     """
-    if len(levels) < 2 or any(n < 1 for n in levels):
-        raise ValueError("levels must be at least two bandwidth parameters")
+    levels = _entries(levels, "levels", lo=1, integer=True)
     base = picard_solve(spec, start, grid, n_paths, seed, config)
     # the study reads of the base its terminal values, its terminal law
     # and its draw: copies of the first two, and the base is dropped
@@ -404,7 +407,7 @@ def mollified_convergence_study(spec: DriftSpec, start: float, grid: TimeGrid,
     del base
     msd, ses, w1s = [], [], []
     for n in levels:
-        res = picard_solve(mollify(spec, int(n)), start, grid, n_paths, seed,
+        res = picard_solve(mollify(spec, n), start, grid, n_paths, seed,
                            config, brownian=draw)
         gap = (res.ensemble.terminal() - x_t) ** 2
         m, se = mean_and_se(gap)
@@ -421,7 +424,7 @@ def mollified_convergence_study(spec: DriftSpec, start: float, grid: TimeGrid,
     dist = np.sqrt(np.maximum(msd, 1e-300))
     slope = loglog_slope(1.0 / np.asarray(levels, dtype=float), dist)
     return MollifyStudy(
-        levels=tuple(int(n) for n in levels),
+        levels=levels,
         mean_square_gap=tuple(msd), gap_stderr=tuple(ses),
         terminal_w1=tuple(w1s), monotone_within_noise=monotone,
         rate_slope=slope,

@@ -24,7 +24,7 @@ from .drift import DriftSpec
 from .grid import (PathEnsemble, SeedSpec, TimeGrid, _ShiftedDraw,
                    sample_brownian)
 from .measures import MeasureFlow, _w1_sorted
-from .numerics import loglog_slope, mean_and_se
+from .numerics import _entries, _number, loglog_slope, mean_and_se
 
 # Hard abort threshold for the Euler state, relative to 1 + |x|.
 BLOWUP_FACTOR = 1e6
@@ -60,18 +60,16 @@ class PicardConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Fixed-point iteration controls."""
+    """Fixed-point iteration controls: a finite tolerance > 0 and an
+    integer max_iterations >= 1."""
 
     tolerance: float = 1e-3
     max_iterations: int = 50
     initial_flow: str = "brownian"  # "brownian" | "dirac"
 
     def __post_init__(self) -> None:
-        if not self.tolerance > 0:
-            raise ValueError(
-                f"tolerance must be positive, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        _number(self.tolerance, "tolerance", positive=True)
+        _number(self.max_iterations, "max_iterations", lo=1, integer=True)
         if self.initial_flow not in ("brownian", "dirac"):
             raise ValueError(f"unknown initial flow '{self.initial_flow}'")
 
@@ -310,7 +308,10 @@ def se_rate_study(spec: DriftSpec, start: float, grid: TimeGrid,
     first n of them, which are the paths sample_brownian gives for n (the
     particle blocks make every draw a prefix of a longer one). Of each
     solve the study keeps only the standard error, so the next solve runs
-    beside the draw alone."""
+    beside the draw alone. The counts are two or more distinct integers
+    >= 2, checked before the draw."""
+    particle_counts = _entries(particle_counts, "particle_counts", lo=2,
+                               integer=True)
     draw = sample_brownian(grid, max(particle_counts), start, seed)
     ses = []
     for n in particle_counts:
@@ -344,10 +345,10 @@ def moment_diagnostics(result: SolveResult,
     c = (1 + C T) exp(C T) for the declared growth constant C. The report
     flags the run when the observed ratio exceeds that envelope times
     ENVELOPE_SLACK, which catches drifts whose declared constants lie.
+    Each order must be a finite positive number.
     """
     for p in orders:
-        if p <= 0:
-            raise ValueError(f"moment orders must be positive, got {p}")
+        _number(p, f"orders entry {p!r}", positive=True)
     values = result.ensemble.values
     # each node is raised in place in one row buffer, so the audit adds no
     # path array to the peak; a row's mean has the bits of mean(axis=1)

@@ -38,8 +38,8 @@ def test_grid_rejects_bad_parameters():
 
 
 @pytest.mark.parametrize("seed, stream, match", [
-    (-1, 0, "seed must fit"), (2**64, 0, "seed must fit"),
-    (1, -1, "stream must fit"), (1, 2**64, "stream must fit"),
+    (-1, 0, "seed must be >= 0"), (2**64, 0, "seed must be <="),
+    (1, -1, "stream must be >= 0"), (1, 2**64, "stream must be <="),
 ])
 def test_seed_spec_refuses_values_outside_64_bits(seed, stream, match):
     with pytest.raises(ValueError, match=match):

@@ -134,7 +134,8 @@ def test_rate_study_draws_once_at_the_finest_count(monkeypatch):
 
 def test_rate_study_refuses_a_count_that_does_not_divide_the_finest():
     for counts in ((100, 150), (150, 100, 300, 200), (0, 100)):
-        with pytest.raises(ValueError, match="positive divisors of"):
+        with pytest.raises(ValueError,
+                           match="positive divisors of|entry 0 must be >= 1"):
             localtime_rate_study(1.0, counts, 50, 0.0, SEED)
 
 
@@ -310,7 +311,7 @@ def test_malliavin_window_must_lie_in_the_table():
      FloatingPointError, "integrand non-finite along paths"),
     (lambda: check_chain_identity(picard_solve(
         mean_field_ou(), 1.0, make_grid(1.0, 10), 50, SEED), 5, 4, 10),
-     ValueError, r"need 0 <= s <= u <= t, got \(5, 4, 10\)"),
+     ValueError, "u must be >= 5"),
 ], ids=["nan_integrand", "s_after_u"])
 def test_local_time_readers_refuse_bad_input(call, error, match):
     with pytest.raises(error, match=match):

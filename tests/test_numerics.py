@@ -1,8 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
-from mfsde import ExponentOverflowError, guarded_exp, mean_and_se
+from mfsde import (DeltaSession, ExponentOverflowError, PicardConfig,
+                   SeedSpec, check_chain_identity, check_regularity,
+                   epsilon_moment_probe, guarded_exp, identity_payoff,
+                   local_time_integral, make_grid, malliavin_derivative,
+                   mean_and_se, mean_field_ou, mollified_convergence_study,
+                   mollify, moment_diagnostics, picard_solve, sign_drift)
+from mfsde import cli, numerics
+from mfsde.localtime import localtime_rate_study
 from mfsde.numerics import loglog_slope, running_sum
+from mfsde.solver import se_rate_study
+
+SEED = SeedSpec(2024)
 
 
 def test_guarded_exp_matches_exp_in_range():
@@ -94,3 +106,118 @@ def test_einsum_adds_rows_in_order(steps, n):
         acc += a[k] * b[k]
     got = np.einsum("kj,kj->j", a, b)
     assert np.array_equal(got.view(np.int64), acc.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# the one number rule
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def solved():
+    """A small solve, made before a test's work counter starts."""
+    return picard_solve(mean_field_ou(), 1.0, make_grid(1.0, 10), 50, SEED)
+
+
+GRID = make_grid(1.0, 10)
+
+# (call, error, name): each call passes one inadmissible input to an entry
+# point, which must refuse it before any draw or sweep with a message that
+# begins with the input's name
+REFUSALS = {
+    "max_iterations-nan": (lambda r: PicardConfig(max_iterations=math.nan),
+                           TypeError, "max_iterations"),
+    "max_iterations-fraction": (lambda r: PicardConfig(max_iterations=2.5),
+                                TypeError, "max_iterations"),
+    "tolerance-inf": (lambda r: PicardConfig(tolerance=math.inf),
+                      ValueError, "tolerance"),
+    "eps-nan": (lambda r: epsilon_moment_probe(np.ones(3), eps=math.nan),
+                ValueError, "eps"),
+    "orders-nan": (lambda r: moment_diagnostics(r, orders=(math.nan,)),
+                   ValueError, "orders"),
+    "mollify-fraction": (lambda r: mollify(sign_drift(), 2.5),
+                         TypeError, "n"),
+    "steps-bool": (lambda r: make_grid(1.0, True), TypeError, "steps"),
+    "session-n_paths-fraction": (
+        lambda r: DeltaSession(mean_field_ou(), 1.0, GRID, 2.5, SEED),
+        TypeError, "n_paths"),
+    "seed-fraction": (lambda r: SeedSpec(1.5), TypeError, "seed"),
+    "start-nan": (lambda r: picard_solve(mean_field_ou(), math.nan, GRID, 50,
+                                         SEED),
+                  ValueError, "start"),
+    "particle_counts-one": (
+        lambda r: se_rate_study(sign_drift(), 1.0, GRID, (4,), SEED),
+        ValueError, "particle_counts"),
+    "particle_counts-repeated": (
+        lambda r: se_rate_study(sign_drift(), 1.0, GRID, (40, 40), SEED),
+        ValueError, "particle_counts"),
+    "levels-repeated": (
+        lambda r: mollified_convergence_study(sign_drift(), 0.0, GRID, 50,
+                                              SEED, levels=(4, 4)),
+        ValueError, "levels"),
+    "levels-fraction": (
+        lambda r: mollified_convergence_study(sign_drift(), 0.0, GRID, 50,
+                                              SEED, levels=(2.5, 16)),
+        TypeError, "levels"),
+    "step_counts-repeated": (
+        lambda r: localtime_rate_study(1.0, (10, 10), 50, 0.0, SEED),
+        ValueError, "step_counts"),
+    "samples-zero": (lambda r: check_regularity(sign_drift(), samples=0),
+                     ValueError, "samples"),
+    "samples-negative": (lambda r: check_regularity(sign_drift(), samples=-3),
+                         ValueError, "samples"),
+    "mean_and_se-empty": (lambda r: mean_and_se(np.array([])),
+                          ValueError, "samples"),
+    "malliavin-bool": (lambda r: malliavin_derivative(np.zeros((11, 4)),
+                                                      True, 3),
+                       TypeError, "s"),
+    "local_time_integral-fraction": (
+        lambda r: local_time_integral(np.cos, r.brownian, 2.5, 4),
+        TypeError, "s"),
+    "chain-fraction": (lambda r: check_chain_identity(r, 2, 2.5, 4),
+                       TypeError, "u"),
+}
+
+
+def test_the_work_counter_sees_draws_and_sweeps_through_any_binding(work):
+    # the session draws through sensitivity's binding of sample_brownian at
+    # 0 and solves through its binding of picard_solve; the CLI module
+    # holds bindings of its own
+    DeltaSession(mean_field_ou(), 1.0, GRID, 50, SEED).bel(
+        identity_payoff())
+    assert work["draws"] == 1 and work["sweeps"] >= 1
+    cli.direct_particle_solve(mean_field_ou(), 1.0, GRID, 50, SEED)
+    cli.sample_brownian(GRID, 50, 0.0, SEED)
+    assert work["draws"] == 3
+
+
+@pytest.mark.parametrize("row", REFUSALS.values(), ids=REFUSALS.keys())
+def test_entry_points_refuse_an_inadmissible_number_before_any_work(
+        row, solved, work):
+    call, error, name = row
+    with pytest.raises(error) as err:
+        call(solved)
+    assert str(err.value).startswith(f"{name} ")
+    assert work == {"draws": 0, "sweeps": 0}
+
+
+def verdict(check):
+    """What a rule makes of a value: its result, or its refusal's text."""
+    try:
+        value = check()
+    except (TypeError, ValueError) as exc:
+        return "refused", str(exc)
+    return type(value), value
+
+
+@pytest.mark.parametrize("rule", [{}, {"integer": True}, {"lo": 1, "hi": 2},
+                                  {"lo": 1, "hi": 2, "integer": True}],
+                         ids=["number", "integer", "bounded", "bounded-int"])
+def test_the_cli_number_rule_is_the_library_rule(rule):
+    for v in (True, math.nan, math.inf, -math.inf, 10**400, 2.5,
+              np.int64(3), "3", None):
+        config = verdict(lambda: cli._number(**rule)(v, "'run.x'"))
+        library = verdict(lambda: numerics._number(v, "'run.x'", **rule))
+        assert config == library, v
+        if config[0] == "refused":
+            with pytest.raises(cli.ConfigError):
+                cli._number(**rule)(v, "'run.x'")

@@ -484,7 +484,7 @@ def small_solve():
     (lambda: PicardConfig(initial_flow="cauchy"),
      "unknown initial flow 'cauchy'"),
     (lambda: moment_diagnostics(small_solve(), orders=(0.0,)),
-     "moment orders must be positive, got 0.0"),
+     "orders entry 0.0 must be positive"),
 ], ids=["max_iterations", "initial_flow", "moment_order"])
 def test_solver_inputs_are_refused(call, match):
     with pytest.raises(ValueError, match=match):
