@@ -801,8 +801,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override run.seed")
         p.add_argument("--workers", type=int, default=1,
                        help="thread cap, N >= 1: the Brownian draw spreads "
-                            "its particle blocks over at most N threads; "
-                            "the output bits do not depend on N")
+                            "its particle blocks over at most N threads, "
+                            "and with N >= 2 a Picard sweep of 16384 "
+                            "paths or more sorts and compares its nodes on "
+                            "a second thread; the output bits do not "
+                            "depend on N")
         p.add_argument("--out", default=None,
                        help="override output.directory")
     return parser
@@ -810,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    draw_threads = _grid._draw_threads
+    threads = _grid._threads
     try:
         cfg = None
         if args.config is not None:
@@ -828,7 +831,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             check_start(args.command, cfg)
         if cfg is not None:
             check_outputs(args.command, cfg)
-        _grid._draw_threads = args.workers
+        _grid._threads = args.workers
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "delta":
@@ -844,8 +847,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     finally:
-        # an in-process caller's next draw runs as it did before this run
-        _grid._draw_threads = draw_threads
+        # an in-process caller's next draw and solve run as they did
+        # before this run
+        _grid._threads = threads
 
 
 if __name__ == "__main__":

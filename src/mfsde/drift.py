@@ -64,7 +64,9 @@ class DriftSpec:
     law_lipschitz_const : C with |b(t,y,mu) - b(t,y,nu)| <= C W1(mu, nu)
     law : the summary the evaluators read, from the ascending, finite atoms
         of the law at a node; EmpiricalMeasure (the measure itself) unless
-        declared
+        declared. A Picard sweep may call it from two threads at once (see
+        solver._euler_sweep), so it must be a pure function of its atoms,
+        as every built-in's is
     """
 
     name: str
@@ -176,7 +178,9 @@ def zero_drift() -> DriftSpec:
 
 
 def constant_drift(value: float = 1.0) -> DriftSpec:
-    """b = value; useful for exact Girsanov and local time checks."""
+    """b = value, a finite number; useful for exact Girsanov and local time
+    checks."""
+    _number(value, "value")
     def fn(t, y, law):
         return np.full_like(y, value)
     def zero(t, y, law):
@@ -193,8 +197,10 @@ def mean_field_ou(theta: float = 1.0, kappa: float = 0.5) -> DriftSpec:
 
     The mean curve solves m'(t) = (kappa - theta) m(t), so
     m(t) = x exp((kappa - theta) t); this is the main closed-form oracle.
-    The law summary is the mean.
+    The law summary is the mean. Both parameters are finite numbers.
     """
+    _number(theta, "theta")
+    _number(kappa, "kappa")
     def fn(t, y, mean):
         return -theta * y + kappa * mean
     c = max(abs(theta), abs(kappa))
@@ -231,7 +237,11 @@ def sign_drift(alpha: float = 0.5, theta: float = 1.0,
     The sign part is the merely measurable bounded component; the linear
     part is Lipschitz. This is the reference model with a genuine
     discontinuity in the state variable. The law summary is the mean.
+    The parameters are finite numbers.
     """
+    _number(alpha, "alpha")
+    _number(theta, "theta")
+    _number(kappa, "kappa")
     def lipschitz(t, y, mean):
         return -theta * y + kappa * mean
     def fn(t, y, mean):
@@ -254,10 +264,12 @@ def expectation_drift(bbar: Callable[[float, np.ndarray, float], np.ndarray],
     """Drift of the form b(t, y, mu) = bbar(t, y, E[functional(Z)]), Z ~ mu.
 
     The law summary is E[functional(Z)], with the bits of
-    EmpiricalMeasure.expect. The declared law Lipschitz constant must
-    account for the composition with the functional; check_regularity can
-    audit the claim.
+    EmpiricalMeasure.expect. The declared constants are finite numbers
+    >= 0, and the law Lipschitz constant must account for the composition
+    with the functional; check_regularity can audit the claim.
     """
+    _number(growth_const, "growth_const", lo=0)
+    _number(law_lipschitz_const, "law_lipschitz_const", lo=0)
     def law(atoms):
         return float(np.mean(functional(atoms)))
     def fn(t, y, v):
@@ -271,7 +283,10 @@ def expectation_drift(bbar: Callable[[float, np.ndarray, float], np.ndarray],
 def expectation_square_drift(theta: float = 1.0,
                              kappa: float = 0.25) -> DriftSpec:
     """b = -theta y + kappa E[Z^2], Z ~ mu: a drift that reads the second
-    moment of the law rather than its mean."""
+    moment of the law rather than its mean. Both parameters are finite
+    numbers."""
+    _number(theta, "theta")
+    _number(kappa, "kappa")
     return expectation_drift(
         bbar=lambda t, y, v: -theta * y + kappa * v,
         functional=lambda z: z * z,
@@ -382,9 +397,11 @@ def check_regularity(spec: DriftSpec, samples: int = 200,
     plus slack means the constant is violated. The evaluators read
     spec.law of the atoms of each measure, as they do in a solve. `samples`
     must be an integer >= 1: an audit of no sample would pass any drift.
+    `seed` is an integer in [0, 2**64), a Philox key as SeedSpec's seed is.
     """
     _number(samples, "samples", lo=1, integer=True)
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    seed = _number(seed, "seed", 0, 2**64 - 1, integer=True)
+    rng = np.random.Generator(np.random.Philox(key=seed))
     slack = 1e-9
     zero = dirac(0.0)
 

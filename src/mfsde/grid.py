@@ -32,11 +32,21 @@ _BLOCK_COUNTER_STRIDE = 1 << 80
 _CHUNK_NORMALS = 1 << 18
 
 
-# The most threads one draw's blocks are spread over; the block partition
-# fixes the bits, so they do not depend on it. The command line sets it
-# from --workers for the length of a run, and every other caller draws on
-# its own thread.
-_draw_threads = 1
+# The thread cap of a run: a draw spreads its blocks over at most this
+# many threads, and a Picard sweep of many paths settles its nodes on a
+# second thread when it is 2 or more (solver._euler_sweep). Neither changes
+# a bit. The command line sets it from --workers for the length of a run;
+# every other caller runs on its own thread.
+_threads = 1
+
+
+def _usable_threads(wanted: int) -> int:
+    """min(_threads, wanted), and no more than the CPUs this process may
+    run on."""
+    threads = min(_threads, wanted)
+    if threads > 1:
+        threads = min(threads, len(os.sched_getaffinity(0)))
+    return threads
 
 
 def chunk_rows(steps: int) -> int:
@@ -224,16 +234,14 @@ def _normal_increments(out: np.ndarray, seed: SeedSpec) -> None:
     fixed particle blocks; each block is drawn particle-major, in chunks,
     and each chunk written transposed into its columns.
 
-    The blocks go round-robin to min(_draw_threads, blocks, CPUs) threads,
+    The blocks go round-robin to _usable_threads(blocks) threads,
     the caller one of them. Each thread draws into its own rows of one
     scratch chunk of min(N, chunk_rows(steps)) particles, so the draw holds
     one chunk beside its output however many threads share it. An error in
     any thread is raised here once all have stopped."""
     steps, n_paths = out.shape
     blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
-    threads = min(_draw_threads, blocks)
-    if threads > 1:
-        threads = min(threads, len(os.sched_getaffinity(0)))
+    threads = _usable_threads(blocks)
     rows = max(1, min(n_paths, chunk_rows(steps)) // threads)
     scratch = np.empty((threads, rows, steps))
     errors: list[BaseException] = []

@@ -86,14 +86,17 @@ class WeightFunctionA:
 
 
 def uniform_weight(horizon: float) -> WeightFunctionA:
-    """a = 1/T; the flat default."""
+    """a = 1/T, for a horizon T > 0; the flat default."""
+    _number(horizon, "horizon", positive=True)
     return WeightFunctionA(
         name="uniform",
         fn=lambda s: np.full_like(np.asarray(s, dtype=float), 1.0 / horizon))
 
 
 def front_loaded_weight(horizon: float) -> WeightFunctionA:
-    """a(s) = 2 (T - s) / T^2; puts its mass early on the horizon."""
+    """a(s) = 2 (T - s) / T^2, for a horizon T > 0; puts its mass early on
+    the horizon."""
+    _number(horizon, "horizon", positive=True)
     t_ = horizon
     return WeightFunctionA(
         name="front_loaded",
@@ -123,7 +126,9 @@ def square_payoff() -> Payoff:
 
 
 def call_payoff(strike: float = 0.0) -> Payoff:
-    """max(y - strike, 0); derivative is the a.e. version (indicator)."""
+    """max(y - strike, 0) for a finite strike; derivative is the a.e.
+    version (indicator)."""
+    _number(strike, "strike")
     return Payoff(
         f"call({strike:g})", fn=lambda y: np.maximum(y - strike, 0.0),
         derivative=lambda y: (y > strike).astype(float),
@@ -131,6 +136,8 @@ def call_payoff(strike: float = 0.0) -> Payoff:
 
 
 def constant_payoff(value: float = 1.0) -> Payoff:
+    """The finite number `value` whatever the terminal state."""
+    _number(value, "value")
     return Payoff(f"constant({value:g})",
                   fn=lambda y: np.full_like(np.asarray(y, dtype=float), value),
                   derivative=lambda y: np.zeros_like(y))

@@ -15,6 +15,8 @@ the live states) is provided as an independent route to the same limit.
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .drift import DriftSpec
 from .grid import (PathEnsemble, SeedSpec, TimeGrid, _ShiftedDraw,
-                   sample_brownian)
+                   _usable_threads, sample_brownian)
 from .measures import MeasureFlow, _w1_sorted
 from .numerics import _entries, _number, loglog_slope, mean_and_se
 
@@ -31,6 +33,13 @@ BLOWUP_FACTOR = 1e6
 
 # Slack factor on the linear-growth envelope of moment_diagnostics.
 ENVELOPE_SLACK = 1.5
+
+# A Picard sweep settles its nodes on a second thread from this many paths
+# on. Below about 10,000 both threads spend their time in Python between
+# small numpy calls and contend for the interpreter lock, and the sweep is
+# slower than on one thread (1,000 paths: 2.8 times; 8,000: 1.16 times, on
+# 2 cores).
+_SETTLE_PATHS = 16_384
 
 
 class BlowUpError(FloatingPointError):
@@ -113,21 +122,34 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
                  unsorted: int = 0, tolerance: Optional[float] = None
                  ) -> tuple[float, list]:
     """The one Euler loop: the states of node k + 1 from those of node k,
-    in a two-row ring, and node k written to out[k] once step k is done.
+    in a three-row ring, and node k settled into out[k] once step k is
+    done.
 
     Step k reads spec.law(frozen[k]) as the law at node k, frozen being
     row-sorted except for its first `unsorted` rows, which hold states in
     path order and are sorted in place just before node k reads them. With
-    frozen None, step k reads the law of the live states.
+    frozen None, step k reads the law of the live states, which the sweep
+    sorts into a fresh array before the step.
 
-    With frozen None or a tolerance, the sweep sorts node k of the new
-    states once, into a fresh array, and takes their law; with a
-    tolerance, their W1 to frozen[k] updates the running sup residual.
-    out[k], which may be frozen itself, receives the states in path order
-    while that residual is below the tolerance and the sorted states
-    after, so a sweep that converges leaves the solution in out; without a
-    tolerance, always in path order. Returns the residual (0.0 without a
-    tolerance) and the law of each sorted node left in path order.
+    Settling node k: with a tolerance, the sweep sorts the node's new
+    states once, into a fresh array, takes their law, and their W1 to
+    frozen[k] updates the running sup residual. out[k], which may be
+    frozen itself, receives the states in path order while that residual
+    is below the tolerance and the sorted states after, so a sweep that
+    converges leaves the solution in out; without a tolerance, always in
+    path order. Returns the residual (0.0 without a tolerance) and the law
+    of each sorted node left in path order.
+
+    No later step reads what settling writes, so a sweep with a frozen
+    flow, a tolerance and at least _SETTLE_PATHS paths settles its nodes on
+    a second thread, one node behind the steps, when the run's thread cap
+    (grid._threads) and the CPUs allow two. That thread settles node k
+    only once step k has read frozen[k], and the nodes in order, so the
+    residual, out and the laws have the bits of settling each node right
+    after its step; the loop waits before it overwrites a ring row not yet
+    settled. An error on either thread is raised here once both have
+    stopped: the settling thread's first, since it comes from a node
+    before the step that failed.
     """
     grid = brownian.grid
     dt = grid.dt
@@ -135,50 +157,92 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
     # whole
     rows = brownian._rows()
     b_k = next(rows)
-    ring = np.empty((2, out.shape[1]))
+    ring = np.empty((3, out.shape[1]))
     # the solution starts where its driver starts: row 0 is x
     np.copyto(ring[0], b_k)
     limit = BLOWUP_FACTOR * (1.0 + abs(brownian.start))
     sorts = frozen is None or tolerance is not None
     residual = 0.0
     laws: list = []
+    law = None
 
-    for k in range(grid.steps + 1):
-        state = ring[k % 2]
-        if k < unsorted:
-            # sorting is deterministic: the row gets back the bits it had
-            # in the flow of the sweep before
-            frozen[k].sort()
-        if sorts:
+    def settle(k: int, state: np.ndarray, law) -> None:
+        nonlocal residual
+        if tolerance is not None:
             ordered = np.sort(state)
             law = spec.law(ordered)
-        if k < grid.steps:
-            b = spec.fn(float(grid.nodes[k]), state,
-                        law if frozen is None else spec.law(frozen[k]))
-            # dB_k = b_next - b_k has the bits of np.diff, and since
-            # addition commutes, dB_k + (state + b dt) has those of
-            # state + b dt + dB_k
-            b_next = next(rows)
-            row = np.subtract(b_next, b_k, out=ring[(k + 1) % 2])
-            row += state + b * dt
-            b_k = b_next
-            # NaN or inf when a state is non-finite, and both fail the test
-            worst = float(np.abs(row).max())
-            if not worst < limit:
-                raise BlowUpError(step=k + 1,
-                                  worst=math.inf if math.isnan(worst)
-                                  else worst,
-                                  limit=limit)
-        if tolerance is not None:
             # frozen[k] is read for the last time: out[k] may overwrite it
             residual = max(residual, _w1_sorted(ordered, frozen[k]))
             if not residual < tolerance:
                 # this sweep is not the last: the next reads the flow
                 np.copyto(out[k], ordered)
-                continue
+                return
         np.copyto(out[k], state)
         if sorts:
             laws.append(law)
+
+    behind = (frozen is not None and tolerance is not None
+              and out.shape[1] >= _SETTLE_PATHS and _usable_threads(2) == 2)
+    if behind:
+        handed: queue.SimpleQueue = queue.SimpleQueue()
+        # ring rows the loop may write: two are free at the start, and
+        # each node settled frees its row
+        free = threading.Semaphore(2)
+        errors: list[BaseException] = []
+
+        def settle_behind() -> None:
+            while (k := handed.get()) is not None:
+                if not errors:
+                    try:
+                        settle(k, ring[k % 3], None)
+                    except BaseException as exc:
+                        errors.append(exc)
+                free.release()
+
+        helper = threading.Thread(target=settle_behind)
+        helper.start()
+    try:
+        for k in range(grid.steps + 1):
+            state = ring[k % 3]
+            if k < unsorted:
+                # sorting is deterministic: the row gets back the bits it
+                # had in the flow of the sweep before
+                frozen[k].sort()
+            if frozen is None:
+                law = spec.law(np.sort(state))
+            if k < grid.steps:
+                b = spec.fn(float(grid.nodes[k]), state,
+                            law if frozen is None else spec.law(frozen[k]))
+                # dB_k = b_next - b_k has the bits of np.diff, and since
+                # addition commutes, dB_k + (state + b dt) has those of
+                # state + b dt + dB_k
+                b_next = next(rows)
+                if behind:
+                    # node k - 2 held the row this step writes
+                    free.acquire()
+                    if errors:
+                        break
+                row = np.subtract(b_next, b_k, out=ring[(k + 1) % 3])
+                row += state + b * dt
+                b_k = b_next
+                # NaN or inf when a state is non-finite, and both fail the
+                # test
+                worst = float(np.abs(row).max())
+                if not worst < limit:
+                    raise BlowUpError(step=k + 1,
+                                      worst=math.inf if math.isnan(worst)
+                                      else worst,
+                                      limit=limit)
+            if behind:
+                handed.put(k)
+            else:
+                settle(k, state, law)
+    finally:
+        if behind:
+            handed.put(None)
+            helper.join()
+            if errors:
+                raise errors[0]
     return residual, laws
 
 
@@ -224,7 +288,10 @@ def picard_solve(spec: DriftSpec, start: float, grid: TimeGrid, n_paths: int,
     reuses it in every sweep: the flow buffer. Inside the sweep, once step
     k has read row k of the frozen flow, node k of the new states
     overwrites it: in path order while the sweep's running residual is
-    below the tolerance, sorted after. Each sweep sorts the rows left in
+    below the tolerance, sorted after. From _SETTLE_PATHS paths on, with
+    the run's thread cap (grid._threads, set from --workers) at 2 or more
+    on two CPUs, a second thread does that settling one node behind the
+    Euler steps, with the same bits. Each sweep sorts the rows left in
     path order in place just before it reads them, which gives back the
     bits of the sorted rows; from the Brownian start, the buffer first
     holds the driver's rows in path order, and sweep 1 sorts them so. The
@@ -282,9 +349,9 @@ def direct_particle_solve(spec: DriftSpec, start: float, grid: TimeGrid,
     picard_solve for equal seeds, so the two routes can be compared
     pathwise.
 
-    `workers` has no effect: the draw's thread cap is the one the command
-    line sets from --workers (one thread otherwise), and the bits do not
-    depend on it. It is kept because perfbench/make_reference.py passes
+    `workers` has no effect: the draw's thread cap is the run's, which the
+    command line sets from --workers (one thread otherwise), and the bits
+    do not depend on it. It is kept because perfbench/make_reference.py passes
     it.
     """
     brownian = sample_brownian(grid, n_paths, start, seed)

@@ -217,12 +217,12 @@ def _increment_digests(n, steps, caps):
     digests = []
     try:
         for cap in caps:
-            grid_module._draw_threads = cap
+            grid_module._threads = cap
             out.fill(np.nan)
             grid_module._normal_increments(out, SeedSpec(29, 4))
             digests.append(hashlib.sha256(out).hexdigest())
     finally:
-        grid_module._draw_threads = 1
+        grid_module._threads = 1
     return digests
 
 
@@ -253,7 +253,7 @@ def test_threaded_draw_raises_a_worker_error_in_the_caller(monkeypatch):
     monkeypatch.setattr(SeedSpec, "block_generator", fail_on_block_1)
     monkeypatch.setattr(grid_module.os, "sched_getaffinity",
                         lambda pid: {0, 1})
-    monkeypatch.setattr(grid_module, "_draw_threads", 2)
+    monkeypatch.setattr(grid_module, "_threads", 2)
     with pytest.raises(RuntimeError, match="block 1 failed"):
         sample_brownian(make_grid(1.0, 20), 2 * BLOCK_SIZE, 0.0, SeedSpec(1))
     assert seen and seen[0] is not threading.main_thread()
@@ -264,7 +264,7 @@ def test_the_cli_sets_the_draw_cap_for_its_run_only(tmp_path, monkeypatch):
     draw = grid_module._normal_increments
 
     def record(out, seed):
-        caps.append(grid_module._draw_threads)
+        caps.append(grid_module._threads)
         draw(out, seed)
 
     monkeypatch.setattr(grid_module, "_normal_increments", record)
@@ -276,4 +276,4 @@ def test_the_cli_sets_the_draw_cap_for_its_run_only(tmp_path, monkeypatch):
     assert cli_main(["simulate", "--config", str(config),
                      "--workers", "4"]) == 0
     assert caps == [4]
-    assert grid_module._draw_threads == 1
+    assert grid_module._threads == 1

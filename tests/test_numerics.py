@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from mfsde import (DeltaSession, ExponentOverflowError, PicardConfig,
-                   SeedSpec, check_chain_identity, check_regularity,
-                   epsilon_moment_probe, guarded_exp, identity_payoff,
-                   local_time_integral, make_grid, malliavin_derivative,
-                   mean_and_se, mean_field_ou, mollified_convergence_study,
-                   mollify, moment_diagnostics, picard_solve, sign_drift)
+                   SeedSpec, call_payoff, check_chain_identity,
+                   check_regularity, constant_drift, epsilon_moment_probe,
+                   expectation_drift, front_loaded_weight, guarded_exp,
+                   identity_payoff, local_time_integral, make_grid,
+                   malliavin_derivative, mean_and_se, mean_field_ou,
+                   mollified_convergence_study, mollify, moment_diagnostics,
+                   picard_solve, sign_drift, uniform_weight)
 from mfsde import cli, numerics
 from mfsde.localtime import localtime_rate_study
 from mfsde.numerics import loglog_slope, running_sum
@@ -175,6 +177,26 @@ REFUSALS = {
         TypeError, "s"),
     "chain-fraction": (lambda r: check_chain_identity(r, 2, 2.5, 4),
                        TypeError, "u"),
+    "strike-nan": (lambda r: call_payoff(math.nan), ValueError, "strike"),
+    "theta-nan": (lambda r: mean_field_ou(theta=math.nan),
+                  ValueError, "theta"),
+    "alpha-bool": (lambda r: sign_drift(alpha=True), TypeError, "alpha"),
+    "value-inf": (lambda r: constant_drift(math.inf), ValueError, "value"),
+    "growth_const-negative": (
+        lambda r: expectation_drift(lambda t, y, v: y, lambda z: z,
+                                    growth_const=-1.0,
+                                    law_lipschitz_const=0.0),
+        ValueError, "growth_const"),
+    "uniform-horizon-zero": (lambda r: uniform_weight(0.0),
+                             ValueError, "horizon"),
+    "front_loaded-horizon-negative": (lambda r: front_loaded_weight(-1.0),
+                                      ValueError, "horizon"),
+    "regularity-seed-fraction": (
+        lambda r: check_regularity(sign_drift(), seed=2.5),
+        TypeError, "seed"),
+    "regularity-seed-negative": (
+        lambda r: check_regularity(sign_drift(), seed=-1),
+        ValueError, "seed"),
 }
 
 

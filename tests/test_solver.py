@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +17,7 @@ from mfsde import (BlowUpError, DeltaSession, DriftSpec, EmpiricalMeasure,
                    flow_distance, make_grid, mean_and_se, mean_field_ou,
                    moment_diagnostics, picard_solve, sample_brownian,
                    sign_drift, zero_drift)
+import mfsde.grid as grid_module
 from mfsde.grid import _ShiftedDraw
 from mfsde.localtime import drift_cumulants
 from mfsde.numerics import loglog_slope
@@ -654,3 +658,131 @@ def test_an_off_by_one_euler_pass_falls_out_of_the_rate_band(monkeypatch):
     builder, band, _ = EULER_RATE[1]
     l1, _ = coupled_euler_slopes(builder(), SeedSpec(11))
     assert not band[0] <= l1 <= band[1], l1
+
+
+# ---------------------------------------------------------------------------
+# settling each node on a second thread
+# ---------------------------------------------------------------------------
+
+SETTLE_GRID = make_grid(1.0, 20)
+
+
+def on_threads(spec, seen):
+    """spec with a law that records, in the set `seen`, each thread it is
+    called on. On the calling thread it reads its atoms 1 ms late, long
+    enough for a second thread that settled node k before step k read
+    frozen[k] to have overwritten that row."""
+    def law(atoms):
+        seen.add(threading.current_thread())
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(1e-3)
+        return spec.law(atoms)
+    return dataclasses.replace(spec, law=law)
+
+
+def solve_at_cap(cap, monkeypatch, solve):
+    """What solve() returns or raises under the thread cap `cap` on two
+    CPUs, and the threads its drift's law ran on; every thread the solve
+    started has stopped when it returns or raises."""
+    monkeypatch.setattr(grid_module, "_threads", cap)
+    monkeypatch.setattr(grid_module.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    seen = set()
+    before = threading.active_count()
+    try:
+        outcome = solve(seen)
+    except Exception as exc:  # compared across caps by the caller
+        outcome = exc
+    assert threading.active_count() == before
+    return outcome, seen
+
+
+def result_bits(result):
+    return (result.ensemble.values.tobytes(), result.residual_history,
+            [law_bits(law).tobytes() for law in result.laws])
+
+
+@pytest.mark.parametrize("builder, initial_flow, n", [
+    (sign_drift, "brownian", 16_383), (sign_drift, "brownian", 16_384),
+    (sign_drift, "brownian", 50_000), (sign_drift, "dirac", 16_383),
+    (sign_drift, "dirac", 16_384), (sign_drift, "dirac", 50_000),
+    # converges on sweep 1: the new states are the driver's
+    (zero_drift, "brownian", 50_000),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_settling_on_a_second_thread_keeps_every_bit(builder, initial_flow,
+                                                     n, monkeypatch):
+    def solve(seen):
+        return picard_solve(on_threads(builder(), seen), 1.0, SETTLE_GRID,
+                            n, SEED, PicardConfig(initial_flow=initial_flow))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = [solve_at_cap(cap, monkeypatch, solve) for cap in (1, 2, 4)]
+    finally:
+        sys.setswitchinterval(switch)
+    (serial, seen), *threaded = runs
+    assert seen == {threading.main_thread()}
+    for result, seen in threaded:
+        assert result_bits(result) == result_bits(serial)
+        # the second thread runs from 16,384 paths on
+        assert (len(seen) > 1) == (n >= 16_384)
+    if builder is zero_drift:
+        assert serial.iterations == 1
+
+
+def test_a_threaded_solve_that_does_not_converge_has_the_serial_history(
+        monkeypatch):
+    def solve(seen):
+        return picard_solve(sign_drift(), 1.0, SETTLE_GRID, 16_384, SEED,
+                            PicardConfig(max_iterations=1))
+
+    errors = [solve_at_cap(cap, monkeypatch, solve)[0] for cap in (1, 2)]
+    assert all(isinstance(e, PicardConvergenceError) for e in errors)
+    assert errors[0].residuals == errors[1].residuals
+    assert str(errors[0]) == str(errors[1])
+
+
+def law_refusing_a_wide_node(atoms):
+    """A law that refuses atoms above 2; a Dirac start's frozen flow, one
+    atom at 1.0 per node, never is."""
+    if atoms[-1] > 2.0:
+        raise ValueError(f"law refused a node reaching {atoms[-1]!r}")
+    return float(atoms.mean())
+
+
+def rocket():
+    """Growth far beyond the declared constant: the states blow up."""
+    return expectation_drift(
+        bbar=lambda t, y, v: 40.0 * y, functional=lambda z: z,
+        growth_const=40.0, law_lipschitz_const=0.0, name="rocket")
+
+
+@pytest.mark.parametrize("spec, grid, error", [
+    # raised by a step, on the calling thread
+    (rocket(), make_grid(4.0, 80), BlowUpError),
+    # raised by settling a node, on the second thread when it runs
+    (dataclasses.replace(mean_field_ou(), law=law_refusing_a_wide_node),
+     SETTLE_GRID, ValueError),
+], ids=["blow-up", "law"])
+def test_a_threaded_sweep_raises_the_serial_error(spec, grid, error,
+                                                  monkeypatch):
+    def solve(seen):
+        return picard_solve(on_threads(spec, seen), 1.0, grid, 16_384, SEED,
+                            PicardConfig(initial_flow="dirac"))
+
+    (serial, _), (threaded, seen) = (solve_at_cap(cap, monkeypatch, solve)
+                                     for cap in (1, 2))
+    assert type(serial) is error and type(threaded) is error
+    assert str(threaded) == str(serial)
+    assert len(seen) > 1
+
+
+def test_a_threaded_solve_runs_one_sweep_per_iteration(work, monkeypatch):
+    def solve(seen):
+        return picard_solve(on_threads(sign_drift(), seen), 1.0, SETTLE_GRID,
+                            16_384, SEED)
+
+    result, seen = solve_at_cap(2, monkeypatch, solve)
+    assert len(seen) > 1
+    assert work["sweeps"] == result.iterations > 1
