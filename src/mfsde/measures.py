@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -66,10 +67,16 @@ def dirac(x: float) -> EmpiricalMeasure:
     return EmpiricalMeasure(np.array([float(x)]))
 
 
-def _w1_sorted(xs: np.ndarray, ys: np.ndarray) -> float:
-    """W1 between uniform empirical measures given sorted atom arrays."""
+def _w1_sorted(xs: np.ndarray, ys: np.ndarray,
+               out: Optional[np.ndarray] = None) -> float:
+    """W1 between uniform empirical measures given sorted atom arrays.
+
+    For equal counts, `out`, a contiguous array of that size that may be
+    xs or ys, takes |xs - ys| in place of a new array, with the same bits
+    of the mean."""
     if xs.size == ys.size:
-        return float(np.abs(xs - ys).mean())
+        d = np.subtract(xs, ys, out=out)
+        return float(np.abs(d, out=d).mean())
     # unequal counts: integrate |F - G| over the merged support
     merged = np.concatenate([xs, ys])
     merged.sort(kind="mergesort")

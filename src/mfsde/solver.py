@@ -171,8 +171,10 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
         if tolerance is not None:
             ordered = np.sort(state)
             law = spec.law(ordered)
-            # frozen[k] is read for the last time: out[k] may overwrite it
-            residual = max(residual, _w1_sorted(ordered, frozen[k]))
+            # frozen[k] is read for the last time: out[k], which may be
+            # it, holds the distance's scratch and then the node
+            residual = max(residual,
+                           _w1_sorted(ordered, frozen[k], out=out[k]))
             if not residual < tolerance:
                 # this sweep is not the last: the next reads the flow
                 np.copyto(out[k], ordered)
