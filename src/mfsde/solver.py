@@ -35,10 +35,10 @@ BLOWUP_FACTOR = 1e6
 ENVELOPE_SLACK = 1.5
 
 # A Picard sweep settles its nodes on a second thread from this many paths
-# on. Below about 10,000 both threads spend their time in Python between
-# small numpy calls and contend for the interpreter lock, and the sweep is
-# slower than on one thread (1,000 paths: 2.8 times; 8,000: 1.16 times, on
-# 2 cores).
+# on. Below it both threads spend their time in Python between small numpy
+# calls and contend for the interpreter lock: on 2 cores a sign-model solve
+# of 200 steps took 2.85 times as long with the thread at 1,000 paths, 1.18
+# at 8,000 and 1.03 at 12,000, and 0.91 at 16,384, 0.74 at 50,000.
 _SETTLE_PATHS = 16_384
 
 
