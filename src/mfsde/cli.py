@@ -41,8 +41,8 @@ from .drift import (DriftSpec, constant_drift, convolution_drift,
                     zero_drift)
 from .girsanov import EstimatorResult, doleans_weights
 from . import grid as _grid
-from .grid import (BLOCK_SIZE, SeedSpec, TimeGrid, chunk_rows, make_grid,
-                   sample_brownian)
+from .grid import (BLOCK_SIZE, MAX_SEED, SeedSpec, TimeGrid, chunk_rows,
+                   make_grid, sample_brownian)
 from .localtime import (drift_cumulants, localtime_rate_study,
                         malliavin_derivative)
 from . import numerics as _numerics
@@ -62,7 +62,6 @@ EXIT_SELFCHECK = 4
 
 MAX_PARTICLES = 10_000_000
 MAX_STEPS = 100_000
-MAX_SEED = 2**64 - 1
 MAX_START = 1e300
 
 # Peak resident memory of a command, counted in its largest (M+1) x N

@@ -37,6 +37,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
+from .grid import MAX_SEED
 from .measures import EmpiricalMeasure, dirac, kantorovich
 from .numerics import _number
 
@@ -400,7 +401,7 @@ def check_regularity(spec: DriftSpec, samples: int = 200,
     `seed` is an integer in [0, 2**64), a Philox key as SeedSpec's seed is.
     """
     _number(samples, "samples", lo=1, integer=True)
-    seed = _number(seed, "seed", 0, 2**64 - 1, integer=True)
+    seed = _number(seed, "seed", 0, MAX_SEED, integer=True)
     rng = np.random.Generator(np.random.Philox(key=seed))
     slack = 1e-9
     zero = dirac(0.0)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -47,6 +46,16 @@ def _usable_threads(wanted: int) -> int:
     if threads > 1:
         threads = min(threads, len(os.sched_getaffinity(0)))
     return threads
+
+
+def _pool(threads: int):
+    """A pool of `threads` threads, the one place this package starts
+    threads: a future hands work over, waits for it and carries its error.
+    Use it in a with block, which shuts it down and joins its threads."""
+    # imported here, not at the top: concurrent.futures loads logging,
+    # which every run's start-up would pay for through `import mfsde.cli`
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=threads)
 
 
 def chunk_rows(steps: int) -> int:
@@ -89,6 +98,10 @@ def make_grid(horizon: float, steps: int) -> TimeGrid:
     return TimeGrid(horizon=horizon, steps=steps)
 
 
+# A seed or stream is a Philox key word, an unsigned 64-bit integer.
+MAX_SEED = 2**64 - 1
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Master seed plus a stream index selecting an independent substream.
@@ -107,7 +120,7 @@ class SeedSpec:
         # shift
         for name in ("seed", "stream"):
             object.__setattr__(self, name, _number(
-                getattr(self, name), name, 0, 2**64 - 1, integer=True))
+                getattr(self, name), name, 0, MAX_SEED, integer=True))
 
     def child(self, offset: int) -> "SeedSpec":
         """Independent substream, e.g. for an auxiliary ensemble."""
@@ -234,46 +247,40 @@ def _normal_increments(out: np.ndarray, seed: SeedSpec) -> None:
     fixed particle blocks; each block is drawn particle-major, in chunks,
     and each chunk written transposed into its columns.
 
-    The blocks go round-robin to _usable_threads(blocks) threads,
-    the caller one of them. Each thread draws into its own rows of one
-    scratch chunk of min(N, chunk_rows(steps)) particles, so the draw holds
-    one chunk beside its output however many threads share it. An error in
-    any thread is raised here once all have stopped."""
+    The blocks go round-robin to _usable_threads(blocks) shares, drawn on
+    the calling thread when there is one and on a pool otherwise. Each
+    share draws into its own rows of one scratch chunk of
+    min(N, chunk_rows(steps)) particles, so the draw holds one chunk beside
+    its output however many threads share it. The first share's error, in
+    share order, is raised here once all have stopped."""
     steps, n_paths = out.shape
     blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
     threads = _usable_threads(blocks)
     rows = max(1, min(n_paths, chunk_rows(steps)) // threads)
     scratch = np.empty((threads, rows, steps))
-    errors: list[BaseException] = []
 
     def draw(t: int) -> None:
-        try:
-            for j in range(t, blocks, threads):
-                hi = min((j + 1) * BLOCK_SIZE, n_paths)
-                # particle-major order puts each path's draws before the
-                # next path's, so a path's draws do not depend on how many
-                # paths follow it: a partial tail block is the prefix of
-                # the full block, and a draw the prefix of any longer draw
-                # with the same seed. A Generator fills standard_normal in
-                # order, so consecutive chunks from one generator are the
-                # rows of the one-call block, whatever the chunk size
-                gen = seed.block_generator(j)
-                for lo in range(j * BLOCK_SIZE, hi, rows):
-                    width = min(rows, hi - lo)
-                    chunk = gen.standard_normal(out=scratch[t, :width])
-                    out[:, lo:lo + width] = chunk.T
-        except BaseException as exc:
-            errors.append(exc)
+        for j in range(t, blocks, threads):
+            hi = min((j + 1) * BLOCK_SIZE, n_paths)
+            # particle-major order puts each path's draws before the next
+            # path's, so a path's draws do not depend on how many paths
+            # follow it: a partial tail block is the prefix of the full
+            # block, and a draw the prefix of any longer draw with the same
+            # seed. A Generator fills standard_normal in order, so
+            # consecutive chunks from one generator are the rows of the
+            # one-call block, whatever the chunk size
+            gen = seed.block_generator(j)
+            for lo in range(j * BLOCK_SIZE, hi, rows):
+                width = min(rows, hi - lo)
+                chunk = gen.standard_normal(out=scratch[t, :width])
+                out[:, lo:lo + width] = chunk.T
 
-    helpers = [threading.Thread(target=draw, args=(t,))
-               for t in range(1, threads)]
-    for helper in helpers:
-        helper.start()
-    draw(0)
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
+    if threads == 1:
+        draw(0)
+        return
+    with _pool(threads) as pool:
+        # list() waits for each share in order and raises its error
+        list(pool.map(draw, range(threads)))
 
 
 def sample_brownian(grid: TimeGrid, n_paths: int, start: float,

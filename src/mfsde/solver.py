@@ -15,15 +15,13 @@ the live states) is provided as an independent route to the same limit.
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .drift import DriftSpec
-from .grid import (PathEnsemble, SeedSpec, TimeGrid, _ShiftedDraw,
+from .grid import (PathEnsemble, SeedSpec, TimeGrid, _ShiftedDraw, _pool,
                    _usable_threads, sample_brownian)
 from .measures import MeasureFlow, _w1_sorted
 from .numerics import _entries, _number, loglog_slope, mean_and_se
@@ -141,15 +139,14 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
     of each sorted node left in path order.
 
     No later step reads what settling writes, so a sweep with a frozen
-    flow, a tolerance and at least _SETTLE_PATHS paths settles its nodes on
-    a second thread, one node behind the steps, when the run's thread cap
-    (grid._threads) and the CPUs allow two. That thread settles node k
-    only once step k has read frozen[k], and the nodes in order, so the
-    residual, out and the laws have the bits of settling each node right
-    after its step; the loop waits before it overwrites a ring row not yet
-    settled. An error on either thread is raised here once both have
-    stopped: the settling thread's first, since it comes from a node
-    before the step that failed.
+    flow, a tolerance and at least _SETTLE_PATHS paths, when the run's
+    thread cap (grid._threads) and the CPUs allow two, hands node k to a
+    one-thread pool once step k has read frozen[k]. The pool settles the
+    nodes in order, so the residual, out and the laws have the bits of
+    settling each node right after its step, and step k waits on node
+    k - 2 before it overwrites that ring row. Once the pool has stopped,
+    the error of the first node that failed to settle is raised, before a
+    later step's.
     """
     grid = brownian.grid
     dt = grid.dt
@@ -185,24 +182,10 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
 
     behind = (frozen is not None and tolerance is not None
               and out.shape[1] >= _SETTLE_PATHS and _usable_threads(2) == 2)
-    if behind:
-        handed: queue.SimpleQueue = queue.SimpleQueue()
-        # ring rows the loop may write: two are free at the start, and
-        # each node settled frees its row
-        free = threading.Semaphore(2)
-        errors: list[BaseException] = []
-
-        def settle_behind() -> None:
-            while (k := handed.get()) is not None:
-                if not errors:
-                    try:
-                        settle(k, ring[k % 3], None)
-                    except BaseException as exc:
-                        errors.append(exc)
-                free.release()
-
-        helper = threading.Thread(target=settle_behind)
-        helper.start()
+    # one thread runs its jobs in the order given: the nodes settle in
+    # order
+    pool = _pool(1) if behind else None
+    settled = []
     try:
         for k in range(grid.steps + 1):
             state = ring[k % 3]
@@ -219,11 +202,11 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
                 # addition commutes, dB_k + (state + b dt) has those of
                 # state + b dt + dB_k
                 b_next = next(rows)
-                if behind:
-                    # node k - 2 held the row this step writes
-                    free.acquire()
-                    if errors:
-                        break
+                # node k - 2 held the row this step writes: wait for it,
+                # and stop if it failed (its error is raised below)
+                if (behind and k >= 2
+                        and settled[k - 2].exception() is not None):
+                    break
                 row = np.subtract(b_next, b_k, out=ring[(k + 1) % 3])
                 row += state + b * dt
                 b_k = b_next
@@ -236,15 +219,16 @@ def _euler_sweep(spec: DriftSpec, frozen: Optional[np.ndarray],
                                       else worst,
                                       limit=limit)
             if behind:
-                handed.put(k)
+                settled.append(pool.submit(settle, k, state, None))
             else:
                 settle(k, state, law)
     finally:
         if behind:
-            handed.put(None)
-            helper.join()
-            if errors:
-                raise errors[0]
+            pool.shutdown()
+            # the first node that failed to settle comes before any step
+            # that failed, so its error is the one raised
+            for future in settled:
+                future.result()
     return residual, laws
 
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -219,7 +222,10 @@ def _increment_digests(n, steps, caps):
         for cap in caps:
             grid_module._threads = cap
             out.fill(np.nan)
+            before = threading.active_count()
             grid_module._normal_increments(out, SeedSpec(29, 4))
+            # every thread the draw started has stopped
+            assert threading.active_count() == before
             digests.append(hashlib.sha256(out).hexdigest())
     finally:
         grid_module._threads = 1
@@ -254,9 +260,24 @@ def test_threaded_draw_raises_a_worker_error_in_the_caller(monkeypatch):
     monkeypatch.setattr(grid_module.os, "sched_getaffinity",
                         lambda pid: {0, 1})
     monkeypatch.setattr(grid_module, "_threads", 2)
+    before = threading.active_count()
     with pytest.raises(RuntimeError, match="block 1 failed"):
         sample_brownian(make_grid(1.0, 20), 2 * BLOCK_SIZE, 0.0, SeedSpec(1))
     assert seen and seen[0] is not threading.main_thread()
+    assert threading.active_count() == before
+
+
+def test_importing_the_cli_does_not_load_the_thread_pool():
+    # concurrent.futures loads logging; a run's start-up pays for it only
+    # if grid._pool imports it at the top
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mfsde.cli\n"
+         "print('concurrent.futures' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_the_cli_sets_the_draw_cap_for_its_run_only(tmp_path, monkeypatch):

@@ -758,13 +758,35 @@ def rocket():
         growth_const=40.0, law_lipschitz_const=0.0, name="rocket")
 
 
+def law_refusing_a_far_node(atoms):
+    """A law that refuses a node whose atoms all lie above 50."""
+    if atoms[0] > 50.0:
+        raise ValueError(f"law refused a node from {float(atoms[0])!r}")
+    return float(atoms.mean())
+
+
+def kick_then_blow_up():
+    """On SETTLE_GRID, step 10 moves every state up by 100 into node 11 and
+    step 12 blows the states up; the other steps add no drift."""
+    push = {10: 2e3, 12: 1e9}
+    return expectation_drift(
+        bbar=lambda t, y, v: np.full_like(y, push.get(round(20 * t), 0.0)),
+        functional=lambda z: z, growth_const=0.0, law_lipschitz_const=0.0,
+        name="kick")
+
+
 @pytest.mark.parametrize("spec, grid, error", [
     # raised by a step, on the calling thread
     (rocket(), make_grid(4.0, 80), BlowUpError),
     # raised by settling a node, on the second thread when it runs
     (dataclasses.replace(mean_field_ou(), law=law_refusing_a_wide_node),
      SETTLE_GRID, ValueError),
-], ids=["blow-up", "law"])
+    # settling node 11 fails, then step 12 blows up: the serial run stops
+    # at node 11, so the threaded run raises node 11's error, not the
+    # later step's
+    (dataclasses.replace(kick_then_blow_up(), law=law_refusing_a_far_node),
+     SETTLE_GRID, ValueError),
+], ids=["blow-up", "law", "law-then-blow-up"])
 def test_a_threaded_sweep_raises_the_serial_error(spec, grid, error,
                                                   monkeypatch):
     def solve(seen):
