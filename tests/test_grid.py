@@ -268,8 +268,8 @@ def test_threaded_draw_raises_a_worker_error_in_the_caller(monkeypatch):
 
 
 def test_importing_the_cli_does_not_load_the_thread_pool():
-    # concurrent.futures loads logging; a run's start-up pays for it only
-    # if grid._pool imports it at the top
+    # concurrent.futures loads logging, which every run's start-up would
+    # pay for if grid imported it at the top rather than inside _pool
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, mfsde.cli\n"
